@@ -1,7 +1,7 @@
 //! The result of one grid-simulation run.
 
 use p2pgrid_gossip::GossipStats;
-use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics};
+use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowOutcome};
 use p2pgrid_sim::SimTime;
 
 /// Everything an experiment needs to know about one finished run.
@@ -60,5 +60,126 @@ impl SimulationReport {
     /// Header matching [`SimulationReport::summary_row`].
     pub fn summary_header() -> [&'static str; 5] {
         ["algorithm", "finished", "ACT(s)", "AE", "completion-rate"]
+    }
+
+    /// A 64-bit FNV-1a digest of everything the run produced: the counts, the gossip traffic,
+    /// the robustness ledger, every per-workflow record and the hourly series, with every
+    /// `f64` hashed as its bit pattern.  Equal digests mean bit-identical results, so a
+    /// checked-in digest pins a run's behaviour exactly.  The label is not hashed.
+    pub fn digest(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut write = |word: u64| {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let (gossip, ledger) = (self.gossip_stats, self.robustness);
+        for word in [
+            self.nodes as u64,
+            self.submitted,
+            self.completed,
+            self.failed,
+            self.end_time.as_millis(),
+            self.avg_rss_size.to_bits(),
+            self.act_secs().to_bits(),
+            self.average_efficiency().to_bits(),
+            gossip.cycles,
+            gossip.epidemic_messages,
+            gossip.aggregation_exchanges,
+            gossip.bytes_sent,
+            ledger.node_failures,
+            ledger.node_repairs,
+            ledger.tasks_lost,
+            ledger.retries,
+            ledger.useful_mi.to_bits(),
+            ledger.wasted_mi.to_bits(),
+            ledger.recovery_latency_secs_sum.to_bits(),
+            ledger.recoveries,
+        ] {
+            write(word);
+        }
+        let records = self.metrics.records();
+        write(records.len() as u64);
+        for record in records {
+            write(record.submitted_at.as_millis());
+            write(record.completed_at.as_millis());
+            write(record.expected_finish_secs.to_bits());
+            write(u64::from(record.outcome == WorkflowOutcome::Completed));
+        }
+        for series in [
+            self.metrics.throughput_series(),
+            self.metrics.act_series(),
+            self.metrics.ae_series(),
+        ] {
+            write(series.len() as u64);
+            for &(at, value) in series.points() {
+                write(at.as_millis());
+                write(value.to_bits());
+            }
+        }
+        hash
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use p2pgrid_metrics::WorkflowRecord;
+
+    fn report() -> SimulationReport {
+        let mut metrics = WorkflowMetrics::new("DSMF");
+        metrics.record_submission();
+        metrics.record_completion(WorkflowRecord {
+            submitted_at: SimTime::ZERO,
+            completed_at: SimTime::from_secs(100),
+            expected_finish_secs: 50.0,
+            outcome: WorkflowOutcome::Completed,
+        });
+        metrics.sample(SimTime::from_secs(3600));
+        SimulationReport {
+            algorithm: "DSMF".into(),
+            metrics,
+            gossip_stats: GossipStats::default(),
+            avg_rss_size: 4.0,
+            end_time: SimTime::from_secs(3600),
+            nodes: 8,
+            submitted: 1,
+            completed: 1,
+            failed: 0,
+            robustness: RobustnessStats::new(),
+        }
+    }
+
+    #[test]
+    fn digest_ignores_the_label_and_sees_every_result_bit() {
+        let base = report();
+        let digest = base.digest();
+        assert_eq!(digest, report().digest(), "the digest is a pure function");
+        let relabelled = SimulationReport {
+            algorithm: "renamed".into(),
+            ..report()
+        };
+        assert_eq!(relabelled.digest(), digest);
+
+        let nudged = SimulationReport {
+            avg_rss_size: f64::from_bits(4.0f64.to_bits() + 1),
+            ..report()
+        };
+        assert_ne!(nudged.digest(), digest, "one ulp of an f64 must show");
+        let mut ledger = report();
+        ledger.robustness.wasted_mi = 1.0;
+        assert_ne!(ledger.digest(), digest);
+        let mut gossip = report();
+        gossip.gossip_stats.bytes_sent = 100;
+        assert_ne!(gossip.digest(), digest);
+        let mut record = report();
+        record.metrics.record_completion(WorkflowRecord {
+            submitted_at: SimTime::ZERO,
+            completed_at: SimTime::from_secs(100),
+            expected_finish_secs: 50.0,
+            outcome: WorkflowOutcome::Completed,
+        });
+        assert_ne!(record.digest(), digest);
     }
 }
