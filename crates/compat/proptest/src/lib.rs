@@ -150,9 +150,18 @@ pub mod test_runner {
         pub cases: u32,
     }
 
+    /// The case count when `PROPTEST_CASES` is unset.
+    const DEFAULT_CASES: u32 = 64;
+
     impl Default for ProptestConfig {
+        /// Like the real crate, the default case count can be overridden with the
+        /// `PROPTEST_CASES` environment variable; an explicit [`ProptestConfig::with_cases`]
+        /// still wins over it.
         fn default() -> Self {
-            ProptestConfig { cases: 64 }
+            let var = std::env::var("PROPTEST_CASES").ok();
+            ProptestConfig {
+                cases: cases_from_env(var.as_deref()),
+            }
         }
     }
 
@@ -160,6 +169,36 @@ pub mod test_runner {
         /// Run the property for `cases` random cases.
         pub fn with_cases(cases: u32) -> Self {
             ProptestConfig { cases }
+        }
+    }
+
+    /// The default case count given the value of `PROPTEST_CASES`: unset means
+    /// `DEFAULT_CASES`, and a value that does not parse warns and falls back to it, as the
+    /// real crate does.
+    fn cases_from_env(var: Option<&str>) -> u32 {
+        match var.map(str::parse::<u32>) {
+            None => DEFAULT_CASES,
+            Some(Ok(cases)) => cases,
+            Some(Err(_)) => {
+                eprintln!(
+                    "proptest: PROPTEST_CASES={:?} is not a u32; using {DEFAULT_CASES} cases",
+                    var.unwrap_or_default()
+                );
+                DEFAULT_CASES
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn proptest_cases_sets_the_default_but_not_an_explicit_count() {
+            assert_eq!(cases_from_env(None), DEFAULT_CASES);
+            assert_eq!(cases_from_env(Some("4096")), 4096);
+            assert_eq!(cases_from_env(Some("many")), DEFAULT_CASES);
+            assert_eq!(ProptestConfig::with_cases(7).cases, 7);
         }
     }
 

@@ -195,24 +195,6 @@ impl<'a> FinishTimeEstimator<'a> {
         }
         best
     }
-
-    /// The completion-time matrix `CT[task][candidate]` used by the min-min / max-min /
-    /// sufferage heuristics.
-    pub fn completion_matrix(
-        &self,
-        tasks: &[(f64, f64, Vec<PredecessorData>)],
-        candidates: &[CandidateNode],
-    ) -> Vec<Vec<f64>> {
-        tasks
-            .iter()
-            .map(|(load, image, preds)| {
-                candidates
-                    .iter()
-                    .map(|c| self.finish_time_secs(c, *load, *image, preds))
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -353,37 +335,6 @@ mod tests {
         assert_eq!(est.finish_time_secs(&c, 100.0, 0.0, &[]), 50.0);
         c.add_load(100.0);
         assert_eq!(est.finish_time_secs(&c, 100.0, 0.0, &[]), 100.0);
-    }
-
-    #[test]
-    fn completion_matrix_matches_individual_estimates() {
-        let est = FinishTimeEstimator::new(0, &unit_bw);
-        let candidates = [
-            CandidateNode::single_slot(1, 1.0, 0.0),
-            CandidateNode::single_slot(2, 2.0, 100.0),
-        ];
-        let tasks = vec![
-            (100.0, 0.0, vec![]),
-            (
-                400.0,
-                0.0,
-                vec![PredecessorData {
-                    location: 1,
-                    data_mb: 50.0,
-                }],
-            ),
-        ];
-        let m = est.completion_matrix(&tasks, &candidates);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m[0].len(), 2);
-        assert_eq!(
-            m[0][0],
-            est.finish_time_secs(&candidates[0], 100.0, 0.0, &[])
-        );
-        assert_eq!(
-            m[1][1],
-            est.finish_time_secs(&candidates[1], 400.0, 0.0, &tasks[1].2)
-        );
     }
 
     #[test]

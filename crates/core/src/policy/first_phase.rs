@@ -182,20 +182,22 @@ pub fn plan_dispatch(
                 Algorithm::MaxMin => MatrixHeuristic::MaxMin,
                 _ => MatrixHeuristic::Sufferage,
             };
+            // The classical dynamic matching algorithms pick against the completion-time
+            // matrix of the *current* candidate loads after every assignment.  An assignment
+            // changes only its candidate's load, and every cell is a pure function of its task
+            // and candidate, so refreshing that one column for the remaining rows yields the
+            // matrix a full rebuild would, bit for bit.
+            let finish = |t: &DispatchCandidateTask, c: &CandidateNode| {
+                estimator.finish_time_secs(c, t.load_mi, t.image_size_mb, &t.predecessors)
+            };
+            let mut ct: Vec<Vec<f64>> = tasks
+                .iter()
+                .map(|t| candidates.iter().map(|c| finish(t, c)).collect())
+                .collect();
             let mut decisions = Vec::with_capacity(tasks.len());
             let mut remaining: Vec<usize> = (0..tasks.len()).collect();
-            while !remaining.is_empty() {
-                // Rebuild the completion-time matrix against the *current* candidate loads, as
-                // the classical dynamic matching algorithms do after every assignment.
-                let rows: Vec<(f64, f64, Vec<PredecessorData>)> = tasks
-                    .iter()
-                    .map(|t| (t.load_mi, t.image_size_mb, t.predecessors.clone()))
-                    .collect();
-                let ct = estimator.completion_matrix(&rows, candidates);
-                let Some((t_idx, h_idx, sufferage)) = matrix_pick_next(heuristic, &ct, &remaining)
-                else {
-                    break;
-                };
+            while let Some((t_idx, h_idx, sufferage)) = matrix_pick_next(heuristic, &ct, &remaining)
+            {
                 let t = &tasks[t_idx];
                 decisions.push(DispatchDecision {
                     workflow: t.workflow,
@@ -206,6 +208,9 @@ pub fn plan_dispatch(
                 });
                 candidates[h_idx].add_load(t.load_mi);
                 remaining.retain(|&x| x != t_idx);
+                for &r in &remaining {
+                    ct[r][h_idx] = finish(&tasks[r], &candidates[h_idx]);
+                }
             }
             decisions
         }
@@ -490,5 +495,157 @@ mod tests {
             );
         }
         let _ = &mut candidates;
+    }
+
+    /// The matrix heuristics as first written: rebuild the whole completion-time matrix
+    /// against the current candidate loads before every pick.  Kept as the oracle the
+    /// column-refreshing planner must match.
+    fn rebuild_after_every_assignment(
+        heuristic: MatrixHeuristic,
+        tasks: &[DispatchCandidateTask],
+        candidates: &mut [CandidateNode],
+        estimator: &FinishTimeEstimator<'_>,
+    ) -> Vec<DispatchDecision> {
+        let mut decisions = Vec::new();
+        let mut remaining: Vec<usize> = (0..tasks.len()).collect();
+        while !remaining.is_empty() {
+            let ct: Vec<Vec<f64>> = tasks
+                .iter()
+                .map(|t| {
+                    candidates
+                        .iter()
+                        .map(|c| {
+                            estimator.finish_time_secs(
+                                c,
+                                t.load_mi,
+                                t.image_size_mb,
+                                &t.predecessors,
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            let Some((t_idx, h_idx, sufferage)) = matrix_pick_next(heuristic, &ct, &remaining)
+            else {
+                break;
+            };
+            let t = &tasks[t_idx];
+            decisions.push(DispatchDecision {
+                workflow: t.workflow,
+                task: t.task,
+                target: candidates[h_idx].node,
+                estimated_finish_secs: ct[t_idx][h_idx],
+                sufferage_secs: sufferage,
+            });
+            candidates[h_idx].add_load(t.load_mi);
+            remaining.retain(|&x| x != t_idx);
+        }
+        decisions
+    }
+
+    /// Bandwidth drawn from three values, so transfer times tie often.
+    fn tiered_bw(a: NodeId, b: NodeId) -> f64 {
+        if a == b {
+            f64::INFINITY
+        } else {
+            [1.0, 2.0, 4.0][(a * 7 + b * 3) % 3]
+        }
+    }
+
+    /// Candidate `i` is node `2 i`; odd nodes never are candidates.  Capacities, slots and
+    /// loads come from small sets, so equal candidates — and tied completion times — are
+    /// common.
+    fn decode_candidate(i: usize, code: u64) -> CandidateNode {
+        CandidateNode {
+            node: 2 * i,
+            capacity_mips: [1.0, 2.0, 4.0][(code % 3) as usize],
+            slots: [1, 1, 2, 4][((code >> 2) % 4) as usize],
+            total_load_mi: [0.0, 0.0, 100.0, 400.0][((code >> 4) % 4) as usize],
+        }
+    }
+
+    /// A task with up to three predecessors on any of nodes 0–47, candidate or not.
+    fn decode_task(i: usize, code: u64) -> DispatchCandidateTask {
+        let predecessors = (0..(code >> 6) % 4)
+            .map(|p| {
+                let bits = code >> (8 + 8 * p);
+                PredecessorData {
+                    location: (bits % 48) as NodeId,
+                    data_mb: [0.0, 10.0, 50.0, 200.0][((bits >> 6) % 4) as usize],
+                }
+            })
+            .collect();
+        DispatchCandidateTask {
+            workflow: i / 4,
+            task: TaskId((i % 4) as u32),
+            load_mi: [100.0, 100.0, 200.0, 800.0][(code % 4) as usize],
+            image_size_mb: [0.0, 10.0][((code >> 2) % 2) as usize],
+            rpm_secs: 0.0,
+            workflow_ms_secs: 0.0,
+            predecessors,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn matrix_heuristics_match_the_full_rebuild_oracle(
+            task_codes in proptest::collection::vec(0u64..=u64::MAX, 1..65),
+            candidate_codes in proptest::collection::vec(0u64..=u64::MAX, 1..25),
+            home in 0usize..48,
+        ) {
+            // About one task and one candidate in four is a twin of the one before it, which
+            // forces exact ties in completion time across rows and across columns.
+            let mut tasks: Vec<DispatchCandidateTask> = Vec::new();
+            for (i, &code) in task_codes.iter().enumerate() {
+                let task = match tasks.last() {
+                    Some(prev) if code >> 62 == 0 => DispatchCandidateTask {
+                        task: TaskId((i % 4) as u32),
+                        workflow: i / 4,
+                        ..prev.clone()
+                    },
+                    _ => decode_task(i, code),
+                };
+                tasks.push(task);
+            }
+            let mut candidates: Vec<CandidateNode> = Vec::new();
+            for (i, &code) in candidate_codes.iter().enumerate() {
+                let candidate = match candidates.last() {
+                    Some(prev) if code >> 62 == 0 => CandidateNode {
+                        node: 2 * i,
+                        ..*prev
+                    },
+                    _ => decode_candidate(i, code),
+                };
+                candidates.push(candidate);
+            }
+            let est = FinishTimeEstimator::new(home, &tiered_bw);
+            for (algorithm, heuristic) in [
+                (Algorithm::MinMin, MatrixHeuristic::MinMin),
+                (Algorithm::MaxMin, MatrixHeuristic::MaxMin),
+                (Algorithm::Sufferage, MatrixHeuristic::Sufferage),
+            ] {
+                let mut planned_view = candidates.clone();
+                let planned = plan_dispatch(algorithm, &tasks, &mut planned_view, &est);
+                let mut oracle_view = candidates.clone();
+                let oracle =
+                    rebuild_after_every_assignment(heuristic, &tasks, &mut oracle_view, &est);
+                let bits = |d: &[DispatchDecision]| {
+                    d.iter()
+                        .map(|d| {
+                            (
+                                d.workflow,
+                                d.task,
+                                d.target,
+                                d.estimated_finish_secs.to_bits(),
+                                d.sufferage_secs.to_bits(),
+                            )
+                        })
+                        .collect::<Vec<_>>()
+                };
+                proptest::prop_assert_eq!(bits(&planned), bits(&oracle), "{}", algorithm);
+                proptest::prop_assert_eq!(planned.len(), tasks.len());
+                proptest::prop_assert_eq!(planned_view, oracle_view);
+            }
+        }
     }
 }

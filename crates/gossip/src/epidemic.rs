@@ -9,6 +9,7 @@ use crate::state::{NodeStateRecord, PeerId, ResourceStateSet};
 use crate::view::NewscastView;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Configuration of the epidemic gossip protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,6 +53,18 @@ pub struct EpidemicGossip {
     rss: Vec<ResourceStateSet>,
     messages_sent: u64,
     records_sent: u64,
+    /// Per-cycle scratch, reused across cycles and empty until the first one: each push's
+    /// targets and forwarded records, back to back, indexed by `pushes`.
+    targets: Vec<PeerId>,
+    outbox: Vec<NodeStateRecord>,
+    pushes: Vec<Push>,
+}
+
+/// One node's push in a cycle: the same records go to every target.
+#[derive(Debug, Clone)]
+struct Push {
+    targets: Range<usize>,
+    records: Range<usize>,
 }
 
 impl EpidemicGossip {
@@ -64,6 +77,9 @@ impl EpidemicGossip {
                 .collect(),
             messages_sent: 0,
             records_sent: 0,
+            targets: Vec::new(),
+            outbox: Vec::new(),
+            pushes: Vec::new(),
         }
     }
 
@@ -124,45 +140,55 @@ impl EpidemicGossip {
             }
         }
 
-        // 2. Gather push messages (dst, record-with-incremented-hops), then apply them, so the
-        //    cycle is synchronous and borrow-friendly.
-        let mut deliveries: Vec<(PeerId, NodeStateRecord)> = Vec::new();
+        // 2. Snapshot every push before delivering any, so the cycle is synchronous: each alive
+        //    node draws its targets and copies the records it forwards (those with fewer than
+        //    `ttl` hops, sent with one hop more) into the shared scratch buffers.
+        let (fanout, ttl) = (self.config.fanout, self.config.ttl);
+        self.targets.clear();
+        self.outbox.clear();
+        self.pushes.clear();
         for (i, adv) in local.iter().enumerate() {
             if adv.is_none() {
                 continue;
             }
-            let mut targets = views[i].random_peers(self.config.fanout, rng);
-            targets.retain(|&t| t != i && local[t].is_some());
-            if targets.is_empty() {
+            let targets = self.targets.len();
+            let drawn = views[i].random_peers(fanout, rng);
+            self.targets
+                .extend(drawn.into_iter().filter(|&t| t != i && local[t].is_some()));
+            if self.targets.len() == targets {
                 continue;
             }
-            let outgoing: Vec<NodeStateRecord> = self.rss[i]
-                .records()
-                .filter(|r| r.hops < self.config.ttl)
-                .copied()
-                .collect();
-            if outgoing.is_empty() {
+            let records = self.outbox.len();
+            let forwarded = self.rss[i].records().filter(|r| r.hops < ttl);
+            self.outbox.extend(forwarded.map(|r| NodeStateRecord {
+                hops: r.hops + 1,
+                ..*r
+            }));
+            if self.outbox.len() == records {
+                self.targets.truncate(targets);
                 continue;
             }
-            for &t in &targets {
+            self.pushes.push(Push {
+                targets: targets..self.targets.len(),
+                records: records..self.outbox.len(),
+            });
+        }
+
+        // 3. Deliver straight into the destination sets: sources ascending, targets in the
+        //    order drawn, records by node id.
+        for push in &self.pushes {
+            let records = &self.outbox[push.records.clone()];
+            for &t in &self.targets[push.targets.clone()] {
                 self.messages_sent += 1;
-                self.records_sent += outgoing.len() as u64;
-                for r in &outgoing {
-                    deliveries.push((
-                        t,
-                        NodeStateRecord {
-                            hops: r.hops + 1,
-                            ..*r
-                        },
-                    ));
+                self.records_sent += records.len() as u64;
+                let rss = &mut self.rss[t];
+                for &record in records {
+                    rss.merge(record);
                 }
             }
         }
-        for (dst, rec) in deliveries {
-            self.rss[dst].merge(rec);
-        }
 
-        // 3. Purge stale records and records of departed nodes.
+        // 4. Purge stale records and records of departed nodes.
         let limit = self.config.staleness_limit;
         for (i, rss) in self.rss.iter_mut().enumerate() {
             if local[i].is_some() {

@@ -2,7 +2,6 @@
 
 use p2pgrid_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Identifier of a peer node (dense index, shared with `p2pgrid-topology`).
 pub type PeerId = usize;
@@ -50,22 +49,27 @@ impl NodeStateRecord {
 /// than the configured staleness limit, which together keep the per-node space complexity at
 /// `O(log n)` as claimed in Section III and measured in Fig. 11(a).
 ///
-/// Records are stored in a `BTreeMap`, so iteration is *always* in ascending node-id order —
-/// the deterministic order scheduling decisions need.  The schedulers read the set every
-/// scheduling cycle, so keeping it sorted incrementally (`O(log n)` per merge over the ~log n
-/// records) beats the old clone-and-sort on every read.
+/// Records live in a `Vec` sorted by node id, so iteration is *always* in ascending node-id
+/// order — the deterministic order scheduling decisions need — and a lookup is a binary search
+/// over the ~log n records.  While the set is full it also caches the `(updated_at, node)` key
+/// of its stalest record, the one the next newcomer would evict: a merge whose record is no
+/// fresher than that key cannot change the set, so epidemic gossip's most common delivery is
+/// rejected in O(1) without a search.
 #[derive(Debug, Clone)]
 pub struct ResourceStateSet {
-    records: BTreeMap<PeerId, NodeStateRecord>,
+    records: Vec<NodeStateRecord>,
     capacity: usize,
+    /// `Some` exactly while `records.len() == capacity`: the minimum `(updated_at, node)`.
+    stalest: Option<(SimTime, PeerId)>,
 }
 
 impl ResourceStateSet {
     /// Create an empty set bounded to `capacity` records.
     pub fn new(capacity: usize) -> Self {
         ResourceStateSet {
-            records: BTreeMap::new(),
+            records: Vec::new(),
             capacity: capacity.max(1),
+            stalest: None,
         }
     }
 
@@ -86,59 +90,103 @@ impl ResourceStateSet {
 
     /// The record for `node`, if known.
     pub fn get(&self, node: PeerId) -> Option<&NodeStateRecord> {
-        self.records.get(&node)
+        self.position(node).ok().map(|i| &self.records[i])
     }
 
     /// Iterate over all known records, always in ascending node-id order.
     pub fn records(&self) -> impl Iterator<Item = &NodeStateRecord> {
-        self.records.values()
+        self.records.iter()
     }
 
     /// Known records sorted by node id (deterministic order for scheduling decisions).
     ///
-    /// The map maintains this order incrementally, so this is a plain copy — no per-call
-    /// re-sort.  Prefer [`ResourceStateSet::records`] when borrowing suffices.
+    /// The set is kept in this order, so this is a plain copy — no per-call re-sort.  Prefer
+    /// [`ResourceStateSet::records`] when borrowing suffices.
     pub fn records_sorted(&self) -> Vec<NodeStateRecord> {
-        self.records.values().copied().collect()
+        self.records.clone()
     }
 
-    /// Insert or refresh a record.  A record only replaces an existing one for the same node if
-    /// it is strictly fresher.  Returns `true` if the set changed.
+    /// Insert or refresh a record; returns `true` if the set changed.
+    ///
+    /// A record only replaces the one held for the same node if it is strictly fresher, so of
+    /// two copies with equal `updated_at` the first to arrive stays, whatever its `hops`.  A
+    /// newcomer that would push the set over capacity evicts the stalest record by
+    /// `(updated_at, node)` — unless it is itself the stalest, in which case it is rejected
+    /// and the set is unchanged.
+    ///
+    /// Merging a batch in any order leaves the same `(node, updated_at)` pairs: the
+    /// `capacity` largest `(updated_at, node)` keys among the freshest record per node of the
+    /// set and the batch together.  Which *copy* survives is not order-free: of equal-timestamp
+    /// copies the first arrival stays, so the survivors' `hops` — and with them whether and
+    /// how far a record is forwarded next cycle — depend on arrival order.  A batched merge
+    /// must keep each node's first-arriving freshest copy to reproduce this one.
     pub fn merge(&mut self, record: NodeStateRecord) -> bool {
-        match self.records.get(&record.node) {
-            Some(existing) if existing.updated_at >= record.updated_at => false,
-            _ => {
-                self.records.insert(record.node, record);
-                self.enforce_capacity();
-                true
+        if self
+            .stalest
+            .is_some_and(|stalest| (record.updated_at, record.node) <= stalest)
+        {
+            // Either the held record for this node is at least as fresh, or the newcomer
+            // would be inserted and evicted at once.
+            return false;
+        }
+        match self.position(record.node) {
+            Ok(i) => {
+                if self.records[i].updated_at >= record.updated_at {
+                    return false;
+                }
+                self.records[i] = record;
+                if self.stalest.is_some_and(|(_, node)| node == record.node) {
+                    self.stalest = self.find_stalest();
+                }
+            }
+            Err(i) if self.records.len() < self.capacity => {
+                self.records.insert(i, record);
+                if self.records.len() == self.capacity {
+                    self.stalest = self.find_stalest();
+                }
+            }
+            Err(i) => {
+                // Full, and the newcomer is fresher than the stalest record: replace it.
+                let (_, victim) = self.stalest.expect("a full set caches its stalest key");
+                let v = self.position(victim).expect("the stalest record is held");
+                if v < i {
+                    self.records[v..i].rotate_left(1);
+                    self.records[i - 1] = record;
+                } else {
+                    self.records[i..=v].rotate_right(1);
+                    self.records[i] = record;
+                }
+                self.stalest = self.find_stalest();
             }
         }
+        true
     }
 
     /// Remove every record older than `limit` relative to `now`, and any record describing a
     /// node in `departed`.
     pub fn purge(&mut self, now: SimTime, limit: SimDuration, departed: &dyn Fn(PeerId) -> bool) {
-        self.records.retain(|&node, r| {
-            !departed(node) && now.saturating_duration_since(r.updated_at) <= limit
-        });
+        self.records
+            .retain(|r| !departed(r.node) && now.saturating_duration_since(r.updated_at) <= limit);
+        if self.records.len() < self.capacity {
+            self.stalest = None;
+        }
     }
 
     /// Remove the record for a specific node (e.g. observed to have churned away).
     pub fn remove(&mut self, node: PeerId) {
-        self.records.remove(&node);
+        if let Ok(i) = self.position(node) {
+            self.records.remove(i);
+            self.stalest = None;
+        }
     }
 
-    fn enforce_capacity(&mut self) {
-        while self.records.len() > self.capacity {
-            // Evict the stalest record; ties broken by node id for determinism.
-            let victim = self
-                .records
-                .values()
-                .min_by_key(|r| (r.updated_at, r.node))
-                .map(|r| r.node)
-                .expect("set is non-empty");
-            self.records.remove(&victim);
-        }
+    fn position(&self, node: PeerId) -> Result<usize, usize> {
+        self.records.binary_search_by_key(&node, |r| r.node)
+    }
+
+    /// The minimum `(updated_at, node)` key; node ids are unique, so it is unique too.
+    fn find_stalest(&self) -> Option<(SimTime, PeerId)> {
+        self.records.iter().map(|r| (r.updated_at, r.node)).min()
     }
 }
 
@@ -275,5 +323,189 @@ mod tests {
         rss.remove(1);
         assert!(rss.is_empty());
         assert_eq!(rss.capacity(), 2);
+    }
+
+    #[test]
+    fn a_newcomer_evicted_at_once_does_not_count_as_a_change() {
+        let mut rss = ResourceStateSet::new(2);
+        assert!(rss.merge(rec(5, 10)));
+        assert!(rss.merge(rec(6, 20)));
+        let before = rss.records_sorted();
+        assert!(
+            !rss.merge(rec(1, 5)),
+            "a record staler than every held one is rejected"
+        );
+        assert!(!rss.merge(rec(4, 10)), "(10, 4) sorts below (10, 5)");
+        assert_eq!(rss.records_sorted(), before);
+        assert!(rss.merge(rec(7, 10)), "(10, 7) evicts (10, 5)");
+        assert_eq!(
+            rss.records().map(|r| r.node).collect::<Vec<_>>(),
+            vec![6, 7]
+        );
+    }
+
+    #[test]
+    fn the_first_equal_timestamp_copy_wins_whatever_its_hops() {
+        let copy = |hops| NodeStateRecord { hops, ..rec(3, 10) };
+        let mut near_first = ResourceStateSet::new(4);
+        near_first.merge(copy(1));
+        near_first.merge(copy(3));
+        let mut far_first = ResourceStateSet::new(4);
+        far_first.merge(copy(3));
+        far_first.merge(copy(1));
+        assert_eq!(near_first.get(3).unwrap().hops, 1);
+        assert_eq!(far_first.get(3).unwrap().hops, 3);
+    }
+
+    /// The set as it was first written: a `BTreeMap` that inserts, then evicts the stalest
+    /// record while over capacity.  Kept as the oracle the sorted-`Vec` set must match.
+    struct ReferenceSet {
+        records: std::collections::BTreeMap<PeerId, NodeStateRecord>,
+        capacity: usize,
+    }
+
+    impl ReferenceSet {
+        fn new(capacity: usize) -> Self {
+            ReferenceSet {
+                records: std::collections::BTreeMap::new(),
+                capacity: capacity.max(1),
+            }
+        }
+
+        fn merge(&mut self, record: NodeStateRecord) {
+            match self.records.get(&record.node) {
+                Some(existing) if existing.updated_at >= record.updated_at => {}
+                _ => {
+                    self.records.insert(record.node, record);
+                    while self.records.len() > self.capacity {
+                        let victim = self
+                            .records
+                            .values()
+                            .min_by_key(|r| (r.updated_at, r.node))
+                            .map(|r| r.node)
+                            .unwrap();
+                        self.records.remove(&victim);
+                    }
+                }
+            }
+        }
+
+        fn purge(&mut self, now: SimTime, limit: SimDuration, departed: &dyn Fn(PeerId) -> bool) {
+            self.records.retain(|&node, r| {
+                !departed(node) && now.saturating_duration_since(r.updated_at) <= limit
+            });
+        }
+
+        fn remove(&mut self, node: PeerId) {
+            self.records.remove(&node);
+        }
+
+        fn records(&self) -> Vec<NodeStateRecord> {
+            self.records.values().copied().collect()
+        }
+    }
+
+    /// A record decoded from random bits: ten nodes and six timestamps, so repeated nodes and
+    /// equal timestamps are common; `hops` and the load vary independently of both.
+    fn decode_record(code: u64) -> NodeStateRecord {
+        NodeStateRecord {
+            node: (code % 10) as PeerId,
+            capacity_mips: 4.0,
+            slots: 1,
+            total_load_mi: ((code >> 4) % 4) as f64,
+            updated_at: SimTime::from_secs((code >> 8) % 6),
+            hops: ((code >> 12) % 5) as u32,
+        }
+    }
+
+    enum Op {
+        Merge(NodeStateRecord),
+        Purge {
+            now: SimTime,
+            limit: SimDuration,
+            departed: u64,
+        },
+        Remove(PeerId),
+    }
+
+    /// Three merges in four, the rest purges and removes.
+    fn decode_op(code: u64) -> Op {
+        match code % 8 {
+            0..=5 => Op::Merge(decode_record(code >> 3)),
+            6 => Op::Purge {
+                now: SimTime::from_secs(3 + (code >> 3) % 4),
+                limit: SimDuration::from_secs((code >> 5) % 4),
+                departed: (code >> 7) & (code >> 17) & 0x3ff,
+            },
+            _ => Op::Remove(((code >> 3) % 10) as PeerId),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rss_matches_the_reference_set(
+            capacity in 1usize..=8,
+            ops in proptest::collection::vec(0u64..=u64::MAX, 1..160),
+        ) {
+            let mut rss = ResourceStateSet::new(capacity);
+            let mut reference = ReferenceSet::new(capacity);
+            for code in ops {
+                match decode_op(code) {
+                    Op::Merge(record) => {
+                        let before = rss.records_sorted();
+                        let changed = rss.merge(record);
+                        reference.merge(record);
+                        proptest::prop_assert_eq!(changed, rss.records_sorted() != before);
+                    }
+                    Op::Purge { now, limit, departed } => {
+                        let departed = |node: PeerId| (departed >> node) & 1 == 1;
+                        rss.purge(now, limit, &departed);
+                        reference.purge(now, limit, &departed);
+                    }
+                    Op::Remove(node) => {
+                        rss.remove(node);
+                        reference.remove(node);
+                    }
+                }
+                // Identical records in identical order, every field (hops included) equal.
+                proptest::prop_assert_eq!(rss.records_sorted(), reference.records());
+                for node in 0..10 {
+                    proptest::prop_assert_eq!(rss.get(node), reference.records.get(&node));
+                }
+            }
+        }
+
+        #[test]
+        fn batch_order_decides_hops_but_not_which_records_survive(
+            capacity in 1usize..=8,
+            held in proptest::collection::vec(0u64..=u64::MAX, 0..12),
+            batch in proptest::collection::vec(0u64..=u64::MAX, 1..40),
+            shuffle in 0u64..=u64::MAX,
+        ) {
+            let mut start = ResourceStateSet::new(capacity);
+            for &code in &held {
+                start.merge(decode_record(code));
+            }
+            // A Fisher–Yates permutation of the batch, driven by a splitmix64 stream.
+            let mut shuffled = batch.clone();
+            let mut state = shuffle;
+            for i in (1..shuffled.len()).rev() {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                shuffled.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+            }
+            let survivors = |order: &[u64]| {
+                let mut rss = start.clone();
+                for &code in order {
+                    rss.merge(decode_record(code));
+                }
+                rss.records()
+                    .map(|r| (r.node, r.updated_at))
+                    .collect::<Vec<_>>()
+            };
+            proptest::prop_assert_eq!(survivors(&batch), survivors(&shuffled));
+        }
     }
 }
