@@ -9,7 +9,6 @@ use crate::state::{NodeStateRecord, PeerId, ResourceStateSet};
 use crate::view::NewscastView;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
-use std::ops::Range;
 
 /// Configuration of the epidemic gossip protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -53,18 +52,11 @@ pub struct EpidemicGossip {
     rss: Vec<ResourceStateSet>,
     messages_sent: u64,
     records_sent: u64,
-    /// Per-cycle scratch, reused across cycles and empty until the first one: each push's
-    /// targets and forwarded records, back to back, indexed by `pushes`.
-    targets: Vec<PeerId>,
+    /// Per-cycle scratch, reused across cycles and empty until the first one: the records
+    /// every node forwards this cycle, back to back; node `i`'s are
+    /// `outbox[outbox_starts[i]..outbox_starts[i + 1]]`.
     outbox: Vec<NodeStateRecord>,
-    pushes: Vec<Push>,
-}
-
-/// One node's push in a cycle: the same records go to every target.
-#[derive(Debug, Clone)]
-struct Push {
-    targets: Range<usize>,
-    records: Range<usize>,
+    outbox_starts: Vec<usize>,
 }
 
 impl EpidemicGossip {
@@ -77,9 +69,8 @@ impl EpidemicGossip {
                 .collect(),
             messages_sent: 0,
             records_sent: 0,
-            targets: Vec::new(),
             outbox: Vec::new(),
-            pushes: Vec::new(),
+            outbox_starts: Vec::new(),
         }
     }
 
@@ -140,45 +131,36 @@ impl EpidemicGossip {
             }
         }
 
-        // 2. Snapshot every push before delivering any, so the cycle is synchronous: each alive
-        //    node draws its targets and copies the records it forwards (those with fewer than
-        //    `ttl` hops, sent with one hop more) into the shared scratch buffers.
-        let (fanout, ttl) = (self.config.fanout, self.config.ttl);
-        self.targets.clear();
+        // 2. Snapshot what every alive node forwards before delivering anything, so the cycle
+        //    is synchronous: the records with fewer than `ttl` hops, sent with one hop more.
+        let ttl = self.config.ttl;
         self.outbox.clear();
-        self.pushes.clear();
+        self.outbox_starts.clear();
+        for (rss, adv) in self.rss.iter().zip(local) {
+            self.outbox_starts.push(self.outbox.len());
+            if adv.is_some() {
+                let forwarded = rss.records().filter(|r| r.hops < ttl);
+                self.outbox.extend(forwarded.map(|r| NodeStateRecord {
+                    hops: r.hops + 1,
+                    ..*r
+                }));
+            }
+        }
+        self.outbox_starts.push(self.outbox.len());
+
+        // 3. Push straight into the destination sets: sources ascending, targets in the order
+        //    drawn, records by node id.
         for (i, adv) in local.iter().enumerate() {
             if adv.is_none() {
                 continue;
             }
-            let targets = self.targets.len();
-            let drawn = views[i].random_peers(fanout, rng);
-            self.targets
-                .extend(drawn.into_iter().filter(|&t| t != i && local[t].is_some()));
-            if self.targets.len() == targets {
+            let mut targets = views[i].random_peers(self.config.fanout, rng);
+            targets.retain(|&t| t != i && local[t].is_some());
+            let records = &self.outbox[self.outbox_starts[i]..self.outbox_starts[i + 1]];
+            if records.is_empty() {
                 continue;
             }
-            let records = self.outbox.len();
-            let forwarded = self.rss[i].records().filter(|r| r.hops < ttl);
-            self.outbox.extend(forwarded.map(|r| NodeStateRecord {
-                hops: r.hops + 1,
-                ..*r
-            }));
-            if self.outbox.len() == records {
-                self.targets.truncate(targets);
-                continue;
-            }
-            self.pushes.push(Push {
-                targets: targets..self.targets.len(),
-                records: records..self.outbox.len(),
-            });
-        }
-
-        // 3. Deliver straight into the destination sets: sources ascending, targets in the
-        //    order drawn, records by node id.
-        for push in &self.pushes {
-            let records = &self.outbox[push.records.clone()];
-            for &t in &self.targets[push.targets.clone()] {
+            for t in targets {
                 self.messages_sent += 1;
                 self.records_sent += records.len() as u64;
                 let rss = &mut self.rss[t];
