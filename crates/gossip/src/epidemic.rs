@@ -5,7 +5,7 @@
 //! stop being forwarded once they have travelled `ttl` hops (four in the paper), which bounds
 //! the flooding radius while still spreading state to `O(n)` nodes in `O(log n)` cycles.
 
-use crate::state::{NodeStateRecord, PeerId, ResourceStateSet};
+use crate::state::{MergeScratch, NodeStateRecord, PeerId, ResourceStateSet};
 use crate::view::NewscastView;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
@@ -57,6 +57,10 @@ pub struct EpidemicGossip {
     /// `outbox[outbox_starts[i]..outbox_starts[i + 1]]`.
     outbox: Vec<NodeStateRecord>,
     outbox_starts: Vec<usize>,
+    /// Scratch of the same kind: `inboxes[t]` lists the sources that push to node `t` this
+    /// cycle, in arrival order, and `merge_scratch` serves every destination's batch merge.
+    inboxes: Vec<Vec<PeerId>>,
+    merge_scratch: MergeScratch,
 }
 
 impl EpidemicGossip {
@@ -71,6 +75,8 @@ impl EpidemicGossip {
             records_sent: 0,
             outbox: Vec::new(),
             outbox_starts: Vec::new(),
+            inboxes: Vec::new(),
+            merge_scratch: MergeScratch::default(),
         }
     }
 
@@ -148,29 +154,42 @@ impl EpidemicGossip {
         }
         self.outbox_starts.push(self.outbox.len());
 
-        // 3. Push straight into the destination sets: sources ascending, targets in the order
-        //    drawn, records by node id.
+        // 3. Address the pushes: every alive source, ascending, draws its targets — even one
+        //    with nothing to forward, so the RNG stream does not depend on the records — and
+        //    joins the inbox of each target it sends to.  Each inbox therefore lists its
+        //    sources in arrival order.
+        self.inboxes.resize_with(n, Vec::new);
+        for inbox in &mut self.inboxes {
+            inbox.clear();
+        }
         for (i, adv) in local.iter().enumerate() {
             if adv.is_none() {
                 continue;
             }
             let mut targets = views[i].random_peers(self.config.fanout, rng);
             targets.retain(|&t| t != i && local[t].is_some());
-            let records = &self.outbox[self.outbox_starts[i]..self.outbox_starts[i + 1]];
-            if records.is_empty() {
+            let forwarded = self.outbox_starts[i + 1] - self.outbox_starts[i];
+            if forwarded == 0 {
                 continue;
             }
             for t in targets {
                 self.messages_sent += 1;
-                self.records_sent += records.len() as u64;
-                let rss = &mut self.rss[t];
-                for &record in records {
-                    rss.merge(record);
-                }
+                self.records_sent += forwarded as u64;
+                self.inboxes[t].push(i);
             }
         }
 
-        // 4. Purge stale records and records of departed nodes.
+        // 4. Deliver: each destination merges all its pushes in one batch, sources in arrival
+        //    order and each source's records by node id, exactly as if merged one by one.
+        let (outbox, starts) = (&self.outbox, &self.outbox_starts);
+        for (rss, inbox) in self.rss.iter_mut().zip(&self.inboxes) {
+            if !inbox.is_empty() {
+                let slices = inbox.iter().map(|&i| &outbox[starts[i]..starts[i + 1]]);
+                rss.merge_batch(slices, &mut self.merge_scratch);
+            }
+        }
+
+        // 5. Purge stale records and records of departed nodes.
         let limit = self.config.staleness_limit;
         for (i, rss) in self.rss.iter_mut().enumerate() {
             if local[i].is_some() {

@@ -51,16 +51,65 @@ impl NodeStateRecord {
 ///
 /// Records live in a `Vec` sorted by node id, so iteration is *always* in ascending node-id
 /// order — the deterministic order scheduling decisions need — and a lookup is a binary search
-/// over the ~log n records.  While the set is full it also caches the `(updated_at, node)` key
-/// of its stalest record, the one the next newcomer would evict: a merge whose record is no
-/// fresher than that key cannot change the set, so epidemic gossip's most common delivery is
-/// rejected in O(1) without a search.
+/// over the ~log n records.
+///
+/// Epidemic gossip delivers a whole cycle's pushes to a destination in one
+/// [`ResourceStateSet::merge_batch`] call: it dedupes the batch by node, then keeps the
+/// freshest records, in one pass over the deliveries plus a scan of the node ids.
+/// [`ResourceStateSet::merge`] takes one record at a time — a node refreshing its own record
+/// — and finds its eviction victim by a scan of the ~log n records held.  Both leave exactly
+/// what merging the same records one by one, in arrival order, would leave.
 #[derive(Debug, Clone)]
 pub struct ResourceStateSet {
     records: Vec<NodeStateRecord>,
     capacity: usize,
-    /// `Some` exactly while `records.len() == capacity`: the minimum `(updated_at, node)`.
-    stalest: Option<(SimTime, PeerId)>,
+}
+
+/// Reusable per-node scratch for [`ResourceStateSet::merge_batch`].
+///
+/// It holds one record slot per node id plus a generation stamp saying which slots the
+/// current batch has filled, so a batch never clears it.  It starts empty and grows to the
+/// largest node id it has seen; one scratch serves any number of sets and batches.
+#[derive(Debug, Clone, Default)]
+pub struct MergeScratch {
+    generation: u32,
+    /// `stamps[id] == generation` exactly when `slots[id]` holds node `id`'s copy in this batch.
+    stamps: Vec<u32>,
+    slots: Vec<NodeStateRecord>,
+    /// The node ids stamped in this batch, in first-arrival order.
+    touched: Vec<PeerId>,
+    keys: Vec<(SimTime, PeerId)>,
+}
+
+impl MergeScratch {
+    /// Start a batch: every slot an earlier batch stamped becomes stale at once.
+    fn next_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: a stamp left over from 2^32 batches ago would read as current.
+            self.stamps.fill(0);
+            self.generation = 1;
+        }
+        self.touched.clear();
+    }
+
+    /// Keep `record` if it is its node's first copy in this batch or strictly fresher than
+    /// the copy kept so far, so of equal-timestamp copies the first to arrive stays.
+    #[inline]
+    fn offer(&mut self, record: &NodeStateRecord) {
+        let id = record.node;
+        if id >= self.stamps.len() {
+            self.stamps.resize(id + 1, 0);
+            self.slots.resize(id + 1, *record);
+        }
+        if self.stamps[id] != self.generation {
+            self.stamps[id] = self.generation;
+            self.slots[id] = *record;
+            self.touched.push(id);
+        } else if record.updated_at > self.slots[id].updated_at {
+            self.slots[id] = *record;
+        }
+    }
 }
 
 impl ResourceStateSet {
@@ -69,7 +118,6 @@ impl ResourceStateSet {
         ResourceStateSet {
             records: Vec::new(),
             capacity: capacity.max(1),
-            stalest: None,
         }
     }
 
@@ -118,37 +166,29 @@ impl ResourceStateSet {
     /// `capacity` largest `(updated_at, node)` keys among the freshest record per node of the
     /// set and the batch together.  Which *copy* survives is not order-free: of equal-timestamp
     /// copies the first arrival stays, so the survivors' `hops` — and with them whether and
-    /// how far a record is forwarded next cycle — depend on arrival order.  A batched merge
-    /// must keep each node's first-arriving freshest copy to reproduce this one.
+    /// how far a record is forwarded next cycle — depend on arrival order.
+    /// [`ResourceStateSet::merge_batch`] applies exactly this rule to a whole batch.
     pub fn merge(&mut self, record: NodeStateRecord) -> bool {
-        if self
-            .stalest
-            .is_some_and(|stalest| (record.updated_at, record.node) <= stalest)
-        {
-            // Either the held record for this node is at least as fresh, or the newcomer
-            // would be inserted and evicted at once.
-            return false;
-        }
         match self.position(record.node) {
             Ok(i) => {
                 if self.records[i].updated_at >= record.updated_at {
                     return false;
                 }
                 self.records[i] = record;
-                if self.stalest.is_some_and(|(_, node)| node == record.node) {
-                    self.stalest = self.find_stalest();
-                }
             }
-            Err(i) if self.records.len() < self.capacity => {
-                self.records.insert(i, record);
-                if self.records.len() == self.capacity {
-                    self.stalest = self.find_stalest();
-                }
-            }
+            Err(i) if self.records.len() < self.capacity => self.records.insert(i, record),
             Err(i) => {
-                // Full, and the newcomer is fresher than the stalest record: replace it.
-                let (_, victim) = self.stalest.expect("a full set caches its stalest key");
-                let v = self.position(victim).expect("the stalest record is held");
+                // Full: the newcomer replaces the stalest record unless it is staler still.
+                let (v, stalest) = self
+                    .records
+                    .iter()
+                    .map(|r| (r.updated_at, r.node))
+                    .enumerate()
+                    .min_by_key(|&(_, key)| key)
+                    .expect("a full set is non-empty");
+                if (record.updated_at, record.node) < stalest {
+                    return false;
+                }
                 if v < i {
                     self.records[v..i].rotate_left(1);
                     self.records[i - 1] = record;
@@ -156,10 +196,53 @@ impl ResourceStateSet {
                     self.records[i..=v].rotate_right(1);
                     self.records[i] = record;
                 }
-                self.stalest = self.find_stalest();
             }
         }
         true
+    }
+
+    /// Merge a batch of deliveries, given as slices in arrival order, in one pass.
+    ///
+    /// The result is exactly what [`ResourceStateSet::merge`]-ing every record of every slice
+    /// in turn would leave: for each node the first-arriving copy with the freshest
+    /// `updated_at` (a held record arrived first), and of those the `capacity` largest
+    /// `(updated_at, node)` keys.  The survivors are written back in node-id order by scanning
+    /// the node ids they span, without a sort.
+    pub fn merge_batch<'a>(
+        &mut self,
+        slices: impl IntoIterator<Item = &'a [NodeStateRecord]>,
+        scratch: &mut MergeScratch,
+    ) {
+        scratch.next_generation();
+        for record in &self.records {
+            scratch.offer(record);
+        }
+        for slice in slices {
+            for record in slice {
+                scratch.offer(record);
+            }
+        }
+        let excess = scratch.touched.len().saturating_sub(self.capacity);
+        if excess > 0 {
+            // Unstamp the `excess` stalest keys; node ids are unique, so the keys are too.
+            let slots = &scratch.slots;
+            scratch.keys.clear();
+            scratch
+                .keys
+                .extend(scratch.touched.iter().map(|&id| (slots[id].updated_at, id)));
+            scratch.keys.select_nth_unstable(excess);
+            for &(_, id) in &scratch.keys[..excess] {
+                scratch.stamps[id] = 0;
+            }
+        }
+        let lo = scratch.touched.iter().copied().min().unwrap_or(0);
+        let hi = scratch.touched.iter().copied().max().map_or(0, |id| id + 1);
+        self.records.clear();
+        for id in lo..hi {
+            if scratch.stamps[id] == scratch.generation {
+                self.records.push(scratch.slots[id]);
+            }
+        }
     }
 
     /// Remove every record older than `limit` relative to `now`, and any record describing a
@@ -167,26 +250,17 @@ impl ResourceStateSet {
     pub fn purge(&mut self, now: SimTime, limit: SimDuration, departed: &dyn Fn(PeerId) -> bool) {
         self.records
             .retain(|r| !departed(r.node) && now.saturating_duration_since(r.updated_at) <= limit);
-        if self.records.len() < self.capacity {
-            self.stalest = None;
-        }
     }
 
     /// Remove the record for a specific node (e.g. observed to have churned away).
     pub fn remove(&mut self, node: PeerId) {
         if let Ok(i) = self.position(node) {
             self.records.remove(i);
-            self.stalest = None;
         }
     }
 
     fn position(&self, node: PeerId) -> Result<usize, usize> {
         self.records.binary_search_by_key(&node, |r| r.node)
-    }
-
-    /// The minimum `(updated_at, node)` key; node ids are unique, so it is unique too.
-    fn find_stalest(&self) -> Option<(SimTime, PeerId)> {
-        self.records.iter().map(|r| (r.updated_at, r.node)).min()
     }
 }
 
@@ -507,5 +581,92 @@ mod tests {
             };
             proptest::prop_assert_eq!(survivors(&batch), survivors(&shuffled));
         }
+
+        #[test]
+        fn merge_batch_matches_merging_record_by_record(
+            capacity in 1usize..=8,
+            held in proptest::collection::vec(0u64..=u64::MAX, 0..12),
+            slices in proptest::collection::vec(
+                proptest::collection::vec(0u64..=u64::MAX, 0..10),
+                1..9,
+            ),
+            after in proptest::collection::vec(0u64..=u64::MAX, 0..4),
+        ) {
+            // `held` fills the set anywhere from empty to full; every slice is sorted by node
+            // id like an outbox, but may repeat a node, and copies may share a timestamp while
+            // their `hops` differ.
+            let mut batched = ResourceStateSet::new(capacity);
+            for &code in &held {
+                batched.merge(decode_record(code));
+            }
+            let mut one_by_one = batched.clone();
+            let slices: Vec<Vec<NodeStateRecord>> = slices
+                .iter()
+                .map(|codes| {
+                    let mut slice: Vec<_> = codes.iter().map(|&c| decode_record(c)).collect();
+                    slice.sort_by_key(|r| r.node);
+                    slice
+                })
+                .collect();
+            // One scratch across two batches, so the second reads the first's stale stamps.
+            let mut scratch = MergeScratch::default();
+            for round in [&slices[..], &slices[slices.len() / 2..]] {
+                batched.merge_batch(round.iter().map(Vec::as_slice), &mut scratch);
+                for &record in round.iter().flatten() {
+                    one_by_one.merge(record);
+                }
+                proptest::prop_assert_eq!(batched.records_sorted(), one_by_one.records_sorted());
+            }
+            for &code in &after {
+                let record = decode_record(code);
+                proptest::prop_assert_eq!(batched.merge(record), one_by_one.merge(record));
+                proptest::prop_assert_eq!(batched.records_sorted(), one_by_one.records_sorted());
+            }
+        }
+    }
+
+    #[test]
+    fn merge_batch_survives_a_generation_wrap() {
+        let mut scratch = MergeScratch::default();
+        let mut rss = ResourceStateSet::new(4);
+        rss.merge_batch([&[rec(1, 10), rec(2, 20)][..]], &mut scratch);
+        // The next batch reuses stamp value 1 after the wrap: node 1's slot from the first
+        // batch, inside the node range this batch scans, must not read as current.
+        scratch.generation = u32::MAX;
+        let mut fresh = ResourceStateSet::new(4);
+        fresh.merge_batch([&[rec(0, 5), rec(2, 30)][..]], &mut scratch);
+        assert_eq!(scratch.generation, 1);
+        assert_eq!(
+            fresh.records_sorted(),
+            vec![rec(0, 5), rec(2, 30)],
+            "a stale stamp leaked into the batch"
+        );
+        assert_eq!(
+            rss.records().map(|r| r.node).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
+    }
+
+    #[test]
+    fn merge_batch_keeps_the_first_freshest_copy_and_the_freshest_keys() {
+        let copy = |node, t, hops| NodeStateRecord {
+            hops,
+            ..rec(node, t)
+        };
+        let mut rss = ResourceStateSet::new(3);
+        rss.merge(copy(4, 10, 2));
+        rss.merge_batch(
+            [
+                &[copy(1, 5, 1), copy(4, 10, 0), copy(7, 30, 3)][..],
+                &[copy(1, 5, 0), copy(4, 12, 4), copy(9, 1, 0)][..],
+            ],
+            &mut MergeScratch::default(),
+        );
+        // Node 9 (key (1, 9)) is the stalest of four; node 1 keeps its first copy (hops 1),
+        // node 4 its fresher one.
+        assert_eq!(
+            rss.records_sorted(),
+            vec![copy(1, 5, 1), copy(4, 12, 4), copy(7, 30, 3)]
+        );
     }
 }
