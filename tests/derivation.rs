@@ -24,53 +24,22 @@ fn config(seed: u64) -> GridConfig {
     cfg
 }
 
-/// One sampled series as exact bits: `(time in ms, f64 bit pattern)` per point.
-type SeriesBits = Vec<(u64, u64)>;
-
-/// Every externally observable field of a report, flattened for exact comparison.
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    act_bits: u64,
-    ae_bits: u64,
-    throughput: SeriesBits,
-    act_series: SeriesBits,
-    ae_series: SeriesBits,
-}
-
-fn fingerprint(report: &SimulationReport) -> Fingerprint {
-    let exact = |series: &p2pgrid::metrics::TimeSeries| -> SeriesBits {
-        series
-            .points()
-            .iter()
-            .map(|&(t, v)| (t.as_millis(), v.to_bits()))
-            .collect()
-    };
-    Fingerprint {
-        submitted: report.submitted,
-        completed: report.completed,
-        failed: report.failed,
-        act_bits: report.act_secs().to_bits(),
-        ae_bits: report.average_efficiency().to_bits(),
-        throughput: exact(report.metrics.throughput_series()),
-        act_series: exact(report.metrics.act_series()),
-        ae_series: exact(report.metrics.ae_series()),
-    }
-}
-
-fn dsmf(scenario: &Scenario) -> Fingerprint {
-    fingerprint(&scenario.simulate_algorithm(Algorithm::Dsmf).run())
+/// DSMF's report on `scenario`; reports are compared through [`SimulationReport::digest`].
+fn dsmf(scenario: &Scenario) -> SimulationReport {
+    scenario.simulate_algorithm(Algorithm::Dsmf).run()
 }
 
 /// The derived world must be byte-identical to `Scenario::build` of its own config — the
 /// config each `with_*` method constructed internally, including any pinned stream seeds.
-fn assert_matches_fresh_build(derived: &Scenario) {
+fn assert_matches_fresh_build(derived: &Scenario, derivation: &str) {
     let rebuilt = Scenario::build(derived.config().clone()).unwrap();
     let d = dsmf(derived);
     assert!(d.completed > 0, "run must make progress to pin anything");
-    assert_eq!(d, dsmf(&rebuilt));
+    assert_eq!(
+        d.digest(),
+        dsmf(&rebuilt).digest(),
+        "DSMF after {derivation}: diverged from a fresh build"
+    );
 }
 
 #[test]
@@ -80,9 +49,13 @@ fn with_seed_matches_fresh_build_and_shares_topology() {
     assert!(derived.shares_topology_with(&base));
     // The workload re-samples from the new master seed, so it must differ...
     assert!(!derived.shares_workflows_with(&base));
-    assert_ne!(dsmf(&base), dsmf(&derived));
+    assert_ne!(
+        dsmf(&base).digest(),
+        dsmf(&derived).digest(),
+        "DSMF: with_seed(4242) left the run unchanged"
+    );
     // ...while still matching a from-scratch build of the equivalent config.
-    assert_matches_fresh_build(&derived);
+    assert_matches_fresh_build(&derived, "with_seed(4242)");
 }
 
 #[test]
@@ -91,7 +64,7 @@ fn with_resource_matches_fresh_build_and_shares_workflows() {
     let derived = base.with_resource(ResourceModel::multi_core(4)).unwrap();
     assert!(derived.shares_topology_with(&base));
     assert!(derived.shares_workflows_with(&base));
-    assert_matches_fresh_build(&derived);
+    assert_matches_fresh_build(&derived, "with_resource(multi_core(4))");
 }
 
 #[test]
@@ -103,7 +76,7 @@ fn with_workflows_matches_fresh_build() {
     let derived = base.with_workflows(workflow).unwrap();
     assert!(derived.shares_topology_with(&base));
     assert!(!derived.shares_workflows_with(&base));
-    assert_matches_fresh_build(&derived);
+    assert_matches_fresh_build(&derived, "with_workflows");
 }
 
 #[test]
@@ -111,7 +84,7 @@ fn with_load_factor_matches_fresh_build() {
     let base = Scenario::build(config(94)).unwrap();
     let derived = base.with_load_factor(4).unwrap();
     assert!(derived.shares_topology_with(&base));
-    assert_matches_fresh_build(&derived);
+    assert_matches_fresh_build(&derived, "with_load_factor(4)");
 }
 
 #[test]
@@ -121,7 +94,7 @@ fn with_churn_matches_fresh_build() {
         .with_churn(ChurnConfig::with_dynamic_factor(0.2))
         .unwrap();
     assert!(derived.shares_topology_with(&base));
-    assert_matches_fresh_build(&derived);
+    assert_matches_fresh_build(&derived, "with_churn(0.2)");
 }
 
 #[test]
@@ -131,7 +104,7 @@ fn with_algorithm_streams_matches_fresh_build_and_keeps_the_workload() {
     // The static substrate is untouched: same topology tables, same workflow set.
     assert!(derived.shares_topology_with(&base));
     assert!(derived.shares_workflows_with(&base));
-    assert_matches_fresh_build(&derived);
+    assert_matches_fresh_build(&derived, "with_algorithm_streams(777)");
 }
 
 #[test]
@@ -145,7 +118,7 @@ fn derivations_chain_without_rebuilding_the_topology() {
     for derived in [&step1, &step2, &step3] {
         assert!(derived.shares_topology_with(&base));
     }
-    assert_matches_fresh_build(&step3);
+    assert_matches_fresh_build(&step3, "a load-factor, churn and seed chain");
 }
 
 #[test]
@@ -164,9 +137,11 @@ fn a_32_point_sweep_pays_for_exactly_one_topology_build() {
         );
     }
     // And the sweep points are genuinely different worlds, not 32 copies of one.
-    let a = dsmf(&points[0]);
-    let b = dsmf(&points[31]);
-    assert_ne!(a, b);
+    assert_ne!(
+        dsmf(&points[0]).digest(),
+        dsmf(&points[31]).digest(),
+        "DSMF: sweep points 0 and 31 ran identically"
+    );
 }
 
 #[test]
@@ -187,17 +162,21 @@ fn pooled_campaign_matches_sequential_and_any_pool_size() {
             AlgorithmConfig::paper_default(Algorithm::MinMin),
         ],
     );
-    let sequential: Vec<Fingerprint> = campaign::run_sequential(&jobs)
+    let sequential: Vec<u64> = campaign::run_sequential(&jobs)
         .iter()
-        .map(fingerprint)
+        .map(SimulationReport::digest)
         .collect();
     for workers in [1usize, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(workers)
             .build()
             .unwrap();
-        let pooled: Vec<Fingerprint> =
-            pool.install(|| campaign::run(&jobs).iter().map(fingerprint).collect());
+        let pooled: Vec<u64> = pool.install(|| {
+            campaign::run(&jobs)
+                .iter()
+                .map(SimulationReport::digest)
+                .collect()
+        });
         assert_eq!(
             pooled, sequential,
             "{workers}-worker pool diverged from the sequential reference"

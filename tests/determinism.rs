@@ -1,6 +1,7 @@
 //! Determinism regression tests: the same `GridConfig` seed must reproduce a byte-identical
-//! `SimulationReport` — submitted / completed / failed counts, ACT, AE and the full sampled
-//! series — run after run.  This is what makes the engine refactors provably
+//! `SimulationReport` run after run.  Reports are compared through
+//! [`SimulationReport::digest`], which hashes the counts, ACT/AE bits, average RSS size,
+//! gossip and robustness counters, every per-workflow record and the three sampled series.  This is what makes the engine refactors provably
 //! behaviour-preserving: any accidental nondeterminism (hash-map iteration order leaking into
 //! scheduling, float accumulation order changing between runs, heap tie-breaks depending on
 //! allocation addresses) breaks these assertions immediately.
@@ -45,42 +46,6 @@ fn scenario_run(cfg: GridConfig, alg: Algorithm) -> SimulationReport {
     Scenario::build(cfg).unwrap().simulate_algorithm(alg).run()
 }
 
-/// One sampled series as exact bits: `(time in ms, f64 bit pattern)` per point.
-type SeriesBits = Vec<(u64, u64)>;
-
-/// Every externally observable field of a report, flattened for exact comparison.
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    act_bits: u64,
-    ae_bits: u64,
-    throughput: SeriesBits,
-    act_series: SeriesBits,
-    ae_series: SeriesBits,
-}
-
-fn fingerprint(report: &SimulationReport) -> Fingerprint {
-    let exact = |series: &p2pgrid::metrics::TimeSeries| -> SeriesBits {
-        series
-            .points()
-            .iter()
-            .map(|&(t, v)| (t.as_millis(), v.to_bits()))
-            .collect()
-    };
-    Fingerprint {
-        submitted: report.submitted,
-        completed: report.completed,
-        failed: report.failed,
-        act_bits: report.act_secs().to_bits(),
-        ae_bits: report.average_efficiency().to_bits(),
-        throughput: exact(report.metrics.throughput_series()),
-        act_series: exact(report.metrics.act_series()),
-        ae_series: exact(report.metrics.ae_series()),
-    }
-}
-
 #[test]
 fn dsmf_reports_are_byte_identical_across_runs() {
     let a = scenario_run(config(71), Algorithm::Dsmf);
@@ -89,7 +54,7 @@ fn dsmf_reports_are_byte_identical_across_runs() {
         a.completed > 0,
         "run must make progress for the check to mean anything"
     );
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.digest(), b.digest(), "DSMF: two runs of one seed differ");
 }
 
 #[test]
@@ -97,7 +62,7 @@ fn heft_full_ahead_reports_are_byte_identical_across_runs() {
     let a = scenario_run(config(72), Algorithm::Heft);
     let b = scenario_run(config(72), Algorithm::Heft);
     assert!(a.completed > 0);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.digest(), b.digest(), "HEFT: two runs of one seed differ");
 }
 
 #[test]
@@ -105,7 +70,7 @@ fn churned_runs_are_byte_identical_across_runs() {
     let cfg = || config(73).with_churn(ChurnConfig::with_dynamic_factor(0.2));
     let a = scenario_run(cfg(), Algorithm::Dsmf);
     let b = scenario_run(cfg(), Algorithm::Dsmf);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(a.digest(), b.digest(), "DSMF under churn: two runs differ");
 }
 
 #[test]
@@ -114,7 +79,11 @@ fn multicore_runs_are_byte_identical_across_runs() {
     let a = scenario_run(cfg(), Algorithm::Dsmf);
     let b = scenario_run(cfg(), Algorithm::Dsmf);
     assert!(a.completed > 0);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(
+        a.digest(),
+        b.digest(),
+        "DSMF on 4-slot nodes: two runs differ"
+    );
 }
 
 #[test]
@@ -124,7 +93,11 @@ fn heterogeneous_preemptive_runs_are_byte_identical_across_runs() {
     let a = scenario_run(het_preemptive(77), Algorithm::Dsmf);
     let b = scenario_run(het_preemptive(77), Algorithm::Dsmf);
     assert!(a.completed > 0);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(
+        a.digest(),
+        b.digest(),
+        "DSMF on heterogeneous preemptive nodes: two runs differ"
+    );
 }
 
 #[test]
@@ -137,15 +110,19 @@ fn single_slot_runs_reproduce_the_paper_model_exactly() {
         Algorithm::Dsmf,
     );
     assert!(plain.completed > 0);
-    assert_eq!(fingerprint(&plain), fingerprint(&uniform));
+    assert_eq!(
+        plain.digest(),
+        uniform.digest(),
+        "DSMF: an explicit single-CPU model diverged from the paper default"
+    );
 }
 
 #[test]
 fn different_seeds_change_the_fingerprint() {
-    // Guards against the fingerprint being trivially constant.
+    // Guards against the digest being trivially constant.
     let a = scenario_run(config(75), Algorithm::Dsmf);
     let b = scenario_run(config(76), Algorithm::Dsmf);
-    assert_ne!(fingerprint(&a), fingerprint(&b));
+    assert_ne!(a.digest(), b.digest(), "DSMF: seeds 75 and 76 collide");
 }
 
 // ----- the Scenario/Session split ------------------------------------------------------------
@@ -157,20 +134,35 @@ fn one_scenario_run_twice_matches_two_fresh_legacy_runs() {
     // the plain static grid, a churned grid and the heterogeneous+preemptive substrate, since
     // each exercises a different sampled/replayed RNG stream.
     let configs = [
-        config(81),
-        config(82).with_churn(ChurnConfig::with_dynamic_factor(0.2)),
-        het_preemptive(83),
+        ("static", config(81)),
+        (
+            "churn",
+            config(82).with_churn(ChurnConfig::with_dynamic_factor(0.2)),
+        ),
+        ("heterogeneous preemptive", het_preemptive(83)),
     ];
-    for cfg in configs {
+    for (grid, cfg) in configs {
         let scenario = Scenario::build(cfg.clone()).unwrap();
         let first = scenario.simulate_algorithm(Algorithm::Dsmf).run();
         let second = scenario.simulate_algorithm(Algorithm::Dsmf).run();
         let legacy_a = legacy_run(cfg.clone(), Algorithm::Dsmf);
         let legacy_b = legacy_run(cfg, Algorithm::Dsmf);
         assert!(first.completed > 0, "run must make progress");
-        assert_eq!(fingerprint(&first), fingerprint(&second));
-        assert_eq!(fingerprint(&first), fingerprint(&legacy_a));
-        assert_eq!(fingerprint(&legacy_a), fingerprint(&legacy_b));
+        assert_eq!(
+            first.digest(),
+            second.digest(),
+            "DSMF, {grid}: second session differs"
+        );
+        assert_eq!(
+            first.digest(),
+            legacy_a.digest(),
+            "DSMF, {grid}: scenario run differs from the legacy run"
+        );
+        assert_eq!(
+            legacy_a.digest(),
+            legacy_b.digest(),
+            "DSMF, {grid}: legacy runs differ"
+        );
     }
 }
 
@@ -184,8 +176,8 @@ fn shared_scenario_eight_algorithm_sweep_matches_legacy_per_run_rebuild() {
         let shared = scenario.simulate_algorithm(alg).run();
         let rebuilt = legacy_run(config(84), alg);
         assert_eq!(
-            fingerprint(&shared),
-            fingerprint(&rebuilt),
+            shared.digest(),
+            rebuilt.digest(),
             "{alg}: shared-scenario run diverged from the legacy rebuild"
         );
     }
@@ -194,7 +186,7 @@ fn shared_scenario_eight_algorithm_sweep_matches_legacy_per_run_rebuild() {
 #[test]
 fn observers_and_stepping_do_not_perturb_the_run() {
     // Observer callbacks only copy event data out, and stepping delivers the same events in
-    // the same order as the one-shot run: both must leave the report fingerprint untouched.
+    // the same order as the one-shot run: both must leave the report digest untouched.
     let scenario = Scenario::build(config(85)).unwrap();
     let baseline = scenario.simulate_algorithm(Algorithm::Dsmf).run();
 
@@ -205,7 +197,11 @@ fn observers_and_stepping_do_not_perturb_the_run() {
         .observe(&mut probe)
         .observe(&mut trace)
         .run();
-    assert_eq!(fingerprint(&baseline), fingerprint(&observed));
+    assert_eq!(
+        baseline.digest(),
+        observed.digest(),
+        "DSMF: observers perturbed the run"
+    );
     assert!(!probe.samples().is_empty());
     assert!(!trace.events().is_empty());
 
@@ -216,5 +212,9 @@ fn observers_and_stepping_do_not_perturb_the_run() {
     }
     assert!(delivered > 0);
     let stepped = stepped_session.finish();
-    assert_eq!(fingerprint(&baseline), fingerprint(&stepped));
+    assert_eq!(
+        baseline.digest(),
+        stepped.digest(),
+        "DSMF: stepping perturbed the run"
+    );
 }

@@ -37,43 +37,6 @@ fn every_policy() -> [RecoveryPolicy; 5] {
     ]
 }
 
-/// Everything a faulty run reports, flattened to exact bits.
-#[derive(Debug, PartialEq)]
-struct FaultFingerprint {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    act_bits: u64,
-    ae_bits: u64,
-    node_failures: u64,
-    node_repairs: u64,
-    tasks_lost: u64,
-    retries: u64,
-    recoveries: u64,
-    useful_bits: u64,
-    wasted_bits: u64,
-    latency_bits: u64,
-}
-
-fn fingerprint(r: &SimulationReport) -> FaultFingerprint {
-    let s = &r.robustness;
-    FaultFingerprint {
-        submitted: r.submitted,
-        completed: r.completed,
-        failed: r.failed,
-        act_bits: r.act_secs().to_bits(),
-        ae_bits: r.average_efficiency().to_bits(),
-        node_failures: s.node_failures,
-        node_repairs: s.node_repairs,
-        tasks_lost: s.tasks_lost,
-        retries: s.retries,
-        recoveries: s.recoveries,
-        useful_bits: s.useful_mi.to_bits(),
-        wasted_bits: s.wasted_mi.to_bits(),
-        latency_bits: s.recovery_latency_secs_sum.to_bits(),
-    }
-}
-
 fn run_sharded(cfg: &GridConfig, shards: usize) -> SimulationReport {
     Scenario::build(cfg.clone().with_shards(shards))
         .unwrap()
@@ -90,12 +53,10 @@ fn stochastic_runs_are_byte_identical_across_shard_counts_for_every_policy() {
             base.robustness.node_failures > 0,
             "{policy:?}: the pin is vacuous unless nodes actually fail"
         );
-        let base_fp = fingerprint(&base);
         for shards in [2, 4, 8] {
-            let sharded = run_sharded(&cfg, shards);
             assert_eq!(
-                fingerprint(&sharded),
-                base_fp,
+                run_sharded(&cfg, shards).digest(),
+                base.digest(),
                 "{policy:?}: {shards} shards diverged from the single-shard run"
             );
         }
@@ -119,9 +80,12 @@ fn correlated_outages_are_byte_identical_across_shard_counts() {
     cfg.workload.generator_mut().tasks = 2..=8;
     let base = run_sharded(&cfg, 1);
     assert!(base.robustness.node_failures > 0);
-    let base_fp = fingerprint(&base);
     for shards in [2, 4, 8] {
-        assert_eq!(fingerprint(&run_sharded(&cfg, shards)), base_fp);
+        assert_eq!(
+            run_sharded(&cfg, shards).digest(),
+            base.digest(),
+            "correlated outages: {shards} shards diverged from the single-shard run"
+        );
     }
 }
 
@@ -135,9 +99,9 @@ fn fault_trace_replays_losses_and_retries_identically_across_shard_counts() {
             .simulate_algorithm(Algorithm::Dsmf)
             .observe(&mut trace)
             .run();
-        (fingerprint(&report), trace.events().to_vec())
+        (report.digest(), trace.events().to_vec())
     };
-    let (base_fp, base_events) = record(1);
+    let (base_digest, base_events) = record(1);
     let lost = base_events
         .iter()
         .filter(|e| matches!(e.1, TraceEvent::TaskLost { .. }))
@@ -152,8 +116,11 @@ fn fault_trace_replays_losses_and_retries_identically_across_shard_counts() {
         "unlimited retry must re-queue some lost running task"
     );
     for shards in [2, 4, 8] {
-        let (fp, events) = record(shards);
-        assert_eq!(fp, base_fp, "{shards} shards: report diverged");
+        let (digest, events) = record(shards);
+        assert_eq!(
+            digest, base_digest,
+            "unlimited retry: {shards} shards: report diverged"
+        );
         assert_eq!(
             events, base_events,
             "{shards} shards: observer stream diverged"
@@ -171,7 +138,11 @@ fn fault_model_off_is_byte_identical_to_the_default_config() {
         .with_recovery(RecoveryPolicy::FailWorkflow);
     let a = run_sharded(&plain, 4);
     let b = run_sharded(&explicit, 4);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(
+        a.digest(),
+        b.digest(),
+        "FaultModel::Off with FailWorkflow diverged from the default config"
+    );
     assert_eq!(a.robustness.node_failures, 0);
     assert_eq!(a.robustness.tasks_lost, 0);
     assert_eq!(a.robustness.wasted_mi, 0.0);

@@ -36,44 +36,6 @@ fn het_preemptive(seed: u64) -> GridConfig {
     )
 }
 
-/// One sampled series as exact bits: `(time in ms, f64 bit pattern)` per point.
-type SeriesBits = Vec<(u64, u64)>;
-
-/// Every externally observable field of a report, flattened for exact comparison.
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    act_bits: u64,
-    ae_bits: u64,
-    avg_rss_bits: u64,
-    throughput: SeriesBits,
-    act_series: SeriesBits,
-    ae_series: SeriesBits,
-}
-
-fn fingerprint(report: &SimulationReport) -> Fingerprint {
-    let exact = |series: &p2pgrid::metrics::TimeSeries| -> SeriesBits {
-        series
-            .points()
-            .iter()
-            .map(|&(t, v)| (t.as_millis(), v.to_bits()))
-            .collect()
-    };
-    Fingerprint {
-        submitted: report.submitted,
-        completed: report.completed,
-        failed: report.failed,
-        act_bits: report.act_secs().to_bits(),
-        ae_bits: report.average_efficiency().to_bits(),
-        avg_rss_bits: report.avg_rss_size.to_bits(),
-        throughput: exact(report.metrics.throughput_series()),
-        act_series: exact(report.metrics.act_series()),
-        ae_series: exact(report.metrics.ae_series()),
-    }
-}
-
 fn run_sharded(cfg: &GridConfig, alg: Algorithm, shards: usize) -> SimulationReport {
     Scenario::build(cfg.clone().with_shards(shards))
         .unwrap()
@@ -81,19 +43,18 @@ fn run_sharded(cfg: &GridConfig, alg: Algorithm, shards: usize) -> SimulationRep
         .run()
 }
 
-/// Assert that S ∈ {2, 4, 8} all fingerprint-match the single-shard run of the same config.
+/// Assert that S ∈ {2, 4, 8} all match the single-shard run of the same config, compared
+/// through [`SimulationReport::digest`].
 fn assert_shard_independent(cfg: GridConfig, alg: Algorithm) {
     let base = run_sharded(&cfg, alg, 1);
     assert!(
         base.completed > 0,
         "{alg}: run must make progress for the pin to mean anything"
     );
-    let base_fp = fingerprint(&base);
     for shards in [2, 4, 8] {
-        let sharded = run_sharded(&cfg, alg, shards);
         assert_eq!(
-            fingerprint(&sharded),
-            base_fp,
+            run_sharded(&cfg, alg, shards).digest(),
+            base.digest(),
             "{alg}: {shards} shards diverged from the single-shard run"
         );
     }
@@ -150,13 +111,16 @@ fn observer_event_streams_are_shard_count_independent() {
             .simulate_algorithm(Algorithm::Dsmf)
             .observe(&mut trace)
             .run();
-        (fingerprint(&report), trace.events().to_vec())
+        (report.digest(), trace.events().to_vec())
     };
-    let (base_fp, base_events) = record(1);
+    let (base_digest, base_events) = record(1);
     assert!(!base_events.is_empty());
     for shards in [2, 4, 8] {
-        let (fp, events) = record(shards);
-        assert_eq!(fp, base_fp, "{shards} shards: report diverged");
+        let (digest, events) = record(shards);
+        assert_eq!(
+            digest, base_digest,
+            "DSMF under churn: {shards} shards: report diverged"
+        );
         assert_eq!(
             events.len(),
             base_events.len(),
@@ -255,6 +219,14 @@ proptest! {
             );
         }
         let report = session.finish();
-        prop_assert_eq!(fingerprint(&report), fingerprint(&base));
+        prop_assert_eq!(
+            report.digest(),
+            base.digest(),
+            "DSMF, seed {}, {} nodes, df {}: {} shards diverged",
+            seed,
+            nodes,
+            df,
+            shards
+        );
     }
 }

@@ -7,17 +7,6 @@ use p2pgrid::prelude::*;
 use std::path::Path;
 use std::str::FromStr;
 
-/// Exact-comparison fingerprint of a report (bit patterns, not float equality).
-fn fingerprint(report: &SimulationReport) -> (u64, u64, u64, u64, u64) {
-    (
-        report.submitted,
-        report.completed,
-        report.failed,
-        report.act_secs().to_bits(),
-        report.average_efficiency().to_bits(),
-    )
-}
-
 fn diamond_spec(name: &str) -> WorkflowSpec {
     WorkflowSpec::from_workflow(name, &shapes::diamond(100.0, 500.0, 10.0)).unwrap()
 }
@@ -75,7 +64,11 @@ fn serialized_trace_round_trips_to_a_byte_identical_simulation() {
             .simulate_algorithm(Algorithm::Dsmf)
             .run()
     };
-    assert_eq!(fingerprint(&run(original)), fingerprint(&run(reparsed)));
+    assert_eq!(
+        run(original).digest(),
+        run(reparsed).digest(),
+        "DSMF: the reparsed trace ran differently"
+    );
 }
 
 #[test]
@@ -138,9 +131,9 @@ fn trace_runs_are_shard_count_independent() {
             .simulate_algorithm(Algorithm::Dsmf)
             .run();
         assert_eq!(
-            fingerprint(&sharded),
-            fingerprint(&base),
-            "{shards} shards diverged on the trace workload"
+            sharded.digest(),
+            base.digest(),
+            "DSMF: {shards} shards diverged on the trace workload"
         );
     }
 }
@@ -164,9 +157,9 @@ fn poisson_arrival_runs_are_shard_count_independent_including_observers() {
             .simulate_algorithm(Algorithm::Dsmf)
             .observe(&mut trace)
             .run();
-        (fingerprint(&report), trace.events().to_vec())
+        (report.digest(), trace.events().to_vec())
     };
-    let (base_fp, base_events) = run(1);
+    let (base_digest, base_events) = run(1);
     let spread: Vec<u64> = base_events
         .iter()
         .filter_map(|&(t, e)| match e {
@@ -179,8 +172,11 @@ fn poisson_arrival_runs_are_shard_count_independent_including_observers() {
         "Poisson arrivals must actually spread submissions: {spread:?}"
     );
     for shards in [2, 4, 8] {
-        let (fp, events) = run(shards);
-        assert_eq!(fp, base_fp, "{shards} shards diverged");
+        let (digest, events) = run(shards);
+        assert_eq!(
+            digest, base_digest,
+            "DSMF, Poisson arrivals: {shards} shards diverged"
+        );
         assert_eq!(
             events, base_events,
             "{shards} shards: observer stream diverged"
@@ -210,8 +206,9 @@ fn derived_scenarios_can_swap_workload_and_arrivals_copy_on_write() {
     // Deriving back to the base inputs reproduces the base run exactly.
     let back = poisson.with_arrivals(ArrivalProcess::Batch).unwrap();
     assert_eq!(
-        fingerprint(&back.simulate_algorithm(Algorithm::Dsmf).run()),
-        fingerprint(&base.simulate_algorithm(Algorithm::Dsmf).run()),
+        back.simulate_algorithm(Algorithm::Dsmf).run().digest(),
+        base.simulate_algorithm(Algorithm::Dsmf).run().digest(),
+        "DSMF: deriving back to batch arrivals did not reproduce the base run"
     );
 }
 
