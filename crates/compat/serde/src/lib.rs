@@ -319,24 +319,49 @@ pub mod json {
         }
     }
 
-    /// Read the next newline-delimited JSON value from a buffered reader.
+    /// Read the next newline-delimited JSON value from a buffered reader, holding at most
+    /// `max_len` bytes of one line in memory.
     ///
-    /// Returns `Ok(None)` at end of stream; blank lines are skipped; a line that is not a
-    /// complete JSON document becomes an `InvalidData` error carrying the parser's
-    /// line/column position.
-    pub fn read_ndjson_line<R: std::io::BufRead>(reader: &mut R) -> std::io::Result<Option<Value>> {
-        let mut line = String::new();
+    /// Returns `Ok(None)` at end of stream; blank lines are skipped.  A line that is not
+    /// UTF-8 or not a complete JSON document comes back as `Ok(Some(Err(_)))` carrying the
+    /// parser's line/column position: the line has been consumed whole, so the caller may
+    /// keep reading.  A line longer than `max_len` bytes (its newline excluded) is an
+    /// `InvalidData` error, after which the reader stands mid-line and the stream cannot be
+    /// resynchronised.
+    pub fn read_ndjson_line<R: std::io::BufRead>(
+        reader: &mut R,
+        max_len: usize,
+    ) -> std::io::Result<Option<Result<Value, ParseError>>> {
+        let mut line = Vec::new();
         loop {
             line.clear();
-            if reader.read_line(&mut line)? == 0 {
+            // One byte beyond the cap: a full-length line still ends in its newline.
+            let limit = max_len as u64 + 1;
+            let mut capped = std::io::Read::take(&mut *reader, limit);
+            if std::io::BufRead::read_until(&mut capped, b'\n', &mut line)? == 0 {
                 return Ok(None);
             }
-            if line.trim().is_empty() {
+            let body = line.strip_suffix(b"\n").unwrap_or(&line);
+            if body.len() > max_len {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("NDJSON line longer than {max_len} bytes"),
+                ));
+            }
+            if body.iter().all(u8::is_ascii_whitespace) {
                 continue;
             }
-            return parse(line.trim_end_matches(['\r', '\n']))
-                .map(Some)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e));
+            return Ok(Some(match std::str::from_utf8(body) {
+                Ok(text) => parse(text.trim_end_matches('\r')),
+                Err(e) => Err(ParseError {
+                    line: 1,
+                    column: String::from_utf8_lossy(&body[..e.valid_up_to()])
+                        .chars()
+                        .count()
+                        + 1,
+                    message: "invalid UTF-8".into(),
+                }),
+            }));
         }
     }
 
@@ -734,18 +759,43 @@ pub mod json {
             assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), docs.len());
             let mut r = std::io::BufReader::new(&bytes[..]);
             let mut back = Vec::new();
-            while let Some(v) = read_ndjson_line(&mut r).unwrap() {
-                back.push(v);
+            while let Some(v) = read_ndjson_line(&mut r, 64).unwrap() {
+                back.push(v.unwrap());
             }
             assert_eq!(back, docs);
 
-            // Blank lines are skipped; garbage lines carry the parse position.
-            let mut r = std::io::BufReader::new(&b"\n  \n{\"k\":1}\nnope\n"[..]);
+            // Blank lines are skipped; garbage lines carry the parse position and leave the
+            // reader at the next line.
+            let mut r = std::io::BufReader::new(&b"\n  \n{\"k\":1}\nnope\n\"\xff\"\r\n[2]"[..]);
+            let mut next = || read_ndjson_line(&mut r, 64).unwrap().unwrap();
+            assert_eq!(next(), Ok(Value::object([("k", Value::from(1u64))])));
+            let err = next().unwrap_err();
+            assert_eq!((err.line, err.column), (1, 1));
+            let err = next().unwrap_err();
+            assert_eq!(err.to_string(), "invalid UTF-8 at line 1, column 2");
+            assert_eq!(next(), Ok(Value::array([2u64])));
+            assert_eq!(read_ndjson_line(&mut r, 64).unwrap(), None);
+        }
+
+        #[test]
+        fn ndjson_lines_beyond_the_cap_are_refused() {
+            // Exactly `max_len` bytes before the newline is accepted, with or without it.
+            let mut r = std::io::BufReader::new(&b"[1,2]\n[1,2]"[..]);
             assert_eq!(
-                read_ndjson_line(&mut r).unwrap(),
-                Some(Value::object([("k", Value::from(1u64))]))
+                read_ndjson_line(&mut r, 5).unwrap(),
+                Some(Ok(Value::array([1u64, 2])))
             );
-            assert!(read_ndjson_line(&mut r).is_err());
+            assert_eq!(
+                read_ndjson_line(&mut r, 5).unwrap(),
+                Some(Ok(Value::array([1u64, 2])))
+            );
+            // One byte more is an error, newline or not, and nothing past the cap is read.
+            let mut r = std::io::BufReader::new(&b"[1, 2]\n"[..]);
+            let err = read_ndjson_line(&mut r, 5).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), "NDJSON line longer than 5 bytes");
+            let mut endless = std::io::BufReader::new(std::io::repeat(b' '));
+            assert!(read_ndjson_line(&mut endless, 1 << 16).is_err());
         }
 
         #[test]

@@ -7,10 +7,15 @@
 //! [`serve`] runs the master accept loop; [`TcpTransport`] is the client side.  A dropped
 //! worker connection declares that worker dead immediately (faster than the heartbeat
 //! timeout); a silent-but-connected worker is caught by the periodic expiry tick.
+//!
+//! Both ends read at most [`MAX_LINE_BYTES`] of one line.  The master answers a line that
+//! is not a JSON request with an `error` response and keeps serving the connection; it
+//! closes the connection only on a line over the cap, since the rest of that line cannot be
+//! told from the next message.
 
 use crate::failover::{declare_dead, expire_workers};
 use crate::handlers::handle;
-use crate::protocol::{Request, Response};
+use crate::protocol::{Request, Response, WorkerId};
 use crate::state::{MasterConfig, MasterState};
 use crate::transport::{Transport, TransportError};
 use serde::json::{read_ndjson_line, NdjsonWriter};
@@ -22,6 +27,12 @@ use std::time::{Duration, Instant};
 
 /// How often the server sweeps for expired workers.
 const EXPIRY_TICK: Duration = Duration::from_millis(50);
+
+/// The longest line either end accepts, its newline excluded: 16 MiB.  The largest message
+/// the repo's own campaigns send is a `fetch` response, which grows by ~5.5 kB per Smoke
+/// run-unit — 575 kB for a 104-unit campaign — so the cap leaves room for ~3 000 units
+/// while one peer that never sends a newline holds at most 16 MiB of master memory.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// A client connection speaking newline-delimited JSON to a master.
 pub struct TcpTransport {
@@ -49,10 +60,11 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn call(&mut self, request: &Request) -> Result<Response, TransportError> {
         self.writer.write(&request.to_json())?;
-        match read_ndjson_line(&mut self.reader)? {
-            Some(value) => {
+        match read_ndjson_line(&mut self.reader, MAX_LINE_BYTES)? {
+            Some(Ok(value)) => {
                 Response::from_json(&value).map_err(|e| TransportError::Protocol(e.to_string()))
             }
+            Some(Err(e)) => Err(TransportError::Protocol(e.to_string())),
             None => Err(TransportError::Disconnected(
                 "master closed the connection".into(),
             )),
@@ -110,16 +122,36 @@ pub fn serve(listener: TcpListener, config: MasterConfig) -> std::io::Result<()>
     Ok(())
 }
 
-/// Serve one connection: read a request line, dispatch, write the response line, repeat
-/// until EOF.  If the connection carried a worker identity, its disappearance declares the
-/// worker dead and requeues its units.
+/// Serve one connection until it ends — at EOF, on an over-long line or on an I/O error.
+/// If the connection carried a worker identity, its end declares the worker dead and
+/// requeues its units.
 fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> {
+    let mut owner = None;
+    let served = serve_requests(server, stream, &mut owner);
+    if let Some(worker) = owner {
+        let now = server.now_ms();
+        let mut state = server.state.lock().expect("master state poisoned");
+        declare_dead(&mut state, worker, now);
+    }
+    served
+}
+
+/// Read a request line, dispatch, write the response line, repeat; `owner` learns which
+/// worker the connection belongs to.
+fn serve_requests(
+    server: &Server,
+    stream: TcpStream,
+    owner: &mut Option<WorkerId>,
+) -> std::io::Result<()> {
     let local_addr = stream.local_addr()?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = NdjsonWriter::new(stream);
-    let mut owner = None;
-    while let Some(value) = read_ndjson_line(&mut reader)? {
-        let request = match Request::from_json(&value) {
+    while let Some(line) = read_ndjson_line(&mut reader, MAX_LINE_BYTES)? {
+        let parsed = match line {
+            Ok(value) => Request::from_json(&value).map_err(|e| e.to_string()),
+            Err(e) => Err(e.to_string()),
+        };
+        let request = match parsed {
             Ok(r) => r,
             Err(e) => {
                 writer.write(
@@ -138,7 +170,7 @@ fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> 
         | Request::Complete { worker, .. }
         | Request::FailUnit { worker, .. } = &request
         {
-            owner = Some(*worker);
+            *owner = Some(*worker);
         }
         // Once shutdown is under way every peer gets told so, which is what lets worker
         // loops drain and `serve` join its connection threads.
@@ -152,7 +184,7 @@ fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> 
             let mut state = server.state.lock().expect("master state poisoned");
             let response = handle(&mut state, request, now);
             if let Response::Registered { worker, .. } = &response {
-                owner = Some(*worker);
+                *owner = Some(*worker);
             }
             response
         };
@@ -163,11 +195,6 @@ fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> 
             let _ = TcpStream::connect(local_addr);
             break;
         }
-    }
-    if let Some(worker) = owner {
-        let now = server.now_ms();
-        let mut state = server.state.lock().expect("master state poisoned");
-        declare_dead(&mut state, worker, now);
     }
     Ok(())
 }

@@ -1,13 +1,17 @@
 //! End-to-end over real sockets: a master on an ephemeral port, two workers (one rigged to
 //! die mid-campaign), a submitting client — and the fetched artifact byte-identical to a
-//! local run.
+//! local run.  Also: a malformed line is answered and an over-long one hangs up only its
+//! own connection.
 
 use p2pgrid_core::Algorithm;
 use p2pgrid_experiments::rununit::{render_result, run_local};
 use p2pgrid_experiments::{CampaignSpec, ExperimentScale};
-use p2pgrid_server::tcp::{serve, TcpTransport};
-use p2pgrid_server::{Client, MasterConfig, Step, Worker};
-use std::net::TcpListener;
+use p2pgrid_server::tcp::{serve, TcpTransport, MAX_LINE_BYTES};
+use p2pgrid_server::{Client, MasterConfig, Request, Response, Step, Transport, Worker};
+use serde::json::read_ndjson_line;
+use std::io::{BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn smoke_spec() -> CampaignSpec {
@@ -83,4 +87,87 @@ fn tcp_master_two_workers_one_killed_yields_local_bytes() {
     doomed.join().expect("doomed worker thread");
     healthy.join().expect("healthy worker thread");
     server.join().expect("server thread");
+}
+
+/// A master with the default config on an ephemeral port.
+fn start_master() -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || serve(listener, MasterConfig::default()).unwrap());
+    (addr, server)
+}
+
+fn registers(transport: &mut TcpTransport) -> bool {
+    let register = Request::Register {
+        hostname: "probe".into(),
+    };
+    matches!(transport.call(&register), Ok(Response::Registered { .. }))
+}
+
+/// Shut the master down; every other connection must already be closed, or `serve` waits
+/// for it.
+fn stop_master(addr: SocketAddr, server: JoinHandle<()>) {
+    let mut client = Client::new(TcpTransport::connect(addr).expect("client connects"));
+    client.shutdown().expect("shutdown");
+    server.join().expect("server thread");
+}
+
+#[test]
+fn a_malformed_line_is_answered_and_the_connection_keeps_serving() {
+    let (addr, server) = start_master();
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.write_all(b"not json\n\"\xff\"\n{\"type\":\"nonsense\"}\n")
+        .expect("send bad lines");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    for bad in ["not JSON", "not UTF-8", "not a request"] {
+        let reply = read_ndjson_line(&mut reader, MAX_LINE_BYTES)
+            .expect("the master answers")
+            .expect("and keeps the connection open")
+            .expect("with JSON");
+        match Response::from_json(&reply) {
+            Ok(Response::Error { message }) => {
+                assert!(message.starts_with("bad request"), "{bad}: {message}")
+            }
+            other => panic!("{bad}: expected an error response, got {other:?}"),
+        }
+    }
+    drop(reader);
+    let mut same = TcpTransport::from_stream(raw).expect("wrap");
+    assert!(registers(&mut same), "the same connection stopped serving");
+    let mut other = TcpTransport::connect(addr).expect("connect");
+    assert!(registers(&mut other), "another connection is not served");
+    drop((same, other));
+    stop_master(addr, server);
+}
+
+#[test]
+fn an_over_long_line_closes_only_its_own_connection() {
+    let (addr, server) = start_master();
+    let mut bystander = TcpTransport::connect(addr).expect("connect");
+    let mut flood = TcpStream::connect(addr).expect("connect");
+    flood
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    // One byte over the cap and no newline: the master must stop reading and hang up.  The
+    // write may fail once it does.
+    let _ = flood.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]);
+    match flood.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Ok(_) => panic!("the master answered an over-long line instead of hanging up"),
+        Err(e) => assert!(
+            !matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the master kept the flooding connection open"
+        ),
+    }
+    assert!(
+        registers(&mut bystander),
+        "an open connection is not served"
+    );
+    let mut fresh = TcpTransport::connect(addr).expect("connect");
+    assert!(registers(&mut fresh), "a new connection is not served");
+    drop((flood, bystander, fresh));
+    stop_master(addr, server);
 }
