@@ -30,7 +30,7 @@ pub mod view;
 pub use aggregation::AggregationGossip;
 pub use epidemic::EpidemicGossip;
 pub use mixed::{GossipStats, LocalNodeState, MixedGossip, MixedGossipConfig};
-pub use state::{MergeScratch, NodeStateRecord, ResourceStateSet};
+pub use state::{NodeStateRecord, ResourceStateSet};
 pub use view::NewscastView;
 
 /// The paper's fan-out rule: each node gossips with `ceil(log2 n)` neighbours per cycle

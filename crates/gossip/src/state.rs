@@ -53,12 +53,12 @@ impl NodeStateRecord {
 /// order — the deterministic order scheduling decisions need — and a lookup is a binary search
 /// over the ~log n records.
 ///
-/// Epidemic gossip delivers a whole cycle's pushes to a destination in one
-/// [`ResourceStateSet::merge_batch`] call: it dedupes the batch by node, then keeps the
-/// freshest records, in one pass over the deliveries plus a scan of the node ids.
-/// [`ResourceStateSet::merge`] takes one record at a time — a node refreshing its own record
-/// — and finds its eviction victim by a scan of the ~log n records held.  Both leave exactly
-/// what merging the same records one by one, in arrival order, would leave.
+/// Epidemic gossip delivers a whole cycle's pushes to a destination in one batch merge: it
+/// dedupes the batch by node, then keeps the freshest records, in one pass over the
+/// deliveries plus a scan of the node ids.  [`ResourceStateSet::merge`] takes one record at a
+/// time — a node refreshing its own record — and finds its eviction victim by a scan of the
+/// ~log n records held.  Both leave exactly what merging the same records one by one, in
+/// arrival order, would leave.
 #[derive(Debug, Clone)]
 pub struct ResourceStateSet {
     records: Vec<NodeStateRecord>,
@@ -71,12 +71,12 @@ pub struct ResourceStateSet {
 /// current batch has filled, so a batch never clears it.  It starts empty and grows to the
 /// largest node id it has seen; one scratch serves any number of sets and batches.
 #[derive(Debug, Clone, Default)]
-pub struct MergeScratch {
+pub(crate) struct MergeScratch {
     generation: u32,
     /// `stamps[id] == generation` exactly when `slots[id]` holds node `id`'s copy in this batch.
     stamps: Vec<u32>,
     slots: Vec<NodeStateRecord>,
-    /// The node ids stamped in this batch, in first-arrival order.
+    /// The node ids this batch has stamped, in first-arrival order.
     touched: Vec<PeerId>,
     keys: Vec<(SimTime, PeerId)>,
 }
@@ -109,6 +109,16 @@ impl MergeScratch {
         } else if record.updated_at > self.slots[id].updated_at {
             self.slots[id] = *record;
         }
+    }
+
+    /// The records this batch has stamped, in node-id order.
+    fn stamped_records(&self) -> impl Iterator<Item = &NodeStateRecord> {
+        let generation = self.generation;
+        self.stamps
+            .iter()
+            .zip(&self.slots)
+            .filter(move |&(&stamp, _)| stamp == generation)
+            .map(|(_, record)| record)
     }
 }
 
@@ -167,7 +177,8 @@ impl ResourceStateSet {
     /// set and the batch together.  Which *copy* survives is not order-free: of equal-timestamp
     /// copies the first arrival stays, so the survivors' `hops` — and with them whether and
     /// how far a record is forwarded next cycle — depend on arrival order.
-    /// [`ResourceStateSet::merge_batch`] applies exactly this rule to a whole batch.
+    /// Epidemic gossip's batch merge, `merge_batch`, applies exactly this rule to a whole
+    /// batch at once.
     pub fn merge(&mut self, record: NodeStateRecord) -> bool {
         match self.position(record.node) {
             Ok(i) => {
@@ -207,8 +218,8 @@ impl ResourceStateSet {
     /// in turn would leave: for each node the first-arriving copy with the freshest
     /// `updated_at` (a held record arrived first), and of those the `capacity` largest
     /// `(updated_at, node)` keys.  The survivors are written back in node-id order by scanning
-    /// the node ids they span, without a sort.
-    pub fn merge_batch<'a>(
+    /// the node ids, without a sort.
+    pub(crate) fn merge_batch<'a>(
         &mut self,
         slices: impl IntoIterator<Item = &'a [NodeStateRecord]>,
         scratch: &mut MergeScratch,
@@ -226,23 +237,16 @@ impl ResourceStateSet {
         if excess > 0 {
             // Unstamp the `excess` stalest keys; node ids are unique, so the keys are too.
             let slots = &scratch.slots;
-            scratch.keys.clear();
-            scratch
-                .keys
-                .extend(scratch.touched.iter().map(|&id| (slots[id].updated_at, id)));
-            scratch.keys.select_nth_unstable(excess);
-            for &(_, id) in &scratch.keys[..excess] {
+            let keys = &mut scratch.keys;
+            keys.clear();
+            keys.extend(scratch.touched.iter().map(|&id| (slots[id].updated_at, id)));
+            keys.select_nth_unstable(excess);
+            for &(_, id) in &keys[..excess] {
                 scratch.stamps[id] = 0;
             }
         }
-        let lo = scratch.touched.iter().copied().min().unwrap_or(0);
-        let hi = scratch.touched.iter().copied().max().map_or(0, |id| id + 1);
         self.records.clear();
-        for id in lo..hi {
-            if scratch.stamps[id] == scratch.generation {
-                self.records.push(scratch.slots[id]);
-            }
-        }
+        self.records.extend(scratch.stamped_records());
     }
 
     /// Remove every record older than `limit` relative to `now`, and any record describing a
@@ -631,7 +635,7 @@ mod tests {
         let mut rss = ResourceStateSet::new(4);
         rss.merge_batch([&[rec(1, 10), rec(2, 20)][..]], &mut scratch);
         // The next batch reuses stamp value 1 after the wrap: node 1's slot from the first
-        // batch, inside the node range this batch scans, must not read as current.
+        // batch must not read as current.
         scratch.generation = u32::MAX;
         let mut fresh = ResourceStateSet::new(4);
         fresh.merge_batch([&[rec(0, 5), rec(2, 30)][..]], &mut scratch);
@@ -644,29 +648,6 @@ mod tests {
         assert_eq!(
             rss.records().map(|r| r.node).collect::<Vec<_>>(),
             vec![1, 2]
-        );
-    }
-
-    #[test]
-    fn merge_batch_keeps_the_first_freshest_copy_and_the_freshest_keys() {
-        let copy = |node, t, hops| NodeStateRecord {
-            hops,
-            ..rec(node, t)
-        };
-        let mut rss = ResourceStateSet::new(3);
-        rss.merge(copy(4, 10, 2));
-        rss.merge_batch(
-            [
-                &[copy(1, 5, 1), copy(4, 10, 0), copy(7, 30, 3)][..],
-                &[copy(1, 5, 0), copy(4, 12, 4), copy(9, 1, 0)][..],
-            ],
-            &mut MergeScratch::default(),
-        );
-        // Node 9 (key (1, 9)) is the stalest of four; node 1 keeps its first copy (hops 1),
-        // node 4 its fresher one.
-        assert_eq!(
-            rss.records_sorted(),
-            vec![copy(1, 5, 1), copy(4, 12, 4), copy(7, 30, 3)]
         );
     }
 }
