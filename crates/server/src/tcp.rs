@@ -29,9 +29,10 @@ use std::time::{Duration, Instant};
 const EXPIRY_TICK: Duration = Duration::from_millis(50);
 
 /// The longest line either end accepts, its newline excluded: 16 MiB.  The largest message
-/// the repo's own campaigns send is a `fetch` response, which grows by ~5.5 kB per Smoke
-/// run-unit — 575 kB for a 104-unit campaign — so the cap leaves room for ~3 000 units
-/// while one peer that never sends a newline holds at most 16 MiB of master memory.
+/// the repo's own campaigns send is a `fetch` response, ~1.5 kB per Smoke run-unit on the
+/// wire: ~160 kB for a 104-unit campaign whose rendered artifact is 575 kB.  The cap leaves
+/// room for ~10 000 units, while one peer that never sends a newline holds at most 16 MiB of
+/// master memory.
 pub const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// A client connection speaking newline-delimited JSON to a master.
