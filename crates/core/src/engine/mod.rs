@@ -9,7 +9,11 @@
 //!    the [`ResourceModel`](crate::config::ResourceModel) seam, a number of execution slots —
 //!    and the home nodes receive their workflows at time zero.
 //! 3. The **mixed gossip protocol** runs every five minutes, giving every node a bounded `RSS`
-//!    of peer states and estimates of the average capacity / bandwidth.
+//!    of peer states and estimates of the average capacity / bandwidth.  The protocol does not
+//!    depend on the scheduler, so it runs once per world, in `gossip_trace.rs`, and every
+//!    session reads that trace: at each gossip instant a session records every node's
+//!    advertised load, and at each scheduling instant it rebuilds the home node's `RSS` from
+//!    the trace's `(node, age)` pairs and those loads.
 //! 4. The **first scheduling phase** runs every fifteen minutes on every home node: schedule
 //!    points are prioritised and dispatched per the configured [`Scheduler`] (Algorithm 1 for
 //!    DSMF), program images and dependent data start flowing to the chosen resource nodes.
@@ -19,8 +23,8 @@
 //!    [`node::ReadySet`] and executed for `load / capacity` seconds.
 //! 6. Under the configured [`FaultModel`](crate::config::FaultModel), nodes fail: churn takes
 //!    a `df` fraction of the churnable population down (and back up) every scheduling
-//!    interval, while the stochastic model plays back per-node lifetimes pre-drawn at
-//!    scenario build.  Tasks resident on a failed node are lost and handled by the configured
+//!    interval, drawn once per world with the gossip trace, while the stochastic model plays
+//!    back per-node lifetimes pre-drawn at scenario build.  Tasks resident on a failed node are lost and handled by the configured
 //!    [`RecoveryPolicy`] — fail the workflow (the paper's semantics), retry with budget and
 //!    backoff, resume from a checkpoint, or fall back to a replica copy.
 //! 7. Throughput, ACT and AE are sampled hourly, exactly like the paper's figures.
@@ -48,7 +52,9 @@
 //!    policy and the robustness ledger over them;
 //! 4. pops the grid-wide cadence events (gossip, scheduling, metrics) due exactly at the
 //!    window's end — windows always close *at* the next cadence instant, so the serial phases
-//!    observe every node in a settled state.
+//!    observe every node in a settled state.  At equal instants they pop in queue order: after
+//!    t = 0 a scheduling instant's churn step and first phase run before its gossip cycle,
+//!    which the gossip trace replays.
 //!
 //! Reports are byte-identical for every shard count and pool size; only wall-clock changes.
 //!
@@ -61,6 +67,7 @@
 //! runtime) and [`transfer`] are exported for benches and tooling; everything else stays
 //! crate-private.
 
+pub(crate) mod gossip_trace;
 pub mod node;
 pub mod transfer;
 pub(crate) mod workflow;
@@ -84,12 +91,12 @@ use barrier::{
     sort_arrivals, sort_faults, sort_notices, sort_observations, ArrivalNotice, BufferedEvent,
     BufferedKind, CompletionNotice, FaultKind, FaultRecord,
 };
+use gossip_trace::GossipTrace;
 use node::{NodeRuntime, ReadyEntry};
-use p2pgrid_gossip::{LocalNodeState, MixedGossip};
 use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowOutcome, WorkflowRecord};
 use p2pgrid_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use p2pgrid_topology::LandmarkEstimator;
-use p2pgrid_workflow::{ExpectedCosts, TaskId, WorkflowAnalysis};
+use p2pgrid_workflow::{TaskId, WorkflowAnalysis};
 use shard::{run_shards, Shard, ShardEvent, ShardMap, WindowCtx};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -100,7 +107,7 @@ use workflow::WorkflowRuntime;
 /// node-local traffic lives on the per-shard queues as [`ShardEvent`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GridEvent {
-    /// Run one mixed-gossip cycle on every alive node.
+    /// Record every node's advertised load for this instant's gossip cycle.
     GossipCycle,
     /// Run the churn step and the first scheduling phase on every home node.
     SchedulingCycle,
@@ -135,7 +142,8 @@ impl Observers<'_, '_> {
 ///
 /// Owns the node partition (one `Shard` per partition class with its own event queue and RNG
 /// stream), the serial grid-wide cadence queue, and all cross-shard state (workflows, metrics,
-/// gossip).  Advanced one conservative time window at a time by the crate-private session /
+/// the advertised-load ring the world's gossip trace is read through).  Advanced one
+/// conservative time window at a time by the crate-private session /
 /// [`Simulation`](crate::simulation::Simulation) machinery; the public surface of this type is
 /// read-only statistics plus the per-shard RNG seam.
 ///
@@ -145,12 +153,16 @@ pub struct ShardedEngine {
     scheduler: Box<dyn Scheduler>,
     transfer: Arc<TransferModel>,
     landmarks: Arc<LandmarkEstimator>,
-    gossip: MixedGossip,
-    gossip_rng: SimRng,
-    churn_rng: SimRng,
-    /// Reused gossip-state scratch buffer (filled in global node order every cycle), so the
-    /// five-minute cadence stops allocating a fresh vector per cycle.
-    gossip_scratch: Vec<LocalNodeState>,
+    /// The world's gossip trace: every home node's `RSS` at every scheduling instant.
+    gossip: Arc<GossipTrace>,
+    /// Every node's advertised load at each of the last `ring_len` gossip cycles: row
+    /// `cycle % ring_len`, one column per node.  A traced record's load is its node's entry
+    /// in the row of the record's cycle.
+    advertised_loads: Vec<f64>,
+    /// Gossip cycles run so far.
+    gossip_cycles: u64,
+    /// Scheduling instants handled so far.
+    scheduling_instants: usize,
     shards: Vec<Shard>,
     map: ShardMap,
     workflows: Vec<WorkflowRuntime>,
@@ -255,6 +267,8 @@ impl ShardedEngine {
             }
         }
 
+        // The first session on a world builds its gossip trace; the others wait for it.
+        let gossip = Arc::clone(world.gossip_trace());
         let shard_count = world.config.shards.resolve(world.nodes.len());
         let (map, members) = ShardMap::new(world.nodes.len(), shard_count);
         let mut shards: Vec<Shard> = members
@@ -301,10 +315,10 @@ impl ShardedEngine {
             scheduler,
             transfer: Arc::clone(&world.transfer),
             landmarks: Arc::clone(&world.landmarks),
-            gossip: world.gossip.clone(),
-            gossip_rng: world.gossip_rng.clone(),
-            churn_rng: world.churn_rng.clone(),
-            gossip_scratch: Vec::with_capacity(map.len()),
+            advertised_loads: vec![0.0; gossip.ring_len() * map.len()],
+            gossip,
+            gossip_cycles: 0,
+            scheduling_instants: 0,
             shards,
             map,
             workflows,
@@ -399,26 +413,49 @@ impl ShardedEngine {
         &mut self.shards[self.map.shard_of[id]].nodes[self.map.local_of[id]]
     }
 
-    /// Refill the reusable gossip-state buffer, iterating nodes in *global* id order so the
-    /// gossip protocol (and its floating-point averages) never see the shard partition.
-    fn fill_gossip_scratch(&mut self, now: SimTime) {
+    /// Record every node's advertised load for the gossip cycle at `now` in its ring row.
+    fn record_advertised_loads(&mut self, now: SimTime) {
         let Self {
             shards,
             map,
-            gossip_scratch,
+            advertised_loads,
+            gossip,
+            gossip_cycles,
             ..
         } = self;
-        gossip_scratch.clear();
-        for id in 0..map.len() {
-            let nd = &shards[map.shard_of[id]].nodes[map.local_of[id]];
-            gossip_scratch.push(LocalNodeState {
-                alive: nd.alive,
-                capacity_mips: nd.advertised_capacity_mips(),
-                slots: nd.slots,
-                total_load_mi: nd.total_load_mi(now),
-                local_avg_bandwidth_mbps: nd.local_avg_bandwidth_mbps,
-            });
+        let n = map.len();
+        let row = (*gossip_cycles % gossip.ring_len() as u64) as usize * n;
+        for (id, load) in advertised_loads[row..row + n].iter_mut().enumerate() {
+            *load = shards[map.shard_of[id]].nodes[map.local_of[id]].total_load_mi(now);
         }
+        *gossip_cycles += 1;
+    }
+
+    /// Home node `home`'s `RSS` at scheduling instant `instant`, restricted to currently alive
+    /// nodes, as candidate resource nodes: capacity and slots from the node table, load as
+    /// each node advertised it at its record's cycle.
+    fn rss_candidates(&self, instant: usize, home: NodeId) -> Vec<CandidateNode> {
+        let n = self.map.len();
+        let ring_len = self.gossip.ring_len();
+        let latest = (self.gossip_cycles.saturating_sub(1) % ring_len as u64) as usize;
+        self.gossip
+            .rss(instant, home)
+            .filter(|r| self.node(r.node).alive)
+            .map(|r| {
+                let row = if r.age <= latest {
+                    latest - r.age
+                } else {
+                    latest + ring_len - r.age
+                };
+                let nd = self.node(r.node);
+                CandidateNode {
+                    node: r.node,
+                    capacity_mips: nd.advertised_capacity_mips(),
+                    slots: nd.slots,
+                    total_load_mi: self.advertised_loads[row * n + r.node],
+                }
+            })
+            .collect()
     }
 
     /// One aggregate snapshot over the alive population, built from the per-node `O(1)`
@@ -493,7 +530,6 @@ impl ShardedEngine {
                 obs,
             );
         }
-        self.gossip.forget_node(node);
         obs.emit(|o| o.on_node_departed(now, node));
     }
 
@@ -505,64 +541,15 @@ impl ShardedEngine {
         }
     }
 
-    fn churn_step(&mut self, now: SimTime, obs: &mut Observers<'_, '_>) {
-        let Some(churn) = self.config.churn() else {
-            return;
-        };
-        let df = churn.dynamic_factor;
-        if df <= 0.0 {
-            return;
-        }
-        let total = self.map.len();
-        let churn_count = ((total as f64) * df).round() as usize;
-        if churn_count == 0 {
-            return;
-        }
-        let alive_churnable: Vec<NodeId> = (0..total)
-            .filter(|&i| {
-                let nd = self.node(i);
-                nd.churnable && nd.alive
-            })
-            .collect();
-        let dead_churnable: Vec<NodeId> = (0..total)
-            .filter(|&i| {
-                let nd = self.node(i);
-                nd.churnable && !nd.alive
-            })
-            .collect();
-        // A large `df` can ask for more departures (or joins) than the respective pool can
-        // provide — clamp each draw to its own pool explicitly instead of relying on the
-        // sampler's silent truncation.  (The pools may legitimately differ in size: the dead
-        // pool is empty on the very first churn step, so the two draws are clamped
-        // independently, not to a common minimum.)
-        let leave_count = churn_count.min(alive_churnable.len());
-        let join_count = churn_count.min(dead_churnable.len());
-        let leaving: Vec<NodeId> = self
-            .churn_rng
-            .choose_multiple(&alive_churnable, leave_count)
-            .into_iter()
-            .copied()
-            .collect();
-        let joining: Vec<NodeId> = self
-            .churn_rng
-            .choose_multiple(&dead_churnable, join_count)
-            .into_iter()
-            .copied()
-            .collect();
-        debug_assert_eq!(
-            leaving.len(),
-            leave_count,
-            "departure draw desynchronized from the churnable pool"
-        );
-        debug_assert_eq!(
-            joining.len(),
-            join_count,
-            "join draw desynchronized from the dead pool"
-        );
-        for node in leaving {
+    /// Apply the churn departures, then the joins, the world's trace drew for scheduling
+    /// instant `instant`.
+    fn churn_step(&mut self, instant: usize, now: SimTime, obs: &mut Observers<'_, '_>) {
+        let trace = Arc::clone(&self.gossip);
+        let (leaving, joining) = trace.churn(instant);
+        for &node in leaving {
             self.handle_departure(node, now, obs);
         }
-        for node in joining {
+        for &node in joining {
             self.handle_join(node, now, obs);
         }
     }
@@ -700,7 +687,7 @@ impl ShardedEngine {
 
     // ----- first phase ---------------------------------------------------------------------
 
-    fn scheduling_phase_one(&mut self, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn scheduling_phase_one(&mut self, instant: usize, now: SimTime, obs: &mut Observers<'_, '_>) {
         let home_nodes: Vec<NodeId> = (0..self.map.len())
             .filter(|&i| self.node(i).alive && !self.home_of[i].is_empty())
             .collect();
@@ -708,7 +695,7 @@ impl ShardedEngine {
             if self.workflows[self.home_of[home][0]].plan.is_some() {
                 self.dispatch_full_ahead(home, now, obs);
             } else {
-                self.dispatch_just_in_time(home, now, obs);
+                self.dispatch_just_in_time(home, instant, now, obs);
             }
         }
     }
@@ -747,12 +734,18 @@ impl ShardedEngine {
         }
     }
 
-    /// Algorithm 1 (and its competitor orderings) at one home node.
-    fn dispatch_just_in_time(&mut self, home: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
+    /// Algorithm 1 (and its competitor orderings) at one home node, at scheduling instant
+    /// `instant`.
+    fn dispatch_just_in_time(
+        &mut self,
+        home: NodeId,
+        instant: usize,
+        now: SimTime,
+        obs: &mut Observers<'_, '_>,
+    ) {
         // The home node's estimates of the system-wide averages come from the aggregation
         // gossip; its candidate set comes from the epidemic gossip's RSS.
-        let (avg_cap, avg_bw) = self.gossip.expected_costs(home);
-        let costs = ExpectedCosts::new(avg_cap, avg_bw);
+        let costs = self.gossip.expected_costs(instant, home);
 
         let mut candidate_tasks: Vec<DispatchCandidateTask> = Vec::new();
         let wf_indices = self.home_of[home].clone();
@@ -805,18 +798,7 @@ impl ShardedEngine {
 
         // Candidate resource nodes: the home node's RSS (always contains itself once gossip has
         // run; fall back to the home node before that), restricted to currently alive nodes.
-        let mut candidates: Vec<CandidateNode> = self
-            .gossip
-            .rss(home)
-            .records()
-            .filter(|r| self.node(r.node).alive)
-            .map(|r| CandidateNode {
-                node: r.node,
-                capacity_mips: r.capacity_mips,
-                slots: r.slots,
-                total_load_mi: r.total_load_mi,
-            })
-            .collect();
+        let mut candidates = self.rss_candidates(instant, home);
         if candidates.is_empty() {
             candidates.push(CandidateNode {
                 node: home,
@@ -1150,8 +1132,7 @@ impl ShardedEngine {
 
     /// Barrier step 3 (after the observation replay): merge the shards' fault records, sort
     /// them canonically by `(time, node, seq)` and run the recovery policy over them — so the
-    /// gossip forget / recovery decisions and their floating-point accounting never depend on
-    /// the partition.  The `on_node_departed` / `on_node_joined` / `on_task_lost` callbacks
+    /// recovery decisions and their floating-point accounting never depend on the partition.  The `on_node_departed` / `on_node_joined` / `on_task_lost` callbacks
     /// for these faults are *not* emitted here: the shards buffered them, and the observation
     /// replay already delivered them interleaved with the task events in canonical order.
     fn apply_faults(&mut self, observers: &mut [&mut dyn Observer]) {
@@ -1167,7 +1148,6 @@ impl ShardedEngine {
                 match r.kind {
                     FaultKind::Down => {
                         self.robustness.node_failures += 1;
-                        self.gossip.forget_node(r.node);
                     }
                     FaultKind::Up => {
                         self.robustness.node_repairs += 1;
@@ -1256,26 +1236,17 @@ impl ShardedEngine {
             debug_assert_eq!(ev.time, end, "cadence events fire only at window barriers");
             match ev.event {
                 GridEvent::GossipCycle => {
-                    let cycle = self.gossip.stats().cycles;
-                    self.fill_gossip_scratch(end);
-                    {
-                        // Disjoint-field borrows: the protocol reads the scratch states while
-                        // advancing its own RNG stream in place (no clone-and-store-back).
-                        let Self {
-                            gossip,
-                            gossip_scratch,
-                            gossip_rng,
-                            ..
-                        } = self;
-                        gossip.run_cycle(end, gossip_scratch, gossip_rng);
-                    }
+                    let cycle = self.gossip_cycles;
+                    self.record_advertised_loads(end);
                     Observers(observers).emit(|o| o.on_gossip_cycle(end, cycle));
                     self.globals
                         .schedule(end + self.config.gossip_interval, GridEvent::GossipCycle);
                 }
                 GridEvent::SchedulingCycle => {
-                    self.churn_step(end, &mut Observers(observers));
-                    self.scheduling_phase_one(end, &mut Observers(observers));
+                    let instant = self.scheduling_instants;
+                    self.scheduling_instants += 1;
+                    self.churn_step(instant, end, &mut Observers(observers));
+                    self.scheduling_phase_one(instant, end, &mut Observers(observers));
                     self.globals.schedule(
                         end + self.config.scheduling_interval,
                         GridEvent::SchedulingCycle,
@@ -1294,11 +1265,10 @@ impl ShardedEngine {
 
     fn finish(mut self, end_time: SimTime) -> SimulationReport {
         self.metrics.sample(end_time);
-        self.fill_gossip_scratch(end_time);
-        let avg_rss_size = self.gossip.average_rss_size(&self.gossip_scratch);
+        let (gossip_stats, avg_rss_size) = self.gossip.closing(self.gossip_cycles, end_time);
         SimulationReport {
             algorithm: self.scheduler.label(),
-            gossip_stats: self.gossip.stats(),
+            gossip_stats,
             avg_rss_size,
             end_time,
             nodes: self.config.nodes,

@@ -3,16 +3,22 @@
 //! A [`Scenario`] is everything about a grid-simulation run that does **not** depend on the
 //! scheduler under test: the Waxman topology and its all-pairs bottleneck bandwidths, the
 //! landmark Dijkstra estimates, every node's sampled capacity / slot count / churn role, the
-//! generated workflow DAGs with their home-node assignment, and the seeded RNG streams that
-//! drive gossip and churn during the run.  All of it is pre-sampled deterministically from
-//! `GridConfig::seed` when [`Scenario::build`] runs — exactly the sampling order the legacy
-//! one-shot facade used, so a run started from a `Scenario` is byte-identical to the old path.
+//! generated workflow DAGs with their home-node assignment, and the stochastic failure
+//! schedule.  All of it is pre-sampled deterministically from `GridConfig::seed` when
+//! [`Scenario::build`] runs — exactly the sampling order the legacy one-shot facade used, so a
+//! run started from a `Scenario` is byte-identical to the old path.
+//!
+//! The mixed gossip protocol and the churn draws are scheduler-independent too, but they run
+//! over the whole simulated horizon, so the build does not run them.  The first session
+//! started on a world runs them once and keeps what every session reads — the gossip trace;
+//! every later session on the world, concurrent ones included, reads the same trace.
 //!
 //! The value of the split is reuse: the expensive setup (the all-pairs bandwidth computation
-//! is `O(n²·log n)`, workflow analysis walks every DAG) happens **once**, and every
-//! [`Scenario::simulate`] session clones only the cheap mutable runtime state.  `Scenario`
-//! itself is an [`Arc`] handle — `Clone` is pointer-sized and the type is `Send + Sync`, so an
-//! eight-algorithm sweep can fan out across threads over one shared world:
+//! is `O(n²·log n)`, workflow analysis walks every DAG, gossip runs every five simulated
+//! minutes) happens **once**, and every [`Scenario::simulate`] session clones only the cheap
+//! mutable runtime state.  `Scenario` itself is an [`Arc`] handle — `Clone` is pointer-sized
+//! and the type is `Send + Sync`, so an eight-algorithm sweep can fan out across threads over
+//! one shared world:
 //!
 //! ```
 //! use p2pgrid_core::scenario::Scenario;
@@ -32,6 +38,7 @@ use crate::config::{
     exponential, ArrivalProcess, ChurnConfig, FaultModel, GridConfig, RecoveryPolicy,
     ResourceModel, StreamKind, WorkloadSource,
 };
+use crate::engine::gossip_trace::GossipTrace;
 use crate::engine::node::{NodeRuntime, ReadySet};
 use crate::engine::transfer::TransferModel;
 use crate::engine::workflow::WorkflowRuntime;
@@ -39,7 +46,6 @@ use crate::error::ConfigError;
 use crate::scheduler::Scheduler;
 use crate::simulation::Simulation;
 use crate::NodeId;
-use p2pgrid_gossip::MixedGossip;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
 use p2pgrid_topology::{LandmarkEstimator, PairwiseMetrics, WaxmanGenerator};
 use p2pgrid_workflow::{
@@ -47,7 +53,7 @@ use p2pgrid_workflow::{
     WorkflowGeneratorConfig, WorkloadSpec,
 };
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The pre-sampled world shared by every session of one configuration.  Scheduler-independent
 /// and immutable after [`Scenario::build`]; sessions clone the mutable parts and share the
@@ -69,12 +75,10 @@ pub(crate) struct ScenarioWorld {
     pub(crate) home_of: Arc<Vec<Vec<usize>>>,
     /// True system-wide averages, the efficiency baseline `eft(f)` and full-ahead input.
     pub(crate) true_costs: ExpectedCosts,
-    /// The gossip protocol state right after initialisation.
-    pub(crate) gossip: MixedGossip,
-    /// The gossip RNG stream, positioned right after [`MixedGossip::new`] drew from it.
-    pub(crate) gossip_rng: SimRng,
-    /// The churn RNG stream (sessions clone it, so every run replays the same churn).
-    pub(crate) churn_rng: SimRng,
+    /// The gossip protocol run over the whole horizon, built by the first session that
+    /// starts on this world (see [`GossipTrace`]).  Shared with the worlds derived from this
+    /// one by [`Scenario::with_recovery`].
+    pub(crate) gossip_trace: Arc<OnceLock<Arc<GossipTrace>>>,
     /// The pre-drawn stochastic failure schedule: `(node, time, down)` transitions, node-major
     /// and time-ascending per node, clipped to the horizon.  Empty unless the fault model is
     /// [`FaultModel::Stochastic`].  Pre-drawing the whole schedule at build time (one RNG
@@ -85,6 +89,15 @@ pub(crate) struct ScenarioWorld {
     /// Conservative-PDES lookahead: a lower bound on how far ahead of "now" any cross-node
     /// interaction can land, derived once at build time (see [`Scenario::lookahead`]).
     pub(crate) lookahead: SimDuration,
+}
+
+impl ScenarioWorld {
+    /// The gossip trace, built on first use.  Concurrent first callers block until the one
+    /// build finishes.
+    pub(crate) fn gossip_trace(&self) -> &Arc<GossipTrace> {
+        self.gossip_trace
+            .get_or_init(|| Arc::new(GossipTrace::build(self)))
+    }
 }
 
 /// The conservative time-window width of the sharded event loop under `config`, given the
@@ -225,17 +238,17 @@ fn workflow_inputs_match(a: &GridConfig, b: &GridConfig) -> bool {
         && a.stream_seed(StreamKind::Capacity) == b.stream_seed(StreamKind::Capacity)
 }
 
-/// True when `a` and `b` would initialise bit-identical gossip state: same population, same
-/// protocol parameters, same gossip stream.
-fn gossip_inputs_match(a: &GridConfig, b: &GridConfig) -> bool {
-    a.nodes == b.nodes
-        && a.gossip == b.gossip
-        && a.stream_seed(StreamKind::Gossip) == b.stream_seed(StreamKind::Gossip)
+/// True when `a` and `b` would build bit-identical gossip traces: they differ at most in the
+/// recovery policy, which acts on tasks only, never on liveness or gossip.
+fn trace_inputs_match(a: &GridConfig, b: &GridConfig) -> bool {
+    let mut a = a.clone();
+    a.recovery = b.recovery;
+    a == *b
 }
 
 /// The RNG stream `kind` under `config`: effective seed → root → labelled stream, exactly
 /// as `Scenario::build` has always derived it when no override is set.
-fn stream_rng(config: &GridConfig, kind: StreamKind) -> SimRng {
+pub(crate) fn stream_rng(config: &GridConfig, kind: StreamKind) -> SimRng {
     SimRng::seed_from_u64(config.stream_seed(kind)).derive(kind.label())
 }
 
@@ -457,17 +470,12 @@ impl Scenario {
             }
         };
 
-        // Gossip state and the run-time RNG streams.
-        let (gossip, gossip_rng) =
-            match reuse.filter(|old| gossip_inputs_match(&old.config, &config)) {
-                Some(old) => (old.gossip.clone(), old.gossip_rng.clone()),
-                None => {
-                    let mut gossip_rng = stream_rng(&config, StreamKind::Gossip);
-                    let gossip = MixedGossip::new(n, config.gossip, &mut gossip_rng);
-                    (gossip, gossip_rng)
-                }
-            };
-        let churn_rng = stream_rng(&config, StreamKind::Churn);
+        // The gossip trace is built lazily, by the first session; a world that would build
+        // the same one shares its cell.
+        let gossip_trace = match reuse.filter(|old| trace_inputs_match(&old.config, &config)) {
+            Some(old) => Arc::clone(&old.gossip_trace),
+            None => Arc::default(),
+        };
         let faults = sample_fault_schedule(&config, stable);
         let lookahead = compute_lookahead(&config, transfer.metrics().min_positive_latency_ms());
 
@@ -481,9 +489,7 @@ impl Scenario {
                 workflows,
                 home_of,
                 true_costs,
-                gossip,
-                gossip_rng,
-                churn_rng,
+                gossip_trace,
                 faults,
                 lookahead,
             }),
@@ -496,7 +502,7 @@ impl Scenario {
     /// current effective seeds, so the derived config still describes the *same* network —
     /// the `Arc`'d topology, `PairwiseMetrics` and landmark tables are shared, not rebuilt —
     /// while the capacity, slot, workflow, gossip and churn streams all re-sample from
-    /// `seed`.  A 1000-point seed sweep therefore pays for one all-pairs Dijkstra sweep
+    /// `seed` (so the derived world builds its own gossip trace).  A 1000-point seed sweep therefore pays for one all-pairs Dijkstra sweep
     /// total.  The result is byte-identical to `Scenario::build` of the equivalent config.
     pub fn with_seed(&self, seed: u64) -> Result<Scenario, ConfigError> {
         let mut config = self.world.config.clone();
@@ -508,9 +514,10 @@ impl Scenario {
 
     /// Derive a world with a different resource model (slot counts, preemption).
     ///
-    /// Only the slot stream's *consumption* changes; the topology tables, workflow set and
-    /// gossip state are all shared.  Node runtimes are re-sampled (the slot model draws
-    /// differently), which is O(nodes) and cheap.
+    /// Only the slot stream's *consumption* changes; the topology tables and workflow set
+    /// are shared.  Node runtimes are re-sampled (the slot model draws differently), which is
+    /// O(nodes) and cheap; slot counts change what nodes advertise, so the derived world
+    /// builds its own gossip trace.
     pub fn with_resource(&self, resource: ResourceModel) -> Result<Scenario, ConfigError> {
         let mut config = self.world.config.clone();
         config.resource = resource;
@@ -520,8 +527,8 @@ impl Scenario {
     /// Derive a world with different workflow generator parameters (loads, data sizes, DAG
     /// shapes — the CCR sweeps).
     ///
-    /// Re-samples only the workflow stream; the topology tables, node population and gossip
-    /// state are shared/identical.
+    /// Re-samples only the workflow stream; the topology tables and node population are
+    /// shared/identical.
     pub fn with_workflows(
         &self,
         workflow: WorkflowGeneratorConfig,
@@ -535,7 +542,7 @@ impl Scenario {
     /// [`WorkloadSource::Trace`]) instead of the synthetic generator.
     ///
     /// Like [`Scenario::with_workflows`], only the workflow set changes; the topology
-    /// tables, node population and gossip state are shared/identical.  Each trace entry
+    /// tables and node population are shared/identical.  Each trace entry
     /// names its DAG, arrival time and home policy; `workflows_per_node` is ignored.
     pub fn with_workload(&self, workload: WorkloadSpec) -> Result<Scenario, ConfigError> {
         let mut config = self.world.config.clone();
@@ -546,8 +553,8 @@ impl Scenario {
     /// Derive a world with a different arrival process (see [`ArrivalProcess`]).
     ///
     /// Arrival times are drawn from the tail of the workflow stream, after the DAGs — the
-    /// DAGs themselves are re-generated byte-identically, and the topology tables, node
-    /// population and gossip state are shared.
+    /// DAGs themselves are re-generated byte-identically, and the topology tables and node
+    /// population are shared.
     pub fn with_arrivals(&self, arrivals: ArrivalProcess) -> Result<Scenario, ConfigError> {
         let mut config = self.world.config.clone();
         config.arrivals = arrivals;
@@ -566,7 +573,7 @@ impl Scenario {
 
     /// Derive a world with a different churn model (Fig. 12–14 sweeps).
     ///
-    /// Shares the topology tables and gossip state.  The node population is re-sampled with
+    /// Shares the topology tables.  The node population is re-sampled with
     /// the same capacity/slot streams (so capacities stay identical) but a new stable/
     /// churnable split; when the split changes the home-node set, the workflow draw is
     /// regenerated exactly as a fresh build would.
@@ -576,7 +583,7 @@ impl Scenario {
 
     /// Derive a world with a different fault model (churn or stochastic node lifetimes).
     ///
-    /// Shares the topology tables and gossip state.  The node population is re-sampled with
+    /// Shares the topology tables.  The node population is re-sampled with
     /// the same capacity/slot streams (so capacities stay identical) but a new stable/
     /// churnable split, and the stochastic failure schedule is re-drawn from the faults
     /// stream; when the split changes the home-node set, the workflow draw is regenerated
@@ -589,9 +596,10 @@ impl Scenario {
 
     /// Derive a world with a different recovery policy.
     ///
-    /// Recovery is pure run-time behaviour — it consumes no build-time randomness — so the
-    /// derived world shares *every* table of this one (topology, nodes, workflows, gossip)
-    /// and only the config differs.
+    /// Recovery is pure run-time behaviour — it consumes no build-time randomness and acts on
+    /// tasks, never on liveness or gossip — so the derived world shares *every* table of this
+    /// one (topology, nodes, workflows, and the gossip trace, built or not) and only the
+    /// config differs.
     pub fn with_recovery(&self, recovery: RecoveryPolicy) -> Result<Scenario, ConfigError> {
         let mut config = self.world.config.clone();
         config.recovery = recovery;
@@ -625,8 +633,29 @@ impl Scenario {
             && Arc::ptr_eq(&self.world.home_of, &other.world.home_of)
     }
 
+    /// True when both scenarios read one gossip trace (`Arc` identity of the lazily filled
+    /// cell): whichever of them starts a session first builds it for both.
+    pub fn shares_gossip_trace_with(&self, other: &Scenario) -> bool {
+        Arc::ptr_eq(&self.world.gossip_trace, &other.world.gossip_trace)
+    }
+
+    /// Heap bytes of this world's gossip trace, or `None` while no session has started on it
+    /// (or on a world it shares the trace with).
+    pub fn gossip_trace_bytes(&self) -> Option<usize> {
+        self.world
+            .gossip_trace
+            .get()
+            .map(|trace| trace.heap_bytes())
+    }
+
     pub(crate) fn world(&self) -> &ScenarioWorld {
         &self.world
+    }
+
+    /// The world, mutable while no other handle shares it.
+    #[cfg(test)]
+    pub(crate) fn world_mut(&mut self) -> &mut ScenarioWorld {
+        Arc::get_mut(&mut self.world).expect("an unshared world")
     }
 
     /// The configuration this world was sampled from.

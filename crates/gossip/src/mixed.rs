@@ -14,10 +14,13 @@
 //! (Formula 9) and [`MixedGossip::expected_costs`] to estimate RPM / `eft` (Eq. 1, 7, 8).
 //!
 //! [`MixedGossip::run_cycle`] borrows the snapshot slice and advances the caller's RNG stream
-//! in place; the scheduling core reuses one scratch buffer for the snapshot across cycles
-//! (filled in global node order, so the per-node state the protocol sees is independent of how
-//! the core's event loop is sharded).  The gossip interval also caps the engine's conservative
-//! window width, so every cycle runs at a window barrier over a settled grid.
+//! in place.  Which records a node holds never depends on the advertised loads: merges,
+//! purges and forwarding compare only `(updated_at, node)` and `hops`, and aggregation
+//! averages the static capacities and bandwidths.  A record's `total_load_mi` is just carried
+//! along — it is always its node's load at the cycle `updated_at`.  The scheduling core
+//! relies on this: it runs the protocol once per world, under the world's liveness timeline,
+//! keeps every home node's `RSS` as `(node, age)` pairs, and lets each session supply the
+//! loads its own scheduler produced.
 
 use crate::aggregation::{AggregationConfig, AggregationGossip};
 use crate::epidemic::{EpidemicConfig, EpidemicGossip, LocalAdvertisement};

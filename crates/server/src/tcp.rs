@@ -23,6 +23,7 @@ use std::io::BufReader;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How often the server sweeps for expired workers.
@@ -97,14 +98,14 @@ pub fn serve(listener: TcpListener, config: MasterConfig) -> std::io::Result<()>
         start: Instant::now(),
         shutdown: AtomicBool::new(false),
     });
-    let mut handles = Vec::new();
+    let mut connections = Connections::default();
     while !server.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let server = Arc::clone(&server);
-                handles.push(std::thread::spawn(move || {
+                connections.spawn(move || {
                     let _ = handle_connection(&server, stream);
-                }));
+                });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 let now = server.now_ms();
@@ -117,10 +118,28 @@ pub fn serve(listener: TcpListener, config: MasterConfig) -> std::io::Result<()>
             Err(e) => return Err(e),
         }
     }
-    for handle in handles {
-        let _ = handle.join();
-    }
+    connections.join();
     Ok(())
+}
+
+/// The threads serving the master's connections.  Peers connect and leave for the master's
+/// whole life, so every spawn first drops the threads that have finished: the list holds
+/// the live connections, not every connection ever accepted.
+#[derive(Default)]
+struct Connections(Vec<JoinHandle<()>>);
+
+impl Connections {
+    fn spawn(&mut self, serve: impl FnOnce() + Send + 'static) {
+        self.0.retain(|thread| !thread.is_finished());
+        self.0.push(std::thread::spawn(serve));
+    }
+
+    /// Wait for every connection still being served.
+    fn join(self) {
+        for thread in self.0 {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// Serve one connection until it ends — at EOF, on an over-long line or on an I/O error.
@@ -198,4 +217,23 @@ fn serve_requests(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_connection_threads_are_dropped_on_the_next_spawn() {
+        let mut connections = Connections::default();
+        for _ in 0..64 {
+            connections.spawn(|| {});
+            while !connections.0.last().unwrap().is_finished() {
+                std::thread::yield_now();
+            }
+        }
+        connections.spawn(|| {});
+        assert_eq!(connections.0.len(), 1, "finished threads were kept");
+        connections.join();
+    }
 }

@@ -14,23 +14,19 @@
 //!   event ordering is exact and runs are bit-for-bit reproducible;
 //! * [`EventQueue`] — a deterministic priority queue of timestamped events with stable FIFO
 //!   ordering among simultaneous events;
-//! * [`Simulator`] — a driver that pops events and hands them to an [`EventHandler`], with
-//!   support for stop conditions and periodic *cycle* events;
 //! * [`rng`] — seeded, splittable random-number utilities so every component draws from an
 //!   independent deterministic stream.
 //!
 //! The crate is intentionally generic: the event type is a type parameter, so the scheduling
-//! core (and the tests of every substrate crate) can define their own event vocabulary.
+//! core, which drives its own queues, defines its own event vocabulary.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod event;
 pub mod rng;
-pub mod simulator;
 pub mod time;
 
 pub use event::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
-pub use simulator::{EventHandler, RunSummary, SimControl, Simulator, StopReason};
 pub use time::{SimDuration, SimTime};

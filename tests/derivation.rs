@@ -13,9 +13,16 @@
 //! A third pin covers the execution layer: running a campaign through the work-stealing pool
 //! must not perturb any report — pool sizes 1 and 8 and the sequential path all agree bit
 //! for bit.
+//!
+//! The last pins cover the lazily built gossip trace: the first session on a world builds
+//! it, however many start at once; only `with_recovery` shares its parent's trace; and a
+//! world derived after its parent's trace exists still runs like a fresh build.
 
 use p2pgrid::experiments::campaign;
 use p2pgrid::prelude::*;
+use std::str::FromStr;
+
+const MONTAGE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/montage.json");
 
 fn config(seed: u64) -> GridConfig {
     let mut cfg = GridConfig::small(20).with_seed(seed);
@@ -181,5 +188,144 @@ fn pooled_campaign_matches_sequential_and_any_pool_size() {
             pooled, sequential,
             "{workers}-worker pool diverged from the sequential reference"
         );
+    }
+}
+
+/// One world per `Scenario::with_*` method, each changing something about `base`.
+fn derivations(base: &Scenario) -> Vec<(&'static str, Scenario)> {
+    let mut workflow = base.config().workload.generator().unwrap().clone();
+    workflow.tasks = 3..=6;
+    let montage = WorkloadSpec::from_str(&std::fs::read_to_string(MONTAGE).unwrap()).unwrap();
+    let faults = StochasticFaults::new(SimDuration::from_hours(2), SimDuration::from_mins(20));
+    vec![
+        (
+            "with_recovery",
+            base.with_recovery(RecoveryPolicy::unlimited_retry())
+                .unwrap(),
+        ),
+        ("with_seed", base.with_seed(4343).unwrap()),
+        (
+            "with_resource",
+            base.with_resource(ResourceModel::multi_core(2)).unwrap(),
+        ),
+        ("with_workflows", base.with_workflows(workflow).unwrap()),
+        ("with_workload", base.with_workload(montage).unwrap()),
+        (
+            "with_arrivals",
+            base.with_arrivals(ArrivalProcess::Poisson { rate_per_hour: 4.0 })
+                .unwrap(),
+        ),
+        ("with_load_factor", base.with_load_factor(3).unwrap()),
+        (
+            "with_churn",
+            base.with_churn(ChurnConfig::with_dynamic_factor(0.1))
+                .unwrap(),
+        ),
+        (
+            "with_faults",
+            base.with_faults(FaultModel::Stochastic(faults)).unwrap(),
+        ),
+        (
+            "with_algorithm_streams",
+            base.with_algorithm_streams(888).unwrap(),
+        ),
+    ]
+}
+
+fn churned(seed: u64) -> GridConfig {
+    config(seed).with_churn(ChurnConfig::with_dynamic_factor(0.2))
+}
+
+#[test]
+fn eight_sessions_started_at_once_on_a_fresh_world_share_one_trace() {
+    // The first session on a world builds its gossip trace; sessions that start while the
+    // build runs wait for it instead of building their own.  Eight algorithms started on an
+    // 8-worker pool must finish exactly like eight sessions run one by one on another fresh
+    // world of the same config.
+    let algorithms: Vec<AlgorithmConfig> = Algorithm::ALL
+        .iter()
+        .map(|&a| AlgorithmConfig::paper_default(a))
+        .collect();
+    let reference = Scenario::build(churned(103)).unwrap();
+    let sequential: Vec<u64> =
+        campaign::run_sequential(&campaign::cross(&[reference], &algorithms))
+            .iter()
+            .map(SimulationReport::digest)
+            .collect();
+    let world = Scenario::build(churned(103)).unwrap();
+    assert_eq!(
+        world.gossip_trace_bytes(),
+        None,
+        "building a world must not run the gossip protocol"
+    );
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(8)
+        .build()
+        .unwrap();
+    let jobs = campaign::cross(std::slice::from_ref(&world), &algorithms);
+    let pooled: Vec<u64> = pool.install(|| {
+        campaign::run(&jobs)
+            .iter()
+            .map(SimulationReport::digest)
+            .collect()
+    });
+    for ((algorithm, pooled), sequential) in algorithms.iter().zip(&pooled).zip(&sequential) {
+        assert_eq!(
+            pooled,
+            sequential,
+            "{}: a session started alongside seven others diverged from a sequential run",
+            algorithm.label()
+        );
+    }
+    let bytes = world
+        .gossip_trace_bytes()
+        .expect("the sessions built a trace");
+    assert!(bytes > 0);
+    for job in &jobs {
+        assert!(job.scenario.shares_gossip_trace_with(&world));
+    }
+}
+
+#[test]
+fn only_with_recovery_shares_its_parents_gossip_trace() {
+    // Recovery acts on tasks, never on liveness or gossip, so a recovery-derived world reads
+    // its parent's trace — built or not.  Every other derivation changes what the trace
+    // holds and starts with none.
+    let base = Scenario::build(churned(104)).unwrap();
+    let early = base
+        .with_recovery(RecoveryPolicy::unlimited_retry())
+        .unwrap();
+    assert!(early.shares_gossip_trace_with(&base));
+    assert_eq!(early.gossip_trace_bytes(), None);
+    dsmf(&early);
+    assert!(
+        base.gossip_trace_bytes().is_some(),
+        "a session on the recovery-derived world built the parent's trace"
+    );
+    for (derivation, derived) in derivations(&base) {
+        if derivation == "with_recovery" {
+            assert!(derived.shares_gossip_trace_with(&base));
+            assert_eq!(derived.gossip_trace_bytes(), base.gossip_trace_bytes());
+        } else {
+            assert!(
+                !derived.shares_gossip_trace_with(&base),
+                "{derivation} shares its parent's gossip trace"
+            );
+            assert_eq!(
+                derived.gossip_trace_bytes(),
+                None,
+                "{derivation} started with a built gossip trace"
+            );
+        }
+    }
+}
+
+#[test]
+fn worlds_derived_after_their_parent_built_its_trace_match_fresh_builds() {
+    let base = Scenario::build(churned(105)).unwrap();
+    dsmf(&base);
+    assert!(base.gossip_trace_bytes().is_some());
+    for (derivation, derived) in derivations(&base) {
+        assert_matches_fresh_build(&derived, derivation);
     }
 }
