@@ -21,23 +21,17 @@
 //! A session records every node's advertised load at each gossip instant in a ring of
 //! [`GossipTrace::ring_len`] cycles and rebuilds a record's load from the ring by its age;
 //! capacity and slot count come from its node table.  The build replays the engine's tie
-//! order at equal instants: faults first, then the cadence events in their queue order, so
-//! after t = 0 the churn step and the first phase at a scheduling instant run before that
-//! instant's gossip cycle.
+//! order at equal instants: faults first, as a window barrier applies them, then the engine's
+//! own cadence queue, so after t = 0 the churn step and the first phase at a scheduling
+//! instant run before that instant's gossip cycle.
 
+use super::GridEvent;
 use crate::config::StreamKind;
 use crate::scenario::{stream_rng, ScenarioWorld};
 use crate::NodeId;
 use p2pgrid_gossip::{GossipStats, LocalNodeState, MixedGossip};
 use p2pgrid_sim::{EventQueue, SimRng, SimTime};
 use p2pgrid_workflow::ExpectedCosts;
-
-/// The cadence events whose tie order the trace replays.
-#[derive(Debug, Clone, Copy)]
-enum Cadence {
-    Gossip,
-    Scheduling,
-}
 
 /// One record of a traced `RSS`: what the protocol's [`NodeStateRecord`] holds, less the
 /// capacity, slot count and load, which a session looks up by node and age.
@@ -103,8 +97,6 @@ pub(crate) struct GossipTrace {
     churn: Vec<(Vec<NodeId>, Vec<NodeId>)>,
     /// The traffic counters after each cycle.
     stats: Vec<GossipStats>,
-    /// The average `RSS` size before any event.
-    initial_rss_size: f64,
     /// `(instant, average RSS size)` after everything at that instant, time-ascending.
     rss_sizes: Vec<(SimTime, f64)>,
 }
@@ -210,15 +202,15 @@ impl GossipTrace {
             costs: Vec::with_capacity(instants_total * homes.len()),
             churn: Vec::with_capacity(instants_total),
             stats: Vec::with_capacity(cycles_total),
-            initial_rss_size: gossip.average_rss_size(&local),
             rss_sizes: Vec::new(),
             homes,
         };
         trace.read_starts.push(0);
 
         let mut cadences = EventQueue::new();
-        cadences.schedule(SimTime::ZERO, Cadence::Gossip);
-        cadences.schedule(SimTime::ZERO, Cadence::Scheduling);
+        for event in GridEvent::AT_START {
+            cadences.schedule(SimTime::ZERO, event);
+        }
         let mut next_fault = 0;
         loop {
             let cadence = cadences.peek_time().filter(|&t| t <= horizon);
@@ -238,15 +230,14 @@ impl GossipTrace {
                     local[node].alive = true;
                 }
             }
-            while cadences.peek_time() == Some(now) && now <= horizon {
+            while cadences.peek_time() == Some(now) {
                 let event = cadences.pop().expect("peeked event must pop").event;
                 match event {
-                    Cadence::Gossip => {
+                    GridEvent::GossipCycle => {
                         gossip.run_cycle(now, &local, &mut gossip_rng);
                         trace.stats.push(gossip.stats());
-                        cadences.schedule(now + config.gossip_interval, Cadence::Gossip);
                     }
-                    Cadence::Scheduling => {
+                    GridEvent::SchedulingCycle => {
                         let (leaving, joining) = draw_churn(world, &local, &mut churn_rng);
                         for &node in &leaving {
                             local[node].alive = false;
@@ -257,9 +248,10 @@ impl GossipTrace {
                         }
                         trace.churn.push((leaving, joining));
                         trace.record_reads(&gossip, gossip_ms);
-                        cadences.schedule(now + config.scheduling_interval, Cadence::Scheduling);
                     }
+                    GridEvent::MetricsSample => {}
                 }
+                cadences.schedule(now + event.interval(config), event);
             }
             trace.rss_sizes.push((now, gossip.average_rss_size(&local)));
         }
@@ -277,7 +269,7 @@ impl GossipTrace {
                 let age = (latest - r.updated_at.as_millis() / gossip_ms) as usize;
                 assert!(
                     age < self.ring_len && r.hops as usize <= self.ring_len,
-                    "a record outlived the staleness window"
+                    "a record is older, or has travelled further, than the staleness window allows"
                 );
                 self.records.push(self.packing.pack(TracedRecord {
                     node: r.node,
@@ -339,7 +331,8 @@ impl GossipTrace {
     /// cycles and every event up to and including `at`.
     pub(crate) fn closing(&self, cycles: u64, at: SimTime) -> (GossipStats, f64) {
         let Some(last) = (cycles as usize).checked_sub(1) else {
-            return (GossipStats::default(), self.initial_rss_size);
+            // No set holds a record before the first cycle.
+            return (GossipStats::default(), 0.0);
         };
         let settled = self.rss_sizes.partition_point(|&(t, _)| t <= at);
         (self.stats[last], self.rss_sizes[settled - 1].1)

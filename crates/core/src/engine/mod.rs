@@ -115,6 +115,28 @@ enum GridEvent {
     MetricsSample,
 }
 
+impl GridEvent {
+    /// The cadences as a session schedules them at t = 0.  Equal instants pop in queue
+    /// order, so this order decides every later tie: after t = 0 each event was last
+    /// scheduled one interval earlier, and with the paper's intervals a scheduling instant's
+    /// churn step and first phase run before its gossip cycle.  The gossip trace replays the
+    /// same queue.
+    const AT_START: [GridEvent; 3] = [
+        GridEvent::GossipCycle,
+        GridEvent::MetricsSample,
+        GridEvent::SchedulingCycle,
+    ];
+
+    /// The time between two instants of this cadence.
+    fn interval(self, config: &GridConfig) -> SimDuration {
+        match self {
+            GridEvent::GossipCycle => config.gossip_interval,
+            GridEvent::SchedulingCycle => config.scheduling_interval,
+            GridEvent::MetricsSample => config.metrics_interval,
+        }
+    }
+}
+
 /// The observers registered on one session, passed down the engine call tree so every hook
 /// fires at the exact transition it describes.  Observers only ever receive `&mut self`
 /// callbacks with copied event data — they cannot reach engine state, so a run with observers
@@ -1239,27 +1261,21 @@ impl ShardedEngine {
                     let cycle = self.gossip_cycles;
                     self.record_advertised_loads(end);
                     Observers(observers).emit(|o| o.on_gossip_cycle(end, cycle));
-                    self.globals
-                        .schedule(end + self.config.gossip_interval, GridEvent::GossipCycle);
                 }
                 GridEvent::SchedulingCycle => {
                     let instant = self.scheduling_instants;
                     self.scheduling_instants += 1;
                     self.churn_step(instant, end, &mut Observers(observers));
                     self.scheduling_phase_one(instant, end, &mut Observers(observers));
-                    self.globals.schedule(
-                        end + self.config.scheduling_interval,
-                        GridEvent::SchedulingCycle,
-                    );
                 }
                 GridEvent::MetricsSample => {
                     self.metrics.sample(end);
                     let sample = self.grid_sample();
                     Observers(observers).emit(|o| o.on_sample(end, &sample));
-                    self.globals
-                        .schedule(end + self.config.metrics_interval, GridEvent::MetricsSample);
                 }
             }
+            self.globals
+                .schedule(end + ev.event.interval(&self.config), ev.event);
         }
     }
 
@@ -1292,15 +1308,9 @@ pub(crate) struct EngineSession {
 impl EngineSession {
     pub(crate) fn new(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
         let mut state = ShardedEngine::from_scenario(scenario, scheduler);
-        state
-            .globals
-            .schedule(SimTime::ZERO, GridEvent::GossipCycle);
-        state
-            .globals
-            .schedule(SimTime::ZERO, GridEvent::MetricsSample);
-        state
-            .globals
-            .schedule(SimTime::ZERO, GridEvent::SchedulingCycle);
+        for event in GridEvent::AT_START {
+            state.globals.schedule(SimTime::ZERO, event);
+        }
         EngineSession { state }
     }
 
