@@ -47,8 +47,8 @@ pub(crate) struct TracedRecord {
     pub(crate) hops: u32,
 }
 
-/// The bit layout of a packed [`TracedRecord`]: `node | age << node_bits | hops << (node_bits
-/// + age_bits)`, each field as wide as its largest value needs.
+/// The bit layout of a packed [`TracedRecord`]: the node id in the low `node_bits`, the age
+/// in the next `age_bits`, the hops above them; each field as wide as its largest value.
 #[derive(Debug, Clone, Copy)]
 struct Packing {
     node_bits: u32,
@@ -493,20 +493,21 @@ mod tests {
             let mut loads_rng = SimRng::seed_from_u64(seed).derive("loads");
             let mut loads: Vec<Vec<f64>> = Vec::new();
             let mut applied = vec![false; world.faults.len()];
-            let mut apply_faults = |by: SimTime, local: &mut [LocalNodeState], gossip: &mut MixedGossip| {
-                for (i, &(node, time, down)) in world.faults.iter().enumerate() {
-                    if applied[i] || time > by {
-                        continue;
+            let mut apply_faults =
+                |by: SimTime, local: &mut [LocalNodeState], gossip: &mut MixedGossip| {
+                    for (i, &(node, time, down)) in world.faults.iter().enumerate() {
+                        if applied[i] || time > by {
+                            continue;
+                        }
+                        applied[i] = true;
+                        if down {
+                            local[node].alive = false;
+                            gossip.forget_node(node);
+                        } else {
+                            local[node].alive = true;
+                        }
                     }
-                    applied[i] = true;
-                    if down {
-                        local[node].alive = false;
-                        gossip.forget_node(node);
-                    } else {
-                        local[node].alive = true;
-                    }
-                }
-            };
+                };
             let cut = SimTime::ZERO + SimDuration::from_mins(cut_mins);
             let mut cut_checked = false;
             let check_cut = |local: &[LocalNodeState], gossip: &MixedGossip| {
@@ -556,12 +557,14 @@ mod tests {
                         proptest::prop_assert_eq!(leaving.len(), wanted.min(pool(true)));
                         proptest::prop_assert_eq!(joining.len(), wanted.min(pool(false)));
                         for &node in leaving {
-                            proptest::prop_assert!(world.nodes[node].churnable && local[node].alive);
+                            proptest::prop_assert!(world.nodes[node].churnable);
+                            proptest::prop_assert!(local[node].alive);
                             local[node].alive = false;
                             gossip.forget_node(node);
                         }
                         for &node in joining {
-                            proptest::prop_assert!(world.nodes[node].churnable && !local[node].alive);
+                            proptest::prop_assert!(world.nodes[node].churnable);
+                            proptest::prop_assert!(!local[node].alive);
                             local[node].alive = true;
                         }
                         let latest = loads.len().saturating_sub(1);
@@ -587,11 +590,15 @@ mod tests {
                                 held,
                                 "home {} at scheduling instant {}", home, instant
                             );
-                            let costs = trace.expected_costs(instant, home);
+                            let traced = trace.expected_costs(instant, home);
                             let (capacity, bandwidth) = gossip.expected_costs(home);
                             proptest::prop_assert_eq!(
-                                (costs.avg_capacity_mips.to_bits(), costs.avg_bandwidth_mbps.to_bits()),
-                                (capacity.to_bits(), bandwidth.to_bits())
+                                traced.avg_capacity_mips.to_bits(),
+                                capacity.to_bits()
+                            );
+                            proptest::prop_assert_eq!(
+                                traced.avg_bandwidth_mbps.to_bits(),
+                                bandwidth.to_bits()
                             );
                         }
                         instant += 1;

@@ -24,9 +24,10 @@
 //! 6. Under the configured [`FaultModel`](crate::config::FaultModel), nodes fail: churn takes
 //!    a `df` fraction of the churnable population down (and back up) every scheduling
 //!    interval, drawn once per world with the gossip trace, while the stochastic model plays
-//!    back per-node lifetimes pre-drawn at scenario build.  Tasks resident on a failed node are lost and handled by the configured
-//!    [`RecoveryPolicy`] — fail the workflow (the paper's semantics), retry with budget and
-//!    backoff, resume from a checkpoint, or fall back to a replica copy.
+//!    back per-node lifetimes pre-drawn at scenario build.  Tasks resident on a failed node
+//!    are lost and handled by the configured [`RecoveryPolicy`] — fail the workflow (the
+//!    paper's semantics), retry with budget and backoff, resume from a checkpoint, or fall
+//!    back to a replica copy.
 //! 7. Throughput, ACT and AE are sampled hourly, exactly like the paper's figures.
 //!
 //! # The sharded event loop
@@ -1154,9 +1155,10 @@ impl ShardedEngine {
 
     /// Barrier step 3 (after the observation replay): merge the shards' fault records, sort
     /// them canonically by `(time, node, seq)` and run the recovery policy over them — so the
-    /// recovery decisions and their floating-point accounting never depend on the partition.  The `on_node_departed` / `on_node_joined` / `on_task_lost` callbacks
-    /// for these faults are *not* emitted here: the shards buffered them, and the observation
-    /// replay already delivered them interleaved with the task events in canonical order.
+    /// recovery decisions and their floating-point accounting never depend on the partition.
+    /// The `on_node_departed` / `on_node_joined` / `on_task_lost` callbacks for these faults
+    /// are *not* emitted here: the shards buffered them, and the observation replay already
+    /// delivered them interleaved with the task events in canonical order.
     fn apply_faults(&mut self, observers: &mut [&mut dyn Observer]) {
         let mut records = std::mem::take(&mut self.fault_records);
         records.clear();

@@ -502,8 +502,9 @@ impl Scenario {
     /// current effective seeds, so the derived config still describes the *same* network —
     /// the `Arc`'d topology, `PairwiseMetrics` and landmark tables are shared, not rebuilt —
     /// while the capacity, slot, workflow, gossip and churn streams all re-sample from
-    /// `seed` (so the derived world builds its own gossip trace).  A 1000-point seed sweep therefore pays for one all-pairs Dijkstra sweep
-    /// total.  The result is byte-identical to `Scenario::build` of the equivalent config.
+    /// `seed` (so the derived world builds its own gossip trace).  A 1000-point seed sweep
+    /// therefore pays for one all-pairs Dijkstra sweep total.  The result is byte-identical
+    /// to `Scenario::build` of the equivalent config.
     pub fn with_seed(&self, seed: u64) -> Result<Scenario, ConfigError> {
         let mut config = self.world.config.clone();
         config.streams.topology = Some(config.stream_seed(StreamKind::Topology));
@@ -542,8 +543,8 @@ impl Scenario {
     /// [`WorkloadSource::Trace`]) instead of the synthetic generator.
     ///
     /// Like [`Scenario::with_workflows`], only the workflow set changes; the topology
-    /// tables and node population are shared/identical.  Each trace entry
-    /// names its DAG, arrival time and home policy; `workflows_per_node` is ignored.
+    /// tables and node population are shared/identical.  Each trace entry names its DAG,
+    /// arrival time and home policy; `workflows_per_node` is ignored.
     pub fn with_workload(&self, workload: WorkloadSpec) -> Result<Scenario, ConfigError> {
         let mut config = self.world.config.clone();
         config.workload = WorkloadSource::Trace(workload);
@@ -573,9 +574,9 @@ impl Scenario {
 
     /// Derive a world with a different churn model (Fig. 12–14 sweeps).
     ///
-    /// Shares the topology tables.  The node population is re-sampled with
-    /// the same capacity/slot streams (so capacities stay identical) but a new stable/
-    /// churnable split; when the split changes the home-node set, the workflow draw is
+    /// Shares the topology tables.  The node population is re-sampled with the same
+    /// capacity/slot streams (so capacities stay identical) but a new stable/churnable
+    /// split; when the split changes the home-node set, the workflow draw is
     /// regenerated exactly as a fresh build would.
     pub fn with_churn(&self, churn: ChurnConfig) -> Result<Scenario, ConfigError> {
         self.with_faults(FaultModel::Churn(churn))
@@ -583,9 +584,9 @@ impl Scenario {
 
     /// Derive a world with a different fault model (churn or stochastic node lifetimes).
     ///
-    /// Shares the topology tables.  The node population is re-sampled with
-    /// the same capacity/slot streams (so capacities stay identical) but a new stable/
-    /// churnable split, and the stochastic failure schedule is re-drawn from the faults
+    /// Shares the topology tables.  The node population is re-sampled with the same
+    /// capacity/slot streams (so capacities stay identical) but a new stable/churnable
+    /// split, and the stochastic failure schedule is re-drawn from the faults
     /// stream; when the split changes the home-node set, the workflow draw is regenerated
     /// exactly as a fresh build would.
     pub fn with_faults(&self, faults: FaultModel) -> Result<Scenario, ConfigError> {
