@@ -423,10 +423,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The trace against the protocol itself.  The reference steps [`MixedGossip`] the way
-        /// the engine did before the trace existed: at every cadence instant, in the engine's
-        /// queue order, after the faults due by then (applied node by node, not in time
-        /// order), with a fresh random load for every node at every cycle.  At every
+        /// The trace against the protocol itself.  The reference steps [`MixedGossip`] as a
+        /// session would if it ran the protocol itself: at every cadence instant, in the
+        /// engine's queue order, after the faults due by then (applied node by node, not in
+        /// time order), with a fresh random load for every node at every cycle.  At every
         /// scheduling instant, every home node's traced `RSS` — its loads taken from those
         /// random draws by age — must equal the protocol's record for record, every field as
         /// bits, and so must its expected costs; the traffic counters and the average `RSS`
