@@ -54,10 +54,10 @@ fn bench_campaign(c: &mut Criterion) {
             ],
         );
         let t = std::time::Instant::now();
-        let pooled = campaign::run(&jobs);
+        let pooled = campaign::run(jobs.clone());
         let t_pooled = t.elapsed();
         let t = std::time::Instant::now();
-        let sequential = campaign::run_sequential(&jobs);
+        let sequential = campaign::run_sequential(jobs.clone());
         let t_sequential = t.elapsed();
         assert_eq!(pooled.len(), sequential.len());
         for (p, s) in pooled.iter().zip(&sequential) {
@@ -76,10 +76,10 @@ fn bench_campaign(c: &mut Criterion) {
     let jobs = smoke_jobs();
     let mut group = c.benchmark_group("campaign_sweep");
     group.bench_function("pooled_8_jobs", |bencher| {
-        bencher.iter(|| black_box(campaign::run(&jobs).len()))
+        bencher.iter(|| black_box(campaign::run(jobs.clone()).len()))
     });
     group.bench_function("sequential_8_jobs", |bencher| {
-        bencher.iter(|| black_box(campaign::run_sequential(&jobs).len()))
+        bencher.iter(|| black_box(campaign::run_sequential(jobs.clone()).len()))
     });
     group.finish();
 }

@@ -11,7 +11,9 @@
 //!    `Arc`'d topology tables with the base.
 //! 3. [`cross`] the scenarios with the algorithm configurations into a flat job list and
 //!    [`run`] it across the shared work-stealing pool.  Reports come back in job order, so
-//!    no index bookkeeping is needed.
+//!    no index bookkeeping is needed.  `run` consumes the jobs and drops each one as it
+//!    finishes, so a world nothing else holds — its gossip trace included — is freed once
+//!    its last job has run.
 //!
 //! [`run_sequential`] is the single-threaded reference path: it executes the identical job
 //! list on the calling thread and is used by the `campaign_sweep` bench (pooled versus
@@ -96,8 +98,8 @@ impl Campaign {
     where
         D: Fn(&Scenario, &P) -> Result<Scenario, ConfigError>,
     {
-        let scenarios = self.derive(points, derive)?;
-        let mut reports = run(&cross(&scenarios, algorithms)).into_iter();
+        let jobs = cross(&self.derive(points, derive)?, algorithms);
+        let mut reports = run(jobs).into_iter();
         Ok(algorithms
             .iter()
             .map(|_| reports.by_ref().take(points.len()).collect())
@@ -124,15 +126,18 @@ pub fn paper_algorithms() -> Vec<AlgorithmConfig> {
 
 /// Run every job across the shared work-stealing pool.  Reports are returned in job order
 /// regardless of which worker finished first.
-pub fn run(jobs: &[Job]) -> Vec<SimulationReport> {
-    jobs.par_iter().map(Job::run).collect()
+///
+/// Each job is dropped as soon as it has run, so a world held by nothing but its jobs is
+/// freed after the last of them rather than when the whole list is done.
+pub fn run(jobs: Vec<Job>) -> Vec<SimulationReport> {
+    jobs.into_par_iter().map(|job| job.run()).collect()
 }
 
 /// Run every job on the calling thread, in order — the reference path the pooled [`run`]
 /// must match byte for byte (each session owns its RNG state, so scheduling across threads
-/// cannot change any report).
-pub fn run_sequential(jobs: &[Job]) -> Vec<SimulationReport> {
-    jobs.iter().map(Job::run).collect()
+/// cannot change any report).  Like [`run`], it drops each job once it has run.
+pub fn run_sequential(jobs: Vec<Job>) -> Vec<SimulationReport> {
+    jobs.into_iter().map(|job| job.run()).collect()
 }
 
 #[cfg(test)]
@@ -177,8 +182,8 @@ mod tests {
                 AlgorithmConfig::paper_default(Algorithm::Heft),
             ],
         );
-        let pooled = run(&jobs);
-        let sequential = run_sequential(&jobs);
+        let pooled = run(jobs.clone());
+        let sequential = run_sequential(jobs);
         assert_eq!(pooled.len(), sequential.len());
         for (p, s) in pooled.iter().zip(&sequential) {
             assert_eq!(p.algorithm, s.algorithm);

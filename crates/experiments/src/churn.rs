@@ -33,7 +33,7 @@ pub fn run(scale: ExperimentScale, seed: u64) -> ChurnSweep {
 /// workflow.
 ///
 /// The base world is built **once**; each dynamic factor is derived copy-on-write with
-/// [`Scenario::with_churn`], sharing the topology tables and gossip state across the sweep.
+/// [`Scenario::with_churn`], sharing the topology tables.
 ///
 /// [`Scenario::with_churn`]: p2pgrid_core::Scenario::with_churn
 pub fn run_with_rescheduling(scale: ExperimentScale, seed: u64, rescheduling: bool) -> ChurnSweep {
@@ -50,13 +50,15 @@ pub fn run_with_rescheduling(scale: ExperimentScale, seed: u64, rescheduling: bo
             }
         })
         .unwrap_or_else(|e| panic!("invalid churn sweep point: {e}"));
+    // The jobs hold the only handles, so each world is freed once its session has run.
     let jobs = campaign::cross(
         &scenarios,
         &[AlgorithmConfig::paper_default(Algorithm::Dsmf)],
     );
+    drop(scenarios);
     ChurnSweep {
         dynamic_factors,
-        reports: campaign::run(&jobs),
+        reports: campaign::run(jobs),
         rescheduling,
     }
 }

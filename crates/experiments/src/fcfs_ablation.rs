@@ -53,7 +53,7 @@ pub fn run(scale: ExperimentScale, seed: u64) -> FcfsAblation {
             ]
         })
         .collect();
-    let reports = campaign::run(&campaign::cross(std::slice::from_ref(&scenario), &configs));
+    let reports = campaign::run(campaign::cross(std::slice::from_ref(&scenario), &configs));
     let pairs = ABLATED_ALGORITHMS
         .iter()
         .enumerate()

@@ -34,13 +34,15 @@ pub fn run(scale: ExperimentScale, seed: u64) -> ScalabilitySweep {
                 .unwrap_or_else(|e| panic!("invalid {n}-node configuration: {e}"))
         })
         .collect();
+    // The jobs hold the only handles, so each world is freed once its session has run.
     let jobs = campaign::cross(
         &scenarios,
         &[AlgorithmConfig::paper_default(Algorithm::Dsmf)],
     );
+    drop(scenarios);
     ScalabilitySweep {
         node_counts,
-        reports: campaign::run(&jobs),
+        reports: campaign::run(jobs),
     }
 }
 

@@ -38,7 +38,7 @@ pub fn run_on(scenario: &Scenario) -> StaticComparison {
         &campaign::paper_algorithms(),
     );
     StaticComparison {
-        reports: campaign::run(&jobs),
+        reports: campaign::run(jobs),
     }
 }
 

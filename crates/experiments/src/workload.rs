@@ -73,7 +73,7 @@ pub fn run_spec(
         name,
         entries,
         last_arrival_ms,
-        reports: campaign::run(&jobs),
+        reports: campaign::run(jobs),
     })
 }
 

@@ -48,10 +48,10 @@ fn main() {
     ];
     let jobs = campaign::cross(&scenarios, &algorithms);
     let t = Instant::now();
-    let reports = campaign::run(&jobs);
+    let reports = campaign::run(jobs);
     println!(
         "ran {} sessions across {} pool workers in {:?}",
-        jobs.len(),
+        reports.len(),
         rayon::current_num_threads(),
         t.elapsed()
     );
