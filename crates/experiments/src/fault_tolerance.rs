@@ -19,7 +19,8 @@ use crate::campaign::{self, Campaign};
 use crate::figures::{FigureData, Series};
 use crate::scale::ExperimentScale;
 use p2pgrid_core::{
-    Algorithm, AlgorithmConfig, FaultModel, RecoveryPolicy, SimulationReport, StochasticFaults,
+    Algorithm, AlgorithmConfig, FaultModel, RecoveryPolicy, Scenario, SimulationReport,
+    StochasticFaults,
 };
 use p2pgrid_sim::SimDuration;
 
@@ -65,9 +66,11 @@ pub struct FaultToleranceSweep {
 /// Run the sweep: every recovery policy over every MTBF in the scale's sweep.
 ///
 /// The base world is built **once**; each cell is derived copy-on-write — the fault
-/// schedule re-drawn per MTBF via [`Scenario::with_faults`], the policy swapped for free
-/// via [`Scenario::with_recovery`] — and the full grid of jobs runs across the shared
-/// work-stealing pool.
+/// schedule re-drawn once per MTBF via [`Scenario::with_faults`], the policy swapped for
+/// free via [`Scenario::with_recovery`] on that MTBF's world — and the full grid of jobs
+/// runs across the shared work-stealing pool.  Recovery never changes liveness or gossip,
+/// so an MTBF's cells share one gossip trace: the protocol runs once per MTBF, not once per
+/// cell.
 ///
 /// [`Scenario::with_faults`]: p2pgrid_core::Scenario::with_faults
 /// [`Scenario::with_recovery`]: p2pgrid_core::Scenario::with_recovery
@@ -76,24 +79,25 @@ pub fn run(scale: ExperimentScale, seed: u64) -> FaultToleranceSweep {
     let policies = policies();
     let campaign = Campaign::from_config(scale.base_config(seed))
         .unwrap_or_else(|e| panic!("invalid fault-tolerance base configuration: {e}"));
-    // One flat derivation over the (policy, mtbf) grid, policy-major so the report vector
-    // splits back into per-policy rows.
-    let cells: Vec<(RecoveryPolicy, f64)> = policies
-        .iter()
-        .flat_map(|&(_, policy)| mtbf_hours.iter().map(move |&h| (policy, h)))
-        .collect();
-    let scenarios = campaign
-        .derive(&cells, |base, &(policy, hours)| {
-            let faults = StochasticFaults::new(SimDuration::from_secs_f64(hours * 3600.0), MTTR);
-            base.with_faults(FaultModel::Stochastic(faults))?
-                .with_recovery(policy)
-        })
-        .unwrap_or_else(|e| panic!("invalid fault-tolerance sweep point: {e}"));
-    let jobs = campaign::cross(
-        &scenarios,
-        &[AlgorithmConfig::paper_default(Algorithm::Dsmf)],
-    );
-    let mut flat = campaign::run(&jobs);
+    // The jobs end up holding the only handles, so each MTBF's world and trace are freed
+    // once its cells have run.
+    let jobs = {
+        let worlds = campaign
+            .derive(&mtbf_hours, |base, &hours| {
+                let faults =
+                    StochasticFaults::new(SimDuration::from_secs_f64(hours * 3600.0), MTTR);
+                base.with_faults(FaultModel::Stochastic(faults))
+            })
+            .unwrap_or_else(|e| panic!("invalid fault-tolerance sweep point: {e}"));
+        // Policy-major, so the report vector splits back into per-policy rows.
+        let cells: Vec<Scenario> = policies
+            .iter()
+            .flat_map(|&(_, policy)| worlds.iter().map(move |world| world.with_recovery(policy)))
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| panic!("invalid fault-tolerance recovery policy: {e}"));
+        campaign::cross(&cells, &[AlgorithmConfig::paper_default(Algorithm::Dsmf)])
+    };
+    let mut flat = campaign::run(jobs);
     let mut reports = Vec::with_capacity(policies.len());
     for _ in &policies {
         let rest = flat.split_off(mtbf_hours.len());
