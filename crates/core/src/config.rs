@@ -1103,6 +1103,10 @@ impl GridConfig {
         if self.metrics_interval.is_zero() {
             return Err(ConfigError::ZeroInterval("metrics"));
         }
+        let record_bits = crate::engine::gossip_trace::record_bits(self);
+        if record_bits > u32::BITS {
+            return Err(ConfigError::GossipRecordTooWide(record_bits));
+        }
         match &self.workload {
             WorkloadSource::Synthetic(generator) => generator
                 .validate()

@@ -26,7 +26,7 @@
 //! instant run before that instant's gossip cycle.
 
 use super::GridEvent;
-use crate::config::StreamKind;
+use crate::config::{GridConfig, StreamKind};
 use crate::scenario::{stream_rng, ScenarioWorld};
 use crate::NodeId;
 use p2pgrid_gossip::{GossipStats, LocalNodeState, MixedGossip};
@@ -53,6 +53,7 @@ pub(crate) struct TracedRecord {
 struct Packing {
     node_bits: u32,
     age_bits: u32,
+    hop_bits: u32,
 }
 
 /// Bits needed to hold every value up to `max`.
@@ -60,7 +61,39 @@ fn bits(max: u64) -> u32 {
     u64::BITS - max.leading_zeros()
 }
 
+/// Cycles a record can be old at a read under `config`, plus one.  A cycle's purge leaves
+/// records at most `staleness / interval` cycles old, and nothing adds a record between
+/// cycles.
+fn ring_len(config: &GridConfig) -> usize {
+    let gossip_ms = config.gossip_interval.as_millis();
+    let cycles_total = (config.horizon.as_millis() / gossip_ms) as usize + 1;
+    ((config.gossip.staleness_limit.as_millis() / gossip_ms) as usize)
+        .saturating_add(1)
+        .min(cycles_total)
+}
+
+/// Bits one packed trace record needs under `config`.  [`GridConfig::validate`] rejects a
+/// config that needs more than 32.
+pub(crate) fn record_bits(config: &GridConfig) -> u32 {
+    Packing::of(config).width()
+}
+
 impl Packing {
+    fn of(config: &GridConfig) -> Packing {
+        let ring_len = ring_len(config) as u64;
+        // A record travels at most one hop per cycle plus one in the cycle of its refresh.
+        let max_hops = u64::from(config.gossip.ttl).min(ring_len);
+        Packing {
+            node_bits: bits(config.nodes as u64 - 1),
+            age_bits: bits(ring_len - 1),
+            hop_bits: bits(max_hops),
+        }
+    }
+
+    fn width(self) -> u32 {
+        self.node_bits + self.age_bits + self.hop_bits
+    }
+
     fn pack(self, r: TracedRecord) -> u32 {
         let packed = r.node as u64
             | (r.age as u64) << self.node_bits
@@ -156,21 +189,11 @@ impl GossipTrace {
         let cycles_total = (config.horizon.as_millis() / gossip_ms) as usize + 1;
         let instants_total =
             (config.horizon.as_millis() / config.scheduling_interval.as_millis()) as usize + 1;
-        // A cycle's purge leaves records at most `staleness / interval` cycles old, and
-        // nothing adds a record between cycles.
-        let ring_len = ((config.gossip.staleness_limit.as_millis() / gossip_ms) as usize)
-            .saturating_add(1)
-            .min(cycles_total);
-        // A record travels at most one hop per cycle plus one in the cycle of its refresh.
-        let max_hops = u64::from(config.gossip.ttl).min(ring_len as u64);
-        let packing = Packing {
-            node_bits: bits(n as u64 - 1),
-            age_bits: bits(ring_len as u64 - 1),
-        };
+        let ring_len = ring_len(config);
+        let packing = Packing::of(config);
         assert!(
-            packing.node_bits + packing.age_bits + bits(max_hops) <= 32,
-            "{n} nodes, a {ring_len}-cycle staleness window and {max_hops} hops overflow a \
-             32-bit record"
+            packing.width() <= u32::BITS,
+            "GridConfig::validate bounds the record width"
         );
 
         let mut gossip_rng = stream_rng(config, StreamKind::Gossip);
@@ -390,6 +413,7 @@ mod tests {
         let packing = Packing {
             node_bits: 10,
             age_bits: 3,
+            hop_bits: 3,
         };
         for r in [
             TracedRecord {
@@ -413,6 +437,7 @@ mod tests {
         let lonely = Packing {
             node_bits: 0,
             age_bits: 0,
+            hop_bits: 1,
         };
         let r = TracedRecord {
             node: 0,

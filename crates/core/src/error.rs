@@ -77,6 +77,10 @@ pub enum ConfigError {
         /// The offending value.
         value: f64,
     },
+    /// The gossip trace cannot pack a record into 32 bits: the node id, the record's age in
+    /// gossip cycles (bounded by the staleness limit) and its hops (bounded by the ttl)
+    /// together need this many.
+    GossipRecordTooWide(u32),
 }
 
 impl fmt::Display for ConfigError {
@@ -142,6 +146,11 @@ impl fmt::Display for ConfigError {
                     "invalid recovery policy: {what} out of range, got {value}"
                 )
             }
+            ConfigError::GossipRecordTooWide(bits) => write!(
+                f,
+                "a gossip trace record needs {bits} bits for its node id, age and hops, more \
+                 than 32: lower the node count, the staleness limit or the ttl"
+            ),
         }
     }
 }

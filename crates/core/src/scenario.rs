@@ -756,6 +756,17 @@ mod tests {
             Scenario::build(zero_interval).unwrap_err(),
             ConfigError::ZeroInterval("gossip")
         );
+        // A gossip trace record must fit 32 bits.  100 nodes need 7; a staleness limit as
+        // long as a 1 000 h horizon keeps records up to 12 000 five-minute cycles old (14),
+        // and as many hops need 14 more.
+        let mut wide = GridConfig::small(100);
+        wide.horizon = SimDuration::from_hours(1000);
+        wide.gossip.staleness_limit = wide.horizon;
+        wide.gossip.ttl = u32::MAX;
+        assert_eq!(
+            Scenario::build(wide).unwrap_err(),
+            ConfigError::GossipRecordTooWide(35)
+        );
     }
 
     #[test]
