@@ -23,7 +23,6 @@ use std::io::BufReader;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How often the server sweeps for expired workers.
@@ -98,14 +97,16 @@ pub fn serve(listener: TcpListener, config: MasterConfig) -> std::io::Result<()>
         start: Instant::now(),
         shutdown: AtomicBool::new(false),
     });
-    let mut connections = Connections::default();
+    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !server.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let server = Arc::clone(&server);
-                connections.spawn(move || {
+                // Peers come and go for the master's whole life: keep live connections only.
+                handles.retain(|h| !h.is_finished());
+                handles.push(std::thread::spawn(move || {
                     let _ = handle_connection(&server, stream);
-                });
+                }));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 let now = server.now_ms();
@@ -118,28 +119,10 @@ pub fn serve(listener: TcpListener, config: MasterConfig) -> std::io::Result<()>
             Err(e) => return Err(e),
         }
     }
-    connections.join();
+    for handle in handles {
+        let _ = handle.join();
+    }
     Ok(())
-}
-
-/// The threads serving the master's connections.  Peers connect and leave for the master's
-/// whole life, so every spawn first drops the threads that have finished: the list holds
-/// the live connections, not every connection ever accepted.
-#[derive(Default)]
-struct Connections(Vec<JoinHandle<()>>);
-
-impl Connections {
-    fn spawn(&mut self, serve: impl FnOnce() + Send + 'static) {
-        self.0.retain(|thread| !thread.is_finished());
-        self.0.push(std::thread::spawn(serve));
-    }
-
-    /// Wait for every connection still being served.
-    fn join(self) {
-        for thread in self.0 {
-            let _ = thread.join();
-        }
-    }
 }
 
 /// Serve one connection until it ends — at EOF, on an over-long line or on an I/O error.
@@ -217,23 +200,4 @@ fn serve_requests(
         }
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn finished_connection_threads_are_dropped_on_the_next_spawn() {
-        let mut connections = Connections::default();
-        for _ in 0..64 {
-            connections.spawn(|| {});
-            while !connections.0.last().unwrap().is_finished() {
-                std::thread::yield_now();
-            }
-        }
-        connections.spawn(|| {});
-        assert_eq!(connections.0.len(), 1, "finished threads were kept");
-        connections.join();
-    }
 }
