@@ -2,6 +2,10 @@
 //! the first-phase planning of Algorithm 1 and its competitors over realistic batch sizes, the
 //! second-phase ready-set selection of Algorithm 2, the RPM recursion, and the full-ahead
 //! planner — the kernels whose complexity Section III.E analyses.
+//!
+//! Both planning groups estimate bandwidth the way sessions do, on one 48-node Waxman
+//! topology: the first phase through the landmark estimate, the full-ahead planner through the
+//! exact pairwise bottleneck bandwidths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use p2pgrid_bench::bench_criterion_config;
@@ -11,10 +15,22 @@ use p2pgrid_core::policy::first_phase::{plan_dispatch, DispatchCandidateTask};
 use p2pgrid_core::policy::second_phase::{select_next, ReadyTaskView};
 use p2pgrid_core::{Algorithm, SecondPhase};
 use p2pgrid_sim::SimRng;
+use p2pgrid_topology::{LandmarkEstimator, PairwiseMetrics, WaxmanConfig, WaxmanGenerator};
 use p2pgrid_workflow::{
     ExpectedCosts, TaskId, Workflow, WorkflowAnalysis, WorkflowGenerator, WorkflowGeneratorConfig,
 };
 use std::hint::black_box;
+
+/// Node count of the benches' topology: the science-trace grid.
+const TOPOLOGY_NODES: usize = 48;
+
+/// Ground-truth metrics of the one topology both planning groups run on.
+fn topology_metrics() -> PairwiseMetrics {
+    let mut rng = SimRng::seed_from_u64(5);
+    let topology =
+        WaxmanGenerator::new(WaxmanConfig::with_nodes(TOPOLOGY_NODES)).generate(&mut rng);
+    PairwiseMetrics::compute(&topology)
+}
 
 fn synthetic_tasks(count: usize, rng: &mut SimRng) -> Vec<DispatchCandidateTask> {
     (0..count)
@@ -50,7 +66,8 @@ fn bench_first_phase(c: &mut Criterion) {
     // busy home node at paper scale.
     let tasks = synthetic_tasks(30, &mut rng);
     let candidates = synthetic_candidates(10, &mut rng);
-    let bw = |a: usize, b: usize| if a == b { f64::INFINITY } else { 2.0 };
+    let landmarks = LandmarkEstimator::build_default(&topology_metrics(), &mut rng);
+    let bw = |a: usize, b: usize| landmarks.estimate_bandwidth_mbps(a, b);
     let estimator = FinishTimeEstimator::new(0, &bw);
 
     let mut group = c.benchmark_group("first_phase_plan_dispatch");
@@ -122,8 +139,9 @@ fn bench_rpm_and_fullahead(c: &mut Criterion) {
     });
 
     let mut cand_rng = SimRng::seed_from_u64(4);
-    let nodes = synthetic_candidates(64, &mut cand_rng);
-    let bw = |a: usize, b: usize| if a == b { f64::INFINITY } else { 2.0 };
+    let nodes = synthetic_candidates(TOPOLOGY_NODES, &mut cand_rng);
+    let metrics = topology_metrics();
+    let bw = |a: usize, b: usize| metrics.bandwidth_mbps(a, b);
     for alg in [Algorithm::Heft, Algorithm::Smf] {
         group.bench_function(format!("full_ahead_plan_50_workflows/{alg}"), |bencher| {
             let inputs: Vec<PlanInput<'_>> = workflows

@@ -68,6 +68,7 @@
 //! runtime) and [`transfer`] are exported for benches and tooling; everything else stays
 //! crate-private.
 
+mod fxhash;
 pub(crate) mod gossip_trace;
 pub mod node;
 pub mod transfer;
@@ -92,6 +93,7 @@ use barrier::{
     sort_arrivals, sort_faults, sort_notices, sort_observations, ArrivalNotice, BufferedEvent,
     BufferedKind, CompletionNotice, FaultKind, FaultRecord,
 };
+use fxhash::{FxHashMap, FxHashSet};
 use gossip_trace::GossipTrace;
 use node::{NodeRuntime, ReadyEntry};
 use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowOutcome, WorkflowRecord};
@@ -99,7 +101,6 @@ use p2pgrid_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use p2pgrid_topology::LandmarkEstimator;
 use p2pgrid_workflow::{TaskId, WorkflowAnalysis};
 use shard::{run_shards, Shard, ShardEvent, ShardMap, WindowCtx};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use transfer::TransferModel;
 use workflow::WorkflowRuntime;
@@ -209,7 +210,7 @@ pub struct ShardedEngine {
     observations: Vec<BufferedEvent>,
     /// Barrier scratch: exit tasks that completed their workflow this window, so the
     /// observation replay can splice `on_workflow_completed` after the matching finish.
-    completed_markers: HashSet<(usize, TaskId)>,
+    completed_markers: FxHashSet<(usize, TaskId)>,
     /// Barrier scratch: merged fault records of the current window.
     fault_records: Vec<FaultRecord>,
     /// Fault / recovery accounting, mutated only at window barriers in canonical event order.
@@ -219,16 +220,16 @@ pub struct ShardedEngine {
     wf_completed_mi: Vec<f64>,
     /// Retry counters per lost running task (`RecoveryPolicy::Retry`).  Lookup-only — never
     /// iterated, so the hash order can never leak into results.
-    attempts: HashMap<(usize, TaskId), u32>,
+    attempts: FxHashMap<(usize, TaskId), u32>,
     /// Earliest re-dispatch instant per retried task (the retry backoff gate).  Lookup-only.
-    retry_after: HashMap<(usize, TaskId), SimTime>,
+    retry_after: FxHashMap<(usize, TaskId), SimTime>,
     /// Residual load in MI of checkpointed tasks awaiting their resumed run.  Lookup-only.
-    load_override: HashMap<(usize, TaskId), f64>,
+    load_override: FxHashMap<(usize, TaskId), f64>,
     /// Nodes holding a live copy of each replicated in-flight task.  Lookup-only.
-    replica_sites: HashMap<(usize, TaskId), Vec<NodeId>>,
+    replica_sites: FxHashMap<(usize, TaskId), Vec<NodeId>>,
     /// Loss instant of each task awaiting its recovery re-dispatch (for the recovery-latency
     /// metric).  Lookup-only.
-    pending_recovery: HashMap<(usize, TaskId), SimTime>,
+    pending_recovery: FxHashMap<(usize, TaskId), SimTime>,
 }
 
 impl ShardedEngine {
@@ -360,15 +361,15 @@ impl ShardedEngine {
             arrivals: Vec::new(),
             notices: Vec::new(),
             observations: Vec::new(),
-            completed_markers: HashSet::new(),
+            completed_markers: FxHashSet::default(),
             fault_records: Vec::new(),
             robustness: RobustnessStats::new(),
             wf_completed_mi: vec![0.0; world.workflows.len()],
-            attempts: HashMap::new(),
-            retry_after: HashMap::new(),
-            load_override: HashMap::new(),
-            replica_sites: HashMap::new(),
-            pending_recovery: HashMap::new(),
+            attempts: FxHashMap::default(),
+            retry_after: FxHashMap::default(),
+            load_override: FxHashMap::default(),
+            replica_sites: FxHashMap::default(),
+            pending_recovery: FxHashMap::default(),
         }
     }
 
@@ -838,7 +839,7 @@ impl ShardedEngine {
         let decisions = self
             .scheduler
             .plan_dispatch(&candidate_tasks, &mut candidates, &estimator);
-        let lookup: std::collections::HashMap<(usize, TaskId), (f64, f64)> = candidate_tasks
+        let lookup: FxHashMap<(usize, TaskId), (f64, f64)> = candidate_tasks
             .iter()
             .map(|t| ((t.workflow, t.task), (t.rpm_secs, t.workflow_ms_secs)))
             .collect();

@@ -14,11 +14,12 @@
 //! owns `slots` independent execution slots (the paper's single non-preemptive CPU is
 //! `slots == 1`) and runs up to that many data-complete tasks concurrently.
 
+use super::fxhash::FxHashMap;
 use crate::policy::second_phase::{ReadyKey, ReadyTaskView};
 use p2pgrid_sim::SimTime;
 use p2pgrid_workflow::TaskId;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// A task waiting (or still receiving its input data) in a resource node's ready set.
 #[derive(Debug, Clone, Copy)]
@@ -51,7 +52,7 @@ struct HeapItem {
 /// task to execute.
 #[derive(Debug, Clone, Default)]
 pub struct ReadySet {
-    entries: HashMap<(usize, TaskId), ReadyEntry>,
+    entries: FxHashMap<(usize, TaskId), ReadyEntry>,
     /// Data-complete tasks only, smallest `(key, seq)` first.
     ready_heap: BinaryHeap<Reverse<HeapItem>>,
     queued_load_mi: f64,

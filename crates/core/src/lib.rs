@@ -43,9 +43,6 @@
 //! assert!(!probe.samples().is_empty());
 //! ```
 //!
-//! The pre-split [`GridSimulation`] facade remains as a deprecated shim; it rebuilds the world
-//! on every run.
-//!
 //! ## The dual-phase model
 //!
 //! Every task crosses two scheduling phases before it runs:
@@ -73,7 +70,7 @@
 //! | [`error`]     | the typed [`ConfigError`] returned by validation and [`Scenario::build`] |
 //! | [`scenario`]  | the reusable pre-sampled world ([`Scenario`]) |
 //! | [`engine`]    | the sharded grid engine: per-node / per-workflow runtime, transfer model, conservative time-window event loop |
-//! | [`simulation`]| [`Simulation`] sessions and the deprecated [`GridSimulation`] shim |
+//! | [`simulation`]| [`Simulation`] sessions |
 //! | [`observer`]  | the [`Observer`] seam, [`TimeSeriesProbe`] and [`TraceRecorder`] |
 //! | [`worked_example`] | the two-workflow scenario of Fig. 3 used by tests and `repro --fig 3` |
 
@@ -107,8 +104,6 @@ pub use observer::{GridSample, Observer, TimeSeriesProbe, TraceEvent, TraceRecor
 pub use report::SimulationReport;
 pub use scenario::Scenario;
 pub use scheduler::Scheduler;
-#[allow(deprecated)]
-pub use simulation::GridSimulation;
 pub use simulation::Simulation;
 
 /// Identifier of a peer node (shared dense index with `p2pgrid-topology` and `p2pgrid-gossip`).

@@ -2,11 +2,11 @@
 //!
 //! A [`Scenario`] is everything about a grid-simulation run that does **not** depend on the
 //! scheduler under test: the Waxman topology and its all-pairs bottleneck bandwidths, the
-//! landmark Dijkstra estimates, every node's sampled capacity / slot count / churn role, the
+//! landmark bandwidth estimates, every node's sampled capacity / slot count / churn role, the
 //! generated workflow DAGs with their home-node assignment, and the stochastic failure
 //! schedule.  All of it is pre-sampled deterministically from `GridConfig::seed` when
-//! [`Scenario::build`] runs — exactly the sampling order the legacy one-shot facade used, so a
-//! run started from a `Scenario` is byte-identical to the old path.
+//! [`Scenario::build`] runs, so a session on a shared `Scenario` is byte-identical to a
+//! session on a freshly built one.
 //!
 //! The mixed gossip protocol and the churn draws are scheduler-independent too, but they run
 //! over the whole simulated horizon, so the build does not run them.  The first session
@@ -62,7 +62,8 @@ pub(crate) struct ScenarioWorld {
     pub(crate) config: GridConfig,
     /// Ground-truth transfer timing over the generated topology (read-only during runs).
     pub(crate) transfer: Arc<TransferModel>,
-    /// Landmark-based bandwidth estimates (read-only during runs).
+    /// Landmark-based bandwidth estimates.  The first estimate any session asks for builds
+    /// their `n × n` table once, for every world sharing this `Arc`.
     pub(crate) landmarks: Arc<LandmarkEstimator>,
     /// Per-node mean bandwidth to the landmark set — a pure function of the topology tables,
     /// shared (and skipped) by derived worlds that share them.

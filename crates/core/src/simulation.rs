@@ -1,11 +1,11 @@
 //! Simulation sessions: stepable runs over a shared [`Scenario`].
 //!
-//! A [`Simulation`] is one in-flight run of a scheduler on a pre-built world.  Unlike the
-//! legacy consume-on-run [`GridSimulation`] facade it can be driven incrementally —
-//! [`Simulation::step`] executes one conservative time window of the sharded engine,
-//! [`Simulation::run_until`] advances to a virtual instant, [`Simulation::run`] drives to the
-//! horizon — and it carries the observer seam: any number of [`Observer`]s registered via
-//! [`Simulation::observe`] receive every externally meaningful engine event as it happens.
+//! A [`Simulation`] is one in-flight run of a scheduler on a pre-built world.  It can be
+//! driven incrementally — [`Simulation::step`] executes one conservative time window of the
+//! sharded engine, [`Simulation::run_until`] advances to a virtual instant,
+//! [`Simulation::run`] drives to the horizon — and it carries the observer seam: any number
+//! of [`Observer`]s registered via [`Simulation::observe`] receive every externally
+//! meaningful engine event as it happens.
 //!
 //! ```
 //! use p2pgrid_core::scenario::Scenario;
@@ -21,10 +21,8 @@
 //! ```
 //!
 //! Observers never perturb the engine: a fully-stepped session — with or without observers —
-//! produces a report byte-identical to the legacy one-shot run at the same seed.
+//! produces a report byte-identical to an unobserved [`Simulation::run`] at the same seed.
 
-use crate::algorithm::{Algorithm, AlgorithmConfig};
-use crate::config::GridConfig;
 use crate::engine::{EngineSession, ShardStats};
 use crate::observer::{GridSample, Observer};
 use crate::report::SimulationReport;
@@ -101,7 +99,7 @@ impl<'obs> Simulation<'obs> {
     }
 
     /// Drive the run to its horizon and return the report (the one-shot path, byte-identical
-    /// to the legacy facade at the same seed).
+    /// to stepping it window by window).
     pub fn run(mut self) -> SimulationReport {
         self.ensure_started();
         while self.session.step(&mut self.observers).is_some() {}
@@ -154,47 +152,5 @@ impl<'obs> Simulation<'obs> {
     /// byte-identical for every shard count.
     pub fn shard_stats(&self) -> ShardStats {
         self.session.shard_stats()
-    }
-}
-
-/// The legacy one-shot facade: configure and run one simulation, consuming the builder.
-///
-/// Every run rebuilds the full world from scratch — topology, all-pairs bandwidths, sampled
-/// capacities and workflows — even when a sweep runs many schedulers on the same
-/// configuration.  Build a [`Scenario`] once and create sessions with
-/// [`Scenario::simulate`] / [`Scenario::simulate_algorithm`] instead; this shim remains only
-/// so existing call sites keep compiling, and panics (like the old facade) on configurations
-/// that [`Scenario::build`] rejects with a typed error.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Scenario` once and start sessions with `Scenario::simulate*`"
-)]
-pub struct GridSimulation {
-    config: GridConfig,
-    scheduler: Box<dyn Scheduler>,
-}
-
-#[allow(deprecated)]
-impl GridSimulation {
-    /// Create a run for the given grid configuration and algorithm pairing.
-    pub fn new(config: GridConfig, algo: AlgorithmConfig) -> Self {
-        GridSimulation::with_scheduler(config, Box::new(algo))
-    }
-
-    /// Convenience constructor using the algorithm's paper-default phase pairing.
-    pub fn with_algorithm(config: GridConfig, algorithm: Algorithm) -> Self {
-        GridSimulation::new(config, AlgorithmConfig::paper_default(algorithm))
-    }
-
-    /// Create a run driven by any [`Scheduler`] implementation.
-    pub fn with_scheduler(config: GridConfig, scheduler: Box<dyn Scheduler>) -> Self {
-        GridSimulation { config, scheduler }
-    }
-
-    /// Run the simulation to its horizon and return the report.
-    pub fn run(self) -> SimulationReport {
-        let scenario = Scenario::build(self.config)
-            .unwrap_or_else(|e| panic!("invalid grid configuration: {e}"));
-        scenario.simulate(self.scheduler).run()
     }
 }

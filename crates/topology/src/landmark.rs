@@ -12,10 +12,16 @@
 //!
 //! This under-estimates the true widest-path bandwidth (the real best path need not pass
 //! through a landmark) but requires only `O(n log n)` probes instead of `O(n^2)`.
+//!
+//! The schedulers ask for the same pairs millions of times per session, so the first estimate
+//! folds every pair once into an `n × n` table and each later one is a single read.  The table
+//! holds `f32`: every probe is an `f32` bandwidth of [`PairwiseMetrics`] widened to `f64`, so
+//! every min/max of probes is an exact `f32` and the table returns the fold's value bit for bit.
 
 use crate::graph::NodeId;
 use crate::paths::PairwiseMetrics;
 use p2pgrid_sim::SimRng;
+use std::sync::OnceLock;
 
 /// Landmark-based estimator of pairwise bandwidth.
 #[derive(Debug, Clone)]
@@ -23,6 +29,8 @@ pub struct LandmarkEstimator {
     landmarks: Vec<NodeId>,
     /// `probes[u][k]` = measured bandwidth from node `u` to landmark `k` (Mb/s).
     probes: Vec<Vec<f64>>,
+    /// `table[u * n + v]` = the estimate for `(u, v)`, built by the first estimate.
+    table: OnceLock<Vec<f32>>,
 }
 
 impl LandmarkEstimator {
@@ -63,7 +71,11 @@ impl LandmarkEstimator {
                     .collect()
             })
             .collect();
-        LandmarkEstimator { landmarks, probes }
+        LandmarkEstimator {
+            landmarks,
+            probes,
+            table: OnceLock::new(),
+        }
     }
 
     /// Build an estimator with the paper-recommended `log2(n)` landmarks.
@@ -78,15 +90,37 @@ impl LandmarkEstimator {
     }
 
     /// Estimate the bandwidth between `u` and `v` in Mb/s.
+    ///
+    /// # Panics
+    /// If `u` or `v` is not a node of the topology the estimator was built on.
     pub fn estimate_bandwidth_mbps(&self, u: NodeId, v: NodeId) -> f64 {
-        if u == v {
-            return f64::INFINITY;
+        let n = self.probes.len();
+        let table = self.table.get_or_init(|| self.build_table());
+        // Slice the row first so `v` is checked against `n`: a flat `u * n + v` index would
+        // read pair (0, n) as pair (1, 0).
+        f64::from(table[u * n..(u + 1) * n][v])
+    }
+
+    /// Fold every pair through the landmarks once: `max_L min(bw(u, L), bw(L, v))`, and ∞ on
+    /// the diagonal.
+    fn build_table(&self) -> Vec<f32> {
+        let n = self.probes.len();
+        let mut table = Vec::with_capacity(n * n);
+        for (u, pu) in self.probes.iter().enumerate() {
+            table.extend(self.probes.iter().enumerate().map(|(v, pv)| {
+                if u == v {
+                    f32::INFINITY
+                } else {
+                    let est = pu
+                        .iter()
+                        .zip(pv)
+                        .map(|(a, b)| a.min(*b))
+                        .fold(0.0f64, f64::max);
+                    est as f32
+                }
+            }));
         }
-        self.landmarks
-            .iter()
-            .enumerate()
-            .map(|(k, _)| self.probes[u][k].min(self.probes[v][k]))
-            .fold(0.0f64, f64::max)
+        table
     }
 
     /// Mean relative error of the estimate against ground truth over all connected pairs.
@@ -152,6 +186,40 @@ mod tests {
         }
     }
 
+    /// The landmark fold, evaluated per call straight from the probes: the reference the
+    /// estimate table must reproduce bit for bit.
+    fn reference_estimate(est: &LandmarkEstimator, u: NodeId, v: NodeId) -> f64 {
+        if u == v {
+            return f64::INFINITY;
+        }
+        est.landmarks
+            .iter()
+            .enumerate()
+            .map(|(k, _)| est.probes[u][k].min(est.probes[v][k]))
+            .fold(0.0f64, f64::max)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn table_estimates_match_the_landmark_fold(
+            n in 1usize..=64,
+            k_draw in 0usize..=67,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let (metrics, mut rng) = setup(n, seed);
+            // k from 0 to n + 3: below, at and above the clamp to 1..=n.
+            let est = LandmarkEstimator::build(&metrics, k_draw % (n + 4), &mut rng);
+            for u in 0..n {
+                for v in 0..n {
+                    proptest::prop_assert_eq!(
+                        est.estimate_bandwidth_mbps(u, v).to_bits(),
+                        reference_estimate(&est, u, v).to_bits()
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn estimate_is_symmetric() {
         let (metrics, mut rng) = setup(40, 7);
@@ -162,11 +230,19 @@ mod tests {
                 let b = est.estimate_bandwidth_mbps(v, u);
                 if u == v {
                     assert_eq!(a, f64::INFINITY);
-                } else {
-                    assert!((a - b).abs() < 1e-9);
                 }
+                assert_eq!(a.to_bits(), b.to_bits(), "({u}, {v})");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_node_id_past_the_topology_panics() {
+        // Row-major, (0, n) sits where (1, 0) does: the read must be bounds-checked per row.
+        let (metrics, mut rng) = setup(6, 3);
+        let est = LandmarkEstimator::build_default(&metrics, &mut rng);
+        est.estimate_bandwidth_mbps(0, 6);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   with a rayon-parallel Dijkstra sweep;
 //! * [`LandmarkEstimator`] — the landmark-based bandwidth prediction scheme the paper cites
 //!   (each node only probes `log2 n` landmarks and pairwise bandwidth is estimated through the
-//!   best common landmark);
+//!   best common landmark; the first estimate tabulates every pair, so later ones are one read);
 //! * [`synthetic`] — tiny hand-constructed topologies for unit tests and examples.
 
 #![warn(missing_docs)]

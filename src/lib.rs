@@ -65,8 +65,6 @@ pub use p2pgrid_workflow as workflow;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use p2pgrid_core::GridSimulation;
     pub use p2pgrid_core::{
         Algorithm, AlgorithmConfig, ArrivalProcess, CapacityModel, ChurnConfig, ConfigError,
         CorrelatedOutage, FaultModel, GridConfig, GridSample, Observer, PreemptionPolicy,

@@ -7,8 +7,8 @@
 //! allocation addresses) breaks these assertions immediately.
 //!
 //! Since the Scenario/Session split, the same property also pins the *setup/run separation*:
-//! a session started from a pre-built shared [`Scenario`] must be byte-identical to the legacy
-//! consume-on-run `GridSimulation` path that rebuilt the world every time.
+//! a session started from a pre-built shared [`Scenario`] must be byte-identical to a session
+//! on a world freshly built for it.
 
 use p2pgrid::prelude::*;
 
@@ -33,13 +33,6 @@ fn het_preemptive(seed: u64) -> GridConfig {
         ])
         .preemptive(),
     )
-}
-
-/// The legacy one-shot facade, kept as a deprecated shim; these tests are its pin against the
-/// scenario path.
-#[allow(deprecated)]
-fn legacy_run(cfg: GridConfig, alg: Algorithm) -> SimulationReport {
-    GridSimulation::with_algorithm(cfg, alg).run()
 }
 
 fn scenario_run(cfg: GridConfig, alg: Algorithm) -> SimulationReport {
@@ -128,9 +121,9 @@ fn different_seeds_change_the_fingerprint() {
 // ----- the Scenario/Session split ------------------------------------------------------------
 
 #[test]
-fn one_scenario_run_twice_matches_two_fresh_legacy_runs() {
+fn one_scenario_run_twice_matches_two_fresh_builds() {
     // The headline reuse guarantee: build the world once, run DSMF twice — both sessions must
-    // be byte-identical to two fresh legacy `GridSimulation` runs at the same seed.  Covers
+    // be byte-identical to sessions on two fresh `Scenario::build`s of the seed.  Covers
     // the plain static grid, a churned grid and the heterogeneous+preemptive substrate, since
     // each exercises a different sampled/replayed RNG stream.
     let configs = [
@@ -145,8 +138,8 @@ fn one_scenario_run_twice_matches_two_fresh_legacy_runs() {
         let scenario = Scenario::build(cfg.clone()).unwrap();
         let first = scenario.simulate_algorithm(Algorithm::Dsmf).run();
         let second = scenario.simulate_algorithm(Algorithm::Dsmf).run();
-        let legacy_a = legacy_run(cfg.clone(), Algorithm::Dsmf);
-        let legacy_b = legacy_run(cfg, Algorithm::Dsmf);
+        let fresh_a = scenario_run(cfg.clone(), Algorithm::Dsmf);
+        let fresh_b = scenario_run(cfg, Algorithm::Dsmf);
         assert!(first.completed > 0, "run must make progress");
         assert_eq!(
             first.digest(),
@@ -155,30 +148,30 @@ fn one_scenario_run_twice_matches_two_fresh_legacy_runs() {
         );
         assert_eq!(
             first.digest(),
-            legacy_a.digest(),
-            "DSMF, {grid}: scenario run differs from the legacy run"
+            fresh_a.digest(),
+            "DSMF, {grid}: shared-scenario run differs from a fresh build's"
         );
         assert_eq!(
-            legacy_a.digest(),
-            legacy_b.digest(),
-            "DSMF, {grid}: legacy runs differ"
+            fresh_a.digest(),
+            fresh_b.digest(),
+            "DSMF, {grid}: two fresh builds differ"
         );
     }
 }
 
 #[test]
-fn shared_scenario_eight_algorithm_sweep_matches_legacy_per_run_rebuild() {
+fn shared_scenario_eight_algorithm_sweep_matches_per_run_rebuilds() {
     // The acceptance criterion of the Scenario split: one shared world across the full
-    // eight-algorithm sweep produces byte-identical reports to the legacy path that rebuilt
-    // the world for every algorithm.
+    // eight-algorithm sweep produces byte-identical reports to rebuilding the world for every
+    // algorithm.
     let scenario = Scenario::build(config(84)).unwrap();
     for alg in Algorithm::ALL {
         let shared = scenario.simulate_algorithm(alg).run();
-        let rebuilt = legacy_run(config(84), alg);
+        let rebuilt = scenario_run(config(84), alg);
         assert_eq!(
             shared.digest(),
             rebuilt.digest(),
-            "{alg}: shared-scenario run diverged from the legacy rebuild"
+            "{alg}: shared-scenario run diverged from a fresh build's"
         );
     }
 }

@@ -156,12 +156,3 @@ fn stepping_and_run_until_walk_the_same_virtual_clock() {
     assert_eq!(report.submitted, 32);
     assert_eq!(report.end_time, horizon);
 }
-
-#[test]
-#[allow(deprecated)]
-fn legacy_grid_simulation_shim_still_runs() {
-    // The deprecated consume-on-run facade must keep working for existing call sites.
-    let report = GridSimulation::with_algorithm(small_config(12, 2), Algorithm::Dsmf).run();
-    assert_eq!(report.submitted, 24);
-    assert!(report.completed > 0);
-}

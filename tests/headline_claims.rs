@@ -1,12 +1,17 @@
-//! Integration test of the paper's headline result under resource contention.
+//! Integration test of the paper's headline result under resource contention, as a seed sweep.
 //!
 //! The abstract claims DSMF cuts the average completion time by 20–60 % and improves the
 //! average efficiency by 37.5–90 % over the other *decentralized* algorithms.  Absolute
 //! percentages depend on the substrate, but the ordering — DSMF strictly the best decentralized
-//! scheduler on both metrics once the grid is contended — is the reproduction target and is
-//! asserted here on a contended 48-node grid (load factor 3, the paper's CCR ≈ 0.16 workload).
+//! scheduler on both metrics once the grid is contended — is the reproduction target.  It is
+//! asserted here as a statistic over seeds 1–8 on a contended 48-node grid (load factor 3, the
+//! paper's CCR ≈ 0.16 workload): on a majority of seeds, not on one lucky one.
 
+use p2pgrid::experiments::campaign;
 use p2pgrid::prelude::*;
+use rayon::prelude::*;
+
+const SEEDS: std::ops::Range<u64> = 1..9;
 
 fn contended_config(seed: u64) -> GridConfig {
     GridConfig::paper_default()
@@ -17,49 +22,58 @@ fn contended_config(seed: u64) -> GridConfig {
 
 #[test]
 fn dsmf_beats_the_other_decentralized_schedulers_under_contention() {
-    let seed = 42;
-    // One shared world across the four contenders: identical workload by construction.
-    let scenario = Scenario::build(contended_config(seed)).unwrap();
-    let run = |alg: Algorithm| scenario.simulate_algorithm(alg).run();
+    // One world per seed, shared by the four contenders: identical workload by construction.
+    // Every (algorithm, seed) session runs as its own job on the pool.
+    let scenarios: Vec<Scenario> = SEEDS
+        .into_par_iter()
+        .map(|seed| Scenario::build(contended_config(seed)).unwrap())
+        .collect();
+    let algorithms = [
+        Algorithm::Dsmf,
+        Algorithm::Dheft,
+        Algorithm::MinMin,
+        Algorithm::Dsdf,
+    ]
+    .map(AlgorithmConfig::paper_default);
+    let reports = campaign::run(campaign::cross(&scenarios, &algorithms));
+    // Algorithm-major: one slice of per-seed reports per algorithm, DSMF's first.
+    let by_algorithm: Vec<&[SimulationReport]> = reports.chunks(scenarios.len()).collect();
+    let (dsmf, others) = (by_algorithm[0], &by_algorithm[1..]);
 
-    let dsmf = run(Algorithm::Dsmf);
-    let dheft = run(Algorithm::Dheft);
-    let minmin = run(Algorithm::MinMin);
-    let dsdf = run(Algorithm::Dsdf);
-
-    for other in [&dheft, &minmin, &dsdf] {
+    for other in others {
+        let wins = dsmf
+            .iter()
+            .zip(other.iter())
+            .filter(|(d, o)| {
+                assert_eq!(d.submitted, o.submitted, "the contenders' workloads differ");
+                d.act_secs() < o.act_secs() && d.average_efficiency() > o.average_efficiency()
+            })
+            .count();
         assert!(
-            dsmf.act_secs() < other.act_secs(),
-            "DSMF ACT {:.0} should be below {} ACT {:.0}",
-            dsmf.act_secs(),
-            other.algorithm,
-            other.act_secs()
-        );
-        assert!(
-            dsmf.average_efficiency() > other.average_efficiency(),
-            "DSMF AE {:.3} should exceed {} AE {:.3}",
-            dsmf.average_efficiency(),
-            other.algorithm,
-            other.average_efficiency()
+            2 * wins > dsmf.len(),
+            "DSMF has lower ACT and higher AE than {} on only {wins} of {} seeds",
+            other[0].algorithm,
+            dsmf.len()
         );
     }
 
     // The paper's Fig. 5/6 shape: the RPM-only DHEFT ordering is clearly worse than DSMF once
-    // short workflows start queueing behind long ones.
-    let act_reduction_vs_dheft = (dheft.act_secs() - dsmf.act_secs()) / dheft.act_secs() * 100.0;
+    // short workflows start queueing behind long ones.  Averaged over the seeds.
+    let dheft = others[0];
+    let mean_gap = |gap: fn(&SimulationReport, &SimulationReport) -> f64| {
+        dsmf.iter().zip(dheft).map(|(d, h)| gap(d, h)).sum::<f64>() / dsmf.len() as f64
+    };
+    let act_reduction_vs_dheft =
+        mean_gap(|d, h| (h.act_secs() - d.act_secs()) / h.act_secs() * 100.0);
     assert!(
         act_reduction_vs_dheft > 5.0,
-        "expected a clear ACT reduction vs DHEFT, got {act_reduction_vs_dheft:.1}%"
+        "expected a clear mean ACT reduction vs DHEFT, got {act_reduction_vs_dheft:.1}%"
     );
-    let ae_improvement_vs_dheft = (dsmf.average_efficiency() - dheft.average_efficiency())
-        / dheft.average_efficiency()
-        * 100.0;
+    let ae_improvement_vs_dheft = mean_gap(|d, h| {
+        (d.average_efficiency() - h.average_efficiency()) / h.average_efficiency() * 100.0
+    });
     assert!(
         ae_improvement_vs_dheft > 10.0,
-        "expected a clear AE improvement vs DHEFT, got {ae_improvement_vs_dheft:.1}%"
+        "expected a clear mean AE improvement vs DHEFT, got {ae_improvement_vs_dheft:.1}%"
     );
-
-    // Everyone processed the identical workload.
-    assert_eq!(dsmf.submitted, dheft.submitted);
-    assert_eq!(dsmf.submitted, minmin.submitted);
 }
