@@ -208,50 +208,6 @@ impl ResourceModel {
     }
 }
 
-/// How many shards the sharded event loop partitions the node population into.
-///
-/// Nodes are assigned to shards by a deterministic hash of the node id; each shard owns its
-/// nodes' event queue and RNG stream split, and all shards advance in lockstep conservative
-/// time windows of width [`Scenario::lookahead`](crate::scenario::Scenario::lookahead).
-/// Reports are byte-identical for every shard count (pinned by `tests/sharding.rs`), so this
-/// is purely a performance knob: more shards expose more parallelism to the
-/// `P2PGRID_POOL_THREADS` worker pool at the cost of more window-barrier bookkeeping.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardSpec {
-    /// Read the shard count from the `P2PGRID_SHARDS` environment variable, defaulting to 1
-    /// (a single shard — the classic sequential event loop) when unset or unparsable.
-    #[default]
-    Auto,
-    /// Use exactly this many shards (clamped to the node count; zero fails validation).
-    Fixed(usize),
-}
-
-impl ShardSpec {
-    /// Resolve the effective shard count for a grid of `nodes` nodes.
-    ///
-    /// `Auto` consults `P2PGRID_SHARDS` (once per call; sessions resolve at construction).
-    /// The result is clamped to `[1, nodes]` — more shards than nodes would only add empty
-    /// barriers.
-    pub fn resolve(&self, nodes: usize) -> usize {
-        let requested = match self {
-            ShardSpec::Fixed(s) => *s,
-            ShardSpec::Auto => std::env::var("P2PGRID_SHARDS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .unwrap_or(1),
-        };
-        requested.clamp(1, nodes.max(1))
-    }
-
-    /// Reject a fixed shard count of zero (`Auto` always resolves to at least one shard).
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        match self {
-            ShardSpec::Fixed(0) => Err(ConfigError::ZeroShards),
-            _ => Ok(()),
-        }
-    }
-}
-
 /// The churn model of §IV.B: a fixed fraction of the population is *stable* (may serve as home
 /// nodes and never departs); the rest may join/leave every scheduling interval.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -321,8 +277,8 @@ impl ChurnConfig {
 /// running task it holds; what happens to those tasks is the [`RecoveryPolicy`]'s business.
 ///
 /// The whole failure schedule is pre-drawn from the dedicated [`StreamKind::Faults`] stream
-/// (one sub-stream per node) when the scenario is built, so failures are ordinary shard-local
-/// events and reports stay byte-identical across shard counts and pool widths.
+/// (one sub-stream per node) when the scenario is built, so failures are ordinary node events
+/// and reports stay byte-identical across pool widths.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StochasticFaults {
     /// Mean time between failures of one node (exponential uptime; must be positive).
@@ -914,9 +870,6 @@ pub struct GridConfig {
     pub faults: FaultModel,
     /// What happens to tasks lost to a failed or departed node.
     pub recovery: RecoveryPolicy,
-    /// Shard count of the sharded event loop (purely a performance knob; reports are
-    /// byte-identical for every shard count).
-    pub shards: ShardSpec,
     /// Master seed; every stochastic component derives its own stream from it.
     pub seed: u64,
     /// Per-stream seed overrides (default: all derived from the master seed).
@@ -945,7 +898,6 @@ impl GridConfig {
             horizon: SimDuration::from_hours(36),
             faults: FaultModel::Off,
             recovery: RecoveryPolicy::FailWorkflow,
-            shards: ShardSpec::Auto,
             seed: 20100913, // ICPP 2010 started on 13 September 2010.
             streams: StreamSeeds::default(),
         }
@@ -1047,12 +999,6 @@ impl GridConfig {
         self.faults.churn()
     }
 
-    /// Override the shard count of the sharded event loop (see [`ShardSpec`]).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = ShardSpec::Fixed(shards);
-        self
-    }
-
     /// Override the master seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -1093,7 +1039,6 @@ impl GridConfig {
         self.recovery.validate()?;
         self.capacity.validate()?;
         self.resource.validate()?;
-        self.shards.validate()?;
         if self.scheduling_interval.is_zero() {
             return Err(ConfigError::ZeroInterval("scheduling"));
         }
@@ -1411,29 +1356,6 @@ mod tests {
             SlotModel::Weighted(Vec::new()).validate(),
             Err(ConfigError::EmptySlotClasses)
         );
-    }
-
-    #[test]
-    fn shard_spec_resolves_and_clamps() {
-        // Fixed counts resolve to themselves, clamped to the node count.
-        assert_eq!(ShardSpec::Fixed(4).resolve(100), 4);
-        assert_eq!(ShardSpec::Fixed(8).resolve(3), 3);
-        assert_eq!(ShardSpec::Fixed(1).resolve(0), 1);
-        // The paper default leaves the knob on Auto (env-driven, 1 when unset).
-        assert_eq!(GridConfig::paper_default().shards, ShardSpec::Auto);
-        ShardSpec::Auto.validate().unwrap();
-        ShardSpec::Fixed(7).validate().unwrap();
-    }
-
-    #[test]
-    fn zero_shards_is_rejected() {
-        assert_eq!(
-            GridConfig::small(8).with_shards(0).validate(),
-            Err(ConfigError::ZeroShards)
-        );
-        let cfg = GridConfig::small(8).with_shards(4);
-        cfg.validate().unwrap();
-        assert_eq!(cfg.shards, ShardSpec::Fixed(4));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! and multiply per word.  Every map keyed with it is lookup-only or sorted before its order
 //! can reach a result.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FxHash: `hash = (hash.rotate_left(5) ^ word) * K` per written word.
@@ -50,6 +50,3 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` hashed with [`FxHasher`].
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// A `HashSet` hashed with [`FxHasher`].
-pub(crate) type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;

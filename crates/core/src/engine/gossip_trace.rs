@@ -21,9 +21,9 @@
 //! A session records every node's advertised load at each gossip instant in a ring of
 //! [`GossipTrace::ring_len`] cycles and rebuilds a record's load from the ring by its age;
 //! capacity and slot count come from its node table.  The build replays the engine's tie
-//! order at equal instants: faults first, as a window barrier applies them, then the engine's
-//! own cadence queue, so after t = 0 the churn step and the first phase at a scheduling
-//! instant run before that instant's gossip cycle.
+//! order at equal instants: faults first, as the engine runs an instant's node events before
+//! its cadences, then the engine's own cadence queue, so after t = 0 the churn step and the
+//! first phase at a scheduling instant run before that instant's gossip cycle.
 
 use super::GridEvent;
 use crate::config::{GridConfig, StreamKind};
@@ -243,7 +243,7 @@ impl GossipTrace {
                 (Some(t), None) | (None, Some(t)) => t,
                 (None, None) => break,
             };
-            // A window barrier applies the window's faults before its cadence events.
+            // The engine runs an instant's node events, faults included, before its cadences.
             while let Some(&(node, _, down)) = faults.get(next_fault).filter(|f| f.1 == now) {
                 next_fault += 1;
                 if down && local[node].alive {

@@ -1,5 +1,4 @@
-//! The grid engine: a sharded, conservative time-window event loop driving one end-to-end
-//! P2P-grid simulation.
+//! The grid engine: one event loop driving one end-to-end P2P-grid simulation.
 //!
 //! One engine run reproduces the paper's experimental procedure:
 //!
@@ -30,54 +29,38 @@
 //!    back to a replica copy.
 //! 7. Throughput, ACT and AE are sampled hourly, exactly like the paper's figures.
 //!
-//! # The sharded event loop
-//!
-//! Instead of one global event queue, [`ShardedEngine`] partitions the nodes over `S` shards
-//! (a deterministic hash of the node id — see [`ShardSpec`](crate::config::ShardSpec)), each
-//! with its own queue and RNG stream, and advances all shards in lockstep **conservative time
-//! windows** of width [`Scenario::lookahead`] — the minimum cross-node interaction delay,
-//! known at build time from the topology's smallest pairwise latency and the gossip cadence.
-//! Within a window, every shard-local event (data arrivals, task completions, slot refills) is
-//! independent of every other shard by construction: nodes interact only through dispatches,
-//! which originate at the serial scheduling cadence and arrive no earlier than one lookahead
-//! away.  Shards therefore execute their windows concurrently on the worker pool, and the
-//! result is *identical* to serial execution — parallelism is a pure performance knob.
-//!
-//! At each window barrier the engine, serially and in canonical order (see `barrier.rs`):
-//!
-//! 1. applies the shards' buffered completion notices to workflow state and metrics, sorted by
-//!    `(time, workflow, task)` so floating-point accumulation never depends on the partition;
-//! 2. replays the shards' buffered observer callbacks, merged by `(time, node, emission seq)`,
-//!    splicing `on_workflow_completed` right after the matching exit-task finish;
-//! 3. applies the shards' fault records, sorted by `(time, node, seq)`, running the recovery
-//!    policy and the robustness ledger over them;
-//! 4. pops the grid-wide cadence events (gossip, scheduling, metrics) due exactly at the
-//!    window's end — windows always close *at* the next cadence instant, so the serial phases
-//!    observe every node in a settled state.  At equal instants they pop in queue order: after
-//!    t = 0 a scheduling instant's churn step and first phase run before its gossip cycle,
-//!    which the gossip trace replays.
-//!
-//! Reports are byte-identical for every shard count and pool size; only wall-clock changes.
-//!
 //! Steps 1–2 (and every other seed-derived sample) live in
 //! [`Scenario::build`](crate::scenario::Scenario::build) so a sweep pays for them once; the
-//! window loop itself runs inside a crate-private session type, which the public
-//! [`Simulation`](crate::simulation::Simulation) handle drives one window at a time.  Every
-//! externally meaningful transition is mirrored to the session's registered
+//! event loop itself is crate-private, and the public
+//! [`Simulation`](crate::simulation::Simulation) handle drives it one instant at a time.
+//! Every externally meaningful transition is mirrored to the session's registered
 //! [`Observer`](crate::observer)s — [`node`] (the indexed ready set and slot
 //! runtime) and [`transfer`] are exported for benches and tooling; everything else stays
 //! crate-private.
+//!
+//! # The event loop
+//!
+//! The engine keeps two queues, each popped in `(time, insertion)` order: one of node events
+//! (data arrivals, task completions, workflow arrivals, stochastic failures and repairs) and
+//! one of the grid-wide cadences (gossip, scheduling, metrics).  One step executes one
+//! virtual instant `t`:
+//!
+//! 1. every node event due at `t`, in queue order;
+//! 2. the cadences due at `t`, in queue order — after t = 0 a scheduling instant's churn
+//!    step and first phase run before its gossip cycle, which the gossip trace replays;
+//! 3. the node events those cadences scheduled for `t` (zero-delay dispatches).
+//!
+//! So the cadences always see every node settled at `t`, and each cadence instant is exactly
+//! one step.  Every effect applies where it happens: a completion updates workflow state, the
+//! work ledger and the metrics, cancels the task's replica twins and fires its observer hooks
+//! before the node refills its slots; a stochastic failure or repair runs the same departure
+//! and join path as churn.
 
 mod fxhash;
 pub(crate) mod gossip_trace;
 pub mod node;
 pub mod transfer;
 pub(crate) mod workflow;
-
-mod barrier;
-mod shard;
-
-pub use shard::ShardStats;
 
 use crate::config::{GridConfig, RecoveryPolicy};
 use crate::estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
@@ -89,24 +72,18 @@ use crate::report::SimulationReport;
 use crate::scenario::Scenario;
 use crate::scheduler::Scheduler;
 use crate::NodeId;
-use barrier::{
-    sort_arrivals, sort_faults, sort_notices, sort_observations, ArrivalNotice, BufferedEvent,
-    BufferedKind, CompletionNotice, FaultKind, FaultRecord,
-};
-use fxhash::{FxHashMap, FxHashSet};
+use fxhash::FxHashMap;
 use gossip_trace::GossipTrace;
 use node::{NodeRuntime, ReadyEntry};
 use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowOutcome, WorkflowRecord};
-use p2pgrid_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use p2pgrid_sim::{EventQueue, SimDuration, SimTime};
 use p2pgrid_topology::LandmarkEstimator;
 use p2pgrid_workflow::{TaskId, WorkflowAnalysis};
-use shard::{run_shards, Shard, ShardEvent, ShardMap, WindowCtx};
 use std::sync::Arc;
 use transfer::TransferModel;
 use workflow::WorkflowRuntime;
 
-/// Grid-wide cadence events.  These are the only events on the engine's serial queue; all
-/// node-local traffic lives on the per-shard queues as [`ShardEvent`]s.
+/// Grid-wide cadence events, on the engine's cadence queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GridEvent {
     /// Record every node's advertised load for this instant's gossip cycle.
@@ -139,6 +116,37 @@ impl GridEvent {
     }
 }
 
+/// Events at one node, on the engine's node-event queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NodeEvent {
+    /// All input data of a dispatched task has arrived at its resource node.
+    DataReady {
+        node: NodeId,
+        /// Churn epoch the dispatch belongs to.
+        epoch: u64,
+        wf: usize,
+        task: TaskId,
+    },
+    /// A running task finished on its resource node.
+    TaskCompleted {
+        node: NodeId,
+        /// Churn epoch the execution belongs to.
+        epoch: u64,
+        wf: usize,
+        task: TaskId,
+        /// Run generation the completion belongs to.  A preemption or a replica cancellation
+        /// removes the run, turning its in-flight completion stale.
+        run: u64,
+    },
+    /// A workflow with a nonzero submission time arrives at its home node.  Home nodes are
+    /// always stable (never churn), so no epoch guard is needed.
+    WorkflowArrival { wf: usize },
+    /// The node fails: its pre-drawn stochastic lifetime expired.
+    NodeFailure { node: NodeId },
+    /// The node comes back after its pre-drawn repair time, empty.
+    NodeRepair { node: NodeId },
+}
+
 /// The observers registered on one session, passed down the engine call tree so every hook
 /// fires at the exact transition it describes.  Observers only ever receive `&mut self`
 /// callbacks with copied event data — they cannot reach engine state, so a run with observers
@@ -146,33 +154,26 @@ impl GridEvent {
 pub(crate) struct Observers<'a, 'obs>(pub(crate) &'a mut [&'obs mut dyn Observer]);
 
 impl Observers<'_, '_> {
-    /// True when no observer is registered — callers on hot paths skip building event payloads
-    /// entirely (the observer fast path; pinned by the `observer_overhead` bench).
+    /// True when no observer is registered, so a caller can skip a loop that only builds
+    /// event payloads.
     fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
 
     fn emit(&mut self, mut f: impl FnMut(&mut dyn Observer)) {
-        if self.0.is_empty() {
-            return;
-        }
         for o in self.0.iter_mut() {
             f(&mut **o);
         }
     }
 }
 
-/// The sharded event loop of one simulation run.
+/// The event loop of one simulation run.
 ///
-/// Owns the node partition (one `Shard` per partition class with its own event queue and RNG
-/// stream), the serial grid-wide cadence queue, and all cross-shard state (workflows, metrics,
-/// the advertised-load ring the world's gossip trace is read through).  Advanced one
-/// conservative time window at a time by the crate-private session /
-/// [`Simulation`](crate::simulation::Simulation) machinery; the public surface of this type is
-/// read-only statistics plus the per-shard RNG seam.
-///
-/// See the [module docs](self) for the window/barrier protocol and its determinism argument.
-pub struct ShardedEngine {
+/// Owns every node's runtime, the node-event and cadence queues, and the grid-wide state
+/// (workflows, metrics, the advertised-load ring the world's gossip trace is read through).
+/// The public [`Simulation`](crate::simulation::Simulation) handle advances it one instant at
+/// a time; see the [module docs](self) for the order within an instant.
+pub(crate) struct Engine {
     config: GridConfig,
     scheduler: Box<dyn Scheduler>,
     transfer: Arc<TransferModel>,
@@ -187,33 +188,25 @@ pub struct ShardedEngine {
     gossip_cycles: u64,
     /// Scheduling instants handled so far.
     scheduling_instants: usize,
-    shards: Vec<Shard>,
-    map: ShardMap,
+    nodes: Vec<NodeRuntime>,
     workflows: Vec<WorkflowRuntime>,
     home_of: Arc<Vec<Vec<usize>>>,
     metrics: WorkflowMetrics,
-    globals: EventQueue<GridEvent>,
-    lookahead: SimDuration,
+    events: EventQueue<NodeEvent>,
+    cadences: EventQueue<GridEvent>,
+    /// The last executed instant.
     now: SimTime,
     horizon: SimTime,
+    /// Dispatch counter: the FCFS `enqueued_seq` of every ready entry.
     next_seq: u64,
+    /// Run-generation counter, unique per execution.
+    next_run: u64,
+    /// Tasks dispatched by the first phase, replica copies excluded.
     dispatched_tasks: u64,
-    windows: u64,
-    max_window_width: SimDuration,
-    cross_shard_events: u64,
-    min_cross_shard_delay: Option<SimDuration>,
-    /// Barrier scratch: merged workflow arrivals of the current window.
-    arrivals: Vec<ArrivalNotice>,
-    /// Barrier scratch: merged completion notices of the current window.
-    notices: Vec<CompletionNotice>,
-    /// Barrier scratch: merged buffered observations of the current window.
-    observations: Vec<BufferedEvent>,
-    /// Barrier scratch: exit tasks that completed their workflow this window, so the
-    /// observation replay can splice `on_workflow_completed` after the matching finish.
-    completed_markers: FxHashSet<(usize, TaskId)>,
-    /// Barrier scratch: merged fault records of the current window.
-    fault_records: Vec<FaultRecord>,
-    /// Fault / recovery accounting, mutated only at window barriers in canonical event order.
+    /// Task executions started.  Exceeds `dispatched_tasks` on preemptive substrates, where
+    /// a displaced task starts again.
+    executed_tasks: u64,
+    /// Fault / recovery accounting.
     robustness: RobustnessStats,
     /// Per-workflow completed-work accumulator in MI; resolved into `useful_mi` when the
     /// workflow finishes and into `wasted_mi` when it fails.
@@ -232,18 +225,18 @@ pub struct ShardedEngine {
     pending_recovery: FxHashMap<(usize, TaskId), SimTime>,
 }
 
-impl ShardedEngine {
-    /// Clone the scenario's mutable runtime state into a fresh engine — partitioning the nodes
-    /// into shards per the config's [`ShardSpec`](crate::config::ShardSpec) — and run the
-    /// scheduler's full-ahead planning pass (HEFT / SMF plan centrally before execution).
-    pub(crate) fn from_scenario(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
+impl Engine {
+    /// Clone the scenario's mutable runtime state into a fresh engine, run the scheduler's
+    /// full-ahead planning pass (HEFT / SMF plan centrally before execution) and queue the
+    /// world's deferred workflow arrivals, its stochastic faults and the cadences' first
+    /// instants.
+    pub(crate) fn new(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
         let world = scenario.world();
         let mut workflows = (*world.workflows).clone();
         let horizon = SimTime::ZERO + world.config.horizon;
         // Workflows arriving at time zero (all of them under the paper's batch model) are
-        // counted as submitted right away, exactly as the pre-arrival engine did.  Later
-        // arrivals are counted when their `WorkflowArrival` event applies at a window
-        // barrier; arrivals beyond the horizon never enter the system at all.
+        // counted as submitted right away.  Later arrivals are counted when their
+        // `WorkflowArrival` event fires; arrivals beyond the horizon never enter the system.
         let mut metrics = WorkflowMetrics::new(scheduler.label());
         for w in &workflows {
             if w.arrived {
@@ -293,76 +286,50 @@ impl ShardedEngine {
 
         // The first session on a world builds its gossip trace; the others wait for it.
         let gossip = Arc::clone(world.gossip_trace());
-        let shard_count = world.config.shards.resolve(world.nodes.len());
-        let (map, members) = ShardMap::new(world.nodes.len(), shard_count);
-        let mut shards: Vec<Shard> = members
-            .into_iter()
-            .enumerate()
-            .map(|(id, node_ids)| {
-                let nodes = node_ids.iter().map(|&n| world.nodes[n].clone()).collect();
-                Shard::new(id, node_ids, nodes, world.config.seed)
-            })
-            .collect();
 
-        // Schedule the deferred arrivals into their home nodes' shard queues, in workflow
-        // order.  This runs before any window, so every arrival is among the first insertions
-        // of its shard's queue and per-node event order stays shard-count independent.
-        // Arrivals beyond the horizon are dropped here — those workflows never enter the
-        // system and are never counted as submitted.
+        // The deferred arrivals in workflow order, then the pre-drawn faults in the
+        // schedule's node-major order (already clipped to the horizon at build), so equal
+        // instants pop in those orders.
+        let mut events = EventQueue::new();
         for (wf, w) in workflows.iter().enumerate() {
             if !w.arrived && w.submitted_at <= horizon {
-                let shard = map.shard_of[w.home];
-                let local = map.local_of[w.home];
-                shards[shard]
-                    .queue
-                    .schedule(w.submitted_at, ShardEvent::WorkflowArrival { local, wf });
+                events.schedule(w.submitted_at, NodeEvent::WorkflowArrival { wf });
             }
         }
-
-        // Schedule the pre-drawn stochastic fault events into their owning shards' queues, in
-        // the schedule's canonical node-major order.  Like the arrivals above this runs before
-        // any window, so per-node event order — and with it every report byte — is independent
-        // of the shard count.  The schedule is already clipped to the horizon at build.
         for &(node, time, down) in world.faults.iter() {
-            let shard = map.shard_of[node];
-            let local = map.local_of[node];
             let event = if down {
-                ShardEvent::NodeFailure { local }
+                NodeEvent::NodeFailure { node }
             } else {
-                ShardEvent::NodeRepair { local }
+                NodeEvent::NodeRepair { node }
             };
-            shards[shard].queue.schedule(time, event);
+            events.schedule(time, event);
+        }
+        let mut cadences = EventQueue::new();
+        for event in GridEvent::AT_START {
+            cadences.schedule(SimTime::ZERO, event);
         }
 
-        ShardedEngine {
+        Engine {
             config: world.config.clone(),
             scheduler,
             transfer: Arc::clone(&world.transfer),
             landmarks: Arc::clone(&world.landmarks),
-            advertised_loads: vec![0.0; gossip.ring_len() * map.len()],
+            advertised_loads: vec![0.0; gossip.ring_len() * world.nodes.len()],
             gossip,
             gossip_cycles: 0,
             scheduling_instants: 0,
-            shards,
-            map,
+            nodes: world.nodes.clone(),
             workflows,
             home_of: Arc::clone(&world.home_of),
             metrics,
-            globals: EventQueue::new(),
-            lookahead: world.lookahead,
+            events,
+            cadences,
             now: SimTime::ZERO,
             horizon,
             next_seq: 0,
+            next_run: 0,
             dispatched_tasks: 0,
-            windows: 0,
-            max_window_width: SimDuration::ZERO,
-            cross_shard_events: 0,
-            min_cross_shard_delay: None,
-            arrivals: Vec::new(),
-            notices: Vec::new(),
-            observations: Vec::new(),
-            completed_markers: FxHashSet::default(),
-            fault_records: Vec::new(),
+            executed_tasks: 0,
             robustness: RobustnessStats::new(),
             wf_completed_mi: vec![0.0; world.workflows.len()],
             attempts: FxHashMap::default(),
@@ -373,105 +340,348 @@ impl ShardedEngine {
         }
     }
 
-    // ----- public read-only surface --------------------------------------------------------
+    // ----- session surface -----------------------------------------------------------------
 
-    /// Aggregate counters of the sharded run so far: window count and widths, per-shard event
-    /// totals and cross-shard traffic.
-    pub fn stats(&self) -> ShardStats {
-        ShardStats {
-            shards: self.shards.len(),
-            windows: self.windows,
-            max_window_width: self.max_window_width,
-            events: self.shards.iter().map(|s| s.events_processed).sum(),
-            cross_shard_events: self.cross_shard_events,
-            min_cross_shard_delay: self.min_cross_shard_delay,
+    /// Announce the time-zero workflow submissions (fires once, before the first step).
+    /// Workflows with later arrival times are announced when their `WorkflowArrival` event
+    /// fires instead.
+    pub(crate) fn announce_submissions(&self, observers: &mut [&mut dyn Observer]) {
+        let mut obs = Observers(observers);
+        if obs.is_empty() {
+            return;
+        }
+        for (wf, w) in self.workflows.iter().enumerate() {
+            if w.arrived {
+                let home = w.home;
+                obs.emit(|o| o.on_workflow_submitted(SimTime::ZERO, wf, home));
+            }
         }
     }
 
-    /// Number of shards the node population is partitioned into (the resolved
-    /// [`ShardSpec`](crate::config::ShardSpec)).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// The instant [`Engine::step`] would execute next, or `None` when the run is over (queues
+    /// drained, or every remaining event lies beyond the horizon).
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+        let next = match (self.events.peek_time(), self.cadences.peek_time()) {
+            (Some(a), Some(b)) => a.min(b),
+            (a, b) => a.or(b)?,
+        };
+        (next <= self.horizon).then_some(next)
     }
 
-    /// The conservative time-window width: no cross-shard event can arrive sooner than this,
-    /// so shards within a window are independent.  See [`Scenario::lookahead`].
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
+    /// Execute the next instant — its node events, then its cadences, then the node events
+    /// those cadences scheduled for it — and return it, or `None` when the run is over.
+    pub(crate) fn step(&mut self, observers: &mut [&mut dyn Observer]) -> Option<SimTime> {
+        let now = self.peek_time()?;
+        self.now = now;
+        let mut obs = Observers(observers);
+        self.run_node_events(now, &mut obs);
+        if self.cadences.peek_time() == Some(now) {
+            self.run_cadences(now, &mut obs);
+            self.run_node_events(now, &mut obs);
+        }
+        Some(now)
     }
 
-    /// Mutable access to one shard's dedicated RNG stream.
-    ///
-    /// The stream is split deterministically from the master seed by shard index, so draws in
-    /// one shard never perturb any other shard (or any other component).  The engine itself
-    /// draws nothing from it today; it is the seam for stochastic *in-shard* models — e.g.
-    /// per-node failure injection — that future substrates can consume without threading a new
-    /// RNG through the partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shard_count()`.
-    pub fn shard_rng_mut(&mut self, shard: usize) -> &mut SimRng {
-        &mut self.shards[shard].rng
+    /// The last executed instant.
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
     }
 
-    /// Task executions started so far, summed over the per-shard counters.  Can exceed
-    /// [`ShardedEngine::dispatched_tasks`] on preemptive substrates, where displaced tasks
-    /// restart from scratch.
-    pub fn executed_tasks(&self) -> u64 {
-        self.shards.iter().map(|s| s.executed).sum()
+    pub(crate) fn horizon(&self) -> SimTime {
+        self.horizon
     }
 
-    /// Tasks dispatched by the first scheduling phase so far.
-    pub fn dispatched_tasks(&self) -> u64 {
-        self.dispatched_tasks
+    pub(crate) fn label(&self) -> String {
+        self.scheduler.label()
+    }
+
+    /// Close the session: take the final metrics sample (at the horizon if the run completed,
+    /// at the current time if it was cut short), mirror it to the observers, and build the
+    /// report.  A fully-stepped session produces a report byte-identical to the one-shot run.
+    pub(crate) fn finish(mut self, observers: &mut [&mut dyn Observer]) -> SimulationReport {
+        let end_time = if self.peek_time().is_none() {
+            self.horizon
+        } else {
+            self.now
+        };
+        let sample = self.grid_sample();
+        Observers(observers).emit(|o| o.on_sample(end_time, &sample));
+        self.metrics.sample(end_time);
+        let (gossip_stats, avg_rss_size) = self.gossip.closing(self.gossip_cycles, end_time);
+        SimulationReport {
+            algorithm: self.scheduler.label(),
+            gossip_stats,
+            avg_rss_size,
+            end_time,
+            nodes: self.config.nodes,
+            submitted: self.metrics.submitted(),
+            completed: self.metrics.throughput(),
+            failed: self.metrics.failed(),
+            robustness: self.robustness,
+            metrics: self.metrics,
+        }
+    }
+
+    /// One aggregate snapshot over the alive population, built from the per-node `O(1)`
+    /// accessors in node order — `O(nodes)` total, no heap walks.
+    pub(crate) fn grid_sample(&self) -> GridSample {
+        let mut sample = GridSample {
+            alive_nodes: 0,
+            ready_tasks: 0,
+            selectable_tasks: 0,
+            running_tasks: 0,
+            queued_load_mi: 0.0,
+        };
+        for nd in self.nodes.iter().filter(|nd| nd.alive) {
+            sample.alive_nodes += 1;
+            sample.ready_tasks += nd.ready.len();
+            sample.selectable_tasks += nd.ready.selectable_len();
+            sample.running_tasks += nd.running.len();
+            sample.queued_load_mi += nd.ready.queued_load_mi();
+        }
+        sample
+    }
+
+    // ----- the instant ---------------------------------------------------------------------
+
+    /// Pop and handle every node event due at `now`, including those the handlers schedule
+    /// for `now` themselves (a zero-length execution's completion).
+    fn run_node_events(&mut self, now: SimTime, obs: &mut Observers<'_, '_>) {
+        while self.events.peek_time().is_some_and(|t| t <= now) {
+            let event = self.events.pop().expect("peeked event must pop").event;
+            match event {
+                NodeEvent::DataReady {
+                    node,
+                    epoch,
+                    wf,
+                    task,
+                } => {
+                    if self.nodes[node].accepts(epoch) {
+                        self.nodes[node].ready.mark_data_ready(wf, task);
+                        self.try_start_tasks(node, now, obs);
+                    }
+                }
+                NodeEvent::TaskCompleted {
+                    node,
+                    epoch,
+                    wf,
+                    task,
+                    run,
+                } => self.on_task_completed(node, epoch, wf, task, run, now, obs),
+                NodeEvent::WorkflowArrival { wf } => {
+                    let w = &mut self.workflows[wf];
+                    w.arrived = true;
+                    let home = w.home;
+                    self.metrics.record_submission();
+                    obs.emit(|o| o.on_workflow_submitted(now, wf, home));
+                }
+                NodeEvent::NodeFailure { node } => self.handle_departure(node, now, obs),
+                NodeEvent::NodeRepair { node } => self.handle_join(node, now, obs),
+            }
+        }
+    }
+
+    /// Pop and handle every grid-wide cadence event due at `now`.
+    fn run_cadences(&mut self, now: SimTime, obs: &mut Observers<'_, '_>) {
+        while self.cadences.peek_time() == Some(now) {
+            let event = self.cadences.pop().expect("peeked event must pop").event;
+            match event {
+                GridEvent::GossipCycle => {
+                    let cycle = self.gossip_cycles;
+                    self.record_advertised_loads(now);
+                    obs.emit(|o| o.on_gossip_cycle(now, cycle));
+                }
+                GridEvent::SchedulingCycle => {
+                    let instant = self.scheduling_instants;
+                    self.scheduling_instants += 1;
+                    self.churn_step(instant, now, obs);
+                    self.scheduling_phase_one(instant, now, obs);
+                }
+                GridEvent::MetricsSample => {
+                    self.metrics.sample(now);
+                    let sample = self.grid_sample();
+                    obs.emit(|o| o.on_sample(now, &sample));
+                }
+            }
+            self.cadences
+                .schedule(now + event.interval(&self.config), event);
+        }
+    }
+
+    // ----- second phase --------------------------------------------------------------------
+
+    /// A completion event fired: if it still belongs to a live run, free the slot, apply the
+    /// completion and refill the node's slots.
+    #[allow(clippy::too_many_arguments)]
+    fn on_task_completed(
+        &mut self,
+        node: NodeId,
+        epoch: u64,
+        wf: usize,
+        task: TaskId,
+        run: u64,
+        now: SimTime,
+        obs: &mut Observers<'_, '_>,
+    ) {
+        let rt = &mut self.nodes[node];
+        if !rt.accepts(epoch) {
+            return;
+        }
+        // The executed work (for the useful/wasted ledger) must be read before `complete()`
+        // removes the running entry.
+        let Some(load_mi) = rt
+            .running
+            .iter()
+            .find(|r| r.wf == wf && r.task == task && r.run == run)
+            .map(|r| r.view.exec_secs * rt.capacity_mips)
+        else {
+            return;
+        };
+        let completed = rt.complete(wf, task, run);
+        debug_assert!(completed, "the entry located above must complete");
+        obs.emit(|o| o.on_task_finished(now, wf, task, node));
+        self.apply_completion(wf, task, node, load_mi, now, obs);
+        self.try_start_tasks(node, now, obs);
+    }
+
+    /// Book one finished run: record the executed work, advance workflow state (firing
+    /// `on_workflow_completed` for the exit task), then cancel the task's replica twins — the
+    /// first completion wins.
+    fn apply_completion(
+        &mut self,
+        wf: usize,
+        task: TaskId,
+        node: NodeId,
+        load_mi: f64,
+        now: SimTime,
+        obs: &mut Observers<'_, '_>,
+    ) {
+        if !self.workflows[wf].is_active() {
+            // The run finished after its workflow already failed: pure waste.
+            self.robustness.wasted_mi += load_mi;
+            return;
+        }
+        debug_assert!(
+            self.workflows[wf].task_location[task.index()].is_none(),
+            "the first completion cancels every twin, so a task completes once"
+        );
+        self.wf_completed_mi[wf] += load_mi;
+        self.load_override.remove(&(wf, task));
+        self.attempts.remove(&(wf, task));
+        let w = &mut self.workflows[wf];
+        if w.apply_completion(task, node) {
+            w.completed = true;
+            let record = WorkflowRecord {
+                submitted_at: w.submitted_at,
+                completed_at: now,
+                expected_finish_secs: w.eft_secs,
+                outcome: WorkflowOutcome::Completed,
+            };
+            self.metrics.record_completion(record);
+            // Every task the workflow completed is retroactively useful work.
+            self.robustness.useful_mi += self.wf_completed_mi[wf];
+            self.wf_completed_mi[wf] = 0.0;
+            obs.emit(|o| o.on_workflow_completed(now, wf));
+        }
+        for site in self.replica_sites.remove(&(wf, task)).unwrap_or_default() {
+            if site != node {
+                self.cancel_replica(wf, task, site, now, obs);
+            }
+        }
+    }
+
+    /// Occupy one slot of the node with `chosen` and schedule its completion.
+    fn start_task(
+        &mut self,
+        node: NodeId,
+        chosen: &ReadyEntry,
+        now: SimTime,
+        obs: &mut Observers<'_, '_>,
+    ) {
+        let run = self.next_run;
+        self.next_run += 1;
+        let finish_at = self.nodes[node].start(chosen, now, run);
+        self.executed_tasks += 1;
+        obs.emit(|o| o.on_task_started(now, chosen.wf, chosen.task, node));
+        let event = NodeEvent::TaskCompleted {
+            node,
+            epoch: self.nodes[node].epoch,
+            wf: chosen.wf,
+            task: chosen.task,
+            run,
+        };
+        self.events.schedule(finish_at, event);
+    }
+
+    /// Algorithm 2: while the node has free execution slots, pick the next data-complete ready
+    /// task (smallest scheduler key) and run it.  Under the time-sliced preemptive substrate a
+    /// remaining ready task that outranks the lowest-priority running task then displaces it —
+    /// the victim re-enters the ready heap with its residual load and resumes later.
+    fn try_start_tasks(&mut self, node: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
+        if !self.nodes[node].alive {
+            return;
+        }
+        while self.nodes[node].has_free_slot() {
+            let Some(chosen) = self.nodes[node].ready.pop_next() else {
+                break;
+            };
+            self.start_task(node, &chosen, now, obs);
+        }
+        if !self.config.resource.is_preemptive() {
+            return;
+        }
+        // Each round swaps a strictly higher-priority ready task into a slot, so the worst
+        // running key strictly improves and the loop terminates.
+        while let Some((key, _seq)) = self.nodes[node].ready.peek_next() {
+            let Some(mut displaced) = self.nodes[node].preempt_lowest_priority(key, now) else {
+                break;
+            };
+            let chosen = self.nodes[node]
+                .ready
+                .pop_next()
+                .expect("peeked entry must still be queued");
+            obs.emit(|o| o.on_task_displaced(now, displaced.wf, displaced.task, node));
+            // Re-key the displaced task against its updated view: rules keyed on exec time
+            // now see the *remaining* time (shortest-remaining-time semantics), while
+            // ms/rpm-based rules and FCFS recompute the same key as before.
+            displaced.key = self.scheduler.ready_key(&displaced.view);
+            self.nodes[node].ready.insert(displaced);
+            self.start_task(node, &chosen, now, obs);
+        }
     }
 
     // ----- helpers -------------------------------------------------------------------------
 
-    fn node(&self, id: NodeId) -> &NodeRuntime {
-        &self.shards[self.map.shard_of[id]].nodes[self.map.local_of[id]]
-    }
-
-    fn node_mut(&mut self, id: NodeId) -> &mut NodeRuntime {
-        &mut self.shards[self.map.shard_of[id]].nodes[self.map.local_of[id]]
-    }
-
     /// Record every node's advertised load for the gossip cycle at `now` in its ring row.
     fn record_advertised_loads(&mut self, now: SimTime) {
-        let Self {
-            shards,
-            map,
-            advertised_loads,
-            gossip,
-            gossip_cycles,
-            ..
-        } = self;
-        let n = map.len();
-        let row = (*gossip_cycles % gossip.ring_len() as u64) as usize * n;
-        for (id, load) in advertised_loads[row..row + n].iter_mut().enumerate() {
-            *load = shards[map.shard_of[id]].nodes[map.local_of[id]].total_load_mi(now);
+        let n = self.nodes.len();
+        let row = (self.gossip_cycles % self.gossip.ring_len() as u64) as usize * n;
+        for (load, nd) in self.advertised_loads[row..row + n]
+            .iter_mut()
+            .zip(&self.nodes)
+        {
+            *load = nd.total_load_mi(now);
         }
-        *gossip_cycles += 1;
+        self.gossip_cycles += 1;
     }
 
     /// Home node `home`'s `RSS` at scheduling instant `instant`, restricted to currently alive
     /// nodes, as candidate resource nodes: capacity and slots from the node table, load as
     /// each node advertised it at its record's cycle.
     fn rss_candidates(&self, instant: usize, home: NodeId) -> Vec<CandidateNode> {
-        let n = self.map.len();
+        let n = self.nodes.len();
         let ring_len = self.gossip.ring_len();
         let latest = (self.gossip_cycles.saturating_sub(1) % ring_len as u64) as usize;
         self.gossip
             .rss(instant, home)
-            .filter(|r| self.node(r.node).alive)
+            .filter(|r| self.nodes[r.node].alive)
             .map(|r| {
                 let row = if r.age <= latest {
                     latest - r.age
                 } else {
                     latest + ring_len - r.age
                 };
-                let nd = self.node(r.node);
+                let nd = &self.nodes[r.node];
                 CandidateNode {
                     node: r.node,
                     capacity_mips: nd.advertised_capacity_mips(),
@@ -480,30 +690,6 @@ impl ShardedEngine {
                 }
             })
             .collect()
-    }
-
-    /// One aggregate snapshot over the alive population, built from the per-node `O(1)`
-    /// accessors in global node order — `O(nodes)` total, no heap walks.
-    fn grid_sample(&self) -> GridSample {
-        let mut sample = GridSample {
-            alive_nodes: 0,
-            ready_tasks: 0,
-            selectable_tasks: 0,
-            running_tasks: 0,
-            queued_load_mi: 0.0,
-        };
-        for id in 0..self.map.len() {
-            let nd = self.node(id);
-            if !nd.alive {
-                continue;
-            }
-            sample.alive_nodes += 1;
-            sample.ready_tasks += nd.ready.len();
-            sample.selectable_tasks += nd.ready.selectable_len();
-            sample.running_tasks += nd.running.len();
-            sample.queued_load_mi += nd.ready.queued_load_mi();
-        }
-        sample
     }
 
     fn fail_workflow(&mut self, wf: usize, now: SimTime, obs: &mut Observers<'_, '_>) {
@@ -525,16 +711,16 @@ impl ShardedEngine {
         obs.emit(|o| o.on_workflow_failed(now, wf));
     }
 
-    /// A node departs (the churn model's barrier-side path).  Every resident task goes
+    /// A node departs: a churn departure or a stochastic failure.  Every resident task goes
     /// through the configured [`RecoveryPolicy`] — with the paper-default `FailWorkflow`,
     /// waiting tasks requeue for free and running tasks take their workflow down, exactly the
     /// original churn semantics.
     fn handle_departure(&mut self, node: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
-        if !self.node(node).alive {
+        if !self.nodes[node].alive {
             return;
         }
-        let rate_mips = self.node(node).capacity_mips;
-        let (waiting, running) = self.node_mut(node).depart(now);
+        let rate_mips = self.nodes[node].capacity_mips;
+        let (waiting, running) = self.nodes[node].depart(now);
         self.robustness.node_failures += 1;
         for (wf, task) in waiting {
             obs.emit(|o| o.on_task_lost(now, node, wf, task));
@@ -557,9 +743,10 @@ impl ShardedEngine {
         obs.emit(|o| o.on_node_departed(now, node));
     }
 
+    /// A node joins (or is repaired): it comes back empty.
     fn handle_join(&mut self, node: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
-        if !self.node(node).alive {
-            self.node_mut(node).join();
+        if !self.nodes[node].alive {
+            self.nodes[node].join();
             self.robustness.node_repairs += 1;
             obs.emit(|o| o.on_node_joined(now, node));
         }
@@ -581,11 +768,9 @@ impl ShardedEngine {
     // ----- recovery ------------------------------------------------------------------------
 
     /// Apply the configured [`RecoveryPolicy`] to one task that was resident on a failed
-    /// node.  Shared by the churn step (barrier-side departures) and the stochastic fault
-    /// pass (per-task `Lost` records merged from the shards).  A *waiting* copy never
-    /// executed anything, so requeueing it is free under every policy — exactly the original
-    /// churn engine's behavior; only *running* losses consume retry budget, cash in
-    /// checkpoints, or fail the workflow.
+    /// node.  A *waiting* copy never executed anything, so requeueing it is free under every
+    /// policy — exactly the original churn engine's behavior; only *running* losses consume
+    /// retry budget, cash in checkpoints, or fail the workflow.
     #[allow(clippy::too_many_arguments)]
     fn recover_lost_task(
         &mut self,
@@ -604,14 +789,10 @@ impl ShardedEngine {
             self.robustness.wasted_mi += executed_secs * rate_mips;
             return;
         }
-        if self.workflows[wf].task_location[task.index()].is_some() {
-            // Another replica copy already completed the task; only the twin's progress died.
-            self.robustness.wasted_mi += executed_secs * rate_mips;
-            if let Some(sites) = self.replica_sites.get_mut(&(wf, task)) {
-                sites.retain(|&n| n != node);
-            }
-            return;
-        }
+        debug_assert!(
+            self.workflows[wf].task_location[task.index()].is_none(),
+            "a completion cancels every twin, so no copy of a finished task is left to lose"
+        );
         if let RecoveryPolicy::Replicate { .. } = self.config.recovery {
             let alive_twins = match self.replica_sites.get_mut(&(wf, task)) {
                 Some(sites) => {
@@ -686,34 +867,33 @@ impl ShardedEngine {
 
     /// Cancel one still-in-flight replica copy after another copy completed first: drop a
     /// queued twin outright (it never executed, so nothing is wasted), or remove a running
-    /// twin — booking its execution as wasted — and refill the freed slot at the next
-    /// window's start.  An in-flight completion event of the cancelled run finds no matching
-    /// running entry and goes stale, exactly like after a preemption.
-    fn cancel_replica(&mut self, wf: usize, task: TaskId, site: NodeId) {
-        let shard = self.map.shard_of[site];
-        let local = self.map.local_of[site];
-        let now = self.now;
-        let wasted_mi = {
-            let node = &mut self.shards[shard].nodes[local];
-            if node.ready.remove(wf, task).is_some() {
-                return;
-            }
-            match node.cancel_running(wf, task, now) {
-                Some(executed_secs) => executed_secs * node.capacity_mips,
-                None => return, // already gone (its node failed first)
-            }
+    /// twin — booking its execution as wasted — and refill the freed slot at once.  An
+    /// in-flight completion event of the cancelled run finds no matching running entry and
+    /// goes stale, exactly like after a preemption.
+    fn cancel_replica(
+        &mut self,
+        wf: usize,
+        task: TaskId,
+        site: NodeId,
+        now: SimTime,
+        obs: &mut Observers<'_, '_>,
+    ) {
+        let rt = &mut self.nodes[site];
+        if rt.ready.remove(wf, task).is_some() {
+            return;
+        }
+        let Some(executed_secs) = rt.cancel_running(wf, task, now) else {
+            return; // already gone (its node failed first)
         };
-        self.robustness.wasted_mi += wasted_mi;
-        self.shards[shard]
-            .queue
-            .schedule(now, ShardEvent::SlotFreed { local });
+        self.robustness.wasted_mi += executed_secs * rt.capacity_mips;
+        self.try_start_tasks(site, now, obs);
     }
 
     // ----- first phase ---------------------------------------------------------------------
 
     fn scheduling_phase_one(&mut self, instant: usize, now: SimTime, obs: &mut Observers<'_, '_>) {
-        let home_nodes: Vec<NodeId> = (0..self.map.len())
-            .filter(|&i| self.node(i).alive && !self.home_of[i].is_empty())
+        let home_nodes: Vec<NodeId> = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].alive && !self.home_of[i].is_empty())
             .collect();
         for home in home_nodes {
             if self.workflows[self.home_of[home][0]].plan.is_some() {
@@ -742,7 +922,7 @@ impl ShardedEngine {
                 }
                 let planned =
                     self.workflows[wf].plan.as_ref().expect("full-ahead plan")[task.index()];
-                let target = if self.node(planned).alive {
+                let target = if self.nodes[planned].alive {
                     planned
                 } else {
                     home
@@ -826,9 +1006,9 @@ impl ShardedEngine {
         if candidates.is_empty() {
             candidates.push(CandidateNode {
                 node: home,
-                capacity_mips: self.node(home).advertised_capacity_mips(),
-                slots: self.node(home).slots,
-                total_load_mi: self.node(home).total_load_mi(now),
+                capacity_mips: self.nodes[home].advertised_capacity_mips(),
+                slots: self.nodes[home].slots,
+                total_load_mi: self.nodes[home].total_load_mi(now),
             });
         }
 
@@ -865,14 +1045,14 @@ impl ShardedEngine {
                 continue;
             }
             // Replicate: fan the task out to `copies - 1` further alive nodes, taken in the
-            // scheduler's post-plan candidate order.  The first copy to complete wins; the
-            // barrier cancels the rest.
+            // scheduler's post-plan candidate order.  The first copy to complete wins and
+            // cancels the rest.
             let mut extra: Vec<NodeId> = Vec::new();
             for c in candidates.iter() {
                 if extra.len() + 1 >= copies {
                     break;
                 }
-                if c.node != d.target && !extra.contains(&c.node) && self.node(c.node).alive {
+                if c.node != d.target && !extra.contains(&c.node) && self.nodes[c.node].alive {
                     extra.push(c.node);
                 }
             }
@@ -894,19 +1074,13 @@ impl ShardedEngine {
     }
 
     /// Migrate a task to its chosen resource node: mark it dispatched, enqueue it in the ready
-    /// set and schedule the completion of its (true) data transfers into the target's shard.
+    /// set and schedule the completion of its (true) data transfers.
     /// A `replica` dispatch (the fan-out copies of `RecoveryPolicy::Replicate`) enqueues and
     /// transfers like the primary but never touches workflow progress or the dispatch
     /// counters — the task is dispatched once, executed possibly many times.
     ///
     /// Returns `false` when the migration failed because the target is dead (the task then
     /// simply stays a schedule point).
-    ///
-    /// This is the **only** place events enter a shard queue from outside the shard, and it
-    /// runs at window barriers (the scheduling cadence).  For a cross-shard dispatch the
-    /// transfer delay includes at least one network hop's latency, which lower-bounds it by
-    /// the engine's lookahead — the conservative-PDES soundness invariant tracked in
-    /// [`ShardStats::min_cross_shard_delay`].
     #[allow(clippy::too_many_arguments)]
     fn dispatch_task(
         &mut self,
@@ -921,7 +1095,7 @@ impl ShardedEngine {
         obs: &mut Observers<'_, '_>,
         replica: bool,
     ) -> bool {
-        if !self.node(target).alive {
+        if !self.nodes[target].alive {
             // A stale RSS record pointed at a node that just churned away; the migration fails
             // before any computation happens, so the task simply stays a schedule point and is
             // retried at the next scheduling cycle.
@@ -968,416 +1142,30 @@ impl ShardedEngine {
         let view = ReadyTaskView {
             workflow_ms_secs: ms_secs,
             rpm_secs,
-            exec_secs: self.node(target).execution_secs(load_mi),
+            exec_secs: self.nodes[target].execution_secs(load_mi),
             sufferage_secs,
             enqueued_seq: self.next_seq,
         };
         self.next_seq += 1;
         let key = self.scheduler.ready_key(&view);
-        let target_shard = self.map.shard_of[target];
-        let local = self.map.local_of[target];
-        self.shards[target_shard].nodes[local]
-            .ready
-            .insert(ReadyEntry {
-                wf,
-                task,
-                load_mi,
-                key,
-                view,
-                data_ready: false,
-            });
+        self.nodes[target].ready.insert(ReadyEntry {
+            wf,
+            task,
+            load_mi,
+            key,
+            view,
+            data_ready: false,
+        });
         obs.emit(|o| o.on_task_dispatched(now, wf, task, target));
-        let delay = SimDuration::from_secs_f64(transfer_secs);
-        if self.map.shard_of[home] != target_shard {
-            self.cross_shard_events += 1;
-            self.min_cross_shard_delay = Some(match self.min_cross_shard_delay {
-                Some(d) if d <= delay => d,
-                _ => delay,
-            });
-        }
-        let epoch = self.shards[target_shard].nodes[local].epoch;
-        self.shards[target_shard].queue.schedule(
-            now + delay,
-            ShardEvent::DataReady {
-                local,
-                epoch,
-                wf,
-                task,
-            },
-        );
+        let event = NodeEvent::DataReady {
+            node: target,
+            epoch: self.nodes[target].epoch,
+            wf,
+            task,
+        };
+        self.events
+            .schedule(now + SimDuration::from_secs_f64(transfer_secs), event);
         true
-    }
-
-    // ----- the window loop -------------------------------------------------------------------
-
-    /// Bounds of the next conservative window: `start` is the earliest pending event anywhere,
-    /// `end` caps it at one lookahead, clipped to the next grid-wide cadence instant and the
-    /// horizon.  `None` when the run is over (no pending event at or before the horizon).
-    fn next_window(&self) -> Option<(SimTime, SimTime)> {
-        let local_min = self.shards.iter().filter_map(|s| s.queue.peek_time()).min();
-        let global_min = self.globals.peek_time();
-        let start = match (local_min, global_min) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return None,
-        };
-        if start > self.horizon {
-            return None;
-        }
-        let mut end = start + self.lookahead;
-        if let Some(g) = global_min {
-            end = end.min(g);
-        }
-        end = end.min(self.horizon);
-        Some((start, end))
-    }
-
-    /// Execute one conservative time window: run every shard (in parallel when the pool and the
-    /// partition allow), then run the barrier — apply completion notices, replay observations,
-    /// handle the grid-wide cadences due at the window's end.  Returns the window's end, or
-    /// `None` when the run is over.
-    fn advance_window(&mut self, observers: &mut [&mut dyn Observer]) -> Option<SimTime> {
-        let (start, end) = self.next_window()?;
-        {
-            let Self {
-                shards,
-                scheduler,
-                config,
-                ..
-            } = self;
-            let ctx = WindowCtx {
-                scheduler: &**scheduler,
-                preemptive: config.resource.is_preemptive(),
-                observing: !observers.is_empty(),
-            };
-            run_shards(shards, end, &ctx);
-        }
-        self.now = end;
-        self.windows += 1;
-        let width = end.saturating_duration_since(start);
-        if width > self.max_window_width {
-            self.max_window_width = width;
-        }
-        self.apply_arrivals();
-        self.apply_notices();
-        self.flush_observations(observers);
-        self.apply_faults(observers);
-        self.handle_globals(end, observers);
-        Some(end)
-    }
-
-    /// Barrier step 0: merge the shards' workflow arrivals, sort them canonically by
-    /// `(time, workflow)` and apply them — the workflow becomes visible to scheduling (its
-    /// next chance is the scheduling cadence) and the submission is counted.  Runs before
-    /// [`ShardedEngine::apply_notices`]: nothing can complete before it arrives.
-    fn apply_arrivals(&mut self) {
-        let Self {
-            shards,
-            arrivals,
-            workflows,
-            metrics,
-            ..
-        } = self;
-        arrivals.clear();
-        for s in shards.iter_mut() {
-            arrivals.append(&mut s.arrivals);
-        }
-        if arrivals.is_empty() {
-            return;
-        }
-        sort_arrivals(arrivals);
-        for a in arrivals.iter() {
-            workflows[a.wf].arrived = true;
-            metrics.record_submission();
-        }
-    }
-
-    /// Barrier step 1: merge the shards' completion notices, sort them canonically and apply
-    /// them to workflow state, metrics and the work ledger.  Runs unconditionally — workflow
-    /// progress is engine state, not an observation.
-    fn apply_notices(&mut self) {
-        let mut notices = std::mem::take(&mut self.notices);
-        notices.clear();
-        self.completed_markers.clear();
-        for s in self.shards.iter_mut() {
-            notices.append(&mut s.outbox);
-        }
-        if !notices.is_empty() {
-            sort_notices(&mut notices);
-            for n in notices.iter() {
-                self.apply_one_notice(n);
-            }
-        }
-        self.notices = notices;
-    }
-
-    /// Apply one canonical-order completion notice: record the executed work, resolve replica
-    /// twins (first completion wins) and advance workflow state.
-    fn apply_one_notice(&mut self, n: &CompletionNotice) {
-        let wf = n.wf;
-        if !self.workflows[wf].is_active() {
-            // The run finished after its workflow already failed: pure waste.
-            self.robustness.wasted_mi += n.load_mi;
-            return;
-        }
-        if self.workflows[wf].task_location[n.task.index()].is_some() {
-            // A replica twin finished a task another copy completed earlier: pure waste.
-            self.robustness.wasted_mi += n.load_mi;
-            return;
-        }
-        self.wf_completed_mi[wf] += n.load_mi;
-        // First completion wins — cancel every remaining replica copy.
-        if let Some(sites) = self.replica_sites.remove(&(wf, n.task)) {
-            for site in sites {
-                if site != n.node {
-                    self.cancel_replica(wf, n.task, site);
-                }
-            }
-        }
-        self.load_override.remove(&(wf, n.task));
-        self.attempts.remove(&(wf, n.task));
-        let w = &mut self.workflows[wf];
-        if w.apply_completion(n.task, n.node) {
-            w.completed = true;
-            let record = WorkflowRecord {
-                submitted_at: w.submitted_at,
-                completed_at: n.time,
-                expected_finish_secs: w.eft_secs,
-                outcome: WorkflowOutcome::Completed,
-            };
-            self.metrics.record_completion(record);
-            self.completed_markers.insert((wf, n.task));
-            // Every task the workflow completed is retroactively useful work.
-            self.robustness.useful_mi += self.wf_completed_mi[wf];
-            self.wf_completed_mi[wf] = 0.0;
-        }
-    }
-
-    /// Barrier step 3 (after the observation replay): merge the shards' fault records, sort
-    /// them canonically by `(time, node, seq)` and run the recovery policy over them — so the
-    /// recovery decisions and their floating-point accounting never depend on the partition.
-    /// The `on_node_departed` / `on_node_joined` / `on_task_lost` callbacks for these faults
-    /// are *not* emitted here: the shards buffered them, and the observation replay already
-    /// delivered them interleaved with the task events in canonical order.
-    fn apply_faults(&mut self, observers: &mut [&mut dyn Observer]) {
-        let mut records = std::mem::take(&mut self.fault_records);
-        records.clear();
-        for s in self.shards.iter_mut() {
-            records.append(&mut s.faults);
-        }
-        if !records.is_empty() {
-            sort_faults(&mut records);
-            let mut obs = Observers(observers);
-            for r in records.iter() {
-                match r.kind {
-                    FaultKind::Down => {
-                        self.robustness.node_failures += 1;
-                    }
-                    FaultKind::Up => {
-                        self.robustness.node_repairs += 1;
-                    }
-                    FaultKind::Lost {
-                        wf,
-                        task,
-                        running,
-                        total_secs,
-                        executed_secs,
-                        rate_mips,
-                    } => {
-                        self.recover_lost_task(
-                            wf,
-                            task,
-                            r.node,
-                            running,
-                            total_secs,
-                            executed_secs,
-                            rate_mips,
-                            r.time,
-                            &mut obs,
-                        );
-                    }
-                }
-            }
-        }
-        self.fault_records = records;
-    }
-
-    /// Barrier step 2: merge the shards' buffered observer callbacks and replay them in the
-    /// canonical `(time, node, seq)` order, splicing `on_workflow_completed` right after the
-    /// exit task's finish — exactly where the monolithic loop emitted it.
-    fn flush_observations(&mut self, observers: &mut [&mut dyn Observer]) {
-        if observers.is_empty() {
-            return;
-        }
-        let Self {
-            shards,
-            observations,
-            completed_markers,
-            ..
-        } = self;
-        observations.clear();
-        for s in shards.iter_mut() {
-            observations.append(&mut s.obs_buf);
-        }
-        sort_observations(observations);
-        let mut obs = Observers(observers);
-        for e in observations.iter() {
-            match e.kind {
-                BufferedKind::Started { wf, task } => {
-                    obs.emit(|o| o.on_task_started(e.time, wf, task, e.node));
-                }
-                BufferedKind::Displaced { wf, task } => {
-                    obs.emit(|o| o.on_task_displaced(e.time, wf, task, e.node));
-                }
-                BufferedKind::Finished { wf, task } => {
-                    obs.emit(|o| o.on_task_finished(e.time, wf, task, e.node));
-                    if completed_markers.remove(&(wf, task)) {
-                        obs.emit(|o| o.on_workflow_completed(e.time, wf));
-                    }
-                }
-                BufferedKind::Submitted { wf } => {
-                    obs.emit(|o| o.on_workflow_submitted(e.time, wf, e.node));
-                }
-                BufferedKind::Lost { wf, task } => {
-                    obs.emit(|o| o.on_task_lost(e.time, e.node, wf, task));
-                }
-                BufferedKind::Departed => {
-                    obs.emit(|o| o.on_node_departed(e.time, e.node));
-                }
-                BufferedKind::Joined => {
-                    obs.emit(|o| o.on_node_joined(e.time, e.node));
-                }
-            }
-        }
-    }
-
-    /// Barrier step 4: pop and handle every grid-wide cadence event due at the window's end.
-    /// Windows always close at the next cadence instant, so by construction these fire exactly
-    /// at `end`, over a fully settled grid.
-    fn handle_globals(&mut self, end: SimTime, observers: &mut [&mut dyn Observer]) {
-        while self.globals.peek_time().is_some_and(|t| t <= end) {
-            let ev = self.globals.pop().expect("peeked event must pop");
-            debug_assert_eq!(ev.time, end, "cadence events fire only at window barriers");
-            match ev.event {
-                GridEvent::GossipCycle => {
-                    let cycle = self.gossip_cycles;
-                    self.record_advertised_loads(end);
-                    Observers(observers).emit(|o| o.on_gossip_cycle(end, cycle));
-                }
-                GridEvent::SchedulingCycle => {
-                    let instant = self.scheduling_instants;
-                    self.scheduling_instants += 1;
-                    self.churn_step(instant, end, &mut Observers(observers));
-                    self.scheduling_phase_one(instant, end, &mut Observers(observers));
-                }
-                GridEvent::MetricsSample => {
-                    self.metrics.sample(end);
-                    let sample = self.grid_sample();
-                    Observers(observers).emit(|o| o.on_sample(end, &sample));
-                }
-            }
-            self.globals
-                .schedule(end + ev.event.interval(&self.config), ev.event);
-        }
-    }
-
-    fn finish(mut self, end_time: SimTime) -> SimulationReport {
-        self.metrics.sample(end_time);
-        let (gossip_stats, avg_rss_size) = self.gossip.closing(self.gossip_cycles, end_time);
-        SimulationReport {
-            algorithm: self.scheduler.label(),
-            gossip_stats,
-            avg_rss_size,
-            end_time,
-            nodes: self.config.nodes,
-            submitted: self.metrics.submitted(),
-            completed: self.metrics.throughput(),
-            failed: self.metrics.failed(),
-            robustness: self.robustness,
-            metrics: self.metrics,
-        }
-    }
-}
-
-/// One in-flight run: the sharded engine stepped one conservative window at a time.
-/// The public face of this type is [`Simulation`](crate::simulation::Simulation), which owns
-/// the observer list; the session only borrows observers per step so the engine stays free of
-/// observer lifetimes.
-pub(crate) struct EngineSession {
-    state: ShardedEngine,
-}
-
-impl EngineSession {
-    pub(crate) fn new(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
-        let mut state = ShardedEngine::from_scenario(scenario, scheduler);
-        for event in GridEvent::AT_START {
-            state.globals.schedule(SimTime::ZERO, event);
-        }
-        EngineSession { state }
-    }
-
-    /// Announce the time-zero workflow submissions (fires once, before the first window).
-    /// Workflows with later arrival times are announced when their `WorkflowArrival` event
-    /// replays at a window barrier instead.
-    pub(crate) fn announce_submissions(&self, observers: &mut [&mut dyn Observer]) {
-        let mut obs = Observers(observers);
-        if obs.is_empty() {
-            return;
-        }
-        for (wf, w) in self.state.workflows.iter().enumerate() {
-            if !w.arrived {
-                continue;
-            }
-            let home = w.home;
-            obs.emit(|o| o.on_workflow_submitted(SimTime::ZERO, wf, home));
-        }
-    }
-
-    /// Execute exactly one conservative time window and return its end instant, or `None` when
-    /// the run is over (queues drained or every remaining event lies beyond the horizon).
-    pub(crate) fn step(&mut self, observers: &mut [&mut dyn Observer]) -> Option<SimTime> {
-        self.state.advance_window(observers)
-    }
-
-    /// Start instant of the window [`EngineSession::step`] would execute next.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.state.next_window().map(|(start, _)| start)
-    }
-
-    /// Current virtual time (the end of the last executed window).
-    pub(crate) fn now(&self) -> SimTime {
-        self.state.now
-    }
-
-    pub(crate) fn horizon(&self) -> SimTime {
-        self.state.horizon
-    }
-
-    pub(crate) fn grid_sample(&self) -> GridSample {
-        self.state.grid_sample()
-    }
-
-    pub(crate) fn label(&self) -> String {
-        self.state.scheduler.label()
-    }
-
-    pub(crate) fn shard_stats(&self) -> ShardStats {
-        self.state.stats()
-    }
-
-    /// Close the session: take the final metrics sample (at the horizon if the run completed,
-    /// at the current time if it was cut short), mirror it to the observers, and build the
-    /// report.  A fully-stepped session produces a report byte-identical to the one-shot run.
-    pub(crate) fn finish(self, observers: &mut [&mut dyn Observer]) -> SimulationReport {
-        let end_time = if self.peek_time().is_none() {
-            self.state.horizon
-        } else {
-            self.state.now
-        };
-        let sample = self.state.grid_sample();
-        Observers(observers).emit(|o| o.on_sample(end_time, &sample));
-        self.state.finish(end_time)
     }
 }
 
@@ -1406,11 +1194,11 @@ mod tests {
 
     /// Run a session to the horizon and hand back the internal engine, for white-box tests
     /// asserting on dispatch/execution counters.
-    fn run_session(cfg: GridConfig, algo: AlgorithmConfig) -> ShardedEngine {
+    fn run_session(cfg: GridConfig, algo: AlgorithmConfig) -> Engine {
         let scenario = Scenario::build(cfg).expect("test config is valid");
-        let mut session = EngineSession::new(&scenario, Box::new(algo));
-        while session.step(&mut []).is_some() {}
-        session.state
+        let mut engine = Engine::new(&scenario, Box::new(algo));
+        while engine.step(&mut []).is_some() {}
+        engine
     }
 
     #[test]
@@ -1458,62 +1246,6 @@ mod tests {
             a.completed != c.completed || a.act_secs() != c.act_secs(),
             "different seeds should produce different runs"
         );
-    }
-
-    #[test]
-    fn shard_count_never_changes_results() {
-        let run_at = |shards: usize, seed: u64| {
-            let cfg = tiny_config(seed).with_shards(shards);
-            let scenario = Scenario::build(cfg).unwrap();
-            let r = scenario.simulate_algorithm(Algorithm::Dsmf).run();
-            (
-                r.completed,
-                r.failed,
-                r.act_secs().to_bits(),
-                r.average_efficiency().to_bits(),
-                r.avg_rss_size.to_bits(),
-            )
-        };
-        for seed in [1, 3] {
-            let base = run_at(1, seed);
-            for shards in [2, 4, 8] {
-                assert_eq!(
-                    run_at(shards, seed),
-                    base,
-                    "seed {seed}: {shards} shards diverged from the single-shard run"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn window_invariants_hold_over_a_full_run() {
-        let cfg = tiny_config(1).with_shards(4);
-        let scenario = Scenario::build(cfg).unwrap();
-        let lookahead = scenario.lookahead();
-        let mut session = EngineSession::new(
-            &scenario,
-            Box::new(AlgorithmConfig::paper_default(Algorithm::Dsmf)),
-        );
-        while session.step(&mut []).is_some() {}
-        let stats = session.shard_stats();
-        assert_eq!(stats.shards, 4);
-        assert!(stats.windows > 0);
-        assert!(stats.events > 0);
-        assert!(
-            stats.max_window_width <= lookahead,
-            "window width {} exceeds the lookahead {}",
-            stats.max_window_width,
-            lookahead
-        );
-        // Conservative-PDES soundness: nothing ever crossed a shard boundary faster than the
-        // lookahead the windows were sized by.
-        if let Some(d) = stats.min_cross_shard_delay {
-            assert!(
-                d >= lookahead,
-                "a cross-shard event was delivered after {d}, below the lookahead {lookahead}"
-            );
-        }
     }
 
     #[test]
@@ -1619,8 +1351,8 @@ mod tests {
             .iter()
             .map(|w| w.workflow.task_count())
             .sum();
-        assert!(state.executed_tasks() <= state.dispatched_tasks());
-        assert!(state.dispatched_tasks() as usize <= total_tasks);
+        assert!(state.executed_tasks <= state.dispatched_tasks);
+        assert!(state.dispatched_tasks as usize <= total_tasks);
         // Completed workflows really finished every one of their tasks.
         for w in &state.workflows {
             if w.completed {
@@ -1756,7 +1488,7 @@ mod tests {
         };
         let preempted_somewhere = (20..26).any(|seed| {
             let state = preempt(seed);
-            state.executed_tasks() > state.dispatched_tasks()
+            state.executed_tasks > state.dispatched_tasks
         });
         assert!(
             preempted_somewhere,

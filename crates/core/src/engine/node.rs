@@ -368,7 +368,7 @@ impl NodeRuntime {
     /// Cancel one running task (a replica twin whose other copy completed first): free its
     /// slot and return the execution time already spent on it.  The cancelled run's in-flight
     /// completion event finds no matching running entry and goes stale, exactly like after a
-    /// preemption; the freed slot is refilled by a barrier-scheduled `SlotFreed` event.
+    /// preemption; the caller refills the freed slot.
     pub fn cancel_running(&mut self, wf: usize, task: TaskId, now: SimTime) -> Option<f64> {
         let pos = self
             .running

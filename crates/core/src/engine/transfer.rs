@@ -5,15 +5,8 @@
 //! bandwidths of the generated Waxman topology).  This module owns that ground truth: a
 //! migrated task's inputs — its program image from the home node plus one dependent-data
 //! transfer per finished precedent — all flow concurrently, so the task becomes data-complete
-//! after the *slowest* individual transfer.
-//!
-//! These transfer times are also what makes the sharded event loop sound.  A remote dispatch
-//! is the only way one node schedules work on another, and [`TransferModel::arrival_delay_secs`]
-//! charges every remote migration at least one traversal of a topology link — so no
-//! cross-node (hence cross-shard) event can arrive earlier than the topology's smallest
-//! pairwise latency, which is exactly the engine lookahead computed at
-//! [`Scenario::build`](crate::scenario::Scenario) (clamped by the gossip cadence).  Local
-//! dispatches can be instantaneous, but they stay within the node's own shard.
+//! after the *slowest* individual transfer.  A local dispatch with no remote inputs is
+//! data-complete at once, within the dispatching instant.
 
 use crate::NodeId;
 use p2pgrid_topology::PairwiseMetrics;

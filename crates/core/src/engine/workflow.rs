@@ -50,10 +50,10 @@ impl WorkflowRuntime {
         self.task_location[task.index()].unwrap_or(self.home)
     }
 
-    /// Apply one barrier-delivered completion notice: record the execution site and mark the
-    /// task finished.  Returns `true` when the completion was the exit task — the caller then
-    /// flags the workflow completed and records the metric.  Callers check
-    /// [`WorkflowRuntime::is_active`] first; notices for failed workflows are dropped.
+    /// Apply one task completion: record the execution site and mark the task finished.
+    /// Returns `true` when the completion was the exit task — the caller then flags the
+    /// workflow completed and records the metric.  Callers check
+    /// [`WorkflowRuntime::is_active`] first; completions in failed workflows are dropped.
     pub fn apply_completion(&mut self, task: TaskId, node: NodeId) -> bool {
         self.task_location[task.index()] = Some(node);
         self.progress.mark_finished(&self.workflow, task);

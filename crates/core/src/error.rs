@@ -35,8 +35,6 @@ pub enum ConfigError {
     EmptySlotClasses,
     /// A slot-class weight is non-positive or non-finite.
     InvalidSlotWeight(f64),
-    /// A fixed shard count of zero was requested.
-    ZeroShards,
     /// The workload is invalid: a malformed synthetic-generator range, or a trace workload
     /// whose document failed validation (cycle, duplicate edge, unknown reference, ...).
     InvalidWorkload(String),
@@ -115,9 +113,6 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidSlotWeight(w) => {
                 write!(f, "slot class weights must be positive and finite, got {w}")
             }
-            ConfigError::ZeroShards => {
-                write!(f, "the event loop needs at least one shard")
-            }
             ConfigError::InvalidWorkload(msg) => write!(f, "invalid workload: {msg}"),
             ConfigError::InvalidArrival { what, value } => {
                 write!(
@@ -177,7 +172,6 @@ mod tests {
             .contains("gossip"));
         let boxed: Box<dyn std::error::Error> = Box::new(ConfigError::ZeroSlots);
         assert!(boxed.to_string().contains("execution slot"));
-        assert!(ConfigError::ZeroShards.to_string().contains("shard"));
         assert!(ConfigError::InvalidFault {
             what: "mtbf",
             value: -1.0

@@ -69,7 +69,7 @@
 //! | [`config`]    | experiment configuration (Table I defaults, [`config::ResourceModel`] slots, [`config::FaultModel`] faults, [`config::RecoveryPolicy`] recovery, load factor, CCR) |
 //! | [`error`]     | the typed [`ConfigError`] returned by validation and [`Scenario::build`] |
 //! | [`scenario`]  | the reusable pre-sampled world ([`Scenario`]) |
-//! | [`engine`]    | the sharded grid engine: per-node / per-workflow runtime, transfer model, conservative time-window event loop |
+//! | [`engine`]    | the grid engine: per-node / per-workflow runtime, transfer model, the event loop that executes one virtual instant per step |
 //! | [`simulation`]| [`Simulation`] sessions |
 //! | [`observer`]  | the [`Observer`] seam, [`TimeSeriesProbe`] and [`TraceRecorder`] |
 //! | [`worked_example`] | the two-workflow scenario of Fig. 3 used by tests and `repro --fig 3` |
@@ -94,10 +94,9 @@ pub mod worked_example;
 pub use algorithm::{Algorithm, AlgorithmConfig, SecondPhase};
 pub use config::{
     ArrivalProcess, CapacityModel, ChurnConfig, CorrelatedOutage, FaultModel, GridConfig,
-    PreemptionPolicy, RecoveryPolicy, ResourceModel, ShardSpec, SlotClass, SlotModel,
-    StochasticFaults, StreamKind, StreamSeeds, WorkloadSource,
+    PreemptionPolicy, RecoveryPolicy, ResourceModel, SlotClass, SlotModel, StochasticFaults,
+    StreamKind, StreamSeeds, WorkloadSource,
 };
-pub use engine::ShardStats;
 pub use error::ConfigError;
 pub use estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
 pub use observer::{GridSample, Observer, TimeSeriesProbe, TraceEvent, TraceRecorder};

@@ -24,20 +24,14 @@
 //! Observers never mutate engine state, so a run with observers attached produces a report
 //! byte-identical to the same run without them.
 //!
-//! # Ordering under the sharded event loop
+//! # Ordering
 //!
-//! Observers always run serially on the driving thread, never inside a shard: events raised
-//! while a conservative time window executes (task starts, finishes, displacements) are
-//! buffered per shard and replayed at the window barrier through an ordered merge keyed by
-//! `(time, global node id, per-node emission order)`.  The stream an observer sees is
-//! therefore *identical for every shard count and pool width* — same events, same order, same
-//! timestamps (pinned by `tests/sharding.rs`).  Within one window the merge orders concurrent
-//! events of different nodes by node id; everything a single node emits keeps its causal
-//! order.  Grid-wide events (dispatch cadences, churn, gossip, samples) happen at barriers and
-//! are emitted directly, after the window's buffered events.
-//!
-//! With *no* observers registered the engine skips buffering entirely (the observer fast
-//! path — shards don't even record events), so observation is strictly pay-for-use.
+//! Observers run on the driving thread, and every hook fires inline, at the transition it
+//! describes, in the engine's event order: timestamps never decrease, and within one instant
+//! the node events due at it come first, then the grid-wide cadences (dispatch, churn, gossip,
+//! samples), then the node events those cadences scheduled for the same instant.  An exit
+//! task's `on_task_finished` is followed at once by its `on_workflow_completed`.  The stream
+//! is deterministic per seed and pool width.
 
 use crate::NodeId;
 use p2pgrid_sim::SimTime;

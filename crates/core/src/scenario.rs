@@ -83,13 +83,9 @@ pub(crate) struct ScenarioWorld {
     /// The pre-drawn stochastic failure schedule: `(node, time, down)` transitions, node-major
     /// and time-ascending per node, clipped to the horizon.  Empty unless the fault model is
     /// [`FaultModel::Stochastic`].  Pre-drawing the whole schedule at build time (one RNG
-    /// sub-stream per node / outage group) is what keeps failures byte-identical across shard
-    /// counts: the events are scheduled into their owners' shard queues at session start, and
-    /// no shard ever draws failure randomness live.
+    /// sub-stream per node / outage group) keeps sessions free of failure randomness: each
+    /// session queues the schedule's events when it starts.
     pub(crate) faults: Vec<(NodeId, SimTime, bool)>,
-    /// Conservative-PDES lookahead: a lower bound on how far ahead of "now" any cross-node
-    /// interaction can land, derived once at build time (see [`Scenario::lookahead`]).
-    pub(crate) lookahead: SimDuration,
 }
 
 impl ScenarioWorld {
@@ -99,27 +95,6 @@ impl ScenarioWorld {
         self.gossip_trace
             .get_or_init(|| Arc::new(GossipTrace::build(self)))
     }
-}
-
-/// The conservative time-window width of the sharded event loop under `config`, given the
-/// topology's minimum positive pairwise latency.
-///
-/// Any effect one node has on another travels either over the network (a data transfer,
-/// lower-bounded by the minimum pairwise path latency) or through a gossip exchange (which
-/// only happens at multiples of the gossip interval).  The smaller of the two therefore
-/// bounds the earliest cross-shard interaction, and shards may safely run `lookahead` ahead
-/// of each other.  Clamped below at 1 ms (the virtual-time resolution) so degenerate
-/// topologies still make progress one tick at a time.
-fn compute_lookahead(config: &GridConfig, min_latency_ms: f64) -> SimDuration {
-    let latency_bound = if min_latency_ms.is_finite() && min_latency_ms >= 1.0 {
-        SimDuration::from_millis(min_latency_ms.floor() as u64)
-    } else {
-        // Single-node / disconnected topologies (+inf) or sub-millisecond latencies: fall
-        // back to the other bound resp. the 1 ms floor.
-        SimDuration::MAX
-    };
-    let bound = latency_bound.min(config.gossip_interval);
-    bound.max(SimDuration::from_millis(1))
 }
 
 /// Number of stable (never-failing, home-eligible) nodes under `config`.
@@ -478,7 +453,6 @@ impl Scenario {
             None => Arc::default(),
         };
         let faults = sample_fault_schedule(&config, stable);
-        let lookahead = compute_lookahead(&config, transfer.metrics().min_positive_latency_ms());
 
         Ok(Scenario {
             world: Arc::new(ScenarioWorld {
@@ -492,7 +466,6 @@ impl Scenario {
                 true_costs,
                 gossip_trace,
                 faults,
-                lookahead,
             }),
         })
     }
@@ -681,18 +654,6 @@ impl Scenario {
         self.world.true_costs
     }
 
-    /// The conservative-PDES lookahead of this world: the width of the lockstep time windows
-    /// the sharded event loop advances in.
-    ///
-    /// Derived at build time as the smaller of the topology's minimum positive pairwise path
-    /// latency (any data transfer between distinct nodes takes at least this long) and the
-    /// gossip interval (the only other cross-node interaction channel), floored at the 1 ms
-    /// virtual-time resolution.  Within one window shards cannot affect each other, which is
-    /// what makes shard-parallel execution exact rather than approximate.
-    pub fn lookahead(&self) -> SimDuration {
-        self.world.lookahead
-    }
-
     /// Start an independent [`Simulation`] session driven by any [`Scheduler`] — the seam for
     /// policies beyond the paper's built-in eight.  The session clones the mutable runtime
     /// state; the scenario itself is never perturbed, so sessions can run concurrently.
@@ -768,22 +729,6 @@ mod tests {
             Scenario::build(wide).unwrap_err(),
             ConfigError::GossipRecordTooWide(35)
         );
-    }
-
-    #[test]
-    fn lookahead_is_positive_and_bounded_by_the_gossip_interval() {
-        let scenario = Scenario::build(GridConfig::small(16).with_seed(2)).unwrap();
-        let la = scenario.lookahead();
-        assert!(!la.is_zero());
-        assert!(la <= scenario.config().gossip_interval);
-        // Waxman hop latency is >= 1 ms, so generated topologies give a >= 1 ms window.
-        assert!(la >= SimDuration::from_millis(1));
-        // A single-node world has no pairwise latency: the gossip interval is the bound.
-        let lonely = Scenario::build(GridConfig::small(1)).unwrap();
-        assert_eq!(lonely.lookahead(), lonely.config().gossip_interval);
-        // Derived worlds recompute/share the same lookahead (same topology tables).
-        let derived = scenario.with_seed(99).unwrap();
-        assert_eq!(derived.lookahead(), la);
     }
 
     #[test]

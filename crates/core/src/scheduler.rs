@@ -29,10 +29,10 @@ use p2pgrid_workflow::ExpectedCosts;
 
 /// A complete dual-phase scheduling policy, pluggable into the grid engine.
 ///
-/// `Send + Sync` is a supertrait because the sharded event loop executes each time window's
-/// shards on the worker pool, and every shard reads the scheduler's [`Scheduler::ready_key`]
-/// concurrently.  Schedulers are consulted, never mutated, during a window, so any stateless
-/// policy (like the built-in [`AlgorithmConfig`]) satisfies the bound for free.
+/// `Send + Sync` is a supertrait so schedulers, and the sessions that own them, may cross
+/// and be shared between threads, such as the worker pool that sweeps run sessions on.  The
+/// engine only consults a scheduler, never mutates it, so any stateless policy (like the
+/// built-in [`AlgorithmConfig`]) satisfies the bound for free.
 pub trait Scheduler: Send + Sync {
     /// Label used in reports and figure legends (e.g. `"DSMF"`, `"min-min+FCFS"`).
     fn label(&self) -> String;

@@ -1,8 +1,8 @@
 //! Simulation sessions: stepable runs over a shared [`Scenario`].
 //!
 //! A [`Simulation`] is one in-flight run of a scheduler on a pre-built world.  It can be
-//! driven incrementally — [`Simulation::step`] executes one conservative time window of the
-//! sharded engine, [`Simulation::run_until`] advances to a virtual instant,
+//! driven incrementally — [`Simulation::step`] executes one virtual instant of the engine,
+//! [`Simulation::run_until`] advances to a virtual instant,
 //! [`Simulation::run`] drives to the horizon — and it carries the observer seam: any number
 //! of [`Observer`]s registered via [`Simulation::observe`] receive every externally
 //! meaningful engine event as it happens.
@@ -23,7 +23,7 @@
 //! Observers never perturb the engine: a fully-stepped session — with or without observers —
 //! produces a report byte-identical to an unobserved [`Simulation::run`] at the same seed.
 
-use crate::engine::{EngineSession, ShardStats};
+use crate::engine::Engine;
 use crate::observer::{GridSample, Observer};
 use crate::report::SimulationReport;
 use crate::scenario::Scenario;
@@ -36,7 +36,7 @@ use p2pgrid_sim::SimTime;
 /// [module docs](self) for the lifecycle.  `'obs` is the lifetime of the registered
 /// observers — a session without observers is `Simulation<'static>`.
 pub struct Simulation<'obs> {
-    session: EngineSession,
+    engine: Engine,
     observers: Vec<&'obs mut dyn Observer>,
     started: bool,
 }
@@ -44,7 +44,7 @@ pub struct Simulation<'obs> {
 impl<'obs> Simulation<'obs> {
     pub(crate) fn start(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
         Simulation {
-            session: EngineSession::new(scenario, scheduler),
+            engine: Engine::new(scenario, scheduler),
             observers: Vec::new(),
             started: false,
         }
@@ -69,28 +69,25 @@ impl<'obs> Simulation<'obs> {
     fn ensure_started(&mut self) {
         if !self.started {
             self.started = true;
-            self.session.announce_submissions(&mut self.observers);
+            self.engine.announce_submissions(&mut self.observers);
         }
     }
 
-    /// Execute exactly one conservative time window (all events within one engine
-    /// [`lookahead`](Scenario::lookahead), across every shard) and return the window's end,
-    /// or `None` when the run is over (event queues drained, or every remaining event lies
-    /// beyond the horizon).
+    /// Execute exactly one virtual instant — every event due at it, across every node, and
+    /// the grid-wide cadences due at it — and return it, or `None` when the run is over
+    /// (event queues drained, or every remaining event lies beyond the horizon).
     pub fn step(&mut self) -> Option<SimTime> {
         self.ensure_started();
-        self.session.step(&mut self.observers)
+        self.engine.step(&mut self.observers)
     }
 
-    /// Execute every window *starting* at or before `until` and return how many windows ran.
-    /// Because steps are window-granular, the session may stop up to one lookahead past
-    /// `until`; events exactly at `until` are always included, matching the horizon's
-    /// inclusive semantics.
+    /// Execute every instant at or before `until` and return how many ran.  Events exactly
+    /// at `until` are included, matching the horizon's inclusive semantics.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         self.ensure_started();
         let mut delivered = 0;
-        while self.session.peek_time().is_some_and(|t| t <= until) {
-            if self.session.step(&mut self.observers).is_none() {
+        while self.engine.peek_time().is_some_and(|t| t <= until) {
+            if self.engine.step(&mut self.observers).is_none() {
                 break;
             }
             delivered += 1;
@@ -99,10 +96,10 @@ impl<'obs> Simulation<'obs> {
     }
 
     /// Drive the run to its horizon and return the report (the one-shot path, byte-identical
-    /// to stepping it window by window).
+    /// to stepping it instant by instant).
     pub fn run(mut self) -> SimulationReport {
         self.ensure_started();
-        while self.session.step(&mut self.observers).is_some() {}
+        while self.engine.step(&mut self.observers).is_some() {}
         self.finish()
     }
 
@@ -111,46 +108,33 @@ impl<'obs> Simulation<'obs> {
     /// short reports at its current virtual time.
     pub fn finish(mut self) -> SimulationReport {
         self.ensure_started();
-        self.session.finish(&mut self.observers)
+        self.engine.finish(&mut self.observers)
     }
 
-    /// Current virtual time: the end of the last executed window.
+    /// Current virtual time: the last executed instant.
     pub fn now(&self) -> SimTime {
-        self.session.now()
+        self.engine.now()
     }
 
-    /// Start instant of the window the next [`Simulation::step`] would execute, or `None`
-    /// when the run is over.
+    /// The instant the next [`Simulation::step`] would execute, or `None` when the run is
+    /// over.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.session.peek_time()
+        self.engine.peek_time()
     }
 
     /// The run's horizon (virtual end time).
     pub fn horizon(&self) -> SimTime {
-        self.session.horizon()
+        self.engine.horizon()
     }
 
     /// A live aggregate snapshot of the grid — the same [`GridSample`] the metrics-cadence
     /// observer hook receives, computable at any point of a stepped run.
     pub fn sample(&self) -> GridSample {
-        self.session.grid_sample()
+        self.engine.grid_sample()
     }
 
     /// Label of the scheduler driving this session (e.g. `"DSMF"`).
     pub fn algorithm(&self) -> String {
-        self.session.label()
-    }
-
-    /// Number of shards this session's event loop runs on (the resolved
-    /// [`ShardSpec`](crate::config::ShardSpec)).
-    pub fn shard_count(&self) -> usize {
-        self.session.shard_stats().shards
-    }
-
-    /// Live counters of the sharded event loop: windows executed so far, window widths,
-    /// per-shard event totals and cross-shard traffic.  Purely diagnostic — reports are
-    /// byte-identical for every shard count.
-    pub fn shard_stats(&self) -> ShardStats {
-        self.session.shard_stats()
+        self.engine.label()
     }
 }

@@ -6,12 +6,12 @@
 //! tracks the fault events themselves (node failures / repairs, tasks lost, retries) and the
 //! work ledger in machine instructions: useful MI (work that ended up in a finished
 //! workflow), wasted MI (work executed and then thrown away — lost mid-run, un-checkpointed
-//! residue, redundant replica completions, or work belonging to a workflow that later
-//! failed), and the latency between losing a task and getting its replacement dispatched.
+//! residue, replica twins cancelled by a sibling's completion, or work belonging to a
+//! workflow that later failed), and the latency between losing a task and getting its
+//! replacement dispatched.
 //!
-//! All accumulation happens at the engine's window barriers in canonical event order, so
-//! every figure derived from these counters is byte-identical across shard counts and pool
-//! widths.
+//! The engine accumulates at each event's instant, in its deterministic event order, so
+//! every figure derived from these counters is byte-identical across runs and pool widths.
 
 /// Fault and recovery counters of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

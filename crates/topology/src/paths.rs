@@ -31,8 +31,6 @@ pub struct PairwiseMetrics {
     /// Latency of the minimum-latency path, ms; +inf when unreachable.
     latency: Vec<f32>,
     avg_bandwidth: f64,
-    /// Smallest positive finite pairwise latency, ms; +inf when no pair is connected.
-    min_positive_latency_ms: f64,
 }
 
 impl PairwiseMetrics {
@@ -59,17 +57,12 @@ impl PairwiseMetrics {
         }
         let mut sum = 0.0f64;
         let mut cnt = 0u64;
-        let mut min_lat = f64::INFINITY;
         for u in 0..n {
             for v in (u + 1)..n {
                 let b = bandwidth[u * n + v] as f64;
                 if b > 0.0 {
                     sum += b;
                     cnt += 1;
-                }
-                let l = latency[u * n + v] as f64;
-                if l > 0.0 && l.is_finite() && l < min_lat {
-                    min_lat = l;
                 }
             }
         }
@@ -79,7 +72,6 @@ impl PairwiseMetrics {
             bandwidth,
             latency,
             avg_bandwidth,
-            min_positive_latency_ms: min_lat,
         }
     }
 
@@ -112,17 +104,6 @@ impl PairwiseMetrics {
     /// This is the ground-truth value that the aggregation gossip protocol estimates.
     pub fn average_bandwidth_mbps(&self) -> f64 {
         self.avg_bandwidth
-    }
-
-    /// Smallest positive finite pairwise path latency in milliseconds.
-    ///
-    /// Any data transfer between two *distinct* connected nodes takes at least this long, so
-    /// it lower-bounds the cross-node interaction delay — the quantity a conservative PDES
-    /// lookahead is derived from.  `f64::INFINITY` when no two nodes are connected (a
-    /// single-node or fully disconnected topology), in which case callers should fall back to
-    /// another bound (e.g. the gossip interval).
-    pub fn min_positive_latency_ms(&self) -> f64 {
-        self.min_positive_latency_ms
     }
 
     /// Time in seconds to move `megabits` of data from `u` to `v`.
@@ -361,27 +342,6 @@ mod tests {
         let secs = m.transfer_secs(0, 1, 100.0);
         assert!((secs - 20.02).abs() < 1e-9);
         assert_eq!(m.transfer_secs(0, 1, 0.0), 0.0);
-    }
-
-    #[test]
-    fn min_positive_latency_is_the_cheapest_pair() {
-        let t = line_with_shortcut();
-        let m = PairwiseMetrics::compute(&t);
-        // Every edge in the line costs 1 ms, so the cheapest connected pair is 1 ms.
-        assert!((m.min_positive_latency_ms() - 1.0).abs() < 1e-6);
-        // A lone node has no connected pair: the bound degenerates to +inf.
-        let lonely = Topology::with_unplaced_nodes(1);
-        assert_eq!(
-            PairwiseMetrics::compute(&lonely).min_positive_latency_ms(),
-            f64::INFINITY
-        );
-        // Waxman edges cost at least the 1 ms hop latency, so generated topologies always
-        // yield a positive, >= 1 ms lookahead bound.
-        let mut rng = SimRng::seed_from_u64(23);
-        let topo = WaxmanGenerator::new(WaxmanConfig::with_nodes(50)).generate(&mut rng);
-        let m = PairwiseMetrics::compute(&topo);
-        assert!(m.min_positive_latency_ms() >= 1.0);
-        assert!(m.min_positive_latency_ms().is_finite());
     }
 
     #[test]

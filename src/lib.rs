@@ -68,9 +68,9 @@ pub mod prelude {
     pub use p2pgrid_core::{
         Algorithm, AlgorithmConfig, ArrivalProcess, CapacityModel, ChurnConfig, ConfigError,
         CorrelatedOutage, FaultModel, GridConfig, GridSample, Observer, PreemptionPolicy,
-        RecoveryPolicy, ResourceModel, Scenario, SecondPhase, ShardSpec, ShardStats, Simulation,
-        SimulationReport, SlotClass, SlotModel, StochasticFaults, StreamKind, StreamSeeds,
-        TimeSeriesProbe, TraceEvent, TraceRecorder, WorkloadSource,
+        RecoveryPolicy, ResourceModel, Scenario, SecondPhase, Simulation, SimulationReport,
+        SlotClass, SlotModel, StochasticFaults, StreamKind, StreamSeeds, TimeSeriesProbe,
+        TraceEvent, TraceRecorder, WorkloadSource,
     };
     pub use p2pgrid_experiments::{Campaign, CampaignSpec, ExperimentScale};
     pub use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowRecord};

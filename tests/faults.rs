@@ -1,9 +1,9 @@
 //! The fault-injection substrate end to end: conservation invariants under arbitrary fault
-//! schedules × every recovery policy, and byte-identity of faulty runs across shard counts.
+//! schedules × every recovery policy, faulty runs that replay byte-identically, observer
+//! streams in time order, and replica twins that finish a task at most once.
 //!
-//! The CI matrix re-runs this suite under `P2PGRID_POOL_THREADS` ∈ {1, 8} ×
-//! `P2PGRID_SHARDS` ∈ {1, 4}, so each pin here also covers pool widths; shard counts are
-//! additionally swept explicitly via `with_shards`, which overrides the env knob.
+//! The CI matrix re-runs this suite under `P2PGRID_POOL_THREADS` ∈ {1, 8}, so each pin here
+//! also covers pool widths.
 
 use p2pgrid::prelude::*;
 use proptest::prelude::*;
@@ -37,34 +37,32 @@ fn every_policy() -> [RecoveryPolicy; 5] {
     ]
 }
 
-fn run_sharded(cfg: &GridConfig, shards: usize) -> SimulationReport {
-    Scenario::build(cfg.clone().with_shards(shards))
+fn run(cfg: &GridConfig) -> SimulationReport {
+    Scenario::build(cfg.clone())
         .unwrap()
         .simulate_algorithm(Algorithm::Dsmf)
         .run()
 }
 
 #[test]
-fn stochastic_runs_are_byte_identical_across_shard_counts_for_every_policy() {
+fn stochastic_runs_fail_nodes_and_replay_identically_for_every_policy() {
     for (i, policy) in every_policy().into_iter().enumerate() {
         let cfg = faulty_config(20, 700 + i as u64, 2.0, policy);
-        let base = run_sharded(&cfg, 1);
+        let base = run(&cfg);
         assert!(
             base.robustness.node_failures > 0,
             "{policy:?}: the pin is vacuous unless nodes actually fail"
         );
-        for shards in [2, 4, 8] {
-            assert_eq!(
-                run_sharded(&cfg, shards).digest(),
-                base.digest(),
-                "{policy:?}: {shards} shards diverged from the single-shard run"
-            );
-        }
+        assert_eq!(
+            run(&cfg).digest(),
+            base.digest(),
+            "{policy:?}: a rerun diverged"
+        );
     }
 }
 
 #[test]
-fn correlated_outages_are_byte_identical_across_shard_counts() {
+fn correlated_outages_fail_nodes_and_replay_identically() {
     let outage = CorrelatedOutage {
         group_size: 4,
         mtbf: SimDuration::from_hours(3),
@@ -78,35 +76,30 @@ fn correlated_outages_are_byte_identical_across_shard_counts() {
         .with_recovery(RecoveryPolicy::unlimited_retry());
     cfg.workflows_per_node = 2;
     cfg.workload.generator_mut().tasks = 2..=8;
-    let base = run_sharded(&cfg, 1);
+    let base = run(&cfg);
     assert!(base.robustness.node_failures > 0);
-    for shards in [2, 4, 8] {
-        assert_eq!(
-            run_sharded(&cfg, shards).digest(),
-            base.digest(),
-            "correlated outages: {shards} shards diverged from the single-shard run"
-        );
-    }
+    assert_eq!(
+        run(&cfg).digest(),
+        base.digest(),
+        "correlated outages: a rerun diverged"
+    );
 }
 
 #[test]
-fn fault_trace_replays_losses_and_retries_identically_across_shard_counts() {
+fn fault_trace_records_losses_and_retries_in_time_order_without_perturbing_the_run() {
     let cfg = faulty_config(20, 811, 2.0, RecoveryPolicy::unlimited_retry());
-    let record = |shards: usize| {
-        let mut trace = TraceRecorder::new();
-        let report = Scenario::build(cfg.clone().with_shards(shards))
-            .unwrap()
-            .simulate_algorithm(Algorithm::Dsmf)
-            .observe(&mut trace)
-            .run();
-        (report.digest(), trace.events().to_vec())
-    };
-    let (base_digest, base_events) = record(1);
-    let lost = base_events
+    let mut trace = TraceRecorder::new();
+    let observed = Scenario::build(cfg.clone())
+        .unwrap()
+        .simulate_algorithm(Algorithm::Dsmf)
+        .observe(&mut trace)
+        .run();
+    let events = trace.events();
+    let lost = events
         .iter()
         .filter(|e| matches!(e.1, TraceEvent::TaskLost { .. }))
         .count();
-    let retried = base_events
+    let retried = events
         .iter()
         .filter(|e| matches!(e.1, TraceEvent::TaskRetried { .. }))
         .count();
@@ -115,17 +108,15 @@ fn fault_trace_replays_losses_and_retries_identically_across_shard_counts() {
         retried > 0,
         "unlimited retry must re-queue some lost running task"
     );
-    for shards in [2, 4, 8] {
-        let (digest, events) = record(shards);
-        assert_eq!(
-            digest, base_digest,
-            "unlimited retry: {shards} shards: report diverged"
-        );
-        assert_eq!(
-            events, base_events,
-            "{shards} shards: observer stream diverged"
-        );
-    }
+    assert!(
+        events.windows(2).all(|pair| pair[0].0 <= pair[1].0),
+        "observer timestamps must never decrease"
+    );
+    assert_eq!(
+        observed.digest(),
+        run(&cfg).digest(),
+        "unlimited retry: observing the run changed its report"
+    );
 }
 
 #[test]
@@ -136,8 +127,8 @@ fn fault_model_off_is_byte_identical_to_the_default_config() {
         .clone()
         .with_faults(FaultModel::Off)
         .with_recovery(RecoveryPolicy::FailWorkflow);
-    let a = run_sharded(&plain, 4);
-    let b = run_sharded(&explicit, 4);
+    let a = run(&plain);
+    let b = run(&explicit);
     assert_eq!(
         a.digest(),
         b.digest(),
@@ -146,6 +137,41 @@ fn fault_model_off_is_byte_identical_to_the_default_config() {
     assert_eq!(a.robustness.node_failures, 0);
     assert_eq!(a.robustness.tasks_lost, 0);
     assert_eq!(a.robustness.wasted_mi, 0.0);
+}
+
+#[test]
+fn replicated_tasks_finish_at_most_once() {
+    // The first copy to complete cancels its twins at its own instant, so no twin can
+    // finish the task again, not even one finishing within the same millisecond.
+    let cfg = faulty_config(20, 3, 2.0, RecoveryPolicy::Replicate { copies: 2 });
+    let mut trace = TraceRecorder::new();
+    let report = Scenario::build(cfg)
+        .unwrap()
+        .simulate_algorithm(Algorithm::Dsmf)
+        .observe(&mut trace)
+        .run();
+    assert!(
+        report.completed > 0,
+        "the pin is vacuous unless tasks finish"
+    );
+    let mut finished: Vec<(usize, TaskId)> = trace
+        .events()
+        .iter()
+        .filter_map(|&(_, e)| match e {
+            TraceEvent::TaskFinished { wf, task, .. } => Some((wf, task)),
+            _ => None,
+        })
+        .collect();
+    finished.sort_unstable();
+    let repeated: Vec<&(usize, TaskId)> = finished
+        .windows(2)
+        .filter(|pair| pair[0] == pair[1])
+        .map(|pair| &pair[1])
+        .collect();
+    assert!(
+        repeated.is_empty(),
+        "tasks finished more than once under Replicate {{ copies: 2 }}: {repeated:?}"
+    );
 }
 
 proptest! {

@@ -2,8 +2,8 @@
 //! and workload family, must reproduce the [`SimulationReport::digest`] checked into
 //! `tests/golden/reports.json`.
 //!
-//! The determinism and sharding suites compare runs against each other; these digests are
-//! frozen instead.  A performance rewrite or a deletion proves it changed no behaviour by
+//! The determinism suites compare runs against each other; these digests are frozen
+//! instead.  A performance rewrite or a deletion proves it changed no behaviour by
 //! leaving the file byte-for-byte unchanged, and an intentional behaviour change shows exactly
 //! which rows moved.  Regenerate the file with
 //!
@@ -11,9 +11,8 @@
 //! P2PGRID_BLESS=1 cargo test --test golden
 //! ```
 //!
-//! and say in the change why the digests moved.  Every config leaves the shard count on
-//! `ShardSpec::Auto`, so the CI matrix over `P2PGRID_SHARDS` × `P2PGRID_POOL_THREADS` checks
-//! the same file at every point.
+//! and say in the change why the digests moved.  The CI matrix over `P2PGRID_POOL_THREADS`
+//! checks the same file at every pool width.
 
 use p2pgrid::prelude::*;
 use serde::json::{self, Value};
