@@ -14,19 +14,25 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2pgrid_bench::{bench_criterion_config, BENCH_SEED};
-use p2pgrid_core::{Algorithm, AlgorithmConfig, GridConfig};
-use p2pgrid_experiments::{campaign, Campaign, ExperimentScale};
+use p2pgrid_core::{Algorithm, AlgorithmConfig, GridConfig, Scenario};
+use p2pgrid_experiments::{campaign, ExperimentScale};
 use rayon::prelude::*;
 use std::hint::black_box;
+
+/// One world per load factor, derived from `base`.
+fn load_factor_worlds(base: &Scenario, load_factors: &[usize]) -> Vec<Scenario> {
+    load_factors
+        .iter()
+        .map(|&lf| base.derive(|c| c.with_load_factor(lf)))
+        .collect::<Result<_, _>>()
+        .expect("derive succeeds")
+}
 
 fn smoke_jobs() -> Vec<campaign::Job> {
     let mut cfg = GridConfig::small(24).with_seed(BENCH_SEED);
     cfg.workflows_per_node = 2;
-    let campaign = Campaign::from_config(cfg).expect("bench config is valid");
-    let points = [1usize, 2];
-    let scenarios = campaign
-        .derive(&points, |base, &lf| base.with_load_factor(lf))
-        .expect("derive succeeds");
+    let base = Scenario::build(cfg).expect("bench config is valid");
+    let scenarios = load_factor_worlds(&base, &[1, 2]);
     campaign::cross(
         &scenarios,
         &[
@@ -40,12 +46,9 @@ fn smoke_jobs() -> Vec<campaign::Job> {
 
 fn bench_campaign(c: &mut Criterion) {
     if std::env::var_os("P2PGRID_BENCH_REDUCED").is_some() {
-        let campaign = Campaign::from_config(ExperimentScale::Reduced.base_config(BENCH_SEED))
+        let base = Scenario::build(ExperimentScale::Reduced.base_config(BENCH_SEED))
             .expect("bench config is valid");
-        let points = [1usize, 2, 3, 4];
-        let scenarios = campaign
-            .derive(&points, |base, &lf| base.with_load_factor(lf))
-            .expect("derive succeeds");
+        let scenarios = load_factor_worlds(&base, &[1, 2, 3, 4]);
         let jobs = campaign::cross(
             &scenarios,
             &[

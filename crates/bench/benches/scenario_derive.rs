@@ -1,12 +1,12 @@
-//! Copy-on-write scenario derivation versus a full rebuild.
+//! Scenario derivation versus a full rebuild.
 //!
-//! `Scenario::with_seed` (and the other `with_*` methods) re-sample only the affected RNG
-//! streams and share the `Arc`'d topology, `PairwiseMetrics` and landmark tables, so a sweep
-//! derived from one base world pays for a single all-pairs computation.  Criterion times
-//! derive-vs-rebuild at smoke scale; setting `P2PGRID_BENCH_REDUCED=1` additionally runs a
-//! one-shot wall-clock comparison at the experiments' Reduced scale (120 nodes) *and* the
-//! paper scale (1 000 nodes) and prints it — that is where the amortisation dominates
-//! (numbers recorded in EXPERIMENTS.md).
+//! `Scenario::with_seed` (and `Scenario::derive`, which it is built on) re-sample only the
+//! affected RNG streams and share the `Arc`'d topology, `PairwiseMetrics` and landmark
+//! tables, so a sweep derived from one base world pays for a single all-pairs computation.
+//! Criterion times derive-vs-rebuild at smoke scale; setting `P2PGRID_BENCH_REDUCED=1`
+//! additionally runs a one-shot wall-clock comparison at the experiments' Reduced scale
+//! (120 nodes) *and* the paper scale (1 000 nodes) and prints it — that is where the
+//! amortisation dominates (numbers recorded in EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2pgrid_bench::{bench_criterion_config, BENCH_SEED};
@@ -73,7 +73,10 @@ fn bench(c: &mut Criterion) {
         let mut lf = 0usize;
         bencher.iter(|| {
             lf = lf % 4 + 1;
-            black_box(base.with_load_factor(lf).expect("derive succeeds"))
+            black_box(
+                base.derive(|c| c.with_load_factor(lf))
+                    .expect("derive succeeds"),
+            )
         })
     });
     group.finish();

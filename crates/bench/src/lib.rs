@@ -11,7 +11,7 @@
 //! | `fig09_10_ccr` | Fig. 9–10 (CCR sweep) |
 //! | `fig11_scalability` | Fig. 11 (RSS size / AE / ACT vs scale) |
 //! | `fig12_14_churn` | Fig. 12–14 (dynamic factor sweep) |
-//! | `scenario_derive` | copy-on-write `Scenario::with_*` derivation vs a full rebuild |
+//! | `scenario_derive` | `Scenario::with_seed` / `Scenario::derive` vs a full rebuild |
 //! | `campaign_sweep` | the pooled campaign path vs sequential + the pool-balance regression |
 //! | `micro_heuristics` | scheduling-decision micro-benchmarks (Algorithm 1 / Algorithm 2) |
 //! | `micro_substrates` | substrate micro-benchmarks (topology, gossip, DAG analysis, event queue) |

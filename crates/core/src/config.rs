@@ -492,7 +492,7 @@ impl RecoveryPolicy {
 /// Every stochastic component of the world draws from its own stream, so perturbing one
 /// (e.g. re-seeding the workflow draw) never shifts the randomness of the others.  The
 /// [`StreamSeeds`] overrides pin individual streams to a seed other than the master —
-/// the plumbing behind the copy-on-write `Scenario::with_*` derivation methods.
+/// the plumbing behind `Scenario::with_seed`, which re-seeds a world over the same network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamKind {
     /// Waxman topology generation (node placement + edge sampling).

@@ -24,14 +24,130 @@
 //! order at equal instants: faults first, as the engine runs an instant's node events before
 //! its cadences, then the engine's own cadence queue, so after t = 0 the churn step and the
 //! first phase at a scheduling instant run before that instant's gossip cycle.
+//!
+//! The build reads one value, [`TraceInputs`]: the gossip config, the gossip and churn
+//! stream seeds, the churn dynamic factor, the cadences and the horizon, each node's churn
+//! role and advertised resources, the fault schedule and the set of home nodes.  A world
+//! keeps its trace in a [`TraceCell`] keyed by those inputs, and a world derived from it
+//! shares the cell whenever its inputs are equal.  The protocol reads neither the DAGs, nor
+//! the load factor, nor the arrival times, nor the recovery policy, so the load-factor, CCR,
+//! arrival and recovery sweeps run it once.
 
+use super::node::NodeRuntime;
 use super::GridEvent;
 use crate::config::{GridConfig, StreamKind};
-use crate::scenario::{stream_rng, ScenarioWorld};
+use crate::scenario::seeded_stream;
 use crate::NodeId;
-use p2pgrid_gossip::{GossipStats, LocalNodeState, MixedGossip};
-use p2pgrid_sim::{EventQueue, SimRng, SimTime};
+use p2pgrid_gossip::{GossipStats, LocalNodeState, MixedGossip, MixedGossipConfig};
+use p2pgrid_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use p2pgrid_workflow::ExpectedCosts;
+use std::sync::{Arc, OnceLock};
+
+/// Everything [`GossipTrace::build`] reads, and nothing else: two worlds with equal inputs
+/// build equal traces.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TraceInputs {
+    gossip: MixedGossipConfig,
+    /// The effective seed of the gossip stream.
+    gossip_seed: u64,
+    /// The effective seed of the churn stream.
+    churn_seed: u64,
+    /// The churn step's dynamic factor; zero without churn.
+    dynamic_factor: f64,
+    gossip_interval: SimDuration,
+    scheduling_interval: SimDuration,
+    metrics_interval: SimDuration,
+    horizon: SimDuration,
+    /// Each node as the protocol sees it at t = 0: alive, unloaded, with its advertised
+    /// capacity, slot count and local bandwidth.
+    local: Vec<LocalNodeState>,
+    /// Each node's churn role.
+    churnable: Vec<bool>,
+    /// The pre-drawn fault schedule, stably sorted by time.
+    faults: Vec<(NodeId, SimTime, bool)>,
+    /// Nodes that submit workflows, ascending.
+    homes: Vec<NodeId>,
+}
+
+impl TraceInputs {
+    /// The inputs of the trace of a world sampled from `config`.
+    pub(crate) fn new(
+        config: &GridConfig,
+        nodes: &[NodeRuntime],
+        faults: &[(NodeId, SimTime, bool)],
+        home_of: &[Vec<usize>],
+    ) -> TraceInputs {
+        // The schedule is node-major; a stable sort by time keeps each node's down before
+        // its up at a shared instant.
+        let mut faults = faults.to_vec();
+        faults.sort_by_key(|&(_, time, _)| time);
+        TraceInputs {
+            gossip: config.gossip,
+            gossip_seed: config.stream_seed(StreamKind::Gossip),
+            churn_seed: config.stream_seed(StreamKind::Churn),
+            dynamic_factor: config.churn().map_or(0.0, |churn| churn.dynamic_factor),
+            gossip_interval: config.gossip_interval,
+            scheduling_interval: config.scheduling_interval,
+            metrics_interval: config.metrics_interval,
+            horizon: config.horizon,
+            local: nodes
+                .iter()
+                .map(|nd| LocalNodeState {
+                    alive: nd.alive,
+                    capacity_mips: nd.advertised_capacity_mips(),
+                    slots: nd.slots,
+                    total_load_mi: 0.0,
+                    local_avg_bandwidth_mbps: nd.local_avg_bandwidth_mbps,
+                })
+                .collect(),
+            churnable: nodes.iter().map(|nd| nd.churnable).collect(),
+            faults,
+            homes: (0..nodes.len())
+                .filter(|&i| !home_of[i].is_empty())
+                .collect(),
+        }
+    }
+
+    /// The time between two instants of `event`'s cadence.
+    fn interval(&self, event: GridEvent) -> SimDuration {
+        match event {
+            GridEvent::GossipCycle => self.gossip_interval,
+            GridEvent::SchedulingCycle => self.scheduling_interval,
+            GridEvent::MetricsSample => self.metrics_interval,
+        }
+    }
+}
+
+/// One world's gossip trace, built on first use from the inputs that key it.  Worlds with
+/// equal inputs share one cell, so whichever of them starts a session first builds the trace
+/// for all of them.
+#[derive(Debug)]
+pub(crate) struct TraceCell {
+    pub(crate) inputs: TraceInputs,
+    trace: OnceLock<Arc<GossipTrace>>,
+}
+
+impl TraceCell {
+    /// An empty cell for the trace of `inputs`.
+    pub(crate) fn new(inputs: TraceInputs) -> TraceCell {
+        TraceCell {
+            inputs,
+            trace: OnceLock::new(),
+        }
+    }
+
+    /// The trace, built on first use.  Concurrent first callers block until the one build
+    /// finishes.
+    pub(crate) fn get(&self) -> &Arc<GossipTrace> {
+        self.trace
+            .get_or_init(|| Arc::new(GossipTrace::build(&self.inputs)))
+    }
+
+    /// The trace, if a session has built it.
+    pub(crate) fn built(&self) -> Option<&GossipTrace> {
+        self.trace.get().map(|trace| &**trace)
+    }
+}
 
 /// One record of a traced `RSS`: what the protocol's [`NodeStateRecord`] holds, less the
 /// capacity, slot count and load, which a session looks up by node and age.
@@ -61,13 +177,16 @@ fn bits(max: u64) -> u32 {
     u64::BITS - max.leading_zeros()
 }
 
-/// Cycles a record can be old at a read under `config`, plus one.  A cycle's purge leaves
-/// records at most `staleness / interval` cycles old, and nothing adds a record between
-/// cycles.
-fn ring_len(config: &GridConfig) -> usize {
-    let gossip_ms = config.gossip_interval.as_millis();
-    let cycles_total = (config.horizon.as_millis() / gossip_ms) as usize + 1;
-    ((config.gossip.staleness_limit.as_millis() / gossip_ms) as usize)
+/// Cycles a record can be old at a read, plus one.  A cycle's purge leaves records at most
+/// `staleness / interval` cycles old, and nothing adds a record between cycles.
+fn ring_len(
+    staleness_limit: SimDuration,
+    gossip_interval: SimDuration,
+    horizon: SimDuration,
+) -> usize {
+    let gossip_ms = gossip_interval.as_millis();
+    let cycles_total = (horizon.as_millis() / gossip_ms) as usize + 1;
+    ((staleness_limit.as_millis() / gossip_ms) as usize)
         .saturating_add(1)
         .min(cycles_total)
 }
@@ -75,16 +194,21 @@ fn ring_len(config: &GridConfig) -> usize {
 /// Bits one packed trace record needs under `config`.  [`GridConfig::validate`] rejects a
 /// config that needs more than 32.
 pub(crate) fn record_bits(config: &GridConfig) -> u32 {
-    Packing::of(config).width()
+    let ring_len = ring_len(
+        config.gossip.staleness_limit,
+        config.gossip_interval,
+        config.horizon,
+    );
+    Packing::of(config.nodes, config.gossip.ttl, ring_len).width()
 }
 
 impl Packing {
-    fn of(config: &GridConfig) -> Packing {
-        let ring_len = ring_len(config) as u64;
+    fn of(nodes: usize, ttl: u32, ring_len: usize) -> Packing {
+        let ring_len = ring_len as u64;
         // A record travels at most one hop per cycle plus one in the cycle of its refresh.
-        let max_hops = u64::from(config.gossip.ttl).min(ring_len);
+        let max_hops = u64::from(ttl).min(ring_len);
         Packing {
-            node_bits: bits(config.nodes as u64 - 1),
+            node_bits: bits(nodes as u64 - 1),
             age_bits: bits(ring_len - 1),
             hop_bits: bits(max_hops),
         }
@@ -137,14 +261,11 @@ pub(crate) struct GossipTrace {
 /// The churn step's pool rule: `round(n · df)` departures drawn from the alive churnable
 /// nodes and as many joins from the dead ones, each clamped to its own pool.
 fn draw_churn(
-    world: &ScenarioWorld,
+    inputs: &TraceInputs,
     local: &[LocalNodeState],
     rng: &mut SimRng,
 ) -> (Vec<NodeId>, Vec<NodeId>) {
-    let Some(churn) = world.config.churn() else {
-        return Default::default();
-    };
-    let df = churn.dynamic_factor;
+    let df = inputs.dynamic_factor;
     if df <= 0.0 {
         return Default::default();
     }
@@ -155,7 +276,7 @@ fn draw_churn(
     }
     let pool = |alive: bool| -> Vec<NodeId> {
         (0..total)
-            .filter(|&i| world.nodes[i].churnable && local[i].alive == alive)
+            .filter(|&i| inputs.churnable[i] && local[i].alive == alive)
             .collect()
     };
     let (alive_churnable, dead_churnable) = (pool(true), pool(false));
@@ -180,42 +301,32 @@ fn draw_churn(
 }
 
 impl GossipTrace {
-    /// Run the protocol over `world`'s whole horizon.
-    pub(crate) fn build(world: &ScenarioWorld) -> GossipTrace {
-        let config = &world.config;
-        let n = world.nodes.len();
-        let horizon = SimTime::ZERO + config.horizon;
-        let gossip_ms = config.gossip_interval.as_millis();
-        let cycles_total = (config.horizon.as_millis() / gossip_ms) as usize + 1;
+    /// Run the protocol from `inputs` over the whole horizon.
+    pub(crate) fn build(inputs: &TraceInputs) -> GossipTrace {
+        let n = inputs.local.len();
+        let horizon = SimTime::ZERO + inputs.horizon;
+        let gossip_ms = inputs.gossip_interval.as_millis();
+        let cycles_total = (inputs.horizon.as_millis() / gossip_ms) as usize + 1;
         let instants_total =
-            (config.horizon.as_millis() / config.scheduling_interval.as_millis()) as usize + 1;
-        let ring_len = ring_len(config);
-        let packing = Packing::of(config);
+            (inputs.horizon.as_millis() / inputs.scheduling_interval.as_millis()) as usize + 1;
+        let ring_len = ring_len(
+            inputs.gossip.staleness_limit,
+            inputs.gossip_interval,
+            inputs.horizon,
+        );
+        let packing = Packing::of(n, inputs.gossip.ttl, ring_len);
         assert!(
             packing.width() <= u32::BITS,
             "GridConfig::validate bounds the record width"
         );
 
-        let mut gossip_rng = stream_rng(config, StreamKind::Gossip);
-        let mut gossip = MixedGossip::new(n, config.gossip, &mut gossip_rng);
-        let mut churn_rng = stream_rng(config, StreamKind::Churn);
-        let mut local: Vec<LocalNodeState> = world
-            .nodes
-            .iter()
-            .map(|nd| LocalNodeState {
-                alive: nd.alive,
-                capacity_mips: nd.advertised_capacity_mips(),
-                slots: nd.slots,
-                total_load_mi: 0.0,
-                local_avg_bandwidth_mbps: nd.local_avg_bandwidth_mbps,
-            })
-            .collect();
-        // The schedule is node-major; a stable sort by time keeps each node's down before
-        // its up at a shared instant.
-        let mut faults = world.faults.clone();
-        faults.sort_by_key(|&(_, time, _)| time);
+        let mut gossip_rng = seeded_stream(StreamKind::Gossip, inputs.gossip_seed);
+        let mut gossip = MixedGossip::new(n, inputs.gossip, &mut gossip_rng);
+        let mut churn_rng = seeded_stream(StreamKind::Churn, inputs.churn_seed);
+        let mut local = inputs.local.clone();
+        let faults = &inputs.faults;
 
-        let homes: Vec<NodeId> = (0..n).filter(|&i| !world.home_of[i].is_empty()).collect();
+        let homes = inputs.homes.clone();
         let capacity = gossip.rss(0).capacity();
         let mut trace = GossipTrace {
             packing,
@@ -261,7 +372,7 @@ impl GossipTrace {
                         trace.stats.push(gossip.stats());
                     }
                     GridEvent::SchedulingCycle => {
-                        let (leaving, joining) = draw_churn(world, &local, &mut churn_rng);
+                        let (leaving, joining) = draw_churn(inputs, &local, &mut churn_rng);
                         for &node in &leaving {
                             local[node].alive = false;
                             gossip.forget_node(node);
@@ -274,7 +385,7 @@ impl GossipTrace {
                     }
                     GridEvent::MetricsSample => {}
                 }
-                cadences.schedule(now + event.interval(config), event);
+                cadences.schedule(now + inputs.interval(event), event);
             }
             trace.rss_sizes.push((now, gossip.average_rss_size(&local)));
         }
@@ -384,7 +495,7 @@ impl GossipTrace {
 mod tests {
     use super::*;
     use crate::config::{ChurnConfig, FaultModel, GridConfig, StochasticFaults};
-    use crate::scenario::Scenario;
+    use crate::scenario::{stream_rng, Scenario};
     use p2pgrid_gossip::NodeStateRecord;
     use p2pgrid_sim::SimDuration;
 
@@ -488,14 +599,23 @@ mod tests {
             config.gossip.ttl = ttl;
             config.gossip.staleness_limit = SimDuration::from_mins(staleness_mins);
             config.gossip.rss_capacity = Some(rss_capacity);
-            let mut scenario = Scenario::build(config.clone()).unwrap();
+            let scenario = Scenario::build(config.clone()).unwrap();
+            let world = scenario.world();
             // Whole-minute fault times coincide with cadence instants, the cut-off and each
             // other, so every tie order is exercised.
-            for fault in &mut scenario.world_mut().faults {
-                fault.1 = SimTime::from_millis(fault.1.as_millis() / 60_000 * 60_000);
-            }
-            let world = scenario.world();
-            let trace = world.gossip_trace();
+            let faults: Vec<(NodeId, SimTime, bool)> = world
+                .faults
+                .iter()
+                .map(|&(node, time, down)| {
+                    (node, SimTime::from_millis(time.as_millis() / 60_000 * 60_000), down)
+                })
+                .collect();
+            let trace = GossipTrace::build(&TraceInputs::new(
+                &config,
+                &world.nodes,
+                &faults,
+                &world.home_of,
+            ));
             let homes: Vec<NodeId> = (0..n).filter(|&i| !world.home_of[i].is_empty()).collect();
 
             let mut rng = stream_rng(&config, StreamKind::Gossip);
@@ -517,10 +637,10 @@ mod tests {
             );
             let mut loads_rng = SimRng::seed_from_u64(seed).derive("loads");
             let mut loads: Vec<Vec<f64>> = Vec::new();
-            let mut applied = vec![false; world.faults.len()];
+            let mut applied = vec![false; faults.len()];
             let mut apply_faults =
                 |by: SimTime, local: &mut [LocalNodeState], gossip: &mut MixedGossip| {
-                    for (i, &(node, time, down)) in world.faults.iter().enumerate() {
+                    for (i, &(node, time, down)) in faults.iter().enumerate() {
                         if applied[i] || time > by {
                             continue;
                         }

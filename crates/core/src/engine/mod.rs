@@ -285,7 +285,7 @@ impl Engine {
         }
 
         // The first session on a world builds its gossip trace; the others wait for it.
-        let gossip = Arc::clone(world.gossip_trace());
+        let gossip = Arc::clone(world.gossip_trace.get());
 
         // The deferred arrivals in workflow order, then the pre-drawn faults in the
         // schedule's node-major order (already clipped to the horizon at build), so equal

@@ -30,15 +30,17 @@
 //! assert_eq!(a.completed, b.completed); // sessions never perturb the scenario
 //! ```
 //!
+//! A sweep derives its points from one world with [`Scenario::derive`], which builds an
+//! edited config but shares every table whose build inputs the edit left unchanged — the
+//! topology tables, the workflow set and the gossip trace — or with [`Scenario::with_seed`],
+//! which re-seeds a world over the same network.
+//!
 //! Malformed configurations fail the build with a typed [`ConfigError`] instead of panicking
 //! mid-experiment.
 
 use crate::algorithm::{Algorithm, AlgorithmConfig};
-use crate::config::{
-    exponential, ArrivalProcess, ChurnConfig, FaultModel, GridConfig, RecoveryPolicy,
-    ResourceModel, StreamKind, WorkloadSource,
-};
-use crate::engine::gossip_trace::GossipTrace;
+use crate::config::{exponential, GridConfig, StreamKind, WorkloadSource};
+use crate::engine::gossip_trace::{GossipTrace, TraceCell, TraceInputs};
 use crate::engine::node::{NodeRuntime, ReadySet};
 use crate::engine::transfer::TransferModel;
 use crate::engine::workflow::WorkflowRuntime;
@@ -48,12 +50,9 @@ use crate::simulation::Simulation;
 use crate::NodeId;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
 use p2pgrid_topology::{LandmarkEstimator, PairwiseMetrics, WaxmanGenerator};
-use p2pgrid_workflow::{
-    ExpectedCosts, HomePolicy, Workflow, WorkflowAnalysis, WorkflowGenerator,
-    WorkflowGeneratorConfig, WorkloadSpec,
-};
+use p2pgrid_workflow::{ExpectedCosts, HomePolicy, Workflow, WorkflowAnalysis, WorkflowGenerator};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The pre-sampled world shared by every session of one configuration.  Scheduler-independent
 /// and immutable after [`Scenario::build`]; sessions clone the mutable parts and share the
@@ -77,24 +76,15 @@ pub(crate) struct ScenarioWorld {
     /// True system-wide averages, the efficiency baseline `eft(f)` and full-ahead input.
     pub(crate) true_costs: ExpectedCosts,
     /// The gossip protocol run over the whole horizon, built by the first session that
-    /// starts on this world (see [`GossipTrace`]).  Shared with the worlds derived from this
-    /// one by [`Scenario::with_recovery`].
-    pub(crate) gossip_trace: Arc<OnceLock<Arc<GossipTrace>>>,
+    /// starts on this world (see [`GossipTrace`]).  Shared with every world derived from this
+    /// one whose trace inputs are equal.
+    pub(crate) gossip_trace: Arc<TraceCell>,
     /// The pre-drawn stochastic failure schedule: `(node, time, down)` transitions, node-major
     /// and time-ascending per node, clipped to the horizon.  Empty unless the fault model is
     /// [`FaultModel::Stochastic`].  Pre-drawing the whole schedule at build time (one RNG
     /// sub-stream per node / outage group) keeps sessions free of failure randomness: each
     /// session queues the schedule's events when it starts.
     pub(crate) faults: Vec<(NodeId, SimTime, bool)>,
-}
-
-impl ScenarioWorld {
-    /// The gossip trace, built on first use.  Concurrent first callers block until the one
-    /// build finishes.
-    pub(crate) fn gossip_trace(&self) -> &Arc<GossipTrace> {
-        self.gossip_trace
-            .get_or_init(|| Arc::new(GossipTrace::build(self)))
-    }
 }
 
 /// Number of stable (never-failing, home-eligible) nodes under `config`.
@@ -214,18 +204,15 @@ fn workflow_inputs_match(a: &GridConfig, b: &GridConfig) -> bool {
         && a.stream_seed(StreamKind::Capacity) == b.stream_seed(StreamKind::Capacity)
 }
 
-/// True when `a` and `b` would build bit-identical gossip traces: they differ at most in the
-/// recovery policy, which acts on tasks only, never on liveness or gossip.
-fn trace_inputs_match(a: &GridConfig, b: &GridConfig) -> bool {
-    let mut a = a.clone();
-    a.recovery = b.recovery;
-    a == *b
-}
-
 /// The RNG stream `kind` under `config`: effective seed → root → labelled stream, exactly
 /// as `Scenario::build` has always derived it when no override is set.
 pub(crate) fn stream_rng(config: &GridConfig, kind: StreamKind) -> SimRng {
-    SimRng::seed_from_u64(config.stream_seed(kind)).derive(kind.label())
+    seeded_stream(kind, config.stream_seed(kind))
+}
+
+/// The RNG stream `kind` whose effective seed is `seed`.
+pub(crate) fn seeded_stream(kind: StreamKind, seed: u64) -> SimRng {
+    SimRng::seed_from_u64(seed).derive(kind.label())
 }
 
 /// Per-node mean bandwidth to the landmark set (the node's "local average bandwidth" the
@@ -274,7 +261,7 @@ impl Scenario {
         Scenario::build_with_reuse(config, None)
     }
 
-    /// The shared implementation of [`Scenario::build`] and the `with_*` derivation methods.
+    /// The shared implementation of [`Scenario::build`] and [`Scenario::derive`].
     ///
     /// When `reuse` is given, any world table whose generating inputs (stream seed + the
     /// config slice it samples from) are unchanged is shared by `Arc` instead of recomputed;
@@ -446,13 +433,14 @@ impl Scenario {
             }
         };
 
-        // The gossip trace is built lazily, by the first session; a world that would build
-        // the same one shares its cell.
-        let gossip_trace = match reuse.filter(|old| trace_inputs_match(&old.config, &config)) {
-            Some(old) => Arc::clone(&old.gossip_trace),
-            None => Arc::default(),
-        };
+        // The gossip trace is built lazily, by the first session; a world whose trace reads
+        // the same inputs shares its cell.
         let faults = sample_fault_schedule(&config, stable);
+        let trace_inputs = TraceInputs::new(&config, &nodes, &faults, &home_of);
+        let gossip_trace = match reuse.filter(|old| old.gossip_trace.inputs == trace_inputs) {
+            Some(old) => Arc::clone(&old.gossip_trace),
+            None => Arc::new(TraceCell::new(trace_inputs)),
+        };
 
         Ok(Scenario {
             world: Arc::new(ScenarioWorld {
@@ -470,7 +458,39 @@ impl Scenario {
         })
     }
 
-    /// Derive a world with a new master seed, sharing this world's topology tables.
+    /// Derive the world of `edit(config)`, where `config` is this world's configuration.
+    ///
+    /// The derived world is byte-identical to `Scenario::build` of the edited config, but it
+    /// shares, by `Arc`, every table whose build inputs the edit left unchanged:
+    ///
+    /// - the topology, pairwise-metrics and landmark tables, while the node count, the
+    ///   Waxman parameters and the topology and landmark streams stay the same;
+    /// - the workflow set, while the workload, arrivals, load factor, home set, capacity
+    ///   draw and workflow stream stay the same;
+    /// - the gossip trace, built or not, while everything the protocol reads stays the
+    ///   same: gossip config and stream, churn factor and stream, cadences, horizon, each
+    ///   node's churn role and advertised resources, the fault schedule and the home set.
+    ///
+    /// Everything else is re-sampled through exactly the code path a fresh build takes.
+    ///
+    /// ```
+    /// use p2pgrid_core::scenario::Scenario;
+    /// use p2pgrid_core::GridConfig;
+    ///
+    /// let base = Scenario::build(GridConfig::small(16).with_seed(3)).unwrap();
+    /// let heavier = base.derive(|c| c.with_load_factor(4)).unwrap();
+    /// assert!(heavier.shares_topology_with(&base));
+    /// // The protocol reads neither the load factor nor the DAGs: one trace serves both.
+    /// assert!(heavier.shares_gossip_trace_with(&base));
+    /// ```
+    pub fn derive(
+        &self,
+        edit: impl FnOnce(GridConfig) -> GridConfig,
+    ) -> Result<Scenario, ConfigError> {
+        Scenario::build_with_reuse(edit(self.world.config.clone()), Some(&self.world))
+    }
+
+    /// Derive a world with a new master seed over the same network.
     ///
     /// The topology and landmark streams are pinned (via [`crate::StreamSeeds`]) to their
     /// current effective seeds, so the derived config still describes the *same* network —
@@ -480,118 +500,14 @@ impl Scenario {
     /// therefore pays for one all-pairs Dijkstra sweep total.  The result is byte-identical
     /// to `Scenario::build` of the equivalent config.
     pub fn with_seed(&self, seed: u64) -> Result<Scenario, ConfigError> {
-        let mut config = self.world.config.clone();
-        config.streams.topology = Some(config.stream_seed(StreamKind::Topology));
-        config.streams.landmarks = Some(config.stream_seed(StreamKind::Landmarks));
-        config.seed = seed;
-        Scenario::build_with_reuse(config, Some(&self.world))
-    }
-
-    /// Derive a world with a different resource model (slot counts, preemption).
-    ///
-    /// Only the slot stream's *consumption* changes; the topology tables and workflow set
-    /// are shared.  Node runtimes are re-sampled (the slot model draws differently), which is
-    /// O(nodes) and cheap; slot counts change what nodes advertise, so the derived world
-    /// builds its own gossip trace.
-    pub fn with_resource(&self, resource: ResourceModel) -> Result<Scenario, ConfigError> {
-        let mut config = self.world.config.clone();
-        config.resource = resource;
-        Scenario::build_with_reuse(config, Some(&self.world))
-    }
-
-    /// Derive a world with different workflow generator parameters (loads, data sizes, DAG
-    /// shapes — the CCR sweeps).
-    ///
-    /// Re-samples only the workflow stream; the topology tables and node population are
-    /// shared/identical.
-    pub fn with_workflows(
-        &self,
-        workflow: WorkflowGeneratorConfig,
-    ) -> Result<Scenario, ConfigError> {
-        let mut config = self.world.config.clone();
-        config.workload = WorkloadSource::Synthetic(workflow);
-        Scenario::build_with_reuse(config, Some(&self.world))
-    }
-
-    /// Derive a world that replays a serialized trace workload (see
-    /// [`WorkloadSource::Trace`]) instead of the synthetic generator.
-    ///
-    /// Like [`Scenario::with_workflows`], only the workflow set changes; the topology
-    /// tables and node population are shared/identical.  Each trace entry names its DAG,
-    /// arrival time and home policy; `workflows_per_node` is ignored.
-    pub fn with_workload(&self, workload: WorkloadSpec) -> Result<Scenario, ConfigError> {
-        let mut config = self.world.config.clone();
-        config.workload = WorkloadSource::Trace(workload);
-        Scenario::build_with_reuse(config, Some(&self.world))
-    }
-
-    /// Derive a world with a different arrival process (see [`ArrivalProcess`]).
-    ///
-    /// Arrival times are drawn from the tail of the workflow stream, after the DAGs — the
-    /// DAGs themselves are re-generated byte-identically, and the topology tables and node
-    /// population are shared.
-    pub fn with_arrivals(&self, arrivals: ArrivalProcess) -> Result<Scenario, ConfigError> {
-        let mut config = self.world.config.clone();
-        config.arrivals = arrivals;
-        Scenario::build_with_reuse(config, Some(&self.world))
-    }
-
-    /// Derive a world with a different load factor (workflows per home node, Fig. 7/8).
-    ///
-    /// Like [`Scenario::with_workflows`]: only the workflow draw changes; every expensive
-    /// table is shared.
-    pub fn with_load_factor(&self, workflows_per_node: usize) -> Result<Scenario, ConfigError> {
-        let mut config = self.world.config.clone();
-        config.workflows_per_node = workflows_per_node;
-        Scenario::build_with_reuse(config, Some(&self.world))
-    }
-
-    /// Derive a world with a different churn model (Fig. 12–14 sweeps).
-    ///
-    /// Shares the topology tables.  The node population is re-sampled with the same
-    /// capacity/slot streams (so capacities stay identical) but a new stable/churnable
-    /// split; when the split changes the home-node set, the workflow draw is
-    /// regenerated exactly as a fresh build would.
-    pub fn with_churn(&self, churn: ChurnConfig) -> Result<Scenario, ConfigError> {
-        self.with_faults(FaultModel::Churn(churn))
-    }
-
-    /// Derive a world with a different fault model (churn or stochastic node lifetimes).
-    ///
-    /// Shares the topology tables.  The node population is re-sampled with the same
-    /// capacity/slot streams (so capacities stay identical) but a new stable/churnable
-    /// split, and the stochastic failure schedule is re-drawn from the faults
-    /// stream; when the split changes the home-node set, the workflow draw is regenerated
-    /// exactly as a fresh build would.
-    pub fn with_faults(&self, faults: FaultModel) -> Result<Scenario, ConfigError> {
-        let mut config = self.world.config.clone();
-        config.faults = faults;
-        Scenario::build_with_reuse(config, Some(&self.world))
-    }
-
-    /// Derive a world with a different recovery policy.
-    ///
-    /// Recovery is pure run-time behaviour — it consumes no build-time randomness and acts on
-    /// tasks, never on liveness or gossip — so the derived world shares *every* table of this
-    /// one (topology, nodes, workflows, and the gossip trace, built or not) and only the
-    /// config differs.
-    pub fn with_recovery(&self, recovery: RecoveryPolicy) -> Result<Scenario, ConfigError> {
-        let mut config = self.world.config.clone();
-        config.recovery = recovery;
-        Scenario::build_with_reuse(config, Some(&self.world))
-    }
-
-    /// Derive a world that replays the *same* static substrate (topology, nodes, workflows)
-    /// under re-seeded run-time randomness: the gossip and churn streams are pinned to
-    /// `seed` while everything else keeps its current effective seed.
-    ///
-    /// This isolates algorithmic comparisons from gossip/churn luck: sweep `seed` to get
-    /// independent stochastic replicates of one fixed workload.
-    pub fn with_algorithm_streams(&self, seed: u64) -> Result<Scenario, ConfigError> {
-        let mut config = self.world.config.clone();
-        config.streams.gossip = Some(seed);
-        config.streams.churn = Some(seed);
-        Scenario::build_with_reuse(config, Some(&self.world))
+        self.derive(|config| {
+            let topology = config.stream_seed(StreamKind::Topology);
+            let landmarks = config.stream_seed(StreamKind::Landmarks);
+            config
+                .with_stream_seed(StreamKind::Topology, topology)
+                .with_stream_seed(StreamKind::Landmarks, landmarks)
+                .with_seed(seed)
+        })
     }
 
     /// True when both scenarios share the same topology tables (`Arc` identity, not value
@@ -617,20 +533,11 @@ impl Scenario {
     /// Heap bytes of this world's gossip trace, or `None` while no session has started on it
     /// (or on a world it shares the trace with).
     pub fn gossip_trace_bytes(&self) -> Option<usize> {
-        self.world
-            .gossip_trace
-            .get()
-            .map(|trace| trace.heap_bytes())
+        self.world.gossip_trace.built().map(GossipTrace::heap_bytes)
     }
 
     pub(crate) fn world(&self) -> &ScenarioWorld {
         &self.world
-    }
-
-    /// The world, mutable while no other handle shares it.
-    #[cfg(test)]
-    pub(crate) fn world_mut(&mut self) -> &mut ScenarioWorld {
-        Arc::get_mut(&mut self.world).expect("an unshared world")
     }
 
     /// The configuration this world was sampled from.
@@ -804,13 +711,16 @@ mod tests {
         use crate::config::RecoveryPolicy;
         let base = Scenario::build(GridConfig::small(12).with_seed(9)).unwrap();
         let derived = base
-            .with_recovery(RecoveryPolicy::Retry {
-                budget: 3,
-                backoff: SimDuration::from_mins(1),
+            .derive(|c| {
+                c.with_recovery(RecoveryPolicy::Retry {
+                    budget: 3,
+                    backoff: SimDuration::from_mins(1),
+                })
             })
             .unwrap();
         assert!(base.shares_topology_with(&derived));
         assert!(base.shares_workflows_with(&derived));
+        assert!(base.shares_gossip_trace_with(&derived));
         assert_eq!(
             derived.config().recovery,
             RecoveryPolicy::Retry {

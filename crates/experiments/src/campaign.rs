@@ -1,24 +1,24 @@
-//! Batched sweep execution over copy-on-write derived worlds.
+//! Batched sweep execution over derived worlds.
 //!
 //! Every experiment in this crate has the same shape: take one *base* world, vary a single
 //! knob across a handful of sweep points, and run one or more algorithms at every point.
-//! [`Campaign`] packages that shape so the expensive part — building the topology and its
-//! all-pairs bandwidth/latency tables — happens **once**:
+//! The expensive parts — building the topology and its all-pairs bandwidth/latency tables,
+//! and running the gossip protocol — happen once per distinct input, not once per point:
 //!
-//! 1. Build (or adopt) the base [`Scenario`].
-//! 2. [`Campaign::derive`] one scenario per sweep point with the copy-on-write
-//!    `Scenario::with_*` methods, which re-sample only the affected RNG stream and share the
-//!    `Arc`'d topology tables with the base.
+//! 1. Build the base [`Scenario`].
+//! 2. Derive one scenario per sweep point with [`Scenario::derive`], which re-samples only
+//!    what the edit changes and shares the base's `Arc`'d topology tables, workflow set and
+//!    gossip trace wherever their build inputs are unchanged.
 //! 3. [`cross`] the scenarios with the algorithm configurations into a flat job list and
 //!    [`run`] it across the shared work-stealing pool.  Reports come back in job order, so
 //!    no index bookkeeping is needed.  `run` consumes the jobs and drops each one as it
 //!    finishes, so a world nothing else holds — its gossip trace included — is freed once
 //!    its last job has run.
 //!
-//! [`run_sequential`] is the single-threaded reference path: it executes the identical job
-//! list on the calling thread and is used by the `campaign_sweep` bench (pooled versus
-//! sequential wall-clock) and by determinism tests (the pooled results must be byte-identical
-//! to the sequential ones).
+//! [`sweep`] does all three for a one-knob sweep.  [`run_sequential`] is the single-threaded
+//! reference path: it executes the identical job list on the calling thread and is used by
+//! the `campaign_sweep` bench (pooled versus sequential wall-clock) and by determinism tests
+//! (the pooled results must be byte-identical to the sequential ones).
 
 use p2pgrid_core::error::ConfigError;
 use p2pgrid_core::{Algorithm, AlgorithmConfig, GridConfig, Scenario, SimulationReport};
@@ -49,62 +49,29 @@ impl Job {
     }
 }
 
-/// A sweep campaign anchored on one base world.
-#[derive(Debug, Clone)]
-pub struct Campaign {
-    base: Scenario,
-}
-
-impl Campaign {
-    /// Anchor a campaign on an already-built world.
-    pub fn new(base: Scenario) -> Self {
-        Campaign { base }
-    }
-
-    /// Build the base world from a configuration (one topology + `PairwiseMetrics` +
-    /// landmark computation — the only full build the campaign pays for).
-    pub fn from_config(config: GridConfig) -> Result<Self, ConfigError> {
-        Ok(Campaign {
-            base: Scenario::build(config)?,
-        })
-    }
-
-    /// The base world sweep points derive from.
-    pub fn base(&self) -> &Scenario {
-        &self.base
-    }
-
-    /// Derive one scenario per sweep point, copy-on-write from the base world.
-    ///
-    /// `derive` should call one of the `Scenario::with_*` methods on the base; each derived
-    /// world then shares the base's `Arc`'d topology tables instead of rebuilding them.
-    /// Derivation runs on the calling thread — it is cheap by construction, and keeping it
-    /// sequential keeps the pool free for the simulation jobs.
-    pub fn derive<P, D>(&self, points: &[P], derive: D) -> Result<Vec<Scenario>, ConfigError>
-    where
-        D: Fn(&Scenario, &P) -> Result<Scenario, ConfigError>,
-    {
-        points.iter().map(|p| derive(&self.base, p)).collect()
-    }
-
-    /// Derive a scenario per point, cross with `algorithms`, run pooled, and return
-    /// `reports[algorithm][point]` — the layout every figure in this crate consumes.
-    pub fn sweep<P, D>(
-        &self,
-        points: &[P],
-        derive: D,
-        algorithms: &[AlgorithmConfig],
-    ) -> Result<Vec<Vec<SimulationReport>>, ConfigError>
-    where
-        D: Fn(&Scenario, &P) -> Result<Scenario, ConfigError>,
-    {
-        let jobs = cross(&self.derive(points, derive)?, algorithms);
-        let mut reports = run(jobs).into_iter();
-        Ok(algorithms
-            .iter()
-            .map(|_| reports.by_ref().take(points.len()).collect())
-            .collect())
-    }
+/// Derive a world per point from `base` with `edit`, cross with `algorithms`, run pooled,
+/// and return `reports[algorithm][point]` — the layout every figure in this crate consumes.
+///
+/// Derivation runs on the calling thread: it is cheap by construction, and keeping it
+/// sequential keeps the pool free for the simulation jobs.  The jobs hold the only handles
+/// to the derived worlds, so each world is freed once its last job has run.
+pub fn sweep<P>(
+    base: &Scenario,
+    points: &[P],
+    edit: impl Fn(GridConfig, &P) -> GridConfig,
+    algorithms: &[AlgorithmConfig],
+) -> Result<Vec<Vec<SimulationReport>>, ConfigError> {
+    let worlds = points
+        .iter()
+        .map(|point| base.derive(|config| edit(config, point)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let jobs = cross(&worlds, algorithms);
+    drop(worlds);
+    let mut reports = run(jobs).into_iter();
+    Ok(algorithms
+        .iter()
+        .map(|_| reports.by_ref().take(points.len()).collect())
+        .collect())
 }
 
 /// Cross scenarios with algorithm configurations into a flat job list, algorithm-major:
@@ -146,22 +113,20 @@ mod tests {
     use crate::scale::ExperimentScale;
 
     #[test]
-    fn sweep_derives_from_one_topology_and_keeps_figure_layout() {
-        let campaign = Campaign::from_config(ExperimentScale::Smoke.base_config(7)).unwrap();
+    fn sweep_keeps_figure_layout() {
+        let base = Scenario::build(ExperimentScale::Smoke.base_config(7)).unwrap();
         let points = [1usize, 2, 4];
-        let scenarios = campaign
-            .derive(&points, |base, &lf| base.with_load_factor(lf))
-            .unwrap();
-        for s in &scenarios {
-            assert!(s.shares_topology_with(campaign.base()));
-        }
         let algorithms = [
             AlgorithmConfig::paper_default(Algorithm::Dsmf),
             AlgorithmConfig::paper_default(Algorithm::MinMin),
         ];
-        let reports = campaign
-            .sweep(&points, |base, &lf| base.with_load_factor(lf), &algorithms)
-            .unwrap();
+        let reports = sweep(
+            &base,
+            &points,
+            |config, &lf| config.with_load_factor(lf),
+            &algorithms,
+        )
+        .unwrap();
         assert_eq!(reports.len(), algorithms.len());
         for row in &reports {
             assert_eq!(row.len(), points.len());
@@ -170,13 +135,15 @@ mod tests {
         assert_eq!(reports[1][0].algorithm, Algorithm::MinMin.name());
         // More workflows per node means more submissions at every point of the DSMF row.
         assert!(reports[0][2].submitted > reports[0][0].submitted);
+        // The sweep's one trace was built by its first session, on the base's cell.
+        assert!(base.gossip_trace_bytes().is_some());
     }
 
     #[test]
     fn pooled_and_sequential_runs_agree() {
-        let campaign = Campaign::from_config(ExperimentScale::Smoke.base_config(13)).unwrap();
+        let base = Scenario::build(ExperimentScale::Smoke.base_config(13)).unwrap();
         let jobs = cross(
-            std::slice::from_ref(campaign.base()),
+            std::slice::from_ref(&base),
             &[
                 AlgorithmConfig::paper_default(Algorithm::Dsmf),
                 AlgorithmConfig::paper_default(Algorithm::Heft),

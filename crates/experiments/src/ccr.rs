@@ -3,10 +3,10 @@
 //! The paper uses four combinations of task-load and dependent-data ranges (CCR roughly 1.6,
 //! 0.16, 1.6 and 16) and compares the converged ACT and AE of all eight algorithms under each.
 
-use crate::campaign::{self, Campaign};
+use crate::campaign;
 use crate::figures::{FigureData, Series};
 use crate::scale::ExperimentScale;
-use p2pgrid_core::{Algorithm, SimulationReport};
+use p2pgrid_core::{Algorithm, Scenario, SimulationReport};
 use std::ops::RangeInclusive;
 
 /// One load/data combination of Fig. 9/10.
@@ -56,32 +56,20 @@ pub struct CcrSweep {
 }
 
 /// Run the sweep (algorithms × cases, across the pool).  The base world is built **once**;
-/// each load/data case is derived copy-on-write with [`Scenario::with_workflows`] — only the
-/// workflow stream re-samples, the topology and all-pairs metrics are shared by all four
-/// cases.
-///
-/// [`Scenario::with_workflows`]: p2pgrid_core::Scenario::with_workflows
+/// each load/data case is derived from it with [`Scenario::derive`].  Only the workflow
+/// stream re-samples: the topology, the all-pairs metrics and the gossip trace are shared by
+/// all four cases.
 pub fn run(scale: ExperimentScale, seed: u64) -> CcrSweep {
     let cases = paper_cases();
-    let campaign = Campaign::from_config(scale.base_config(seed))
+    let base = Scenario::build(scale.base_config(seed))
         .unwrap_or_else(|e| panic!("invalid CCR base configuration: {e}"));
-    let reports = campaign
-        .sweep(
-            &cases,
-            |base, case| {
-                let mut workflow = base
-                    .config()
-                    .workload
-                    .generator()
-                    .expect("CCR sweeps run on the synthetic workload source")
-                    .clone();
-                workflow.load_mi = case.load_mi.clone();
-                workflow.data_mb = case.data_mb.clone();
-                base.with_workflows(workflow)
-            },
-            &campaign::paper_algorithms(),
-        )
-        .unwrap_or_else(|e| panic!("invalid CCR case: {e}"));
+    let reports = campaign::sweep(
+        &base,
+        &cases,
+        |config, case| config.with_load_and_data(case.load_mi.clone(), case.data_mb.clone()),
+        &campaign::paper_algorithms(),
+    )
+    .unwrap_or_else(|e| panic!("invalid CCR case: {e}"));
     CcrSweep { cases, reports }
 }
 

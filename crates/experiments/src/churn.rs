@@ -6,11 +6,13 @@
 //! while the finish time and efficiency of the workflows that *do* finish stay roughly stable
 //! for `df ≤ 0.2`.
 
-use crate::campaign::{self, Campaign};
+use crate::campaign;
 use crate::figures::{FigureData, Series};
 use crate::scale::ExperimentScale;
 use crate::static_comparison::series_points;
-use p2pgrid_core::{Algorithm, AlgorithmConfig, ChurnConfig, RecoveryPolicy, SimulationReport};
+use p2pgrid_core::{
+    Algorithm, AlgorithmConfig, ChurnConfig, RecoveryPolicy, Scenario, SimulationReport,
+};
 
 /// Results of the churn sweep (DSMF only, as in the paper).
 #[derive(Debug, Clone)]
@@ -32,33 +34,29 @@ pub fn run(scale: ExperimentScale, seed: u64) -> ChurnSweep {
 /// lost to churn (an unlimited-budget [`RecoveryPolicy::Retry`]) instead of failing their
 /// workflow.
 ///
-/// The base world is built **once**; each dynamic factor is derived copy-on-write with
-/// [`Scenario::with_churn`], sharing the topology tables.
-///
-/// [`Scenario::with_churn`]: p2pgrid_core::Scenario::with_churn
+/// The base world is built **once**; each dynamic factor is derived from it with
+/// [`Scenario::derive`], sharing the topology tables.
 pub fn run_with_rescheduling(scale: ExperimentScale, seed: u64, rescheduling: bool) -> ChurnSweep {
     let dynamic_factors = scale.dynamic_factor_sweep();
-    let campaign = Campaign::from_config(scale.base_config(seed))
+    let base = Scenario::build(scale.base_config(seed))
         .unwrap_or_else(|e| panic!("invalid churn base configuration: {e}"));
-    let scenarios = campaign
-        .derive(&dynamic_factors, |base, &df| {
-            let churned = base.with_churn(ChurnConfig::with_dynamic_factor(df))?;
+    let mut reports = campaign::sweep(
+        &base,
+        &dynamic_factors,
+        |config, &df| {
+            let churned = config.with_churn(ChurnConfig::with_dynamic_factor(df));
             if rescheduling {
                 churned.with_recovery(RecoveryPolicy::unlimited_retry())
             } else {
-                Ok(churned)
+                churned
             }
-        })
-        .unwrap_or_else(|e| panic!("invalid churn sweep point: {e}"));
-    // The jobs hold the only handles, so each world is freed once its session has run.
-    let jobs = campaign::cross(
-        &scenarios,
+        },
         &[AlgorithmConfig::paper_default(Algorithm::Dsmf)],
-    );
-    drop(scenarios);
+    )
+    .unwrap_or_else(|e| panic!("invalid churn sweep point: {e}"));
     ChurnSweep {
         dynamic_factors,
-        reports: campaign::run(jobs),
+        reports: reports.remove(0),
         rescheduling,
     }
 }

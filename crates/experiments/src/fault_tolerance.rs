@@ -15,7 +15,7 @@
 //!
 //! [`RobustnessStats`]: p2pgrid_metrics::RobustnessStats
 
-use crate::campaign::{self, Campaign};
+use crate::campaign;
 use crate::figures::{FigureData, Series};
 use crate::scale::ExperimentScale;
 use p2pgrid_core::{
@@ -65,34 +65,36 @@ pub struct FaultToleranceSweep {
 
 /// Run the sweep: every recovery policy over every MTBF in the scale's sweep.
 ///
-/// The base world is built **once**; each cell is derived copy-on-write — the fault
-/// schedule re-drawn once per MTBF via [`Scenario::with_faults`], the policy swapped for
-/// free via [`Scenario::with_recovery`] on that MTBF's world — and the full grid of jobs
-/// runs across the shared work-stealing pool.  Recovery never changes liveness or gossip,
-/// so an MTBF's cells share one gossip trace: the protocol runs once per MTBF, not once per
-/// cell.
-///
-/// [`Scenario::with_faults`]: p2pgrid_core::Scenario::with_faults
-/// [`Scenario::with_recovery`]: p2pgrid_core::Scenario::with_recovery
+/// The base world is built **once**; each cell is derived with [`Scenario::derive`] — the
+/// fault schedule re-drawn once per MTBF, then the policy swapped on that MTBF's world — and
+/// the full grid of jobs runs across the shared work-stealing pool.  Recovery never changes
+/// liveness or gossip, so an MTBF's cells share one gossip trace: the protocol runs once per
+/// MTBF, not once per cell.
 pub fn run(scale: ExperimentScale, seed: u64) -> FaultToleranceSweep {
     let mtbf_hours = scale.mtbf_sweep_hours();
     let policies = policies();
-    let campaign = Campaign::from_config(scale.base_config(seed))
+    let base = Scenario::build(scale.base_config(seed))
         .unwrap_or_else(|e| panic!("invalid fault-tolerance base configuration: {e}"));
     // The jobs end up holding the only handles, so each MTBF's world and trace are freed
     // once its cells have run.
     let jobs = {
-        let worlds = campaign
-            .derive(&mtbf_hours, |base, &hours| {
+        let worlds: Vec<Scenario> = mtbf_hours
+            .iter()
+            .map(|&hours| {
                 let faults =
                     StochasticFaults::new(SimDuration::from_secs_f64(hours * 3600.0), MTTR);
-                base.with_faults(FaultModel::Stochastic(faults))
+                base.derive(|config| config.with_faults(FaultModel::Stochastic(faults)))
             })
+            .collect::<Result<_, _>>()
             .unwrap_or_else(|e| panic!("invalid fault-tolerance sweep point: {e}"));
         // Policy-major, so the report vector splits back into per-policy rows.
         let cells: Vec<Scenario> = policies
             .iter()
-            .flat_map(|&(_, policy)| worlds.iter().map(move |world| world.with_recovery(policy)))
+            .flat_map(|&(_, policy)| {
+                worlds
+                    .iter()
+                    .map(move |world| world.derive(|config| config.with_recovery(policy)))
+            })
             .collect::<Result<_, _>>()
             .unwrap_or_else(|e| panic!("invalid fault-tolerance recovery policy: {e}"));
         campaign::cross(&cells, &[AlgorithmConfig::paper_default(Algorithm::Dsmf)])

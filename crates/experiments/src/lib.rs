@@ -21,9 +21,10 @@
 //! figure (who wins, by roughly what factor, where the crossovers fall) is the reproduction
 //! target, and `EXPERIMENTS.md` records both sides.
 //!
-//! All runners execute through the [`campaign`] module: sweep points are derived
-//! copy-on-write from one base world (`Scenario::with_*`), so a whole sweep pays for a
-//! single topology/all-pairs-metrics build, and the resulting jobs run across the shared
+//! All runners execute through the [`campaign`] module: sweep points are derived from one
+//! base world with `Scenario::derive`, so a whole sweep pays for a single
+//! topology/all-pairs-metrics build — and, where the swept knob leaves the gossip protocol's
+//! inputs alone, a single protocol run — and the resulting jobs run across the shared
 //! work-stealing pool with reports returned in input order.
 
 #![warn(missing_docs)]
@@ -42,7 +43,6 @@ pub mod scale;
 pub mod static_comparison;
 pub mod workload;
 
-pub use campaign::Campaign;
 pub use figures::{FigureData, Series};
 pub use rununit::{CampaignSpec, RunUnit, UnitRunner};
 pub use scale::ExperimentScale;

@@ -1,10 +1,10 @@
 //! The resource-competition experiment of Fig. 7 / Fig. 8: sweep the *load factor* (average
 //! number of workflows submitted per node) from 1 to 8 and compare converged ACT and AE.
 
-use crate::campaign::{self, Campaign};
+use crate::campaign;
 use crate::figures::{FigureData, Series};
 use crate::scale::ExperimentScale;
-use p2pgrid_core::{Algorithm, SimulationReport};
+use p2pgrid_core::{Algorithm, Scenario, SimulationReport};
 
 /// Results of the load-factor sweep: `reports[algorithm][sweep point]`.
 #[derive(Debug, Clone)]
@@ -16,22 +16,20 @@ pub struct LoadFactorSweep {
 }
 
 /// Run the sweep (algorithms × load factors, across the pool).  The base world is built
-/// **once**; each sweep point is derived copy-on-write with [`Scenario::with_load_factor`]
-/// (only the workflow draw changes), so the whole sweep pays for a single topology and
-/// all-pairs-metrics computation.
-///
-/// [`Scenario::with_load_factor`]: p2pgrid_core::Scenario::with_load_factor
+/// **once**; each sweep point is derived from it with [`Scenario::derive`].  Only the
+/// workflow draw changes, so the whole sweep pays for a single topology and all-pairs-metrics
+/// computation and a single gossip-protocol run.
 pub fn run(scale: ExperimentScale, seed: u64) -> LoadFactorSweep {
     let load_factors = scale.load_factor_sweep();
-    let campaign = Campaign::from_config(scale.base_config(seed))
+    let base = Scenario::build(scale.base_config(seed))
         .unwrap_or_else(|e| panic!("invalid load-factor base configuration: {e}"));
-    let reports = campaign
-        .sweep(
-            &load_factors,
-            |base, &lf| base.with_load_factor(lf),
-            &campaign::paper_algorithms(),
-        )
-        .unwrap_or_else(|e| panic!("invalid load-factor sweep point: {e}"));
+    let reports = campaign::sweep(
+        &base,
+        &load_factors,
+        |config, &lf| config.with_load_factor(lf),
+        &campaign::paper_algorithms(),
+    )
+    .unwrap_or_else(|e| panic!("invalid load-factor sweep point: {e}"));
     LoadFactorSweep {
         load_factors,
         reports,

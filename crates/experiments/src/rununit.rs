@@ -5,8 +5,9 @@
 //! (`p2pgrid-workload/v1`).  [`CampaignSpec::units`] decomposes it into [`RunUnit`]s — one
 //! `(seed, algorithm)` cell each, in canonical seed-major order — and a [`UnitRunner`]
 //! executes units one at a time while building **one `Arc`-shared world per configuration
-//! point**: the base topology is built once ([`Campaign`]), every distinct seed derives a
-//! world copy-on-write via `Scenario::with_seed`, and all algorithms at that seed share it.
+//! point**: the base world is built once, every other seed derives a world over its network
+//! with [`Scenario::with_seed`], and all algorithms at that seed share it.  Units arrive
+//! seed-major, so the runner keeps only the base and the current seed's world.
 //!
 //! Artifacts use the `repro --json` wire format: [`unit_artifact`] wraps one run's summary
 //! plus its hourly [`FigureData`] series as a JSON document, and [`merge_artifacts`] folds the
@@ -20,14 +21,12 @@
 //! `run_local(&spec)` byte for byte, regardless of worker count, join order or mid-campaign
 //! worker kills.
 
-use crate::campaign::Campaign;
 use crate::figures::{FigureData, Series};
 use crate::scale::ExperimentScale;
 use p2pgrid_core::error::ConfigError;
 use p2pgrid_core::{Algorithm, AlgorithmConfig, Scenario, SimulationReport};
 use p2pgrid_workflow::WorkloadSpec;
 use serde::json::{self, Value};
-use std::collections::HashMap;
 use std::fmt;
 
 /// The serialization format tag of a campaign spec document.
@@ -276,14 +275,17 @@ fn canonical(v: Value) -> Value {
 /// Executes run-units of one campaign, sharing worlds across units.
 ///
 /// The base world (topology + all-pairs metrics + landmarks) is built **once** at
-/// construction; each distinct seed derives a scenario copy-on-write from it on first use and
-/// caches it, so the `algorithms.len()` units of one configuration point all run over the
-/// same `Arc`-shared world.
+/// construction, for the first seed.  Any other seed derives its world from the base with
+/// [`Scenario::with_seed`] and keeps it while that seed's units keep coming, so the
+/// `algorithms.len()` units of one configuration point all run over the same `Arc`-shared
+/// world.  A unit of another seed replaces it: the runner holds the base and at most one
+/// derived world, each with its gossip trace, however many seeds the campaign names.
 #[derive(Debug)]
 pub struct UnitRunner {
     spec: CampaignSpec,
-    campaign: Campaign,
-    worlds: HashMap<u64, Scenario>,
+    base: Scenario,
+    /// The seed of the last unit run off the base world, and that seed's world.
+    current: Option<(u64, Scenario)>,
 }
 
 impl std::str::FromStr for CampaignSpec {
@@ -300,11 +302,11 @@ impl UnitRunner {
     /// Validate the spec and build the shared base world.
     pub fn new(spec: CampaignSpec) -> Result<Self, CampaignError> {
         spec.validate()?;
-        let campaign = Campaign::from_config(spec.base_config())?;
+        let base = Scenario::build(spec.base_config())?;
         Ok(UnitRunner {
             spec,
-            campaign,
-            worlds: HashMap::new(),
+            base,
+            current: None,
         })
     }
 
@@ -313,17 +315,22 @@ impl UnitRunner {
         &self.spec
     }
 
-    /// The scenario for a seed, derived copy-on-write from the base world on first use.
+    /// The scenario for a seed: the base world for the first seed, else that seed's world,
+    /// derived from the base unless it is the current one.
     fn world(&mut self, seed: u64) -> Result<&Scenario, CampaignError> {
-        if !self.worlds.contains_key(&seed) {
-            let scenario = if seed == self.spec.seeds[0] {
-                self.campaign.base().clone()
-            } else {
-                self.campaign.base().with_seed(seed)?
-            };
-            self.worlds.insert(seed, scenario);
+        if seed == self.spec.seeds[0] {
+            return Ok(&self.base);
         }
-        Ok(&self.worlds[&seed])
+        if self.current.as_ref().map(|&(current, _)| current) != Some(seed) {
+            // Free the previous seed's world, and its trace, before building the next.
+            self.current = None;
+            self.current = Some((seed, self.base.with_seed(seed)?));
+        }
+        Ok(&self
+            .current
+            .as_ref()
+            .expect("the current world was just set")
+            .1)
     }
 
     /// Execute one unit to its horizon and return its canonical artifact document.
@@ -650,15 +657,35 @@ mod tests {
 
     #[test]
     fn runner_shares_one_world_per_seed() {
-        let spec = tiny_spec();
+        let spec = CampaignSpec {
+            seeds: vec![7, 9, 11],
+            ..tiny_spec()
+        };
         let mut runner = UnitRunner::new(spec.clone()).unwrap();
-        for unit in spec.units() {
-            runner.run(&unit).unwrap();
+        let units = spec.units();
+        let mut worlds = Vec::new();
+        let mut artifacts = Vec::new();
+        for unit in &units {
+            artifacts.push(runner.run(unit).unwrap());
+            // However many seeds have run, the runner holds the base and one derived world.
+            match &runner.current {
+                None => assert_eq!(unit.seed, spec.seeds[0]),
+                Some((seed, world)) => {
+                    assert_eq!(*seed, unit.seed);
+                    assert!(world.shares_topology_with(&runner.base));
+                    worlds.push(world.clone());
+                }
+            }
         }
-        assert_eq!(runner.worlds.len(), 2);
-        for world in runner.worlds.values() {
-            assert!(world.shares_topology_with(runner.campaign.base()));
-        }
+        // Both algorithms at a seed ran on one world.
+        assert_eq!(worlds.len(), 4);
+        assert!(worlds[0].shares_gossip_trace_with(&worlds[1]));
+        assert!(worlds[2].shares_gossip_trace_with(&worlds[3]));
+        assert!(!worlds[1].shares_gossip_trace_with(&worlds[2]));
+
+        // A unit out of seed-major order rebuilds its world and runs as it did in order.
+        assert_eq!(runner.run(&units[2]).unwrap(), artifacts[2]);
+        assert_eq!(runner.current.as_ref().unwrap().0, units[2].seed);
     }
 
     #[test]

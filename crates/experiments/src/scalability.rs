@@ -21,7 +21,7 @@ pub struct ScalabilitySweep {
 
 /// Run the sweep (one DSMF run per system scale, across the pool).
 ///
-/// This is the one sweep that cannot derive its points copy-on-write: every point has a
+/// This is the one sweep that cannot derive its points from one base world: every point has a
 /// different node count and therefore a genuinely different topology.  The worlds are built
 /// in parallel, then the sessions run through the same [`campaign`] path as every other
 /// experiment.

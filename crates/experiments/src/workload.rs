@@ -7,9 +7,9 @@
 //! the same workload on every machine, every scale and every seed (the seed still drives the
 //! topology, capacities and churn).
 
-use crate::campaign::{self, Campaign};
+use crate::campaign;
 use crate::scale::ExperimentScale;
-use p2pgrid_core::SimulationReport;
+use p2pgrid_core::{Scenario, SimulationReport};
 use p2pgrid_workflow::WorkloadSpec;
 use std::path::Path;
 use std::str::FromStr;
@@ -53,8 +53,8 @@ impl WorkloadComparison {
 
 /// Replay a workload over this scale's base grid with every paper algorithm.
 ///
-/// The world is built once ([`Campaign`]); all eight sessions share it, so the comparison is
-/// on byte-identical traces by construction.
+/// The world is built once; all eight sessions share it, so the comparison is on
+/// byte-identical traces by construction.
 pub fn run_spec(
     spec: WorkloadSpec,
     scale: ExperimentScale,
@@ -64,11 +64,8 @@ pub fn run_spec(
     let entries = spec.entry_count();
     let last_arrival_ms = spec.last_arrival_ms();
     let config = scale.base_config(seed).with_workload(spec);
-    let campaign = Campaign::from_config(config).map_err(|e| format!("invalid workload: {e}"))?;
-    let jobs = campaign::cross(
-        std::slice::from_ref(campaign.base()),
-        &campaign::paper_algorithms(),
-    );
+    let world = Scenario::build(config).map_err(|e| format!("invalid workload: {e}"))?;
+    let jobs = campaign::cross(std::slice::from_ref(&world), &campaign::paper_algorithms());
     Ok(WorkloadComparison {
         name,
         entries,

@@ -4,9 +4,9 @@
 //! p2pgrid-worker --master 127.0.0.1:7700 [--hostname NAME] [--die-after N] [--idle-ms 200]
 //! ```
 //!
-//! Registers with the master, pulls run-units, executes them through the copy-on-write
-//! campaign machinery and streams the artifacts back.  A dedicated thread heartbeats on its
-//! own connection so long-running units do not look like a dead worker.  `--die-after N`
+//! Registers with the master, pulls run-units, executes them over worlds derived from one
+//! base world per campaign and streams the artifacts back.  A dedicated thread heartbeats on
+//! its own connection so long-running units do not look like a dead worker.  `--die-after N`
 //! makes the process exit abruptly after executing N units — the fault-injection hook the CI
 //! smoke test uses to prove failover.
 

@@ -74,3 +74,54 @@ pub fn handle(state: &mut MasterState, request: Request, now_ms: u64) -> Respons
         Request::Shutdown => Response::ShuttingDown,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::{MasterConfig, MAX_JOB_UNITS};
+    use p2pgrid_core::Algorithm;
+    use p2pgrid_experiments::{CampaignSpec, ExperimentScale};
+
+    /// A Smoke campaign over every algorithm and `seeds` seeds.
+    fn campaign(seeds: usize) -> CampaignSpec {
+        CampaignSpec {
+            name: "wide".into(),
+            scale: ExperimentScale::Smoke,
+            seeds: (0..seeds as u64).collect(),
+            algorithms: Algorithm::ALL.to_vec(),
+            workload: None,
+        }
+    }
+
+    fn submit(state: &mut MasterState, spec: CampaignSpec) -> Response {
+        handle(state, Request::Submit { spec }, 0)
+    }
+
+    #[test]
+    fn submit_rejects_a_campaign_whose_artifact_could_not_be_fetched() {
+        let mut state = MasterState::new(MasterConfig::default());
+        let per_seed = Algorithm::ALL.len();
+        match submit(&mut state, campaign(MAX_JOB_UNITS / per_seed + 1)) {
+            Response::Error { message } => assert!(
+                message.contains(&MAX_JOB_UNITS.to_string()),
+                "the rejection names the limit: {message}"
+            ),
+            other => panic!("an oversized campaign was not rejected: {other:?}"),
+        }
+        assert!(state.jobs().is_empty());
+
+        // The largest deliverable campaign, and the repo's own, are accepted.
+        let largest = submit(&mut state, campaign(MAX_JOB_UNITS / per_seed));
+        assert!(
+            matches!(largest, Response::Accepted { units, .. } if units == MAX_JOB_UNITS),
+            "{largest:?}"
+        );
+        let smoke: CampaignSpec = include_str!("../../../campaigns/smoke.json")
+            .parse()
+            .unwrap();
+        assert!(matches!(
+            submit(&mut state, smoke),
+            Response::Accepted { units: 6, .. }
+        ));
+    }
+}

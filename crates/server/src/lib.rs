@@ -8,8 +8,9 @@
 //! Three binaries ship with the crate:
 //!
 //! * `p2pgrid-master` — accepts jobs, decomposes them into run-units, tracks workers.
-//! * `p2pgrid-worker` — registers, pulls run-units, executes them through the existing
-//!   copy-on-write `Campaign`/`Scenario` machinery, streams artifacts back.
+//! * `p2pgrid-worker` — registers, pulls run-units, executes them through a `UnitRunner`,
+//!   which derives every seed's world from one shared base `Scenario`, streams artifacts
+//!   back.
 //! * `p2pgrid-submit` — submit a spec, poll status, fetch the merged artifact.
 //!
 //! ## Architecture

@@ -18,6 +18,13 @@ use p2pgrid_experiments::rununit::{
 };
 use serde::json::Value;
 
+/// The most run-units one job may have.  The job's merged artifact travels back in one
+/// `fetch` response, which must fit [`MAX_LINE_BYTES`](crate::tcp::MAX_LINE_BYTES) (16 MiB).
+/// Each unit adds about 1.5 kB to that response at Smoke scale and about 3.0 kB over a
+/// 36-hour horizon (Reduced and Full), so 16 MiB hold about 5 500 units at most; a larger job
+/// could run to the end and still never be fetched.
+pub(crate) const MAX_JOB_UNITS: usize = 5_000;
+
 /// Tunables of one master instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MasterConfig {
@@ -179,6 +186,13 @@ impl MasterState {
 
     /// Accept a campaign spec as a new job.
     pub fn submit(&mut self, spec: CampaignSpec) -> Result<(JobId, usize), CampaignError> {
+        let units = spec.seeds.len().saturating_mul(spec.algorithms.len());
+        if units > MAX_JOB_UNITS {
+            return Err(CampaignError::Spec(format!(
+                "{units} run-units; a job's merged artifact fits one fetch for at most \
+                 {MAX_JOB_UNITS}"
+            )));
+        }
         spec.validate()?;
         let id = JobId(self.jobs.len() as u64);
         let units: Vec<UnitRecord> = spec

@@ -2,14 +2,14 @@
 //!
 //! [`Worker`] is generic over [`Transport`], so the same execution loop runs against the
 //! in-process loopback master in tests and a real TCP master in production.  Execution goes
-//! through [`UnitRunner`], which derives every seed's world copy-on-write from one shared
-//! base scenario per campaign — a worker executing many units of the same job pays for a
-//! single topology build.
+//! through [`UnitRunner`], which derives every seed's world from one shared base scenario
+//! per campaign — a worker executing many units of the same job pays for a single topology
+//! build.  A worker keeps the runner of the job it ran last only, so what it holds does not
+//! grow with the number of jobs it has served.
 
 use crate::protocol::{JobId, Request, Response, WorkerId};
 use crate::transport::{Transport, TransportError};
-use p2pgrid_experiments::rununit::{RunUnit, UnitRunner};
-use std::collections::HashMap;
+use p2pgrid_experiments::rununit::{CampaignError, CampaignSpec, RunUnit, UnitRunner};
 
 /// What one [`Worker::step`] did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,8 +32,9 @@ pub struct Worker<T: Transport> {
     transport: T,
     hostname: String,
     id: Option<WorkerId>,
-    /// One cached runner per job, so repeated units of the same campaign share a base world.
-    runners: HashMap<u64, UnitRunner>,
+    /// The runner of the job whose unit ran last, so consecutive units of one campaign
+    /// share a base world.
+    runner: Option<(JobId, UnitRunner)>,
     /// Fault-injection hook: execute this many units, then return an error from `step` as if
     /// the process died.
     die_after: Option<usize>,
@@ -47,7 +48,7 @@ impl<T: Transport> Worker<T> {
             transport,
             hostname: hostname.into(),
             id: None,
-            runners: HashMap::new(),
+            runner: None,
             die_after: None,
             executed: 0,
         }
@@ -143,25 +144,30 @@ impl<T: Transport> Worker<T> {
         }
     }
 
+    /// The runner of `job`, built in place of the previous job's unless it is the current one.
+    fn runner_for(
+        &mut self,
+        job: JobId,
+        spec: CampaignSpec,
+    ) -> Result<&mut UnitRunner, CampaignError> {
+        if self.runner.as_ref().map(|&(current, _)| current) != Some(job) {
+            // Free the previous job's worlds before building this one's.
+            self.runner = None;
+            self.runner = Some((job, UnitRunner::new(spec)?));
+        }
+        Ok(&mut self.runner.as_mut().expect("the runner was just set").1)
+    }
+
     fn execute(
         &mut self,
         worker: WorkerId,
         job: JobId,
         unit: RunUnit,
-        spec: p2pgrid_experiments::CampaignSpec,
+        spec: CampaignSpec,
     ) -> Result<(), TransportError> {
-        use std::collections::hash_map::Entry;
-        let runner = match self.runners.entry(job.0) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(e) => match UnitRunner::new(spec) {
-                Ok(runner) => Ok(e.insert(runner)),
-                Err(err) => Err(err),
-            },
-        };
-        let report = match runner {
-            Ok(runner) => runner.run(&unit),
-            Err(err) => Err(err),
-        };
+        let report = self
+            .runner_for(job, spec)
+            .and_then(|runner| runner.run(&unit));
         let request = match report {
             Ok(artifact) => Request::Complete {
                 worker,
@@ -199,5 +205,36 @@ impl<T: Transport> Worker<T> {
                 Step::Stopped => return Ok(()),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::MasterConfig;
+    use crate::transport::LoopbackMaster;
+    use crate::Client;
+    use p2pgrid_core::Algorithm;
+    use p2pgrid_experiments::ExperimentScale;
+
+    #[test]
+    fn a_worker_keeps_only_the_runner_of_its_last_job() {
+        let master = LoopbackMaster::new(MasterConfig::default());
+        let mut client = Client::new(master.transport());
+        let spec = |seed| CampaignSpec {
+            name: format!("seed {seed}"),
+            scale: ExperimentScale::Smoke,
+            seeds: vec![seed],
+            algorithms: vec![Algorithm::Dsmf],
+            workload: None,
+        };
+        let (first, _) = client.submit(&spec(7)).unwrap();
+        let (second, _) = client.submit(&spec(9)).unwrap();
+        let mut worker = Worker::new(master.transport(), "w");
+        for job in [first, second] {
+            assert_eq!(worker.step().unwrap(), Step::Executed { job, unit: 0 });
+            assert_eq!(worker.runner.as_ref().map(|&(held, _)| held), Some(job));
+        }
+        assert_eq!(worker.step().unwrap(), Step::Idle);
     }
 }

@@ -1,4 +1,4 @@
-//! Batched sweeps over copy-on-write derived worlds.
+//! Batched sweeps over derived worlds.
 //!
 //! Build one base world, derive a seed sweep from it with `Scenario::with_seed` (the whole
 //! sweep shares the base's `Arc`'d topology / all-pairs-metrics / landmark tables, so it
@@ -17,7 +17,7 @@ fn main() {
     config.workflows_per_node = 2;
 
     let t = Instant::now();
-    let sweep = Campaign::from_config(config).expect("campaign config is valid");
+    let base = Scenario::build(config).expect("campaign config is valid");
     println!(
         "base world (80 peers) built in {:?} — the only topology/metrics build this run pays",
         t.elapsed()
@@ -26,18 +26,18 @@ fn main() {
     // An 8-point replicate sweep: same network, eight independent re-samples of the workload.
     let seeds: Vec<u64> = (0..8).map(|s| 1000 + s).collect();
     let t = Instant::now();
-    let scenarios = sweep
-        .derive(&seeds, |base, &s| base.with_seed(s))
+    let scenarios: Vec<Scenario> = seeds
+        .iter()
+        .map(|&s| base.with_seed(s))
+        .collect::<Result<_, _>>()
         .expect("derivation is valid");
     println!(
-        "derived {} sweep points copy-on-write in {:?}",
+        "derived {} sweep points in {:?}",
         scenarios.len(),
         t.elapsed()
     );
     assert!(
-        scenarios
-            .iter()
-            .all(|s| s.shares_topology_with(sweep.base())),
+        scenarios.iter().all(|s| s.shares_topology_with(&base)),
         "every sweep point must share the base topology tables"
     );
 

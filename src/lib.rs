@@ -72,7 +72,7 @@ pub mod prelude {
         SlotClass, SlotModel, StochasticFaults, StreamKind, StreamSeeds, TimeSeriesProbe,
         TraceEvent, TraceRecorder, WorkloadSource,
     };
-    pub use p2pgrid_experiments::{Campaign, CampaignSpec, ExperimentScale};
+    pub use p2pgrid_experiments::{CampaignSpec, ExperimentScale};
     pub use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowRecord};
     pub use p2pgrid_sim::{SimDuration, SimRng, SimTime};
     pub use p2pgrid_topology::{Topology, WaxmanConfig, WaxmanGenerator};

@@ -1,25 +1,24 @@
-//! Copy-on-write scenario derivation pins.
+//! Scenario derivation pins.
 //!
-//! Every `Scenario::with_*` method promises two things at once:
+//! `Scenario::derive` (and `Scenario::with_seed`, built on it) promises two things at once:
 //!
 //! 1. **Byte identity** — the derived world behaves exactly like `Scenario::build` of the
-//!    equivalent `GridConfig`.  Sharing the `Arc`'d topology/metrics/landmark tables is an
-//!    optimisation, never a semantic change: a DSMF run on the derived world must produce a
-//!    byte-identical `SimulationReport` to a run on the from-scratch rebuild.
+//!    edited `GridConfig`.  Sharing the `Arc`'d topology/metrics/landmark tables, workflow set
+//!    and gossip trace is an optimisation, never a semantic change: a DSMF run on the derived
+//!    world must produce a byte-identical `SimulationReport` to a run on a fresh build, for
+//!    every edit and chain of edits, whether or not the parent has built its trace yet.
 //! 2. **Actual sharing** — the expensive tables really are shared (`Arc` identity, checked
-//!    through `shares_topology_with` / `shares_workflows_with`), so a whole sweep pays for
-//!    one topology + all-pairs-metrics + landmark computation.
+//!    through `shares_topology_with` / `shares_workflows_with` / `shares_gossip_trace_with`),
+//!    so a whole sweep pays for one topology + all-pairs-metrics + landmark computation, and
+//!    a sweep over a knob the gossip protocol does not read pays for one protocol run.
 //!
 //! A third pin covers the execution layer: running a campaign through the work-stealing pool
 //! must not perturb any report — pool sizes 1 and 8 and the sequential path all agree bit
 //! for bit.
-//!
-//! The last pins cover the lazily built gossip trace: the first session on a world builds
-//! it, however many start at once; only `with_recovery` shares its parent's trace; and a
-//! world derived after its parent's trace exists still runs like a fresh build.
 
 use p2pgrid::experiments::campaign;
 use p2pgrid::prelude::*;
+use proptest::prelude::*;
 use std::str::FromStr;
 
 const MONTAGE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/workloads/montage.json");
@@ -31,13 +30,17 @@ fn config(seed: u64) -> GridConfig {
     cfg
 }
 
+fn montage() -> WorkloadSpec {
+    WorkloadSpec::from_str(&std::fs::read_to_string(MONTAGE).unwrap()).unwrap()
+}
+
 /// DSMF's report on `scenario`; reports are compared through [`SimulationReport::digest`].
 fn dsmf(scenario: &Scenario) -> SimulationReport {
     scenario.simulate_algorithm(Algorithm::Dsmf).run()
 }
 
 /// The derived world must be byte-identical to `Scenario::build` of its own config — the
-/// config each `with_*` method constructed internally, including any pinned stream seeds.
+/// edited config, including any pinned stream seeds.
 fn assert_matches_fresh_build(derived: &Scenario, derivation: &str) {
     let rebuilt = Scenario::build(derived.config().clone()).unwrap();
     let d = dsmf(derived);
@@ -68,28 +71,29 @@ fn with_seed_matches_fresh_build_and_shares_topology() {
 #[test]
 fn with_resource_matches_fresh_build_and_shares_workflows() {
     let base = Scenario::build(config(92)).unwrap();
-    let derived = base.with_resource(ResourceModel::multi_core(4)).unwrap();
+    let derived = base
+        .derive(|c| c.with_resource(ResourceModel::multi_core(4)))
+        .unwrap();
     assert!(derived.shares_topology_with(&base));
     assert!(derived.shares_workflows_with(&base));
     assert_matches_fresh_build(&derived, "with_resource(multi_core(4))");
 }
 
 #[test]
-fn with_workflows_matches_fresh_build() {
+fn with_load_and_data_matches_fresh_build() {
     let base = Scenario::build(config(93)).unwrap();
-    let mut workflow = base.config().workload.generator().unwrap().clone();
-    workflow.load_mi = 100.0..=10_000.0;
-    workflow.data_mb = 100.0..=10_000.0;
-    let derived = base.with_workflows(workflow).unwrap();
+    let derived = base
+        .derive(|c| c.with_load_and_data(100.0..=10_000.0, 100.0..=10_000.0))
+        .unwrap();
     assert!(derived.shares_topology_with(&base));
     assert!(!derived.shares_workflows_with(&base));
-    assert_matches_fresh_build(&derived, "with_workflows");
+    assert_matches_fresh_build(&derived, "with_load_and_data");
 }
 
 #[test]
 fn with_load_factor_matches_fresh_build() {
     let base = Scenario::build(config(94)).unwrap();
-    let derived = base.with_load_factor(4).unwrap();
+    let derived = base.derive(|c| c.with_load_factor(4)).unwrap();
     assert!(derived.shares_topology_with(&base));
     assert_matches_fresh_build(&derived, "with_load_factor(4)");
 }
@@ -98,28 +102,33 @@ fn with_load_factor_matches_fresh_build() {
 fn with_churn_matches_fresh_build() {
     let base = Scenario::build(config(95)).unwrap();
     let derived = base
-        .with_churn(ChurnConfig::with_dynamic_factor(0.2))
+        .derive(|c| c.with_churn(ChurnConfig::with_dynamic_factor(0.2)))
         .unwrap();
     assert!(derived.shares_topology_with(&base));
     assert_matches_fresh_build(&derived, "with_churn(0.2)");
 }
 
 #[test]
-fn with_algorithm_streams_matches_fresh_build_and_keeps_the_workload() {
+fn reseeded_gossip_and_churn_streams_match_fresh_build_and_keep_the_workload() {
     let base = Scenario::build(config(96)).unwrap();
-    let derived = base.with_algorithm_streams(777).unwrap();
+    let derived = base
+        .derive(|c| {
+            c.with_stream_seed(StreamKind::Gossip, 777)
+                .with_stream_seed(StreamKind::Churn, 777)
+        })
+        .unwrap();
     // The static substrate is untouched: same topology tables, same workflow set.
     assert!(derived.shares_topology_with(&base));
     assert!(derived.shares_workflows_with(&base));
-    assert_matches_fresh_build(&derived, "with_algorithm_streams(777)");
+    assert_matches_fresh_build(&derived, "gossip and churn streams pinned to 777");
 }
 
 #[test]
 fn derivations_chain_without_rebuilding_the_topology() {
     let base = Scenario::build(config(97)).unwrap();
-    let step1 = base.with_load_factor(3).unwrap();
+    let step1 = base.derive(|c| c.with_load_factor(3)).unwrap();
     let step2 = step1
-        .with_churn(ChurnConfig::with_dynamic_factor(0.1))
+        .derive(|c| c.with_churn(ChurnConfig::with_dynamic_factor(0.1)))
         .unwrap();
     let step3 = step2.with_seed(1234).unwrap();
     for derived in [&step1, &step2, &step3] {
@@ -157,11 +166,11 @@ fn pooled_campaign_matches_sequential_and_any_pool_size() {
     // sequentially, on a 1-worker pool and on an 8-worker pool produces byte-identical
     // reports in the same order.  (CI additionally runs the whole suite under
     // P2PGRID_POOL_THREADS=1 and =8 to pin the global pool path.)
-    let campaign_base = Campaign::from_config(config(99)).unwrap();
-    let points = [1usize, 2, 3];
-    let scenarios = campaign_base
-        .derive(&points, |base, &lf| base.with_load_factor(lf))
-        .unwrap();
+    let base = Scenario::build(config(99)).unwrap();
+    let scenarios: Vec<Scenario> = [1usize, 2, 3]
+        .iter()
+        .map(|&lf| base.derive(|c| c.with_load_factor(lf)).unwrap())
+        .collect();
     let jobs = campaign::cross(
         &scenarios,
         &[
@@ -191,43 +200,56 @@ fn pooled_campaign_matches_sequential_and_any_pool_size() {
     }
 }
 
-/// One world per `Scenario::with_*` method, each changing something about `base`.
-fn derivations(base: &Scenario) -> Vec<(&'static str, Scenario)> {
-    let mut workflow = base.config().workload.generator().unwrap().clone();
-    workflow.tasks = 3..=6;
-    let montage = WorkloadSpec::from_str(&std::fs::read_to_string(MONTAGE).unwrap()).unwrap();
+/// One world per kind of edit the sweeps make, each changing something about `base`, with
+/// whether the edit leaves every input of the gossip trace unchanged.
+fn derivations(base: &Scenario) -> Vec<(&'static str, Scenario, bool)> {
     let faults = StochasticFaults::new(SimDuration::from_hours(2), SimDuration::from_mins(20));
+    let derive = |edit: &dyn Fn(GridConfig) -> GridConfig| base.derive(edit).unwrap();
     vec![
         (
-            "with_recovery",
-            base.with_recovery(RecoveryPolicy::unlimited_retry())
-                .unwrap(),
+            "recovery",
+            derive(&|c| c.with_recovery(RecoveryPolicy::unlimited_retry())),
+            true,
         ),
-        ("with_seed", base.with_seed(4343).unwrap()),
+        ("load factor", derive(&|c| c.with_load_factor(3)), true),
         (
-            "with_resource",
-            base.with_resource(ResourceModel::multi_core(2)).unwrap(),
-        ),
-        ("with_workflows", base.with_workflows(workflow).unwrap()),
-        ("with_workload", base.with_workload(montage).unwrap()),
-        (
-            "with_arrivals",
-            base.with_arrivals(ArrivalProcess::Poisson { rate_per_hour: 4.0 })
-                .unwrap(),
-        ),
-        ("with_load_factor", base.with_load_factor(3).unwrap()),
-        (
-            "with_churn",
-            base.with_churn(ChurnConfig::with_dynamic_factor(0.1))
-                .unwrap(),
+            "generator (CCR)",
+            derive(&|c| c.with_load_and_data(100.0..=10_000.0, 10.0..=1000.0)),
+            true,
         ),
         (
-            "with_faults",
-            base.with_faults(FaultModel::Stochastic(faults)).unwrap(),
+            "arrivals",
+            derive(&|c| c.with_arrivals(ArrivalProcess::Poisson { rate_per_hour: 4.0 })),
+            true,
+        ),
+        ("seed", base.with_seed(4343).unwrap(), false),
+        (
+            "resource",
+            derive(&|c| c.with_resource(ResourceModel::multi_core(2))),
+            false,
         ),
         (
-            "with_algorithm_streams",
-            base.with_algorithm_streams(888).unwrap(),
+            "churn",
+            derive(&|c| c.with_churn(ChurnConfig::with_dynamic_factor(0.1))),
+            false,
+        ),
+        (
+            "faults",
+            derive(&|c| c.with_faults(FaultModel::Stochastic(faults))),
+            false,
+        ),
+        (
+            "gossip and churn streams",
+            derive(&|c| {
+                c.with_stream_seed(StreamKind::Gossip, 888)
+                    .with_stream_seed(StreamKind::Churn, 888)
+            }),
+            false,
+        ),
+        (
+            "Montage workload",
+            derive(&|c| c.with_workload(montage())),
+            false,
         ),
     ]
 }
@@ -283,36 +305,40 @@ fn eight_sessions_started_at_once_on_a_fresh_world_share_one_trace() {
 }
 
 #[test]
-fn only_with_recovery_shares_its_parents_gossip_trace() {
-    // Recovery acts on tasks, never on liveness or gossip, so a recovery-derived world reads
-    // its parent's trace — built or not.  Every other derivation changes what the trace
-    // holds and starts with none.
+fn derived_worlds_share_the_gossip_trace_exactly_when_its_inputs_match() {
+    // The protocol reads neither the DAGs, nor the load factor, nor the arrival times, nor
+    // the recovery policy, so those derivations read their parent's trace — built or not.
+    // Every other derivation changes what the trace holds and starts with none.
     let base = Scenario::build(churned(104)).unwrap();
-    let early = base
-        .with_recovery(RecoveryPolicy::unlimited_retry())
-        .unwrap();
+    let early = base.derive(|c| c.with_load_factor(3)).unwrap();
     assert!(early.shares_gossip_trace_with(&base));
     assert_eq!(early.gossip_trace_bytes(), None);
     dsmf(&early);
     assert!(
         base.gossip_trace_bytes().is_some(),
-        "a session on the recovery-derived world built the parent's trace"
+        "a session on the load-factor world built the parent's trace"
     );
-    for (derivation, derived) in derivations(&base) {
-        if derivation == "with_recovery" {
-            assert!(derived.shares_gossip_trace_with(&base));
-            assert_eq!(derived.gossip_trace_bytes(), base.gossip_trace_bytes());
+    // Sharing follows a chain of such derivations.
+    let chained = early
+        .derive(|c| c.with_recovery(RecoveryPolicy::unlimited_retry()))
+        .unwrap();
+    assert!(chained.shares_gossip_trace_with(&base));
+    for (derivation, derived, shares) in derivations(&base) {
+        assert_eq!(
+            derived.shares_gossip_trace_with(&base),
+            shares,
+            "{derivation}: shares its parent's gossip trace"
+        );
+        let expected = if shares {
+            base.gossip_trace_bytes()
         } else {
-            assert!(
-                !derived.shares_gossip_trace_with(&base),
-                "{derivation} shares its parent's gossip trace"
-            );
-            assert_eq!(
-                derived.gossip_trace_bytes(),
-                None,
-                "{derivation} started with a built gossip trace"
-            );
-        }
+            None
+        };
+        assert_eq!(
+            derived.gossip_trace_bytes(),
+            expected,
+            "{derivation}: the trace it starts with"
+        );
     }
 }
 
@@ -321,7 +347,140 @@ fn worlds_derived_after_their_parent_built_its_trace_match_fresh_builds() {
     let base = Scenario::build(churned(105)).unwrap();
     dsmf(&base);
     assert!(base.gossip_trace_bytes().is_some());
-    for (derivation, derived) in derivations(&base) {
+    for (derivation, derived, _) in derivations(&base) {
         assert_matches_fresh_build(&derived, derivation);
+    }
+}
+
+/// The kinds of config edit the property draws from, one per field family.
+const EDITS: usize = 16;
+
+/// Edit `kind` of [`EDITS`], with its parameters drawn from `p`.  Every edit keeps the
+/// config valid.
+fn edit(config: GridConfig, kind: usize, p: u64) -> GridConfig {
+    let mins = SimDuration::from_mins;
+    let pick = |n: u64| (p % n) as usize;
+    match kind {
+        0 => config.with_seed(p % 1000),
+        1 => config.with_stream_seed(StreamKind::ALL[pick(8)], (p >> 8) % 1000),
+        // The two streams only the gossip trace reads, once more on their own.
+        2 => config.with_stream_seed(
+            [StreamKind::Gossip, StreamKind::Churn][pick(2)],
+            (p >> 8) % 1000,
+        ),
+        3 => config.with_load_factor(1 + pick(3)),
+        4 => {
+            let mut config = config;
+            config.workload = WorkloadSource::Synthetic(WorkflowGeneratorConfig {
+                tasks: 2..=2 + (p % 6) as u32,
+                ..WorkflowGeneratorConfig::with_load_and_data(
+                    10.0..=100.0 * (1 + (p >> 4) % 100) as f64,
+                    10.0..=100.0 * (1 + (p >> 12) % 100) as f64,
+                )
+            });
+            config
+        }
+        5 => config.with_workload(montage()),
+        6 => config.with_arrivals(match pick(3) {
+            0 => ArrivalProcess::Batch,
+            _ => ArrivalProcess::Poisson {
+                rate_per_hour: 1.0 + ((p >> 4) % 20) as f64,
+            },
+        }),
+        7 => config.with_resource(match pick(3) {
+            0 => ResourceModel::single_cpu(),
+            1 => ResourceModel::multi_core(2),
+            _ => ResourceModel::multi_core(2).preemptive(),
+        }),
+        8 => {
+            let mut config = config;
+            config.capacity = match pick(2) {
+                0 => CapacityModel::default(),
+                _ => CapacityModel::Uniform(1.0 + ((p >> 4) % 8) as f64),
+            };
+            config
+        }
+        9 => config.with_faults(FaultModel::Churn(ChurnConfig {
+            dynamic_factor: [0.0, 0.2][pick(2)],
+            stable_fraction: [0.3, 0.5, 0.7][((p >> 4) % 3) as usize],
+            homes_on_stable_only: true,
+        })),
+        10 => config.with_faults(match pick(3) {
+            0 => FaultModel::Off,
+            _ => FaultModel::Stochastic(StochasticFaults::new(
+                SimDuration::from_hours(1 + (p >> 4) % 4),
+                mins(10 + (p >> 8) % 30),
+            )),
+        }),
+        11 => config.with_recovery(match pick(4) {
+            0 => RecoveryPolicy::FailWorkflow,
+            1 => RecoveryPolicy::unlimited_retry(),
+            2 => RecoveryPolicy::Checkpoint { interval: mins(10) },
+            _ => RecoveryPolicy::Replicate { copies: 2 },
+        }),
+        12 => {
+            let mut config = config;
+            config.gossip.ttl = pick(6) as u32;
+            config.gossip.staleness_limit = mins(5 + (p >> 4) % 120);
+            config
+        }
+        13 => {
+            let mut config = config;
+            if p & 1 == 1 {
+                config.gossip_interval = mins(2 + (p >> 8) % 10);
+            }
+            if p & 2 == 2 {
+                config.scheduling_interval = mins(5 + (p >> 16) % 20);
+            }
+            if p & 4 == 4 {
+                config.metrics_interval = mins(20 + (p >> 24) % 60);
+            }
+            config
+        }
+        14 => {
+            let mut config = config;
+            config.horizon = SimDuration::from_hours(1 + p % 5);
+            config
+        }
+        _ => config.with_nodes(6 + pick(14)),
+    }
+}
+
+proptest! {
+    /// A chain of one to three random edits, each derived from the world before it, gives a
+    /// world whose DSMF report equals that of a fresh build of its config — whether the
+    /// last derivation happens before or after its parent has built its gossip trace.
+    #[test]
+    fn derive_matches_a_fresh_build_for_any_chain_of_edits(
+        seed in 0u64..1000,
+        churned in proptest::bool::ANY,
+        traced in proptest::bool::ANY,
+        kinds in proptest::collection::vec(0usize..EDITS, 1..4),
+        params in proptest::collection::vec(0u64..=u64::MAX, 3..4),
+    ) {
+        let mut base = GridConfig::small(10).with_seed(seed);
+        base.workflows_per_node = 1;
+        base.workload.generator_mut().tasks = 2..=5;
+        base.horizon = SimDuration::from_hours(4);
+        // Bases that churn or replay a trace's fixed home set let a single edit reach the
+        // inputs that matter only there: the churn stream and each node's churn role.
+        if churned {
+            base = base.with_churn(ChurnConfig::with_dynamic_factor(0.2));
+        }
+        if traced {
+            base = base.with_workload(montage());
+        }
+        let edits: Vec<(usize, u64)> = kinds.into_iter().zip(params).collect();
+        let (&(kind, p), chain) = edits.split_last().unwrap();
+        let mut parent = Scenario::build(base).unwrap();
+        for &(kind, p) in chain {
+            parent = parent.derive(|c| edit(c, kind, p)).unwrap();
+        }
+        let early = parent.derive(|c| edit(c, kind, p)).unwrap();
+        let fresh = dsmf(&Scenario::build(early.config().clone()).unwrap()).digest();
+        prop_assert_eq!(dsmf(&early).digest(), fresh, "edits {:?}, before", edits);
+        dsmf(&parent);
+        let late = parent.derive(|c| edit(c, kind, p)).unwrap();
+        prop_assert_eq!(dsmf(&late).digest(), fresh, "edits {:?}, after", edits);
     }
 }

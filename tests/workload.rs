@@ -175,14 +175,16 @@ fn poisson_arrivals_spread_submissions_without_perturbing_the_run() {
 #[test]
 fn derived_scenarios_can_swap_workload_and_arrivals_copy_on_write() {
     let base = Scenario::build(GridConfig::small(20).with_seed(41)).unwrap();
-    let trace = base.with_workload(staggered_workload()).unwrap();
+    let trace = base
+        .derive(|c| c.with_workload(staggered_workload()))
+        .unwrap();
     assert!(trace.shares_topology_with(&base));
     assert_eq!(trace.workflow_count(), 3);
     let report = trace.simulate_algorithm(Algorithm::Dsmf).run();
     assert_eq!(report.submitted, 3);
 
     let poisson = base
-        .with_arrivals(ArrivalProcess::Poisson { rate_per_hour: 4.0 })
+        .derive(|c| c.with_arrivals(ArrivalProcess::Poisson { rate_per_hour: 4.0 }))
         .unwrap();
     assert!(poisson.shares_topology_with(&base));
     assert_eq!(
@@ -192,7 +194,9 @@ fn derived_scenarios_can_swap_workload_and_arrivals_copy_on_write() {
     );
 
     // Deriving back to the base inputs reproduces the base run exactly.
-    let back = poisson.with_arrivals(ArrivalProcess::Batch).unwrap();
+    let back = poisson
+        .derive(|c| c.with_arrivals(ArrivalProcess::Batch))
+        .unwrap();
     assert_eq!(
         back.simulate_algorithm(Algorithm::Dsmf).run().digest(),
         base.simulate_algorithm(Algorithm::Dsmf).run().digest(),
