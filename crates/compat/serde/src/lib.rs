@@ -2,11 +2,12 @@
 //!
 //! The workspace builds without network access, so this shim supplies exactly the surface the
 //! codebase uses: the `Serialize` / `Deserialize` *derive macros* (which expand to nothing),
-//! same-named marker traits for bounds, and a minimal [`json`] backend (a self-describing
-//! [`json::Value`] tree with a conforming writer) for the machine-readable artifacts the
-//! `repro --json` flag emits.  When the environment gains crates.io access, point the
-//! workspace dependency at the real `serde` (+`serde_json`) — the hand-rolled
-//! `to_json()` builders at the call sites map one-to-one onto `#[derive(Serialize)]`.
+//! same-named marker traits for bounds, and a minimal [`json`] backend: a self-describing
+//! [`json::Value`] tree with a conforming writer and parser, and the one codec every
+//! document the repo both writes and reads goes through — the [`json::Codec`] trait, its
+//! path-carrying [`json::SchemaError`] and the [`json_codec!`] table that declares a type's
+//! fields once.  Write-only builders (figures, report digests) assemble `Value` trees by
+//! hand.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -113,6 +114,20 @@ pub mod json {
                 Value::Array(items) => items.iter().find_map(Value::find_non_finite),
                 Value::Object(fields) => fields.iter().find_map(|(_, v)| v.find_non_finite()),
                 _ => None,
+            }
+        }
+
+        /// How deeply this tree nests: 0 for a scalar or an empty container, else one more
+        /// than its deepest item or field.  [`parse`] accepts exactly the documents of depth
+        /// at most [`MAX_DEPTH`].
+        pub fn depth(&self) -> usize {
+            let deepest = |children: &mut dyn Iterator<Item = &Value>| {
+                children.map(|v| 1 + v.depth()).max().unwrap_or(0)
+            };
+            match self {
+                Value::Array(items) => deepest(&mut items.iter()),
+                Value::Object(fields) => deepest(&mut fields.iter().map(|(_, v)| v)),
+                _ => 0,
             }
         }
 
@@ -387,8 +402,13 @@ pub mod json {
         Ok(value)
     }
 
-    /// Nesting depth above which [`parse`] bails out instead of risking stack exhaustion.
-    const MAX_DEPTH: usize = 128;
+    /// The largest integer a JSON number carries exactly here, 2^53 − 1: [`Value`] holds
+    /// every number as an `f64`, so a larger integer may come back as a neighbour.
+    pub const MAX_SAFE_INTEGER: u64 = (1 << 53) - 1;
+
+    /// Nesting depth above which [`parse`] bails out instead of risking stack exhaustion: the
+    /// document itself is depth 0, each array item or object field one deeper.
+    pub const MAX_DEPTH: usize = 128;
 
     struct Parser<'a> {
         input: &'a str,
@@ -635,6 +655,237 @@ pub mod json {
             text.parse::<f64>()
                 .map(Value::Number)
                 .map_err(|_| self.error("number out of range"))
+        }
+    }
+
+    /// A document parsed but does not have the shape its type expects.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SchemaError {
+        /// Path of the offending value from the document root, such as
+        /// `$.workflows[0].tasks[0].image_size_mb`.
+        pub at: String,
+        /// What was expected there.
+        pub message: String,
+    }
+
+    impl SchemaError {
+        /// An error at the root of the value being decoded; each enclosing decoder adds its
+        /// own path segment with [`SchemaError::in_field`] or [`SchemaError::in_item`], so a
+        /// path is built only when decoding fails.
+        pub fn new(message: impl Into<String>) -> Self {
+            SchemaError {
+                at: "$".into(),
+                message: message.into(),
+            }
+        }
+
+        /// `got` is not the kind of value expected (`what`, such as "a string").
+        pub fn expected(what: &str, got: &Value) -> Self {
+            let got = match got {
+                Value::Array(_) => "an array".to_string(),
+                Value::Object(_) => "an object".to_string(),
+                scalar => scalar.to_string(),
+            };
+            Self::new(format!("expected {what}, got {got}"))
+        }
+
+        /// The tag field `key` holds `got`, none of the `accepted` tags.
+        pub fn unsupported(key: &str, got: &str, accepted: &[&str]) -> Self {
+            Self::new(format!(
+                "unsupported {key} `{got}` (expected {})",
+                accepted.join(", ")
+            ))
+            .in_field(key)
+        }
+
+        /// The same error, seen from the object whose field `key` held the value.
+        pub fn in_field(mut self, key: &str) -> Self {
+            self.at.insert_str(1, &format!(".{key}"));
+            self
+        }
+
+        /// The same error, seen from the array whose item `index` held the value.
+        pub fn in_item(mut self, index: usize) -> Self {
+            self.at.insert_str(1, &format!("[{index}]"));
+            self
+        }
+    }
+
+    impl fmt::Display for SchemaError {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "at `{}`: {}", self.at, self.message)
+        }
+    }
+
+    impl std::error::Error for SchemaError {}
+
+    /// A type's JSON form in both directions.  Every document the repo both writes and reads
+    /// (wire messages, campaign specs, workload documents) goes through this one trait: leaf
+    /// types implement it by hand, structs and tagged enums declare their fields once in a
+    /// [`json_codec!`](crate::json_codec) table.
+    pub trait Codec: Sized {
+        /// The value as JSON.
+        fn encode(&self) -> Value;
+
+        /// The value back from JSON, or what is wrong with it.
+        fn decode(v: &Value) -> Result<Self, SchemaError>;
+
+        /// The value as an object field; `None` leaves the field out.
+        fn encode_field(&self) -> Option<Value> {
+            Some(self.encode())
+        }
+
+        /// The value of an object field, `None` when the field is absent (an error unless
+        /// the type has a meaning for absence).
+        fn decode_field(v: Option<&Value>) -> Result<Self, SchemaError> {
+            match v {
+                Some(v) => Self::decode(v),
+                None => Err(SchemaError::new("missing required field")),
+            }
+        }
+    }
+
+    impl Codec for Value {
+        fn encode(&self) -> Value {
+            self.clone()
+        }
+
+        fn decode(v: &Value) -> Result<Self, SchemaError> {
+            Ok(v.clone())
+        }
+    }
+
+    impl Codec for String {
+        fn encode(&self) -> Value {
+            Value::String(self.clone())
+        }
+
+        fn decode(v: &Value) -> Result<Self, SchemaError> {
+            match v {
+                Value::String(s) => Ok(s.clone()),
+                other => Err(SchemaError::expected("a string", other)),
+            }
+        }
+    }
+
+    impl Codec for f64 {
+        fn encode(&self) -> Value {
+            Value::Number(*self)
+        }
+
+        fn decode(v: &Value) -> Result<Self, SchemaError> {
+            v.as_f64()
+                .ok_or_else(|| SchemaError::expected("a number", v))
+        }
+    }
+
+    /// An integer is a number without a fraction, within the type's range (an integer above
+    /// [`MAX_SAFE_INTEGER`] may have come back as a neighbour of the one written).
+    macro_rules! integer_codec {
+        ($($int:ty),*) => {$(
+            impl Codec for $int {
+                fn encode(&self) -> Value {
+                    Value::Number(*self as f64)
+                }
+
+                fn decode(v: &Value) -> Result<Self, SchemaError> {
+                    match v.as_f64() {
+                        Some(n) if n.fract() == 0.0
+                            && (<$int>::MIN as f64..=<$int>::MAX as f64).contains(&n) =>
+                        {
+                            Ok(n as $int)
+                        }
+                        _ => Err(SchemaError::expected(concat!("an integer of type ", stringify!($int)), v)),
+                    }
+                }
+            }
+        )*};
+    }
+
+    integer_codec!(u64, usize, i32);
+
+    impl<T: Codec> Codec for Vec<T> {
+        fn encode(&self) -> Value {
+            Value::Array(self.iter().map(T::encode).collect())
+        }
+
+        fn decode(v: &Value) -> Result<Self, SchemaError> {
+            v.as_array()
+                .ok_or_else(|| SchemaError::expected("an array", v))?
+                .iter()
+                .enumerate()
+                .map(|(i, item)| T::decode(item).map_err(|e| e.in_item(i)))
+                .collect()
+        }
+    }
+
+    /// An optional field is left out when `None` and reads as `None` when absent or `null`.
+    impl<T: Codec> Codec for Option<T> {
+        fn encode(&self) -> Value {
+            self.as_ref().map_or(Value::Null, T::encode)
+        }
+
+        fn decode(v: &Value) -> Result<Self, SchemaError> {
+            match v {
+                Value::Null => Ok(None),
+                v => T::decode(v).map(Some),
+            }
+        }
+
+        fn encode_field(&self) -> Option<Value> {
+            self.as_ref().map(T::encode)
+        }
+
+        fn decode_field(v: Option<&Value>) -> Result<Self, SchemaError> {
+            v.map_or(Ok(None), Self::decode)
+        }
+    }
+
+    /// The fields of an object.
+    #[doc(hidden)]
+    pub fn fields(v: &Value) -> Result<&[(String, Value)], SchemaError> {
+        v.as_object()
+            .ok_or_else(|| SchemaError::expected("an object", v))
+    }
+
+    fn lookup<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Decode field `key` of an object (the first of that name; other keys are ignored).
+    #[doc(hidden)]
+    pub fn field<T: Codec>(fields: &[(String, Value)], key: &str) -> Result<T, SchemaError> {
+        T::decode_field(lookup(fields, key)).map_err(|e| e.in_field(key))
+    }
+
+    /// Decode field `key` of an object, reading an absent field as `default`.
+    #[doc(hidden)]
+    pub fn field_or<T: Codec>(
+        fields: &[(String, Value)],
+        key: &str,
+        default: T,
+    ) -> Result<T, SchemaError> {
+        match lookup(fields, key) {
+            Some(v) => T::decode(v).map_err(|e| e.in_field(key)),
+            None => Ok(default),
+        }
+    }
+
+    /// The string tag field `key` of an object, which must be present.
+    #[doc(hidden)]
+    pub fn tag<'v>(fields: &'v [(String, Value)], key: &str) -> Result<&'v str, SchemaError> {
+        match lookup(fields, key) {
+            Some(Value::String(tag)) => Ok(tag),
+            Some(other) => Err(SchemaError::expected("a string", other).in_field(key)),
+            None => Err(SchemaError::new("missing required field").in_field(key)),
+        }
+    }
+
+    /// Append field `key` unless the value leaves itself out.
+    #[doc(hidden)]
+    pub fn put<T: Codec>(fields: &mut Vec<(String, Value)>, key: &str, value: &T) {
+        if let Some(v) = value.encode_field() {
+            fields.push((key.to_string(), v));
         }
     }
 
@@ -952,4 +1203,126 @@ pub mod json {
             }
         }
     }
+}
+
+/// Declare a type's [`json::Codec`] from its fields, each named once in wire order.
+///
+/// The generated encoder destructures the value and the decoder builds a struct literal, so
+/// a table that leaves a field out does not compile.  Decoders ignore unknown keys; an
+/// `Option` field is left out when `None` and reads as `None` when absent or `null`, and
+/// `field = default` reads an absent field as `default`.
+///
+/// A struct is an object of its fields, optionally led by a constant tag that decoding
+/// checks; `| OTHER => Type` also accepts a document tagged `OTHER`, decoded as `Type` and
+/// converted with `From`:
+///
+/// ```
+/// use serde::json::{self, Codec};
+///
+/// const FORMAT: &str = "point/v1";
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point {
+///     x: f64,
+///     label: Option<String>,
+///     weight: u64,
+/// }
+///
+/// serde::json_codec! { Point by "format" = FORMAT { x, label, weight = 1 } }
+///
+/// let p = Point { x: 0.5, label: None, weight: 3 };
+/// assert_eq!(p.encode().to_string(), r#"{"format":"point/v1","x":0.5,"weight":3}"#);
+/// let back = Point::decode(&json::parse(r#"{"format":"point/v1","x":2}"#).unwrap()).unwrap();
+/// assert_eq!(back, Point { x: 2.0, label: None, weight: 1 });
+/// let err = Point::decode(&json::parse(r#"{"format":"point/v1","x":"2"}"#).unwrap());
+/// assert_eq!(err.unwrap_err().to_string(), "at `$.x`: expected a number, got \"2\"");
+/// ```
+///
+/// An enum is an object whose tag field names the variant: a struct variant lists its
+/// fields after the tag, a unit variant has none, and a newtype variant `V(Payload)` writes
+/// the payload's own object fields after the tag.
+#[macro_export]
+macro_rules! json_codec {
+    ($ty:ident by $key:literal {
+        $( $tag:literal => $variant:ident $( { $( $field:ident ),* $(,)? } )? $( ( $payload:ty ) )? ),+ $(,)?
+    }) => {
+        impl $crate::json::Codec for $ty {
+            fn encode(&self) -> $crate::json::Value {
+                match self {
+                    $( $ty::$variant $( { $( $field ),* } )? $( ( $crate::__json_bind!($payload, payload) ) )? => {
+                        #[allow(unused_mut)]
+                        let mut fields = vec![($key.to_string(), $crate::json::Value::from($tag))];
+                        $( $( $crate::json::put(&mut fields, stringify!($field), $field); )* )?
+                        $(
+                            if let $crate::json::Value::Object(inner) =
+                                <$payload as $crate::json::Codec>::encode($crate::__json_bind!($payload, payload))
+                            {
+                                fields.extend(inner);
+                            }
+                        )?
+                        $crate::json::Value::Object(fields)
+                    } )+
+                }
+            }
+
+            fn decode(v: &$crate::json::Value) -> Result<Self, $crate::json::SchemaError> {
+                let fields = $crate::json::fields(v)?;
+                match $crate::json::tag(fields, $key)? {
+                    $( $tag => Ok($ty::$variant
+                        $( { $( $field: $crate::json::field(fields, stringify!($field))? ),* } )?
+                        $( ( <$payload as $crate::json::Codec>::decode(v)? ) )?
+                    ), )+
+                    other => Err($crate::json::SchemaError::unsupported($key, other, &[$( $tag ),+])),
+                }
+            }
+        }
+    };
+    ($ty:ident $( by $key:literal = $tag:path $( | $other:path => $other_ty:ty )? )? {
+        $( $field:ident $( = $default:expr )? ),+ $(,)?
+    }) => {
+        impl $crate::json::Codec for $ty {
+            fn encode(&self) -> $crate::json::Value {
+                let $ty { $( $field ),+ } = self;
+                let mut fields = Vec::new();
+                $( fields.push(($key.to_string(), $crate::json::Value::from($tag))); )?
+                $( $crate::json::put(&mut fields, stringify!($field), $field); )+
+                $crate::json::Value::Object(fields)
+            }
+
+            fn decode(v: &$crate::json::Value) -> Result<Self, $crate::json::SchemaError> {
+                let fields = $crate::json::fields(v)?;
+                $(
+                    let tag = $crate::json::tag(fields, $key)?;
+                    $(
+                        if tag == $other {
+                            return <$other_ty as $crate::json::Codec>::decode(v).map(Self::from);
+                        }
+                    )?
+                    if tag != $tag {
+                        return Err($crate::json::SchemaError::unsupported($key, tag, &[$tag $(, $other )?]));
+                    }
+                )?
+                Ok($ty { $( $field: $crate::__json_field!(fields, $field $(, $default )?), )+ })
+            }
+        }
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_bind {
+    ($payload:ty, $name:ident) => {
+        $name
+    };
+}
+
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_field {
+    ($fields:ident, $field:ident) => {
+        $crate::json::field($fields, stringify!($field))?
+    };
+    ($fields:ident, $field:ident, $default:expr) => {
+        $crate::json::field_or($fields, stringify!($field), $default)?
+    };
 }

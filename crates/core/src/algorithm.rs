@@ -1,5 +1,6 @@
 //! The eight scheduling algorithms compared in Section IV, and their phase pairings.
 
+use serde::json::{Codec, SchemaError, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -91,6 +92,26 @@ impl Algorithm {
             // The full-ahead baselines execute ready tasks first-come-first-served.
             Algorithm::Heft | Algorithm::Smf => SecondPhase::Fcfs,
         }
+    }
+}
+
+/// An algorithm is its display name, read in any letter case.
+impl Codec for Algorithm {
+    fn encode(&self) -> Value {
+        Value::from(self.name())
+    }
+
+    fn decode(v: &Value) -> Result<Self, SchemaError> {
+        let name = v
+            .as_str()
+            .ok_or_else(|| SchemaError::expected("an algorithm name", v))?;
+        Algorithm::parse(name).ok_or_else(|| {
+            let accepted: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
+            SchemaError::new(format!(
+                "unknown algorithm `{name}` (accepted: {})",
+                accepted.join(", ")
+            ))
+        })
     }
 }
 

@@ -2,19 +2,26 @@
 //!
 //! A [`CampaignSpec`] names a complete sweep campaign as data: an [`ExperimentScale`], a seed
 //! range, an algorithm set and an optional serialized workload document
-//! (`p2pgrid-workload/v1`).  [`CampaignSpec::units`] decomposes it into [`RunUnit`]s — one
-//! `(seed, algorithm)` cell each, in canonical seed-major order — and a [`UnitRunner`]
-//! executes units one at a time while building **one `Arc`-shared world per configuration
-//! point**: the base world is built once, every other seed derives a world over its network
-//! with [`Scenario::with_seed`], and all algorithms at that seed share it.  Units arrive
-//! seed-major, so the runner keeps only the base and the current seed's world.
+//! (`p2pgrid-workload/v1`).  It is a `p2pgrid-campaign/v1` document, encoded and decoded by
+//! the JSON shim's `json_codec!` table below like [`RunUnit`] and every wire message; a spec
+//! that does not fit reports the JSON path of the offending value.  [`CampaignSpec::validate`]
+//! keeps every seed at most 2^53 − 1, the largest integer a JSON number carries exactly, so a
+//! spec that crossed the wire names the seeds its sender wrote.
+//!
+//! [`CampaignSpec::units`] decomposes a spec into [`RunUnit`]s — one `(seed, algorithm)` cell
+//! each, in canonical seed-major order — and a [`UnitRunner`] executes units one at a time
+//! while building **one `Arc`-shared world per configuration point**: the base world is built
+//! once, every other seed derives a world over its network with [`Scenario::with_seed`], and
+//! all algorithms at that seed share it.  Units arrive seed-major, so the runner keeps only
+//! the base and the current seed's world.
 //!
 //! Artifacts use the `repro --json` wire format: [`unit_artifact`] wraps one run's summary
 //! plus its hourly [`FigureData`] series as a JSON document, and [`merge_artifacts`] folds the
 //! units (sorted by index) into one campaign document with cross-seed comparison figures.
-//! Both sides are *canonicalized* (serialized and re-parsed through the strict JSON shim), so
-//! a merged document assembled from artifacts that crossed a wire is byte-identical to one
-//! assembled in process — the invariant the campaign server's determinism tests pin.
+//! Both are write-only builders of `Value` trees.  Both sides are *canonicalized* (serialized
+//! and re-parsed through the strict JSON shim), so a merged document assembled from artifacts
+//! that crossed a wire is byte-identical to one assembled in process — the invariant the
+//! campaign server's determinism tests pin.
 //!
 //! [`run_local`] is the single-process reference path: decompose, execute every unit on the
 //! calling thread, merge.  Whatever a master/worker fleet returns for a spec must equal
@@ -25,8 +32,8 @@ use crate::figures::{FigureData, Series};
 use crate::scale::ExperimentScale;
 use p2pgrid_core::error::ConfigError;
 use p2pgrid_core::{Algorithm, AlgorithmConfig, Scenario, SimulationReport};
-use p2pgrid_workflow::WorkloadSpec;
-use serde::json::{self, Value};
+use p2pgrid_workflow::{HomePolicy, WorkloadSpec};
+use serde::json::{self, Codec, SchemaError, Value};
 use std::fmt;
 
 /// The serialization format tag of a campaign spec document.
@@ -41,6 +48,8 @@ pub const RESULT_FORMAT: &str = "p2pgrid-campaign-result/v1";
 pub enum CampaignError {
     /// The spec document is malformed or inconsistent.
     Spec(String),
+    /// The spec document does not have the campaign schema.
+    Schema(SchemaError),
     /// The spec is well-formed but names an invalid grid configuration.
     Config(ConfigError),
 }
@@ -49,6 +58,7 @@ impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CampaignError::Spec(msg) => write!(f, "invalid campaign spec: {msg}"),
+            CampaignError::Schema(e) => write!(f, "invalid campaign spec: {e}"),
             CampaignError::Config(e) => write!(f, "invalid grid configuration: {e}"),
         }
     }
@@ -59,6 +69,12 @@ impl std::error::Error for CampaignError {}
 impl From<ConfigError> for CampaignError {
     fn from(e: ConfigError) -> Self {
         CampaignError::Config(e)
+    }
+}
+
+impl From<SchemaError> for CampaignError {
+    fn from(e: SchemaError) -> Self {
+        CampaignError::Schema(e)
     }
 }
 
@@ -83,6 +99,10 @@ pub struct CampaignSpec {
     pub workload: Option<WorkloadSpec>,
 }
 
+serde::json_codec! {
+    CampaignSpec by "format" = CAMPAIGN_FORMAT { name, scale, seeds, algorithms, workload }
+}
+
 /// One cell of a campaign: run `algorithm` on the world derived for `seed`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunUnit {
@@ -94,24 +114,25 @@ pub struct RunUnit {
     pub algorithm: Algorithm,
 }
 
-impl CampaignSpec {
-    /// Lowercase name of a scale, the spelling `ExperimentScale::parse` accepts.
-    fn scale_name(scale: ExperimentScale) -> &'static str {
-        match scale {
-            ExperimentScale::Smoke => "smoke",
-            ExperimentScale::Reduced => "reduced",
-            ExperimentScale::Full => "full",
-        }
-    }
+serde::json_codec! { RunUnit { index, seed, algorithm } }
 
+impl CampaignSpec {
     /// Check internal consistency: non-empty unique seeds, non-empty unique algorithms, a
-    /// resolvable workload document, and a valid base grid configuration.
+    /// resolvable workload document, a valid base grid configuration, and nothing a JSON
+    /// document cannot carry exactly — no seed, entry time or node id above 2^53 − 1 and no
+    /// non-finite number — so a spec that validates crosses the wire unchanged.
     pub fn validate(&self) -> Result<(), CampaignError> {
         if self.name.is_empty() {
             return Err(spec_err("campaign name must not be empty"));
         }
         if self.seeds.is_empty() {
             return Err(spec_err("seed list must not be empty"));
+        }
+        let inexact = |n: u64| n > json::MAX_SAFE_INTEGER;
+        if let Some(seed) = self.seeds.iter().find(|&&seed| inexact(seed)) {
+            return Err(spec_err(format!(
+                "seed {seed} is above 2^53 - 1, the largest integer a JSON number carries exactly"
+            )));
         }
         let mut seen = self.seeds.clone();
         seen.sort_unstable();
@@ -131,6 +152,16 @@ impl CampaignSpec {
         if let Some(w) = &self.workload {
             w.resolve()
                 .map_err(|e| spec_err(format!("workload does not resolve: {e}")))?;
+            let inexact_entry = |e: &p2pgrid_workflow::WorkloadEntry| {
+                inexact(e.submit_at_ms)
+                    || matches!(e.home, HomePolicy::Node(i) if inexact(i as u64))
+            };
+            if w.entries.iter().any(inexact_entry) || w.to_json().find_non_finite().is_some() {
+                return Err(spec_err(
+                    "the workload holds a number JSON cannot carry exactly: an entry time or \
+                     node id above 2^53 - 1, or a non-finite size",
+                ));
+            }
         }
         self.base_config().validate()?;
         Ok(())
@@ -164,104 +195,16 @@ impl CampaignSpec {
             .collect()
     }
 
-    /// The spec as a JSON document.
+    /// The spec as a `p2pgrid-campaign/v1` document.
     pub fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("format", Value::from(CAMPAIGN_FORMAT)),
-            ("name", Value::from(self.name.as_str())),
-            ("scale", Value::from(Self::scale_name(self.scale))),
-            ("seeds", Value::array(self.seeds.iter().copied())),
-            (
-                "algorithms",
-                Value::Array(
-                    self.algorithms
-                        .iter()
-                        .map(|a| Value::from(a.name()))
-                        .collect(),
-                ),
-            ),
-        ];
-        if let Some(w) = &self.workload {
-            fields.push(("workload", w.to_json()));
-        }
-        Value::object(fields)
+        self.encode()
     }
 
-    /// Decode a spec from its JSON document (the inverse of [`CampaignSpec::to_json`]).
+    /// Decode and validate a spec document (the inverse of [`CampaignSpec::to_json`]).
     pub fn from_json(v: &Value) -> Result<Self, CampaignError> {
-        let tag = v
-            .get("format")
-            .and_then(Value::as_str)
-            .ok_or_else(|| spec_err("missing `format` tag"))?;
-        if tag != CAMPAIGN_FORMAT {
-            return Err(spec_err(format!(
-                "unsupported format `{tag}` (expected `{CAMPAIGN_FORMAT}`)"
-            )));
-        }
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| spec_err("missing string field `name`"))?
-            .to_string();
-        let scale_str = v
-            .get("scale")
-            .and_then(Value::as_str)
-            .ok_or_else(|| spec_err("missing string field `scale`"))?;
-        let scale = ExperimentScale::parse(scale_str).ok_or_else(|| {
-            spec_err(format!(
-                "unknown scale `{scale_str}` (accepted: smoke, reduced, full)"
-            ))
-        })?;
-        let seeds = v
-            .get("seeds")
-            .and_then(Value::as_array)
-            .ok_or_else(|| spec_err("missing array field `seeds`"))?
-            .iter()
-            .map(|s| {
-                s.as_u64()
-                    .ok_or_else(|| spec_err("seeds must be non-negative integers"))
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
-        let algorithms = v
-            .get("algorithms")
-            .and_then(Value::as_array)
-            .ok_or_else(|| spec_err("missing array field `algorithms`"))?
-            .iter()
-            .map(|a| {
-                let name = a
-                    .as_str()
-                    .ok_or_else(|| spec_err("algorithms must be strings"))?;
-                Algorithm::parse(name).ok_or_else(|| {
-                    let accepted: Vec<&str> = Algorithm::ALL.iter().map(|a| a.name()).collect();
-                    spec_err(format!(
-                        "unknown algorithm `{name}` (accepted: {})",
-                        accepted.join(", ")
-                    ))
-                })
-            })
-            .collect::<Result<Vec<Algorithm>, _>>()?;
-        let workload = match v.get("workload") {
-            None | Some(Value::Null) => None,
-            Some(w) => Some(
-                WorkloadSpec::from_json(w)
-                    .map_err(|e| spec_err(format!("embedded workload: {e}")))?,
-            ),
-        };
-        let spec = CampaignSpec {
-            name,
-            scale,
-            seeds,
-            algorithms,
-            workload,
-        };
+        let spec = Self::decode(v)?;
         spec.validate()?;
         Ok(spec)
-    }
-
-    /// Run the whole campaign on the calling thread and return the merged result document —
-    /// the byte-exact reference every distributed execution must reproduce.
-    pub fn run_local(&self) -> Result<String, CampaignError> {
-        run_local(self)
     }
 }
 
@@ -527,18 +470,10 @@ pub fn merge_artifacts(spec: &CampaignSpec, units: &[Value]) -> Result<Value, Ca
     ];
     Ok(canonical(Value::object([
         ("format", Value::from(RESULT_FORMAT)),
-        ("name", Value::from(spec.name.as_str())),
-        ("scale", Value::from(CampaignSpec::scale_name(spec.scale))),
-        ("seeds", Value::array(spec.seeds.iter().copied())),
-        (
-            "algorithms",
-            Value::Array(
-                spec.algorithms
-                    .iter()
-                    .map(|a| Value::from(a.name()))
-                    .collect(),
-            ),
-        ),
+        ("name", spec.name.encode()),
+        ("scale", spec.scale.encode()),
+        ("seeds", spec.seeds.encode()),
+        ("algorithms", spec.algorithms.encode()),
         (
             "figures",
             Value::Array(figures.iter().map(FigureData::to_json).collect()),
@@ -634,8 +569,23 @@ mod tests {
         }
         .validate()
         .is_err());
+        assert!(CampaignSpec {
+            seeds: vec![7, 1 << 53],
+            ..tiny_spec()
+        }
+        .validate()
+        .is_err());
         let err = CampaignSpec::from_str("{\"format\":\"nope\"}").unwrap_err();
         assert!(err.to_string().contains("unsupported format"), "{err}");
+        let bad_seed = tiny_spec()
+            .to_json()
+            .to_string()
+            .replace("[7,9]", "[7,\"9\"]");
+        let err = CampaignSpec::from_str(&bad_seed).unwrap_err();
+        assert!(
+            matches!(&err, CampaignError::Schema(e) if e.at == "$.seeds[1]"),
+            "{err}"
+        );
         let bad_algo = tiny_spec().to_json().to_string().replace("DSMF", "BOGUS");
         let err = CampaignSpec::from_str(&bad_algo).unwrap_err();
         assert!(err.to_string().contains("BOGUS"), "{err}");

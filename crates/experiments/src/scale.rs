@@ -2,6 +2,7 @@
 
 use p2pgrid_core::GridConfig;
 use p2pgrid_sim::SimDuration;
+use serde::json::{Codec, SchemaError, Value};
 use serde::{Deserialize, Serialize};
 
 /// How big to run an experiment.
@@ -17,14 +18,28 @@ pub enum ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Parse from a command-line string.
+    /// Every scale with its name, as [`ExperimentScale::parse`] reads it and specs write it.
+    const NAMES: [(ExperimentScale, &'static str); 3] = [
+        (ExperimentScale::Smoke, "smoke"),
+        (ExperimentScale::Reduced, "reduced"),
+        (ExperimentScale::Full, "full"),
+    ];
+
+    /// The scale's lowercase name.
+    pub fn name(self) -> &'static str {
+        Self::NAMES
+            .iter()
+            .find(|&&(scale, _)| scale == self)
+            .map(|&(_, name)| name)
+            .expect("every scale has a name")
+    }
+
+    /// Parse a scale name, in any letter case.
     pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "smoke" => Some(ExperimentScale::Smoke),
-            "reduced" => Some(ExperimentScale::Reduced),
-            "full" => Some(ExperimentScale::Full),
-            _ => None,
-        }
+        Self::NAMES
+            .iter()
+            .find(|(_, name)| name.eq_ignore_ascii_case(s))
+            .map(|&(scale, _)| scale)
     }
 
     /// The base grid configuration for this scale (the headline CCR ≈ 0.16 workload of
@@ -91,6 +106,24 @@ impl ExperimentScale {
             ExperimentScale::Full | ExperimentScale::Reduced => vec![2.0, 4.0, 8.0, 16.0, 32.0],
             ExperimentScale::Smoke => vec![2.0, 6.0],
         }
+    }
+}
+
+/// A scale is its name, read in any letter case.
+impl Codec for ExperimentScale {
+    fn encode(&self) -> Value {
+        Value::from(self.name())
+    }
+
+    fn decode(v: &Value) -> Result<Self, SchemaError> {
+        let name = v
+            .as_str()
+            .ok_or_else(|| SchemaError::expected("a scale name", v))?;
+        ExperimentScale::parse(name).ok_or_else(|| {
+            SchemaError::new(format!(
+                "unknown scale `{name}` (accepted: smoke, reduced, full)"
+            ))
+        })
     }
 }
 

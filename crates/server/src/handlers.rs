@@ -6,7 +6,8 @@
 //! tested (loopback) and deployed (TCP) paths.
 
 use crate::protocol::{Request, Response};
-use crate::state::{CompleteOutcome, MasterState, PullOutcome};
+use crate::state::{CompleteOutcome, MasterState, PullOutcome, MAX_ARTIFACT_DEPTH};
+use p2pgrid_experiments::rununit::UNIT_FORMAT;
 
 /// Dispatch one request against the master state at the given time.
 pub fn handle(state: &mut MasterState, request: Request, now_ms: u64) -> Response {
@@ -39,6 +40,12 @@ pub fn handle(state: &mut MasterState, request: Request, now_ms: u64) -> Respons
             CompleteOutcome::Accepted | CompleteOutcome::Duplicate => Response::Ok,
             CompleteOutcome::Unknown => Response::Error {
                 message: format!("unknown unit {unit} of {job}"),
+            },
+            CompleteOutcome::Malformed => Response::Error {
+                message: format!(
+                    "the artifact is not unit {unit}'s {UNIT_FORMAT} document of at most \
+                     {MAX_ARTIFACT_DEPTH} levels"
+                ),
             },
         },
         Request::FailUnit {

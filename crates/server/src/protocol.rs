@@ -2,13 +2,16 @@
 //!
 //! Every message is one compact JSON object per line with a `type` discriminator, written
 //! with the wire-strict serializer (`Value::to_wire_string`) so non-finite numbers can never
-//! corrupt a stream.  The same encoding is used verbatim by the TCP transport and the
-//! in-process loopback transport — the loopback serializes and re-parses every message, so
-//! protocol bugs surface in deterministic unit tests long before a socket is involved.
+//! corrupt a stream.  The two `json_codec!` tables at the end of this module are the whole
+//! codec: each message names its fields once, and the JSON shim's `Codec` generates both
+//! directions.  A message that does not fit decodes to a `SchemaError` carrying the JSON
+//! path of the offending value (`$.spec.seeds[0]`).  The same encoding is used verbatim by
+//! the TCP transport and the in-process loopback transport — the loopback serializes and
+//! re-parses every message, so protocol bugs surface in deterministic unit tests long before
+//! a socket is involved.
 
-use p2pgrid_core::Algorithm;
 use p2pgrid_experiments::rununit::{CampaignSpec, RunUnit};
-use serde::json::Value;
+use serde::json::{Codec, SchemaError, Value};
 use std::fmt;
 
 /// Identifier of one submitted campaign job (dense, master-assigned).
@@ -21,6 +24,17 @@ impl fmt::Display for JobId {
     }
 }
 
+/// A job id is its number.
+impl Codec for JobId {
+    fn encode(&self) -> Value {
+        self.0.encode()
+    }
+
+    fn decode(v: &Value) -> Result<Self, SchemaError> {
+        u64::decode(v).map(JobId)
+    }
+}
+
 /// Identifier of one registered worker (dense, master-assigned).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WorkerId(pub u64);
@@ -28,6 +42,17 @@ pub struct WorkerId(pub u64);
 impl fmt::Display for WorkerId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "worker-{}", self.0)
+    }
+}
+
+/// A worker id is its number.
+impl Codec for WorkerId {
+    fn encode(&self) -> Value {
+        self.0.encode()
+    }
+
+    fn decode(v: &Value) -> Result<Self, SchemaError> {
+        u64::decode(v).map(WorkerId)
     }
 }
 
@@ -182,253 +207,69 @@ pub enum Response {
     },
 }
 
-/// A message failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtocolError(pub String);
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "protocol error: {}", self.0)
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
-fn perr(msg: impl Into<String>) -> ProtocolError {
-    ProtocolError(msg.into())
-}
-
-fn field_str<'v>(v: &'v Value, key: &str) -> Result<&'v str, ProtocolError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| perr(format!("missing string field `{key}`")))
-}
-
-fn field_u64(v: &Value, key: &str) -> Result<u64, ProtocolError> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| perr(format!("missing integer field `{key}`")))
-}
-
-fn field_value<'v>(v: &'v Value, key: &str) -> Result<&'v Value, ProtocolError> {
-    v.get(key)
-        .ok_or_else(|| perr(format!("missing field `{key}`")))
-}
-
-/// Encode a run-unit as its wire object.
-pub fn unit_to_json(unit: &RunUnit) -> Value {
-    Value::object([
-        ("index", Value::from(unit.index)),
-        ("seed", Value::from(unit.seed)),
-        ("algorithm", Value::from(unit.algorithm.name())),
-    ])
-}
-
-/// Decode a run-unit from its wire object.
-pub fn unit_from_json(v: &Value) -> Result<RunUnit, ProtocolError> {
-    let name = field_str(v, "algorithm")?;
-    Ok(RunUnit {
-        index: field_u64(v, "index")? as usize,
-        seed: field_u64(v, "seed")?,
-        algorithm: Algorithm::parse(name)
-            .ok_or_else(|| perr(format!("unknown algorithm `{name}`")))?,
-    })
-}
-
 impl Request {
     /// Encode as a wire object.
     pub fn to_json(&self) -> Value {
-        match self {
-            Request::Register { hostname } => Value::object([
-                ("type", Value::from("register")),
-                ("hostname", Value::from(hostname.as_str())),
-            ]),
-            Request::Heartbeat { worker } => Value::object([
-                ("type", Value::from("heartbeat")),
-                ("worker", Value::from(worker.0)),
-            ]),
-            Request::Pull { worker } => Value::object([
-                ("type", Value::from("pull")),
-                ("worker", Value::from(worker.0)),
-            ]),
-            Request::Complete {
-                worker,
-                job,
-                unit,
-                artifact,
-            } => Value::object([
-                ("type", Value::from("complete")),
-                ("worker", Value::from(worker.0)),
-                ("job", Value::from(job.0)),
-                ("unit", Value::from(*unit)),
-                ("artifact", artifact.clone()),
-            ]),
-            Request::FailUnit {
-                worker,
-                job,
-                unit,
-                reason,
-            } => Value::object([
-                ("type", Value::from("fail_unit")),
-                ("worker", Value::from(worker.0)),
-                ("job", Value::from(job.0)),
-                ("unit", Value::from(*unit)),
-                ("reason", Value::from(reason.as_str())),
-            ]),
-            Request::Submit { spec } => {
-                Value::object([("type", Value::from("submit")), ("spec", spec.to_json())])
-            }
-            Request::Status { job } => {
-                Value::object([("type", Value::from("status")), ("job", Value::from(job.0))])
-            }
-            Request::Fetch { job } => {
-                Value::object([("type", Value::from("fetch")), ("job", Value::from(job.0))])
-            }
-            Request::Shutdown => Value::object([("type", Value::from("shutdown"))]),
-        }
+        self.encode()
     }
 
     /// Decode from a wire object.
-    pub fn from_json(v: &Value) -> Result<Request, ProtocolError> {
-        match field_str(v, "type")? {
-            "register" => Ok(Request::Register {
-                hostname: field_str(v, "hostname")?.to_string(),
-            }),
-            "heartbeat" => Ok(Request::Heartbeat {
-                worker: WorkerId(field_u64(v, "worker")?),
-            }),
-            "pull" => Ok(Request::Pull {
-                worker: WorkerId(field_u64(v, "worker")?),
-            }),
-            "complete" => Ok(Request::Complete {
-                worker: WorkerId(field_u64(v, "worker")?),
-                job: JobId(field_u64(v, "job")?),
-                unit: field_u64(v, "unit")? as usize,
-                artifact: field_value(v, "artifact")?.clone(),
-            }),
-            "fail_unit" => Ok(Request::FailUnit {
-                worker: WorkerId(field_u64(v, "worker")?),
-                job: JobId(field_u64(v, "job")?),
-                unit: field_u64(v, "unit")? as usize,
-                reason: field_str(v, "reason")?.to_string(),
-            }),
-            "submit" => Ok(Request::Submit {
-                spec: CampaignSpec::from_json(field_value(v, "spec")?)
-                    .map_err(|e| perr(e.to_string()))?,
-            }),
-            "status" => Ok(Request::Status {
-                job: JobId(field_u64(v, "job")?),
-            }),
-            "fetch" => Ok(Request::Fetch {
-                job: JobId(field_u64(v, "job")?),
-            }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(perr(format!("unknown request type `{other}`"))),
-        }
+    pub fn from_json(v: &Value) -> Result<Request, SchemaError> {
+        Self::decode(v)
     }
 }
 
 impl Response {
     /// Encode as a wire object.
     pub fn to_json(&self) -> Value {
-        match self {
-            Response::Registered {
-                worker,
-                heartbeat_ms,
-            } => Value::object([
-                ("type", Value::from("registered")),
-                ("worker", Value::from(worker.0)),
-                ("heartbeat_ms", Value::from(*heartbeat_ms)),
-            ]),
-            Response::Ok => Value::object([("type", Value::from("ok"))]),
-            Response::Assignment { job, unit, spec } => Value::object([
-                ("type", Value::from("assignment")),
-                ("job", Value::from(job.0)),
-                ("unit", unit_to_json(unit)),
-                ("spec", spec.to_json()),
-            ]),
-            Response::Idle => Value::object([("type", Value::from("idle"))]),
-            Response::Unregistered => Value::object([("type", Value::from("unregistered"))]),
-            Response::Accepted { job, units } => Value::object([
-                ("type", Value::from("accepted")),
-                ("job", Value::from(job.0)),
-                ("units", Value::from(*units)),
-            ]),
-            Response::Status(s) => {
-                let mut fields = vec![
-                    ("type", Value::from("status")),
-                    ("job", Value::from(s.job.0)),
-                    ("state", Value::from(s.state.as_str())),
-                    ("total", Value::from(s.total)),
-                    ("done", Value::from(s.done)),
-                    ("in_flight", Value::from(s.in_flight)),
-                    ("pending", Value::from(s.pending)),
-                    ("workers_alive", Value::from(s.workers_alive)),
-                ];
-                if let Some(reason) = &s.reason {
-                    fields.push(("reason", Value::from(reason.as_str())));
-                }
-                Value::object(fields)
-            }
-            Response::Artifact { job, body } => Value::object([
-                ("type", Value::from("artifact")),
-                ("job", Value::from(job.0)),
-                ("body", body.clone()),
-            ]),
-            Response::ShuttingDown => Value::object([("type", Value::from("shutting_down"))]),
-            Response::Error { message } => Value::object([
-                ("type", Value::from("error")),
-                ("message", Value::from(message.as_str())),
-            ]),
-        }
+        self.encode()
     }
 
     /// Decode from a wire object.
-    pub fn from_json(v: &Value) -> Result<Response, ProtocolError> {
-        match field_str(v, "type")? {
-            "registered" => Ok(Response::Registered {
-                worker: WorkerId(field_u64(v, "worker")?),
-                heartbeat_ms: field_u64(v, "heartbeat_ms")?,
-            }),
-            "ok" => Ok(Response::Ok),
-            "assignment" => Ok(Response::Assignment {
-                job: JobId(field_u64(v, "job")?),
-                unit: unit_from_json(field_value(v, "unit")?)?,
-                spec: CampaignSpec::from_json(field_value(v, "spec")?)
-                    .map_err(|e| perr(e.to_string()))?,
-            }),
-            "idle" => Ok(Response::Idle),
-            "unregistered" => Ok(Response::Unregistered),
-            "accepted" => Ok(Response::Accepted {
-                job: JobId(field_u64(v, "job")?),
-                units: field_u64(v, "units")? as usize,
-            }),
-            "status" => Ok(Response::Status(JobStatus {
-                job: JobId(field_u64(v, "job")?),
-                state: field_str(v, "state")?.to_string(),
-                reason: v.get("reason").and_then(Value::as_str).map(str::to_string),
-                total: field_u64(v, "total")? as usize,
-                done: field_u64(v, "done")? as usize,
-                in_flight: field_u64(v, "in_flight")? as usize,
-                pending: field_u64(v, "pending")? as usize,
-                workers_alive: field_u64(v, "workers_alive")? as usize,
-            })),
-            "artifact" => Ok(Response::Artifact {
-                job: JobId(field_u64(v, "job")?),
-                body: field_value(v, "body")?.clone(),
-            }),
-            "shutting_down" => Ok(Response::ShuttingDown),
-            "error" => Ok(Response::Error {
-                message: field_str(v, "message")?.to_string(),
-            }),
-            other => Err(perr(format!("unknown response type `{other}`"))),
-        }
+    pub fn from_json(v: &Value) -> Result<Response, SchemaError> {
+        Self::decode(v)
     }
+}
+
+serde::json_codec! {
+    Request by "type" {
+        "register" => Register { hostname },
+        "heartbeat" => Heartbeat { worker },
+        "pull" => Pull { worker },
+        "complete" => Complete { worker, job, unit, artifact },
+        "fail_unit" => FailUnit { worker, job, unit, reason },
+        "submit" => Submit { spec },
+        "status" => Status { job },
+        "fetch" => Fetch { job },
+        "shutdown" => Shutdown,
+    }
+}
+
+serde::json_codec! {
+    Response by "type" {
+        "registered" => Registered { worker, heartbeat_ms },
+        "ok" => Ok,
+        "assignment" => Assignment { job, unit, spec },
+        "idle" => Idle,
+        "unregistered" => Unregistered,
+        "accepted" => Accepted { job, units },
+        "status" => Status(JobStatus),
+        "artifact" => Artifact { job, body },
+        "shutting_down" => ShuttingDown,
+        "error" => Error { message },
+    }
+}
+
+// A status message carries the snapshot's fields after its tag, `reason` last and only
+// when set.
+serde::json_codec! {
+    JobStatus { job, state, total, done, in_flight, pending, workers_alive, reason }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2pgrid_core::Algorithm;
     use p2pgrid_experiments::ExperimentScale;
 
     fn spec() -> CampaignSpec {
@@ -538,5 +379,28 @@ mod tests {
             let v = serde::json::parse(text).unwrap();
             assert!(Request::from_json(&v).is_err(), "{text}");
         }
+    }
+
+    #[test]
+    fn decode_errors_name_the_offending_value() {
+        let at = |text: &str| {
+            Request::from_json(&serde::json::parse(text).unwrap())
+                .unwrap_err()
+                .at
+        };
+        assert_eq!(at("{\"type\":\"nope\"}"), "$.type");
+        assert_eq!(at("{\"type\":\"pull\",\"worker\":-1}"), "$.worker");
+        assert_eq!(
+            at("{\"type\":\"complete\",\"worker\":1,\"job\":0,\"unit\":2}"),
+            "$.artifact"
+        );
+        let mut submit = Request::Submit { spec: spec() }.to_json().to_string();
+        submit = submit.replace("\"seeds\":[1]", "\"seeds\":[-1]");
+        let err = Request::from_json(&serde::json::parse(&submit).unwrap()).unwrap_err();
+        assert_eq!(err.at, "$.spec.seeds[0]");
+        assert_eq!(
+            err.to_string(),
+            "at `$.spec.seeds[0]`: expected an integer of type u64, got -1"
+        );
     }
 }

@@ -14,9 +14,9 @@
 
 use crate::protocol::{JobId, JobStatus, WorkerId};
 use p2pgrid_experiments::rununit::{
-    merge_artifacts, render_result, CampaignError, CampaignSpec, RunUnit,
+    merge_artifacts, render_result, CampaignError, CampaignSpec, RunUnit, UNIT_FORMAT,
 };
-use serde::json::Value;
+use serde::json::{self, Value};
 
 /// The most run-units one job may have.  The job's merged artifact travels back in one
 /// `fetch` response, which must fit [`MAX_LINE_BYTES`](crate::tcp::MAX_LINE_BYTES) (16 MiB).
@@ -24,6 +24,12 @@ use serde::json::Value;
 /// 36-hour horizon (Reduced and Full), so 16 MiB hold about 5 500 units at most; a larger job
 /// could run to the end and still never be fetched.
 pub(crate) const MAX_JOB_UNITS: usize = 5_000;
+
+/// How deeply a unit artifact may nest.  The artifact travels three levels down in the
+/// `fetch` response (`body` → `units` → its item), and the response must still parse within
+/// [`json::MAX_DEPTH`]; a `complete` line holds it only one level down, so a deeper one
+/// arrives intact and has to be refused then.
+pub const MAX_ARTIFACT_DEPTH: usize = json::MAX_DEPTH - 3;
 
 /// Tunables of one master instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +154,9 @@ pub enum CompleteOutcome {
     Duplicate,
     /// No such job or unit.
     Unknown,
+    /// The artifact is not this unit's `p2pgrid-campaign-unit/v1` document, or nests deeper
+    /// than [`MAX_ARTIFACT_DEPTH`]; nothing was stored.
+    Malformed,
 }
 
 /// The master's entire mutable state.
@@ -271,7 +280,9 @@ impl MasterState {
     /// Accepted from *any* worker — including one already declared dead whose unit was
     /// requeued: the execution is deterministic, so every completed run of a unit carries
     /// the identical artifact, and accepting the first arrival can only reduce wasted work.
-    /// Duplicate completions (unit already `Done`) are ignored.
+    /// Duplicate completions (unit already `Done`) are ignored.  An artifact that could not
+    /// be merged or fetched is refused on arrival, so one bad peer can neither block the
+    /// job's merge nor crowd out the honest completion.
     pub fn complete(
         &mut self,
         worker: WorkerId,
@@ -287,6 +298,12 @@ impl MasterState {
         let Some(record) = job.units.get_mut(unit) else {
             return CompleteOutcome::Unknown;
         };
+        if artifact.get("format").and_then(Value::as_str) != Some(UNIT_FORMAT)
+            || artifact.get("unit").and_then(Value::as_u64) != Some(unit as u64)
+            || artifact.depth() > MAX_ARTIFACT_DEPTH
+        {
+            return CompleteOutcome::Malformed;
+        }
         if record.state == UnitState::Done {
             return CompleteOutcome::Duplicate;
         }

@@ -124,3 +124,30 @@ fn submitting_twice_yields_two_independent_identical_jobs() {
     assert_eq!(render_result(&body_a), rendered_b);
     assert_eq!(rendered_b, run_local(&spec).expect("local run"));
 }
+
+#[test]
+fn seeds_around_2_pow_53_are_served_as_run_locally_or_rejected_by_both() {
+    for seed in [(1u64 << 53) - 1, 1 << 53, (1 << 53) + 1] {
+        let spec = CampaignSpec {
+            name: "edge-seed".to_string(),
+            scale: ExperimentScale::Smoke,
+            seeds: vec![seed],
+            algorithms: vec![Algorithm::Dsmf],
+            workload: None,
+        };
+        let master = LoopbackMaster::new(test_config());
+        let served = Client::new(master.transport()).submit(&spec);
+        match (served, run_local(&spec)) {
+            (Ok((job, _)), Ok(local)) => {
+                let workers = vec![Worker::new(master.transport(), "w0")];
+                assert_eq!(
+                    drive_to_completion(&master, workers, job),
+                    local,
+                    "seed {seed}"
+                );
+            }
+            (Err(_), Err(_)) => {}
+            (served, local) => panic!("seed {seed}: served {served:?}, local {local:?}"),
+        }
+    }
+}

@@ -7,6 +7,7 @@
 //! thousands of interleavings are cheap.
 
 use p2pgrid_core::Algorithm;
+use p2pgrid_experiments::rununit::UNIT_FORMAT;
 use p2pgrid_experiments::{CampaignSpec, ExperimentScale};
 use p2pgrid_server::failover::{declare_dead, expire_workers};
 use p2pgrid_server::state::{CompleteOutcome, JobState, MasterState, PullOutcome};
@@ -25,8 +26,12 @@ fn spec(units: usize) -> CampaignSpec {
     }
 }
 
+/// The smallest document the master stores as unit `unit`'s artifact.
 fn fake_artifact(unit: usize) -> json::Value {
-    json::parse(&format!("{{\"unit\": {unit}}}")).expect("literal artifact parses")
+    json::parse(&format!(
+        "{{\"format\": \"{UNIT_FORMAT}\", \"unit\": {unit}}}"
+    ))
+    .expect("literal artifact parses")
 }
 
 /// Deterministic splitmix64, the same generator the serde shim's proptests use.

@@ -1,14 +1,14 @@
 //! End-to-end over real sockets: a master on an ephemeral port, two workers (one rigged to
 //! die mid-campaign), a submitting client — and the fetched artifact byte-identical to a
-//! local run.  Also: a malformed line is answered and an over-long one hangs up only its
-//! own connection.
+//! local run.  Also: a malformed line is answered, an over-long one hangs up only its own
+//! connection, and an artifact the master could not merge or send back is refused.
 
 use p2pgrid_core::Algorithm;
-use p2pgrid_experiments::rununit::{render_result, run_local};
-use p2pgrid_experiments::{CampaignSpec, ExperimentScale};
+use p2pgrid_experiments::rununit::{render_result, run_local, UNIT_FORMAT};
+use p2pgrid_experiments::{CampaignSpec, ExperimentScale, UnitRunner};
 use p2pgrid_server::tcp::{serve, TcpTransport, MAX_LINE_BYTES};
 use p2pgrid_server::{Client, MasterConfig, Request, Response, Step, Transport, Worker};
-use serde::json::read_ndjson_line;
+use serde::json::{self, read_ndjson_line, Value};
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -169,5 +169,77 @@ fn an_over_long_line_closes_only_its_own_connection() {
     let mut fresh = TcpTransport::connect(addr).expect("connect");
     assert!(registers(&mut fresh), "a new connection is not served");
     drop((flood, bystander, fresh));
+    stop_master(addr, server);
+}
+
+#[test]
+fn an_artifact_that_could_not_be_merged_or_fetched_is_refused_and_the_master_keeps_serving() {
+    let (addr, server) = start_master();
+    let spec = CampaignSpec {
+        name: "deep".to_string(),
+        scale: ExperimentScale::Smoke,
+        seeds: vec![23],
+        algorithms: vec![Algorithm::Dsmf],
+        workload: None,
+    };
+    let mut client = Client::new(TcpTransport::connect(addr).expect("client connects"));
+    let (job, _) = client.submit(&spec).expect("submit");
+    let mut peer = TcpTransport::connect(addr).expect("peer connects");
+    let register = Request::Register {
+        hostname: "peer".into(),
+    };
+    let Ok(Response::Registered { worker, .. }) = peer.call(&register) else {
+        panic!("the peer did not register");
+    };
+    let pulled = peer.call(&Request::Pull { worker });
+    assert!(
+        matches!(pulled, Ok(Response::Assignment { .. })),
+        "{pulled:?}"
+    );
+
+    // As deep as a `complete` line can carry it (the line nests 128 levels), which is two
+    // levels too deep for the merged document and three for the `fetch` line; then an
+    // artifact claiming another unit's index.
+    let unit_doc = |unit: u64, extra: Option<Value>| {
+        let mut fields = vec![
+            ("format", Value::from(UNIT_FORMAT)),
+            ("unit", Value::from(unit)),
+        ];
+        fields.extend(extra.map(|x| ("x", x)));
+        Value::object(fields)
+    };
+    let nested = json::parse(&("[".repeat(127) + &"]".repeat(127))).expect("nested arrays");
+    for artifact in [unit_doc(0, Some(nested)), unit_doc(5, None)] {
+        let complete = Request::Complete {
+            worker,
+            job,
+            unit: 0,
+            artifact,
+        };
+        let reply = peer.call(&complete);
+        assert!(matches!(reply, Ok(Response::Error { .. })), "{reply:?}");
+        let status = client.status(job).expect("the master answers status");
+        assert_eq!((status.state.as_str(), status.done), ("running", 0));
+        let fetched = peer.call(&Request::Fetch { job });
+        assert!(
+            matches!(&fetched, Ok(Response::Error { message }) if message.contains("running")),
+            "{fetched:?}"
+        );
+    }
+
+    // The honest completion still lands, and the job merges and fetches as a local run.
+    let artifact = UnitRunner::new(spec.clone())
+        .and_then(|mut runner| runner.run(&spec.units()[0]))
+        .expect("the unit runs");
+    let complete = Request::Complete {
+        worker,
+        job,
+        unit: 0,
+        artifact,
+    };
+    assert!(matches!(peer.call(&complete), Ok(Response::Ok)));
+    let body = client.fetch(job).expect("fetch");
+    assert_eq!(render_result(&body), run_local(&spec).expect("local run"));
+    drop((peer, client));
     stop_master(addr, server);
 }

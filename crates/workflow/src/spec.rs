@@ -1,17 +1,20 @@
 //! The serializable on-disk workload format.
 //!
-//! Two document kinds, both JSON (rendered/parsed through the `serde` compat shim's
-//! [`json`] module):
+//! Two document kinds, both JSON, both encoded and decoded by the `serde` compat shim's
+//! [`json::Codec`]: each type below names its fields once in a `json_codec!` table, and a
+//! document that does not fit reports a [`SpecError::Schema`] at the JSON path of the
+//! offending value (`$.workflows[0].tasks[0].image_size_mb`).
 //!
 //! * **`p2pgrid-workflow/v1`** — one DAG: named tasks (`load_mi`, `image_size_mb`, optional
 //!   `priority`) plus `[from, to, data_mb]` edges.  [`WorkflowSpec`] round-trips to/from the
 //!   validated runtime [`Workflow`]: `import` funnels through [`WorkflowBuilder`], so cycles,
 //!   duplicate edges, self-dependencies and unknown task references are rejected with the same
-//!   typed errors the builder produces.
-//! * **`p2pgrid-workload/v1`** — a [`WorkloadSpec`]: a library of workflows plus *entries*
-//!   binding each submitted instance to an arrival time (`submit_at_ms`, virtual milliseconds)
-//!   and a home-node policy (`"auto"` round-robins over the scenario's stable home candidates;
-//!   an integer pins an explicit node id).
+//!   typed errors the builder produces.  The `format` tag is optional on input.
+//! * **`p2pgrid-workload/v1`** — a [`WorkloadSpec`]: a library of workflows (without their
+//!   `format` tags) plus *entries* binding each submitted instance to an arrival time
+//!   (`submit_at_ms`, virtual milliseconds, 0 when absent) and a home-node policy (`"auto"`
+//!   round-robins over the scenario's stable home candidates; an integer pins an explicit
+//!   node id).  A bare workflow document is accepted wherever a workload is expected.
 //!
 //! The checked-in artifacts under `workloads/` (Montage, CyberShake, Epigenomics) use the
 //! workload format; `examples/export_workloads.rs` regenerates them from
@@ -23,7 +26,7 @@
 //! in that same order (all the library shapes) `import(export(w)) == w` exactly.
 
 use crate::dag::{Task, TaskId, Workflow, WorkflowBuilder, WorkflowError};
-use serde::json::{self, Value};
+use serde::json::{self, Codec, SchemaError, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -114,6 +117,12 @@ impl From<json::ParseError> for SpecError {
     }
 }
 
+impl From<SchemaError> for SpecError {
+    fn from(SchemaError { at, message }: SchemaError) -> Self {
+        SpecError::Schema { at, message }
+    }
+}
+
 /// One task of a serialized workflow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskSpec {
@@ -127,6 +136,8 @@ pub struct TaskSpec {
     pub priority: Option<i32>,
 }
 
+serde::json_codec! { TaskSpec { name, load_mi, image_size_mb, priority } }
+
 /// One dependency edge of a serialized workflow: `[from, to, data_mb]`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EdgeSpec {
@@ -136,6 +147,25 @@ pub struct EdgeSpec {
     pub to: String,
     /// Data transferred along the edge, in megabits.
     pub data_mb: f64,
+}
+
+/// An edge is the triple `[from, to, data_mb]`.
+impl Codec for EdgeSpec {
+    fn encode(&self) -> Value {
+        let EdgeSpec { from, to, data_mb } = self;
+        Value::Array(vec![from.encode(), to.encode(), data_mb.encode()])
+    }
+
+    fn decode(v: &Value) -> Result<Self, SchemaError> {
+        let Some([from, to, data_mb]) = v.as_array() else {
+            return Err(SchemaError::expected("a [from, to, data_mb] triple", v));
+        };
+        Ok(EdgeSpec {
+            from: String::decode(from).map_err(|e| e.in_item(0))?,
+            to: String::decode(to).map_err(|e| e.in_item(1))?,
+            data_mb: f64::decode(data_mb).map_err(|e| e.in_item(2))?,
+        })
+    }
 }
 
 /// A serializable workflow DAG (`p2pgrid-workflow/v1`).
@@ -148,6 +178,9 @@ pub struct WorkflowSpec {
     /// Dependency edges.
     pub edges: Vec<EdgeSpec>,
 }
+
+// The form nested in a workload; a standalone document adds the format tag.
+serde::json_codec! { WorkflowSpec { name, tasks, edges } }
 
 impl WorkflowSpec {
     /// Export a validated [`Workflow`] under the given name.
@@ -233,62 +266,22 @@ impl WorkflowSpec {
 
     /// Render to a [`Value`] tree (with the `p2pgrid-workflow/v1` format tag).
     pub fn to_json(&self) -> Value {
-        Value::object([
-            ("format", Value::from(WORKFLOW_FORMAT)),
-            ("name", Value::from(self.name.as_str())),
-            (
-                "tasks",
-                Value::Array(self.tasks.iter().map(task_to_json).collect()),
-            ),
-            (
-                "edges",
-                Value::Array(
-                    self.edges
-                        .iter()
-                        .map(|e| {
-                            Value::Array(vec![
-                                Value::from(e.from.as_str()),
-                                Value::from(e.to.as_str()),
-                                Value::from(e.data_mb),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Decode from a [`Value`] tree; `at` prefixes schema-error paths.
-    fn from_json_at(v: &Value, at: &str) -> Result<Self, SpecError> {
-        let obj = as_object(v, at)?;
-        if let Some(fmtv) = get_opt(obj, "format") {
-            let tag = as_str(fmtv, &field(at, "format"))?;
-            if tag != WORKFLOW_FORMAT {
-                return Err(SpecError::Schema {
-                    at: field(at, "format"),
-                    message: format!("expected format `{WORKFLOW_FORMAT}`, got `{tag}`"),
-                });
-            }
+        let mut doc = self.encode();
+        if let Value::Object(fields) = &mut doc {
+            fields.insert(0, ("format".into(), Value::from(WORKFLOW_FORMAT)));
         }
-        let name = as_str(get(obj, "name", at)?, &field(at, "name"))?.to_string();
-        let tasks_at = field(at, "tasks");
-        let tasks = as_array(get(obj, "tasks", at)?, &tasks_at)?
-            .iter()
-            .enumerate()
-            .map(|(i, t)| task_from_json(t, &format!("{tasks_at}[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let edges_at = field(at, "edges");
-        let edges = as_array(get(obj, "edges", at)?, &edges_at)?
-            .iter()
-            .enumerate()
-            .map(|(i, e)| edge_from_json(e, &format!("{edges_at}[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(WorkflowSpec { name, tasks, edges })
+        doc
     }
 
-    /// Parse a standalone `p2pgrid-workflow/v1` document.
+    /// Parse a standalone `p2pgrid-workflow/v1` document; its `format` tag may be absent.
     pub fn from_json(v: &Value) -> Result<Self, SpecError> {
-        Self::from_json_at(v, "$")
+        match v.get("format").map(String::decode) {
+            Some(Ok(tag)) if tag != WORKFLOW_FORMAT => {
+                Err(SchemaError::unsupported("format", &tag, &[WORKFLOW_FORMAT]).into())
+            }
+            Some(Err(e)) => Err(e.in_field("format").into()),
+            _ => Ok(Self::decode(v)?),
+        }
     }
 
     /// Render as pretty-printed JSON text.
@@ -315,6 +308,24 @@ pub enum HomePolicy {
     Node(usize),
 }
 
+/// A home policy is `"auto"` or a node id.
+impl Codec for HomePolicy {
+    fn encode(&self) -> Value {
+        match self {
+            HomePolicy::Auto => Value::from("auto"),
+            HomePolicy::Node(i) => i.encode(),
+        }
+    }
+
+    fn decode(v: &Value) -> Result<Self, SchemaError> {
+        match v {
+            Value::String(s) if s == "auto" => Ok(HomePolicy::Auto),
+            Value::Number(_) => usize::decode(v).map(HomePolicy::Node),
+            other => Err(SchemaError::expected("\"auto\" or a node id", other)),
+        }
+    }
+}
+
 /// One submitted workflow instance: which DAG, when, and where it is homed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadEntry {
@@ -326,6 +337,8 @@ pub struct WorkloadEntry {
     pub home: HomePolicy,
 }
 
+serde::json_codec! { WorkloadEntry { workflow, submit_at_ms = 0, home } }
+
 /// A serializable workload (`p2pgrid-workload/v1`): a workflow library plus arrival entries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
@@ -335,6 +348,22 @@ pub struct WorkloadSpec {
     pub workflows: Vec<WorkflowSpec>,
     /// Submitted instances in submission order.
     pub entries: Vec<WorkloadEntry>,
+}
+
+serde::json_codec! {
+    WorkloadSpec by "format" = WORKLOAD_FORMAT | WORKFLOW_FORMAT => WorkflowSpec {
+        name,
+        workflows,
+        entries,
+    }
+}
+
+/// A bare workflow is the workload submitting it once, at time zero, with auto home
+/// placement.
+impl From<WorkflowSpec> for WorkloadSpec {
+    fn from(workflow: WorkflowSpec) -> Self {
+        WorkloadSpec::batch(workflow.name.clone(), vec![workflow])
+    }
 }
 
 /// One resolved workload entry: the validated DAG plus its binding.
@@ -396,96 +425,13 @@ impl WorkloadSpec {
 
     /// Render to a [`Value`] tree (with the `p2pgrid-workload/v1` format tag).
     pub fn to_json(&self) -> Value {
-        Value::object([
-            ("format", Value::from(WORKLOAD_FORMAT)),
-            ("name", Value::from(self.name.as_str())),
-            (
-                "workflows",
-                Value::Array(
-                    self.workflows
-                        .iter()
-                        .map(|w| {
-                            // Inner workflows omit the redundant format tag.
-                            match w.to_json() {
-                                Value::Object(fields) => Value::Object(
-                                    fields.into_iter().filter(|(k, _)| k != "format").collect(),
-                                ),
-                                other => other,
-                            }
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "entries",
-                Value::Array(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            Value::object([
-                                ("workflow", Value::from(e.workflow.as_str())),
-                                ("submit_at_ms", Value::from(e.submit_at_ms)),
-                                (
-                                    "home",
-                                    match e.home {
-                                        HomePolicy::Auto => Value::from("auto"),
-                                        HomePolicy::Node(i) => Value::from(i),
-                                    },
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        self.encode()
     }
 
-    /// Decode from a [`Value`] tree.
-    ///
-    /// Accepts either format: a `p2pgrid-workload/v1` document, or a bare
-    /// `p2pgrid-workflow/v1` document, which is wrapped as a single-entry workload
-    /// (submitted at time zero, auto home).
+    /// Decode from a [`Value`] tree: a `p2pgrid-workload/v1` document, or a bare
+    /// `p2pgrid-workflow/v1` document as the single-entry workload it converts to.
     pub fn from_json(v: &Value) -> Result<Self, SpecError> {
-        let obj = as_object(v, "$")?;
-        let tag = match get_opt(obj, "format") {
-            Some(t) => as_str(t, "$.format")?,
-            None => {
-                return Err(SpecError::Schema {
-                    at: "$.format".into(),
-                    message: format!(
-                        "missing format tag (expected `{WORKLOAD_FORMAT}` or `{WORKFLOW_FORMAT}`)"
-                    ),
-                })
-            }
-        };
-        if tag == WORKFLOW_FORMAT {
-            let wf = WorkflowSpec::from_json(v)?;
-            return Ok(WorkloadSpec::batch(wf.name.clone(), vec![wf]));
-        }
-        if tag != WORKLOAD_FORMAT {
-            return Err(SpecError::Schema {
-                at: "$.format".into(),
-                message: format!(
-                    "expected format `{WORKLOAD_FORMAT}` or `{WORKFLOW_FORMAT}`, got `{tag}`"
-                ),
-            });
-        }
-        let name = as_str(get(obj, "name", "$")?, "$.name")?.to_string();
-        let workflows = as_array(get(obj, "workflows", "$")?, "$.workflows")?
-            .iter()
-            .enumerate()
-            .map(|(i, w)| WorkflowSpec::from_json_at(w, &format!("$.workflows[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let entries = as_array(get(obj, "entries", "$")?, "$.entries")?
-            .iter()
-            .enumerate()
-            .map(|(i, e)| entry_from_json(e, &format!("$.entries[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(WorkloadSpec {
-            name,
-            workflows,
-            entries,
-        })
+        Ok(Self::decode(v)?)
     }
 
     /// Render as pretty-printed JSON text (with a trailing newline, as checked-in artifacts).
@@ -537,150 +483,6 @@ impl std::str::FromStr for WorkloadSpec {
     fn from_str(s: &str) -> Result<Self, SpecError> {
         Self::from_json(&json::parse(s)?)
     }
-}
-
-fn task_to_json(t: &TaskSpec) -> Value {
-    let mut fields = vec![
-        ("name", Value::from(t.name.as_str())),
-        ("load_mi", Value::from(t.load_mi)),
-        ("image_size_mb", Value::from(t.image_size_mb)),
-    ];
-    if let Some(p) = t.priority {
-        fields.push(("priority", Value::Number(p as f64)));
-    }
-    Value::object(fields)
-}
-
-fn task_from_json(v: &Value, at: &str) -> Result<TaskSpec, SpecError> {
-    let obj = as_object(v, at)?;
-    let priority = match get_opt(obj, "priority") {
-        None | Some(Value::Null) => None,
-        Some(p) => Some(as_i32(p, &field(at, "priority"))?),
-    };
-    Ok(TaskSpec {
-        name: as_str(get(obj, "name", at)?, &field(at, "name"))?.to_string(),
-        load_mi: as_f64(get(obj, "load_mi", at)?, &field(at, "load_mi"))?,
-        image_size_mb: as_f64(get(obj, "image_size_mb", at)?, &field(at, "image_size_mb"))?,
-        priority,
-    })
-}
-
-fn edge_from_json(v: &Value, at: &str) -> Result<EdgeSpec, SpecError> {
-    let arr = as_array(v, at)?;
-    if arr.len() != 3 {
-        return Err(SpecError::Schema {
-            at: at.to_string(),
-            message: format!(
-                "expected a [from, to, data_mb] triple, got {} elements",
-                arr.len()
-            ),
-        });
-    }
-    Ok(EdgeSpec {
-        from: as_str(&arr[0], &format!("{at}[0]"))?.to_string(),
-        to: as_str(&arr[1], &format!("{at}[1]"))?.to_string(),
-        data_mb: as_f64(&arr[2], &format!("{at}[2]"))?,
-    })
-}
-
-fn entry_from_json(v: &Value, at: &str) -> Result<WorkloadEntry, SpecError> {
-    let obj = as_object(v, at)?;
-    let home_at = field(at, "home");
-    let home = match get(obj, "home", at)? {
-        Value::String(s) if s == "auto" => HomePolicy::Auto,
-        Value::Number(_) => HomePolicy::Node(as_usize(get(obj, "home", at)?, &home_at)?),
-        other => {
-            return Err(SpecError::Schema {
-                at: home_at,
-                message: format!("expected \"auto\" or a node id, got {other}"),
-            })
-        }
-    };
-    let submit_at_ms = match get_opt(obj, "submit_at_ms") {
-        None => 0,
-        Some(v) => as_u64(v, &field(at, "submit_at_ms"))?,
-    };
-    Ok(WorkloadEntry {
-        workflow: as_str(get(obj, "workflow", at)?, &field(at, "workflow"))?.to_string(),
-        submit_at_ms,
-        home,
-    })
-}
-
-// --- tiny schema helpers -------------------------------------------------------------------
-
-fn field(at: &str, name: &str) -> String {
-    format!("{at}.{name}")
-}
-
-fn schema_err<T>(at: &str, message: impl Into<String>) -> Result<T, SpecError> {
-    Err(SpecError::Schema {
-        at: at.to_string(),
-        message: message.into(),
-    })
-}
-
-fn as_object<'v>(v: &'v Value, at: &str) -> Result<&'v [(String, Value)], SpecError> {
-    match v {
-        Value::Object(fields) => Ok(fields),
-        other => schema_err(at, format!("expected an object, got {other}")),
-    }
-}
-
-fn as_array<'v>(v: &'v Value, at: &str) -> Result<&'v [Value], SpecError> {
-    match v {
-        Value::Array(items) => Ok(items),
-        other => schema_err(at, format!("expected an array, got {other}")),
-    }
-}
-
-fn as_str<'v>(v: &'v Value, at: &str) -> Result<&'v str, SpecError> {
-    match v {
-        Value::String(s) => Ok(s),
-        other => schema_err(at, format!("expected a string, got {other}")),
-    }
-}
-
-fn as_f64(v: &Value, at: &str) -> Result<f64, SpecError> {
-    match v {
-        Value::Number(n) => Ok(*n),
-        other => schema_err(at, format!("expected a number, got {other}")),
-    }
-}
-
-fn as_u64(v: &Value, at: &str) -> Result<u64, SpecError> {
-    let n = as_f64(v, at)?;
-    if n < 0.0 || n.fract() != 0.0 || n > u64::MAX as f64 {
-        return schema_err(at, format!("expected a non-negative integer, got {n}"));
-    }
-    Ok(n as u64)
-}
-
-fn as_usize(v: &Value, at: &str) -> Result<usize, SpecError> {
-    let n = as_u64(v, at)?;
-    usize::try_from(n).map_err(|_| SpecError::Schema {
-        at: at.to_string(),
-        message: format!("node id {n} out of range"),
-    })
-}
-
-fn as_i32(v: &Value, at: &str) -> Result<i32, SpecError> {
-    let n = as_f64(v, at)?;
-    if n.fract() != 0.0 || n < i32::MIN as f64 || n > i32::MAX as f64 {
-        return schema_err(at, format!("expected a 32-bit integer, got {n}"));
-    }
-    Ok(n as i32)
-}
-
-fn get<'v>(obj: &'v [(String, Value)], key: &str, at: &str) -> Result<&'v Value, SpecError> {
-    get_opt(obj, key).ok_or_else(|| SpecError::Schema {
-        at: field(at, key),
-        message: "missing required field".into(),
-    })
-}
-
-fn get_opt<'v>(obj: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 #[cfg(test)]
