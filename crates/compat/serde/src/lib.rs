@@ -795,7 +795,10 @@ pub mod json {
                         {
                             Ok(n as $int)
                         }
-                        _ => Err(SchemaError::expected(concat!("an integer of type ", stringify!($int)), v)),
+                        _ => {
+                            let what = concat!("an integer of type ", stringify!($int));
+                            Err(SchemaError::expected(what, v))
+                        }
                     }
                 }
             }
@@ -1244,24 +1247,33 @@ pub mod json {
 #[macro_export]
 macro_rules! json_codec {
     ($ty:ident by $key:literal {
-        $( $tag:literal => $variant:ident $( { $( $field:ident ),* $(,)? } )? $( ( $payload:ty ) )? ),+ $(,)?
+        $(
+            $tag:literal => $variant:ident
+                $( { $( $field:ident ),* $(,)? } )?
+                $( ( $payload:ty ) )?
+        ),+ $(,)?
     }) => {
         impl $crate::json::Codec for $ty {
             fn encode(&self) -> $crate::json::Value {
                 match self {
-                    $( $ty::$variant $( { $( $field ),* } )? $( ( $crate::__json_bind!($payload, payload) ) )? => {
-                        #[allow(unused_mut)]
-                        let mut fields = vec![($key.to_string(), $crate::json::Value::from($tag))];
-                        $( $( $crate::json::put(&mut fields, stringify!($field), $field); )* )?
-                        $(
-                            if let $crate::json::Value::Object(inner) =
-                                <$payload as $crate::json::Codec>::encode($crate::__json_bind!($payload, payload))
-                            {
-                                fields.extend(inner);
-                            }
-                        )?
-                        $crate::json::Value::Object(fields)
-                    } )+
+                    $(
+                        $ty::$variant
+                            $( { $( $field ),* } )?
+                            $( ( $crate::__json_bind!($payload, payload) ) )? => {
+                            #[allow(unused_mut)]
+                            let mut fields =
+                                vec![($key.to_string(), $crate::json::Value::from($tag))];
+                            $( $( $crate::json::put(&mut fields, stringify!($field), $field); )* )?
+                            $(
+                                let payload = $crate::__json_bind!($payload, payload);
+                                let encoded = <$payload as $crate::json::Codec>::encode(payload);
+                                if let $crate::json::Value::Object(inner) = encoded {
+                                    fields.extend(inner);
+                                }
+                            )?
+                            $crate::json::Value::Object(fields)
+                        }
+                    )+
                 }
             }
 
@@ -1272,7 +1284,9 @@ macro_rules! json_codec {
                         $( { $( $field: $crate::json::field(fields, stringify!($field))? ),* } )?
                         $( ( <$payload as $crate::json::Codec>::decode(v)? ) )?
                     ), )+
-                    other => Err($crate::json::SchemaError::unsupported($key, other, &[$( $tag ),+])),
+                    other => {
+                        Err($crate::json::SchemaError::unsupported($key, other, &[$( $tag ),+]))
+                    }
                 }
             }
         }
@@ -1295,11 +1309,13 @@ macro_rules! json_codec {
                     let tag = $crate::json::tag(fields, $key)?;
                     $(
                         if tag == $other {
-                            return <$other_ty as $crate::json::Codec>::decode(v).map(Self::from);
+                            let other = <$other_ty as $crate::json::Codec>::decode(v)?;
+                            return Ok(Self::from(other));
                         }
                     )?
                     if tag != $tag {
-                        return Err($crate::json::SchemaError::unsupported($key, tag, &[$tag $(, $other )?]));
+                        let accepted = [$tag $(, $other )?];
+                        return Err($crate::json::SchemaError::unsupported($key, tag, &accepted));
                     }
                 )?
                 Ok($ty { $( $field: $crate::__json_field!(fields, $field $(, $default )?), )+ })
@@ -1308,6 +1324,8 @@ macro_rules! json_codec {
     };
 }
 
+/// Expands to `$name`: a pattern that binds a newtype variant's payload has to mention
+/// `$payload` to sit inside that variant's optional group of [`json_codec!`].
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __json_bind {

@@ -120,9 +120,8 @@ impl Codec for ExperimentScale {
             .as_str()
             .ok_or_else(|| SchemaError::expected("a scale name", v))?;
         ExperimentScale::parse(name).ok_or_else(|| {
-            SchemaError::new(format!(
-                "unknown scale `{name}` (accepted: smoke, reduced, full)"
-            ))
+            let accepted = ExperimentScale::NAMES.map(|(_, name)| name).join(", ");
+            SchemaError::new(format!("unknown scale `{name}` (accepted: {accepted})"))
         })
     }
 }

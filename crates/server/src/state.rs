@@ -29,7 +29,7 @@ pub(crate) const MAX_JOB_UNITS: usize = 5_000;
 /// `fetch` response (`body` → `units` → its item), and the response must still parse within
 /// [`json::MAX_DEPTH`]; a `complete` line holds it only one level down, so a deeper one
 /// arrives intact and has to be refused then.
-pub const MAX_ARTIFACT_DEPTH: usize = json::MAX_DEPTH - 3;
+pub(crate) const MAX_ARTIFACT_DEPTH: usize = json::MAX_DEPTH - 3;
 
 /// Tunables of one master instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,8 +154,8 @@ pub enum CompleteOutcome {
     Duplicate,
     /// No such job or unit.
     Unknown,
-    /// The artifact is not this unit's `p2pgrid-campaign-unit/v1` document, or nests deeper
-    /// than [`MAX_ARTIFACT_DEPTH`]; nothing was stored.
+    /// The artifact is not this unit's `p2pgrid-campaign-unit/v1` document, or nests too
+    /// deep for the merged document and the `fetch` line to parse; nothing was stored.
     Malformed,
 }
 
