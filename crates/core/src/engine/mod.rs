@@ -78,7 +78,7 @@ use node::{NodeRuntime, ReadyEntry};
 use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowOutcome, WorkflowRecord};
 use p2pgrid_sim::{EventQueue, SimDuration, SimTime};
 use p2pgrid_topology::LandmarkEstimator;
-use p2pgrid_workflow::{TaskId, WorkflowAnalysis};
+use p2pgrid_workflow::{rest_path_makespans, TaskId};
 use std::sync::Arc;
 use transfer::TransferModel;
 use workflow::WorkflowRuntime;
@@ -907,8 +907,8 @@ impl Engine {
     /// Dispatch every current schedule point of a full-ahead plan to its pre-planned node
     /// (falling back to the home node if the planned node has churned away).
     fn dispatch_full_ahead(&mut self, home: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
-        let wf_indices = self.home_of[home].clone();
-        for wf in wf_indices {
+        let home_of = Arc::clone(&self.home_of);
+        for &wf in &home_of[home] {
             if !self.workflows[wf].is_active() {
                 continue;
             }
@@ -952,8 +952,7 @@ impl Engine {
         let costs = self.gossip.expected_costs(instant, home);
 
         let mut candidate_tasks: Vec<DispatchCandidateTask> = Vec::new();
-        let wf_indices = self.home_of[home].clone();
-        for &wf in &wf_indices {
+        for &wf in &self.home_of[home] {
             let w = &self.workflows[wf];
             if !w.is_active() {
                 continue;
@@ -962,11 +961,8 @@ impl Engine {
             if sps.is_empty() {
                 continue;
             }
-            let analysis = WorkflowAnalysis::new(&w.workflow, costs);
-            let ms = sps
-                .iter()
-                .map(|&t| analysis.rpm_secs(t))
-                .fold(0.0f64, f64::max);
+            let rpm = rest_path_makespans(&w.workflow, costs);
+            let ms = sps.iter().map(|&t| rpm[t.index()]).fold(0.0f64, f64::max);
             for t in sps {
                 if !self.dispatchable(wf, t, now) {
                     continue; // still inside its retry backoff
@@ -990,7 +986,7 @@ impl Engine {
                         .copied()
                         .unwrap_or(w.workflow.task(t).load_mi),
                     image_size_mb: w.workflow.task(t).image_size_mb,
-                    rpm_secs: analysis.rpm_secs(t),
+                    rpm_secs: rpm[t.index()],
                     workflow_ms_secs: ms,
                     predecessors,
                 });

@@ -3,14 +3,15 @@
 use crate::NodeId;
 use p2pgrid_sim::SimTime;
 use p2pgrid_workflow::{ProgressTracker, TaskId, Workflow};
+use std::sync::Arc;
 
 /// Runtime state of one submitted workflow instance.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkflowRuntime {
     /// The home (submission) node.
     pub home: NodeId,
-    /// The workflow DAG.
-    pub workflow: Workflow,
+    /// The workflow DAG, shared by every session on the world.
+    pub workflow: Arc<Workflow>,
     /// Dispatch / completion state of every task.
     pub progress: ProgressTracker,
     /// Expected finish time under the true system-wide averages (Eq. 1) — the efficiency

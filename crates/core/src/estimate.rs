@@ -26,6 +26,18 @@
 //! `(capacity, slots, total load)` records — exactly what the epidemic gossip's `RSS`
 //! provides, stale or not — and network bandwidth through a caller-supplied estimate function
 //! (landmark-based for the decentralized algorithms, exact for the full-ahead baselines).
+//!
+//! ## Formula 9 without scoring every candidate
+//!
+//! The LTD is the expensive term: one bandwidth estimate per transfer.  Since
+//! `FT = max(R, LTD) + et ≥ R + et`, a candidate whose *bound* `R + et` already exceeds the
+//! best finish time found so far by more than the 1e-12 tie tolerance cannot win, and
+//! [`FinishTimeEstimator::best_candidate`] skips its LTD.  The skip is exact, not an
+//! approximation: IEEE rounding is monotone, so `max(R, LTD) ≥ R` gives
+//! `fl(max(R, LTD) + et) ≥ fl(R + et)`, and then `fl(FT − best) ≥ fl(bound − best) > 1e-12`.
+//! Such an `FT` is above `best`, so it neither beats `best − 1e-12` nor ties within 1e-12,
+//! and the unchanged comparison would have rejected it.  (`f64::max` ignores a NaN LTD, so
+//! `FT ≥ R + et` holds even then; a NaN bound is never `> 1e-12`, so it is scored in full.)
 
 use crate::NodeId;
 
@@ -173,6 +185,9 @@ impl<'a> FinishTimeEstimator<'a> {
     /// Formula (9): the index (into `candidates`) of the node with the earliest estimated finish
     /// time, together with that finish time.  Ties break towards the lower node id so decisions
     /// are deterministic.  Returns `None` when `candidates` is empty.
+    ///
+    /// A candidate whose queue plus execution time already loses by more than the tie
+    /// tolerance is skipped before its LTD is computed; the module docs say why that is exact.
     pub fn best_candidate(
         &self,
         candidates: &[CandidateNode],
@@ -182,7 +197,15 @@ impl<'a> FinishTimeEstimator<'a> {
     ) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
         for (i, c) in candidates.iter().enumerate() {
-            let ft = self.finish_time_secs(c, load_mi, image_size_mb, predecessors);
+            let queue = c.queuing_delay_secs();
+            let exec = c.execution_secs(load_mi);
+            if let Some((_, bft)) = best {
+                if queue + exec - bft > 1e-12 {
+                    continue;
+                }
+            }
+            let ltd = self.longest_transmission_delay_secs(c.node, image_size_mb, predecessors);
+            let ft = queue.max(ltd) + exec;
             let better = match best {
                 None => true,
                 Some((bi, bft)) => {
@@ -402,5 +425,91 @@ mod tests {
             0.0,
             "local transfers never hit the network"
         );
+    }
+
+    /// Formula (9) as first written: score every candidate in full.  Kept as the oracle the
+    /// bound-pruned scan must match.
+    fn exhaustive_best_candidate(
+        est: &FinishTimeEstimator<'_>,
+        candidates: &[CandidateNode],
+        load_mi: f64,
+        image_size_mb: f64,
+        predecessors: &[PredecessorData],
+    ) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, c) in candidates.iter().enumerate() {
+            let ft = est.finish_time_secs(c, load_mi, image_size_mb, predecessors);
+            let better = match best {
+                None => true,
+                Some((bi, bft)) => {
+                    ft < bft - 1e-12 || ((ft - bft).abs() <= 1e-12 && c.node < candidates[bi].node)
+                }
+            };
+            if better {
+                best = Some((i, ft));
+            }
+        }
+        best
+    }
+
+    /// Bandwidth drawn from four values, one of them a dead link.
+    fn tiered_bw(a: NodeId, b: NodeId) -> f64 {
+        if a == b {
+            f64::INFINITY
+        } else {
+            [0.0, 1.0, 2.0, 4.0, 1.0, 2.0, 4.0, 1.0][(a * 7 + b * 3) % 8]
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn best_candidate_matches_the_exhaustive_scan(
+            candidate_codes in proptest::collection::vec(0u64..=u64::MAX, 1..25),
+            task_code in 0u64..=u64::MAX,
+            home in 0usize..48,
+        ) {
+            // Candidate ids are a stride through 0..48, so a later candidate often has a lower
+            // id and wins a tie.  Capacities include 0 (infinite queue and execution), loads
+            // carry jitters on both sides of the 1e-12 tolerance, and about one candidate in
+            // four is a twin of the one before it.
+            let mut candidates: Vec<CandidateNode> = Vec::new();
+            for (i, &code) in candidate_codes.iter().enumerate() {
+                let node = (i * 29 + 11) % 48;
+                let candidate = match candidates.last() {
+                    Some(prev) if code >> 62 == 0 => CandidateNode { node, ..*prev },
+                    _ => CandidateNode {
+                        node,
+                        capacity_mips: [0.0, 1.0, 2.0, 4.0, 1.0][(code % 5) as usize],
+                        slots: 1 + ((code >> 3) % 4) as usize,
+                        total_load_mi: [0.0, 100.0, 400.0][((code >> 5) % 3) as usize]
+                            + [0.0, 3e-13, 7e-13, 1e-12, 1.3e-12, 2e-12][((code >> 7) % 6) as usize],
+                    },
+                };
+                candidates.push(candidate);
+            }
+            let predecessors: Vec<PredecessorData> = (0..task_code % 4)
+                .map(|p| {
+                    let bits = task_code >> (8 + 8 * p);
+                    PredecessorData {
+                        location: (bits % 48) as NodeId,
+                        data_mb: [0.0, 10.0, 50.0, 200.0][((bits >> 6) % 4) as usize],
+                    }
+                })
+                .collect();
+            let load_mi = [100.0, 200.0, 800.0, 0.0][((task_code >> 2) % 4) as usize];
+            let image_size_mb = [0.0, 10.0][((task_code >> 4) % 2) as usize];
+            let est = FinishTimeEstimator::new(home, &tiered_bw);
+            let bits = |r: Option<(usize, f64)>| r.map(|(i, ft)| (i, ft.to_bits()));
+            proptest::prop_assert_eq!(
+                bits(est.best_candidate(&candidates, load_mi, image_size_mb, &predecessors)),
+                bits(exhaustive_best_candidate(
+                    &est,
+                    &candidates,
+                    load_mi,
+                    image_size_mb,
+                    &predecessors
+                ))
+            );
+        }
     }
 }

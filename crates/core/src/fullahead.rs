@@ -13,11 +13,24 @@
 //!   already-planned tasks (non-insertion HEFT processor selection), accounting for dependent
 //!   data transfers from the planned locations of its precedents and the program-image transfer
 //!   from its home node.
+//!
+//! ## Scoring only the nodes that can win
+//!
+//! A node's finish time is `max(available, data ready) + exec`, and the data are ready no
+//! earlier than the latest planned finish among the task's precedents (a transfer takes no
+//! negative time).  The planner gathers each task's precedents — planned node, planned finish,
+//! data volume — once, and skips a node whose bound `max(available, latest) + exec` exceeds the
+//! best finish time found so far by more than the 1e-12 tie tolerance, before computing any of
+//! its transfers.  The skip is exact: IEEE rounding is monotone, so the node's finish time is at
+//! least the bound, hence more than 1e-12 above the best, and the unchanged comparison would
+//! have rejected it.  The plans are the ones scoring every node gives.  (Bandwidths are never
+//! NaN, so no arrival time is NaN and the `max` that forms the data-ready time never drops
+//! one.)
 
 use crate::algorithm::Algorithm;
 use crate::estimate::CandidateNode;
 use crate::NodeId;
-use p2pgrid_workflow::{ExpectedCosts, TaskId, Workflow, WorkflowAnalysis};
+use p2pgrid_workflow::{rest_path_makespans, ExpectedCosts, TaskId, Workflow};
 use std::cmp::Ordering;
 
 /// A workflow to plan: its home node and DAG.
@@ -50,9 +63,10 @@ pub fn plan_full_ahead(
     );
     assert!(!nodes.is_empty(), "cannot plan on an empty node set");
 
-    let analyses: Vec<WorkflowAnalysis> = inputs
+    // Upward ranks under the true averages; a workflow's expected makespan is its entry's.
+    let rpm: Vec<Vec<f64>> = inputs
         .iter()
-        .map(|inp| WorkflowAnalysis::new(inp.workflow, costs))
+        .map(|inp| rest_path_makespans(inp.workflow, costs))
         .collect();
 
     // Build the global task order as (workflow index, task id) pairs.
@@ -65,29 +79,27 @@ pub fn plan_full_ahead(
                 }
             }
             order.sort_by(|&(wa, ta), &(wb, tb)| {
-                analyses[wb]
-                    .rpm_secs(tb)
-                    .partial_cmp(&analyses[wa].rpm_secs(ta))
+                rpm[wb][tb.index()]
+                    .partial_cmp(&rpm[wa][ta.index()])
                     .unwrap_or(Ordering::Equal)
                     .then(wa.cmp(&wb))
                     .then(ta.cmp(&tb))
             });
         }
         Algorithm::Smf => {
+            let makespan = |w: usize| rpm[w][inputs[w].workflow.entry().index()];
             let mut wf_order: Vec<usize> = (0..inputs.len()).collect();
             wf_order.sort_by(|&a, &b| {
-                analyses[a]
-                    .expected_finish_time_secs()
-                    .partial_cmp(&analyses[b].expected_finish_time_secs())
+                makespan(a)
+                    .partial_cmp(&makespan(b))
                     .unwrap_or(Ordering::Equal)
                     .then(a.cmp(&b))
             });
             for w in wf_order {
                 let mut tasks: Vec<TaskId> = inputs[w].workflow.task_ids().collect();
                 tasks.sort_by(|&ta, &tb| {
-                    analyses[w]
-                        .rpm_secs(tb)
-                        .partial_cmp(&analyses[w].rpm_secs(ta))
+                    rpm[w][tb.index()]
+                        .partial_cmp(&rpm[w][ta.index()])
                         .unwrap_or(Ordering::Equal)
                         .then(ta.cmp(&tb))
                 });
@@ -122,20 +134,32 @@ pub fn plan_full_ahead(
         }
     };
 
+    // (planned node id, planned finish, data volume) of the current task's precedents.
+    let mut precedents: Vec<(NodeId, f64, f64)> = Vec::new();
     for (w, t) in order {
         let inp = &inputs[w];
         let task = inp.workflow.task(t);
+        precedents.clear();
+        precedents.extend(inp.workflow.precedents(t).iter().map(|e| {
+            let p = e.task.index();
+            (nodes[plans[w][p]].node, planned_finish[w][p], e.data_mb)
+        }));
+        let latest = precedents.iter().fold(0.0f64, |m, &(_, f, _)| m.max(f));
         let mut best: Option<(usize, f64)> = None;
         for (h, node) in nodes.iter().enumerate() {
+            let exec = node.execution_secs(task.load_mi);
+            if let Some((_, bft)) = best {
+                if node_available[h].max(latest) + exec - bft > 1e-12 {
+                    continue;
+                }
+            }
             let mut data_ready = transfer(inp.home, node.node, task.image_size_mb);
-            for e in inp.workflow.precedents(t) {
-                let pred_node = nodes[plans[w][e.task.index()]].node;
-                let arrival =
-                    planned_finish[w][e.task.index()] + transfer(pred_node, node.node, e.data_mb);
+            for &(pred_node, pred_finish, data_mb) in &precedents {
+                let arrival = pred_finish + transfer(pred_node, node.node, data_mb);
                 data_ready = data_ready.max(arrival);
             }
             let start = node_available[h].max(data_ready);
-            let finish = start + node.execution_secs(task.load_mi);
+            let finish = start + exec;
             let better = match best {
                 None => true,
                 Some((bh, bft)) => {
@@ -164,7 +188,8 @@ pub fn plan_full_ahead(
 mod tests {
     use super::*;
     use crate::worked_example;
-    use p2pgrid_workflow::shapes;
+    use p2pgrid_sim::SimRng;
+    use p2pgrid_workflow::{shapes, WorkflowAnalysis, WorkflowGenerator, WorkflowGeneratorConfig};
 
     fn uniform_bw(a: NodeId, b: NodeId) -> f64 {
         if a == b {
@@ -297,6 +322,187 @@ mod tests {
             &uniform_bw,
         );
         assert!(plans[0].iter().all(|&n| n == 1));
+    }
+
+    /// The planner as first written: every task scores every node in full.  Kept as the
+    /// oracle the bound-pruned scan must match.
+    fn exhaustive_reference(
+        algorithm: Algorithm,
+        inputs: &[PlanInput<'_>],
+        nodes: &[CandidateNode],
+        costs: ExpectedCosts,
+        bandwidth_mbps: &dyn Fn(NodeId, NodeId) -> f64,
+    ) -> Vec<WorkflowPlan> {
+        let analyses: Vec<WorkflowAnalysis> = inputs
+            .iter()
+            .map(|inp| WorkflowAnalysis::new(inp.workflow, costs))
+            .collect();
+        let mut order: Vec<(usize, TaskId)> = Vec::new();
+        match algorithm {
+            Algorithm::Heft => {
+                for (w, inp) in inputs.iter().enumerate() {
+                    for t in inp.workflow.task_ids() {
+                        order.push((w, t));
+                    }
+                }
+                order.sort_by(|&(wa, ta), &(wb, tb)| {
+                    analyses[wb]
+                        .rpm_secs(tb)
+                        .partial_cmp(&analyses[wa].rpm_secs(ta))
+                        .unwrap_or(Ordering::Equal)
+                        .then(wa.cmp(&wb))
+                        .then(ta.cmp(&tb))
+                });
+            }
+            _ => {
+                let mut wf_order: Vec<usize> = (0..inputs.len()).collect();
+                wf_order.sort_by(|&a, &b| {
+                    analyses[a]
+                        .expected_finish_time_secs()
+                        .partial_cmp(&analyses[b].expected_finish_time_secs())
+                        .unwrap_or(Ordering::Equal)
+                        .then(a.cmp(&b))
+                });
+                for w in wf_order {
+                    let mut tasks: Vec<TaskId> = inputs[w].workflow.task_ids().collect();
+                    tasks.sort_by(|&ta, &tb| {
+                        analyses[w]
+                            .rpm_secs(tb)
+                            .partial_cmp(&analyses[w].rpm_secs(ta))
+                            .unwrap_or(Ordering::Equal)
+                            .then(ta.cmp(&tb))
+                    });
+                    for t in tasks {
+                        order.push((w, t));
+                    }
+                }
+            }
+        }
+        let mut node_available: Vec<f64> = nodes.iter().map(|n| n.queuing_delay_secs()).collect();
+        let mut plans: Vec<WorkflowPlan> = inputs
+            .iter()
+            .map(|inp| vec![0usize; inp.workflow.task_count()])
+            .collect();
+        let mut planned_finish: Vec<Vec<f64>> = inputs
+            .iter()
+            .map(|inp| vec![0.0f64; inp.workflow.task_count()])
+            .collect();
+        let transfer = |from: NodeId, to: NodeId, mb: f64| -> f64 {
+            if from == to || mb <= 0.0 {
+                return 0.0;
+            }
+            let bw = bandwidth_mbps(from, to);
+            if bw <= 0.0 {
+                f64::INFINITY
+            } else {
+                mb / bw
+            }
+        };
+        for (w, t) in order {
+            let inp = &inputs[w];
+            let task = inp.workflow.task(t);
+            let mut best: Option<(usize, f64)> = None;
+            for (h, node) in nodes.iter().enumerate() {
+                let mut data_ready = transfer(inp.home, node.node, task.image_size_mb);
+                for e in inp.workflow.precedents(t) {
+                    let pred_node = nodes[plans[w][e.task.index()]].node;
+                    let arrival = planned_finish[w][e.task.index()]
+                        + transfer(pred_node, node.node, e.data_mb);
+                    data_ready = data_ready.max(arrival);
+                }
+                let start = node_available[h].max(data_ready);
+                let finish = start + node.execution_secs(task.load_mi);
+                let better = match best {
+                    None => true,
+                    Some((bh, bft)) => {
+                        finish < bft - 1e-12
+                            || ((finish - bft).abs() <= 1e-12 && nodes[h].node < nodes[bh].node)
+                    }
+                };
+                if better {
+                    best = Some((h, finish));
+                }
+            }
+            let (h, finish) = best.expect("nodes is non-empty");
+            plans[w][t.index()] = h;
+            planned_finish[w][t.index()] = finish;
+            node_available[h] = finish;
+        }
+        plans
+            .into_iter()
+            .map(|p| p.into_iter().map(|h| nodes[h].node).collect())
+            .collect()
+    }
+
+    /// Bandwidth drawn from three values, so transfer times tie often, and one link in eight
+    /// dead (infinite transfer time).
+    fn tiered_bw(a: NodeId, b: NodeId) -> f64 {
+        if a == b {
+            f64::INFINITY
+        } else {
+            [0.0, 1.0, 2.0, 4.0, 1.0, 2.0, 4.0, 1.0][(a * 7 + b * 3) % 8]
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn full_ahead_plan_matches_the_exhaustive_reference(
+            node_codes in proptest::collection::vec(0u64..=u64::MAX, 1..17),
+            dag_seed in 0u64..=u64::MAX,
+            workflow_count in 1usize..5,
+        ) {
+            // Node ids are a stride through 0..48, so a later node often has a lower id and
+            // wins a tie.  Capacities include 0 (the node never finishes anything) and repeat;
+            // about one node in four is the one before it plus a load jitter on either side of
+            // the 1e-12 tie tolerance.  Small loads keep finish times small enough that such
+            // jitters survive rounding.
+            let jitter = |code: u64| [0.0, 3e-13, 7e-13, 1e-12, 1.3e-12, 2e-12][(code % 6) as usize];
+            let mut nodes: Vec<CandidateNode> = Vec::new();
+            for (i, &code) in node_codes.iter().enumerate() {
+                let node = (i * 29 + 11) % 48;
+                let candidate = match nodes.last() {
+                    Some(prev) if code >> 62 == 0 => CandidateNode {
+                        node,
+                        total_load_mi: prev.total_load_mi + jitter(code >> 7),
+                        ..*prev
+                    },
+                    _ => CandidateNode {
+                        node,
+                        capacity_mips: [0.0, 1.0, 2.0, 4.0, 1.0][(code % 5) as usize],
+                        slots: 1 + ((code >> 3) % 4) as usize,
+                        total_load_mi: [0.0, 10.0, 40.0][((code >> 5) % 3) as usize]
+                            + jitter(code >> 7),
+                    },
+                };
+                nodes.push(candidate);
+            }
+            let generator = WorkflowGenerator::new(WorkflowGeneratorConfig {
+                tasks: 1..=8,
+                fanout: 1..=3,
+                load_mi: 1.0..=50.0,
+                image_size_mb: 0.0..=10.0,
+                data_mb: 0.0..=40.0,
+            });
+            let mut rng = SimRng::seed_from_u64(dag_seed);
+            let workflows = generator.generate_batch(workflow_count, &mut rng);
+            let inputs: Vec<PlanInput<'_>> = workflows
+                .iter()
+                .enumerate()
+                .map(|(w, workflow)| PlanInput {
+                    home: (dag_seed as usize >> (6 * w)) % 48,
+                    workflow,
+                })
+                .collect();
+            let costs = ExpectedCosts::new(2.0, 2.0);
+            for algorithm in [Algorithm::Heft, Algorithm::Smf] {
+                proptest::prop_assert_eq!(
+                    plan_full_ahead(algorithm, &inputs, &nodes, costs, &tiered_bw),
+                    exhaustive_reference(algorithm, &inputs, &nodes, costs, &tiered_bw),
+                    "{}",
+                    algorithm
+                );
+            }
+        }
     }
 
     #[test]

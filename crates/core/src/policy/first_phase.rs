@@ -1,4 +1,28 @@
 //! First-phase (home-node) dispatch planning — Algorithm 1 and its competitor heuristics.
+//!
+//! DSMF, DHEFT and DSDF order the schedule points once and place each with Formula 9
+//! ([`FinishTimeEstimator::best_candidate`], which skips every candidate its queue-plus-execution
+//! bound rules out).  Min-min, max-min and sufferage instead pick against the completion-time
+//! matrix of the *current* candidate loads after every assignment.
+//!
+//! ## The incremental completion-time matrix
+//!
+//! A cell is `max(queue_h, LTD_th) + exec_th`.  The transfer delay and the execution time depend
+//! only on the task and the candidate, so the planner computes them once, in flat `T × H`
+//! storage; an assignment changes only its candidate's queue, so only that column is
+//! refreshed, from the stored terms, bit for bit what a full rebuild would compute.
+//!
+//! Every row keeps a summary — its best candidate (the first index holding the row minimum),
+//! the minimum, and the second-smallest value — equal at all times to what scanning the row
+//! would give ([`matrix_pick_next`]'s scan).  A pick reads the summaries, O(T).  Refreshing a
+//! cell from `old` to `new` leaves the summary exact without a rescan when the cell was not
+//! the row's best, `old` was above the second-best, and `new ≥ old`: a value that was not among
+//! the two smallest only grew, so the two smallest and the first index of the minimum stand.
+//! In every other case — the best moved, the second-best may have, or the cell fell — the row
+//! is rescanned, O(H).  Queues only grow as loads are added, so most refreshes take the O(1)
+//! path and a pick costs O(T) instead of the O(T·H) of rescanning every row.  The test is
+//! written as "keep the summary only if all three hold", so a NaN on either side fails it and
+//! forces a rescan.
 
 use crate::algorithm::Algorithm;
 use crate::estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
@@ -66,49 +90,76 @@ pub fn matrix_pick_next(
     if remaining.is_empty() || ct.is_empty() || ct[0].is_empty() {
         return None;
     }
-    // For every remaining task: its best candidate, best CT and second-best CT.
-    let per_task: Vec<(usize, usize, f64, f64)> = remaining
-        .iter()
-        .map(|&t| {
-            let row = &ct[t];
-            let mut best_h = 0usize;
-            let mut best = f64::INFINITY;
-            let mut second = f64::INFINITY;
-            for (h, &v) in row.iter().enumerate() {
-                if v < best {
-                    second = best;
-                    best = v;
-                    best_h = h;
-                } else if v < second {
-                    second = v;
-                }
-            }
-            if second.is_infinite() {
-                second = best;
-            }
-            (t, best_h, best, second)
-        })
-        .collect();
+    pick_row(
+        heuristic,
+        remaining.iter().map(|&t| (t, RowSummary::scan(&ct[t]))),
+    )
+}
 
+/// What a pick reads of one completion-time row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RowSummary {
+    /// The first candidate index holding the row minimum (0 when no cell is below infinity).
+    best_h: usize,
+    /// The row minimum over its non-NaN cells (infinity if there is none).
+    best: f64,
+    /// The second-smallest non-NaN cell, a tie with `best` included (infinity if none).
+    second: f64,
+}
+
+impl RowSummary {
+    fn scan(row: &[f64]) -> Self {
+        let mut summary = RowSummary {
+            best_h: 0,
+            best: f64::INFINITY,
+            second: f64::INFINITY,
+        };
+        for (h, &v) in row.iter().enumerate() {
+            if v < summary.best {
+                summary.second = summary.best;
+                summary.best = v;
+                summary.best_h = h;
+            } else if v < summary.second {
+                summary.second = v;
+            }
+        }
+        summary
+    }
+}
+
+/// The heuristic's choice among `(task, summary)` rows, in the order given: `(task, node,
+/// sufferage)`.  A row without a finite second-best has sufferage zero.
+fn pick_row(
+    heuristic: MatrixHeuristic,
+    rows: impl Iterator<Item = (usize, RowSummary)>,
+) -> Option<(usize, usize, f64)> {
+    let per_task = rows.map(|(t, s)| {
+        let second = if s.second.is_infinite() {
+            s.best
+        } else {
+            s.second
+        };
+        (t, s.best_h, s.best, second)
+    });
     let chosen = match heuristic {
-        MatrixHeuristic::MinMin => per_task.iter().min_by(|a, b| {
+        MatrixHeuristic::MinMin => per_task.min_by(|a, b| {
             a.2.partial_cmp(&b.2)
                 .unwrap_or(Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         }),
-        MatrixHeuristic::MaxMin => per_task.iter().max_by(|a, b| {
+        MatrixHeuristic::MaxMin => per_task.max_by(|a, b| {
             a.2.partial_cmp(&b.2)
                 .unwrap_or(Ordering::Equal)
                 .then(b.0.cmp(&a.0))
         }),
-        MatrixHeuristic::Sufferage => per_task.iter().max_by(|a, b| {
+        MatrixHeuristic::Sufferage => per_task.max_by(|a, b| {
             (a.3 - a.2)
                 .partial_cmp(&(b.3 - b.2))
                 .unwrap_or(Ordering::Equal)
                 .then(b.0.cmp(&a.0))
         }),
     };
-    chosen.map(|&(t, h, best, second)| (t, h, second - best))
+    chosen.map(|(t, h, best, second)| (t, h, second - best))
 }
 
 /// Plan this cycle's dispatches at one home node (Algorithm 1 for DSMF; the corresponding
@@ -182,39 +233,62 @@ pub fn plan_dispatch(
                 Algorithm::MaxMin => MatrixHeuristic::MaxMin,
                 _ => MatrixHeuristic::Sufferage,
             };
-            // The classical dynamic matching algorithms pick against the completion-time
-            // matrix of the *current* candidate loads after every assignment.  An assignment
-            // changes only its candidate's load, and every cell is a pure function of its task
-            // and candidate, so refreshing that one column for the remaining rows yields the
-            // matrix a full rebuild would, bit for bit.
-            let finish = |t: &DispatchCandidateTask, c: &CandidateNode| {
-                estimator.finish_time_secs(c, t.load_mi, t.image_size_mb, &t.predecessors)
-            };
-            let mut ct: Vec<Vec<f64>> = tasks
-                .iter()
-                .map(|t| candidates.iter().map(|c| finish(t, c)).collect())
-                .collect();
-            let mut decisions = Vec::with_capacity(tasks.len());
-            let mut remaining: Vec<usize> = (0..tasks.len()).collect();
-            while let Some((t_idx, h_idx, sufferage)) = matrix_pick_next(heuristic, &ct, &remaining)
-            {
-                let t = &tasks[t_idx];
-                decisions.push(DispatchDecision {
-                    workflow: t.workflow,
-                    task: t.task,
-                    target: candidates[h_idx].node,
-                    estimated_finish_secs: ct[t_idx][h_idx],
-                    sufferage_secs: sufferage,
-                });
-                candidates[h_idx].add_load(t.load_mi);
-                remaining.retain(|&x| x != t_idx);
-                for &r in &remaining {
-                    ct[r][h_idx] = finish(&tasks[r], &candidates[h_idx]);
-                }
-            }
-            decisions
+            matrix_assign(heuristic, tasks, candidates, estimator)
         }
     }
+}
+
+/// Min-min, max-min or sufferage over the incremental completion-time matrix (module docs).
+fn matrix_assign(
+    heuristic: MatrixHeuristic,
+    tasks: &[DispatchCandidateTask],
+    candidates: &mut [CandidateNode],
+    estimator: &FinishTimeEstimator<'_>,
+) -> Vec<DispatchDecision> {
+    let width = candidates.len();
+    let mut ltd = Vec::with_capacity(tasks.len() * width);
+    let mut exec = Vec::with_capacity(tasks.len() * width);
+    let mut ct = Vec::with_capacity(tasks.len() * width);
+    for t in tasks {
+        for c in candidates.iter() {
+            let l =
+                estimator.longest_transmission_delay_secs(c.node, t.image_size_mb, &t.predecessors);
+            let e = c.execution_secs(t.load_mi);
+            ltd.push(l);
+            exec.push(e);
+            ct.push(c.queuing_delay_secs().max(l) + e);
+        }
+    }
+    let mut summaries: Vec<RowSummary> = ct.chunks_exact(width).map(RowSummary::scan).collect();
+    let mut remaining: Vec<usize> = (0..tasks.len()).collect();
+    let mut decisions = Vec::with_capacity(tasks.len());
+    while let Some((t_idx, h, sufferage)) =
+        pick_row(heuristic, remaining.iter().map(|&t| (t, summaries[t])))
+    {
+        let t = &tasks[t_idx];
+        decisions.push(DispatchDecision {
+            workflow: t.workflow,
+            task: t.task,
+            target: candidates[h].node,
+            estimated_finish_secs: ct[t_idx * width + h],
+            sufferage_secs: sufferage,
+        });
+        candidates[h].add_load(t.load_mi);
+        remaining.retain(|&x| x != t_idx);
+        let queue = candidates[h].queuing_delay_secs();
+        for &r in &remaining {
+            let cell = r * width + h;
+            let old = ct[cell];
+            let new = queue.max(ltd[cell]) + exec[cell];
+            ct[cell] = new;
+            let s = &mut summaries[r];
+            let summary_stands = h != s.best_h && old > s.second && new >= old;
+            if !summary_stands {
+                *s = RowSummary::scan(&ct[r * width..(r + 1) * width]);
+            }
+        }
+    }
+    decisions
 }
 
 fn greedy_assign(
@@ -543,22 +617,23 @@ mod tests {
         decisions
     }
 
-    /// Bandwidth drawn from three values, so transfer times tie often.
+    /// Bandwidth drawn from three values, so transfer times tie often, and one link in eight
+    /// dead (infinite transfer time).
     fn tiered_bw(a: NodeId, b: NodeId) -> f64 {
         if a == b {
             f64::INFINITY
         } else {
-            [1.0, 2.0, 4.0][(a * 7 + b * 3) % 3]
+            [0.0, 1.0, 2.0, 4.0, 1.0, 2.0, 4.0, 1.0][(a * 7 + b * 3) % 8]
         }
     }
 
     /// Candidate `i` is node `2 i`; odd nodes never are candidates.  Capacities, slots and
     /// loads come from small sets, so equal candidates — and tied completion times — are
-    /// common.
+    /// common.  Capacity 0 (infinite queue and execution) fills whole columns with infinity.
     fn decode_candidate(i: usize, code: u64) -> CandidateNode {
         CandidateNode {
             node: 2 * i,
-            capacity_mips: [1.0, 2.0, 4.0][(code % 3) as usize],
+            capacity_mips: [0.0, 1.0, 2.0, 4.0, 1.0][(code % 5) as usize],
             slots: [1, 1, 2, 4][((code >> 2) % 4) as usize],
             total_load_mi: [0.0, 0.0, 100.0, 400.0][((code >> 4) % 4) as usize],
         }

@@ -424,7 +424,7 @@ impl Scenario {
                         plan: None,
                         static_ms_secs: analysis.expected_finish_time_secs(),
                         static_rpm,
-                        workflow,
+                        workflow: Arc::new(workflow),
                     };
                     home_of[home].push(workflows.len());
                     workflows.push(wf);

@@ -50,6 +50,28 @@ impl ExpectedCosts {
     }
 }
 
+/// The rest path makespan (upward rank) of every task of `workflow`, in seconds, indexed by
+/// task id: `RPM(t) = eet(t) + max over successors s of (ett(t→s) + RPM(s))`.
+///
+/// This is the one recursion behind [`WorkflowAnalysis::rpm_secs`], for callers that need
+/// nothing else of the analysis (the first phase recomputes it at every scheduling instant,
+/// under the home node's current averages).
+pub fn rest_path_makespans(workflow: &Workflow, costs: ExpectedCosts) -> Vec<f64> {
+    let mut rpm = vec![0.0f64; workflow.task_count()];
+    // Walk the reverse topological order so successors are finished first; every edge is
+    // visited exactly once, giving the O(edges) complexity claimed in Section III.E.
+    for &t in workflow.topological_order().iter().rev() {
+        let eet = costs.eet_secs(workflow.task(t).load_mi);
+        let tail = workflow
+            .successors(t)
+            .iter()
+            .map(|e| costs.ett_secs(e.data_mb) + rpm[e.task.index()])
+            .fold(0.0f64, f64::max);
+        rpm[t.index()] = eet + tail;
+    }
+    rpm
+}
+
 /// Precomputed per-task analysis of one workflow under an [`ExpectedCosts`] model.
 #[derive(Debug, Clone)]
 pub struct WorkflowAnalysis {
@@ -64,21 +86,9 @@ pub struct WorkflowAnalysis {
 impl WorkflowAnalysis {
     /// Analyse `workflow` under the given average costs.
     pub fn new(workflow: &Workflow, costs: ExpectedCosts) -> Self {
-        let n = workflow.task_count();
-        let mut rpm = vec![0.0f64; n];
-        // Walk the reverse topological order so successors are finished first; every edge is
-        // visited exactly once, giving the O(edges) complexity claimed in Section III.E.
-        for &t in workflow.topological_order().iter().rev() {
-            let eet = costs.eet_secs(workflow.task(t).load_mi);
-            let tail = workflow
-                .successors(t)
-                .iter()
-                .map(|e| costs.ett_secs(e.data_mb) + rpm[e.task.index()])
-                .fold(0.0f64, f64::max);
-            rpm[t.index()] = eet + tail;
-        }
+        let rpm = rest_path_makespans(workflow, costs);
 
-        let mut downward = vec![0.0f64; n];
+        let mut downward = vec![0.0f64; workflow.task_count()];
         for &t in workflow.topological_order() {
             let eet = costs.eet_secs(workflow.task(t).load_mi);
             for e in workflow.successors(t) {
