@@ -469,20 +469,25 @@ mod tests {
             home in 0usize..48,
         ) {
             // Candidate ids are a stride through 0..48, so a later candidate often has a lower
-            // id and wins a tie.  Capacities include 0 (infinite queue and execution), loads
-            // carry jitters on both sides of the 1e-12 tolerance, and about one candidate in
-            // four is a twin of the one before it.
+            // id and wins a tie.  Capacities include 0 (infinite queue and execution).  About
+            // one candidate in two is the one before it plus a load jitter on either side of
+            // the 1e-12 tie tolerance, a jitter of 0 making an exact twin.
+            let jitter = |code: u64| [0.0, 3e-13, 7e-13, 1e-12, 1.3e-12, 2e-12][(code % 6) as usize];
             let mut candidates: Vec<CandidateNode> = Vec::new();
             for (i, &code) in candidate_codes.iter().enumerate() {
                 let node = (i * 29 + 11) % 48;
                 let candidate = match candidates.last() {
-                    Some(prev) if code >> 62 == 0 => CandidateNode { node, ..*prev },
+                    Some(prev) if code >> 63 == 0 => CandidateNode {
+                        node,
+                        total_load_mi: prev.total_load_mi + jitter(code >> 7),
+                        ..*prev
+                    },
                     _ => CandidateNode {
                         node,
                         capacity_mips: [0.0, 1.0, 2.0, 4.0, 1.0][(code % 5) as usize],
                         slots: 1 + ((code >> 3) % 4) as usize,
                         total_load_mi: [0.0, 100.0, 400.0][((code >> 5) % 3) as usize]
-                            + [0.0, 3e-13, 7e-13, 1e-12, 1.3e-12, 2e-12][((code >> 7) % 6) as usize],
+                            + jitter(code >> 7),
                     },
                 };
                 candidates.push(candidate);

@@ -453,15 +453,15 @@ mod tests {
         ) {
             // Node ids are a stride through 0..48, so a later node often has a lower id and
             // wins a tie.  Capacities include 0 (the node never finishes anything) and repeat;
-            // about one node in four is the one before it plus a load jitter on either side of
-            // the 1e-12 tie tolerance.  Small loads keep finish times small enough that such
-            // jitters survive rounding.
+            // about one node in two is the one before it plus a load jitter on either side of
+            // the 1e-12 tie tolerance, a jitter of 0 making an exact twin.  Small loads keep
+            // finish times small enough that such jitters survive rounding.
             let jitter = |code: u64| [0.0, 3e-13, 7e-13, 1e-12, 1.3e-12, 2e-12][(code % 6) as usize];
             let mut nodes: Vec<CandidateNode> = Vec::new();
             for (i, &code) in node_codes.iter().enumerate() {
                 let node = (i * 29 + 11) % 48;
                 let candidate = match nodes.last() {
-                    Some(prev) if code >> 62 == 0 => CandidateNode {
+                    Some(prev) if code >> 63 == 0 => CandidateNode {
                         node,
                         total_load_mi: prev.total_load_mi + jitter(code >> 7),
                         ..*prev

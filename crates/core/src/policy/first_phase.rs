@@ -15,14 +15,14 @@
 //! Every row keeps a summary — its best candidate (the first index holding the row minimum),
 //! the minimum, and the second-smallest value — equal at all times to what scanning the row
 //! would give ([`matrix_pick_next`]'s scan).  A pick reads the summaries, O(T).  Refreshing a
-//! cell from `old` to `new` leaves the summary exact without a rescan when the cell was not
-//! the row's best, `old` was above the second-best, and `new ≥ old`: a value that was not among
-//! the two smallest only grew, so the two smallest and the first index of the minimum stand.
-//! In every other case — the best moved, the second-best may have, or the cell fell — the row
-//! is rescanned, O(H).  Queues only grow as loads are added, so most refreshes take the O(1)
-//! path and a pick costs O(T) instead of the O(T·H) of rescanning every row.  The test is
-//! written as "keep the summary only if all three hold", so a NaN on either side fails it and
-//! forces a rescan.
+//! cell from `old` to `new` leaves the summary exact without a rescan when `old` was above the
+//! second-best and `new ≥ old`: a value that was not among the two smallest (so not the best
+//! either, which is at most the second-best) only grew, so the two smallest and the first index
+//! of the minimum stand.  In every other case — the cell held the best or the second-best, or
+//! it fell — the row is rescanned, O(H).  Queues only grow as loads are added, so most
+//! refreshes take the O(1) path and a pick costs O(T) instead of the O(T·H) of rescanning every
+//! row.  The test is written as "keep the summary only if both hold", so a NaN on either side
+//! fails it and forces a rescan.
 
 use crate::algorithm::Algorithm;
 use crate::estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
@@ -282,7 +282,7 @@ fn matrix_assign(
             let new = queue.max(ltd[cell]) + exec[cell];
             ct[cell] = new;
             let s = &mut summaries[r];
-            let summary_stands = h != s.best_h && old > s.second && new >= old;
+            let summary_stands = old > s.second && new >= old;
             if !summary_stands {
                 *s = RowSummary::scan(&ct[r * width..(r + 1) * width]);
             }
