@@ -50,7 +50,9 @@ use crate::simulation::Simulation;
 use crate::NodeId;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
 use p2pgrid_topology::{LandmarkEstimator, PairwiseMetrics, WaxmanGenerator};
-use p2pgrid_workflow::{ExpectedCosts, HomePolicy, Workflow, WorkflowAnalysis, WorkflowGenerator};
+use p2pgrid_workflow::{
+    rest_path_makespans, ExpectedCosts, HomePolicy, Workflow, WorkflowGenerator,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -409,20 +411,20 @@ impl Scenario {
                 let mut workflows = Vec::with_capacity(drafts.len());
                 let mut home_of = vec![Vec::new(); n];
                 for (home, workflow, submitted_at) in drafts {
-                    let analysis = WorkflowAnalysis::new(&workflow, true_costs);
-                    let static_rpm: Vec<f64> =
-                        workflow.task_ids().map(|t| analysis.rpm_secs(t)).collect();
+                    // Eq. (1): the expected makespan is the entry task's rest path makespan.
+                    let static_rpm = rest_path_makespans(&workflow, true_costs);
+                    let eft_secs = static_rpm[workflow.entry().index()];
                     let wf = WorkflowRuntime {
                         home,
                         progress: p2pgrid_workflow::ProgressTracker::new(&workflow),
-                        eft_secs: analysis.expected_finish_time_secs(),
+                        eft_secs,
                         task_location: vec![None; workflow.task_count()],
                         failed: false,
                         completed: false,
                         submitted_at,
                         arrived: submitted_at == SimTime::ZERO,
                         plan: None,
-                        static_ms_secs: analysis.expected_finish_time_secs(),
+                        static_ms_secs: eft_secs,
                         static_rpm,
                         workflow: Arc::new(workflow),
                     };
