@@ -221,7 +221,7 @@ impl<'a> FinishTimeEstimator<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Uniform 1 Mb/s bandwidth between distinct nodes.
@@ -452,13 +452,19 @@ mod tests {
         best
     }
 
-    /// Bandwidth drawn from four values, one of them a dead link.
-    fn tiered_bw(a: NodeId, b: NodeId) -> f64 {
+    /// Bandwidth drawn from three values, so transfer times tie often, and one link in eight
+    /// dead (infinite transfer time).  Shared by the planners' oracle properties.
+    pub(crate) fn tiered_bw(a: NodeId, b: NodeId) -> f64 {
         if a == b {
             f64::INFINITY
         } else {
             [0.0, 1.0, 2.0, 4.0, 1.0, 2.0, 4.0, 1.0][(a * 7 + b * 3) % 8]
         }
+    }
+
+    /// A load jitter on either side of the 1e-12 tie tolerance (0 for an exact twin).
+    pub(crate) fn load_jitter(code: u64) -> f64 {
+        [0.0, 3e-13, 7e-13, 1e-12, 1.3e-12, 2e-12][(code % 6) as usize]
     }
 
     proptest::proptest! {
@@ -472,14 +478,13 @@ mod tests {
             // id and wins a tie.  Capacities include 0 (infinite queue and execution).  About
             // one candidate in two is the one before it plus a load jitter on either side of
             // the 1e-12 tie tolerance, a jitter of 0 making an exact twin.
-            let jitter = |code: u64| [0.0, 3e-13, 7e-13, 1e-12, 1.3e-12, 2e-12][(code % 6) as usize];
             let mut candidates: Vec<CandidateNode> = Vec::new();
             for (i, &code) in candidate_codes.iter().enumerate() {
                 let node = (i * 29 + 11) % 48;
                 let candidate = match candidates.last() {
                     Some(prev) if code >> 63 == 0 => CandidateNode {
                         node,
-                        total_load_mi: prev.total_load_mi + jitter(code >> 7),
+                        total_load_mi: prev.total_load_mi + load_jitter(code >> 7),
                         ..*prev
                     },
                     _ => CandidateNode {
@@ -487,7 +492,7 @@ mod tests {
                         capacity_mips: [0.0, 1.0, 2.0, 4.0, 1.0][(code % 5) as usize],
                         slots: 1 + ((code >> 3) % 4) as usize,
                         total_load_mi: [0.0, 100.0, 400.0][((code >> 5) % 3) as usize]
-                            + jitter(code >> 7),
+                            + load_jitter(code >> 7),
                     },
                 };
                 candidates.push(candidate);

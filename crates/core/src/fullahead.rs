@@ -23,9 +23,9 @@
 //! best finish time found so far by more than the 1e-12 tie tolerance, before computing any of
 //! its transfers.  The skip is exact: IEEE rounding is monotone, so the node's finish time is at
 //! least the bound, hence more than 1e-12 above the best, and the unchanged comparison would
-//! have rejected it.  The plans are the ones scoring every node gives.  (Bandwidths are never
-//! NaN, so no arrival time is NaN and the `max` that forms the data-ready time never drops
-//! one.)
+//! have rejected it.  The plans are the ones scoring every node gives.  This needs bandwidths
+//! that are never NaN: `f64::max` would drop a NaN arrival time and could leave the data-ready
+//! time below the latest precedent finish.
 
 use crate::algorithm::Algorithm;
 use crate::estimate::CandidateNode;
@@ -187,6 +187,7 @@ pub fn plan_full_ahead(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::tests::{load_jitter, tiered_bw};
     use crate::worked_example;
     use p2pgrid_sim::SimRng;
     use p2pgrid_workflow::{shapes, WorkflowAnalysis, WorkflowGenerator, WorkflowGeneratorConfig};
@@ -434,16 +435,6 @@ mod tests {
             .collect()
     }
 
-    /// Bandwidth drawn from three values, so transfer times tie often, and one link in eight
-    /// dead (infinite transfer time).
-    fn tiered_bw(a: NodeId, b: NodeId) -> f64 {
-        if a == b {
-            f64::INFINITY
-        } else {
-            [0.0, 1.0, 2.0, 4.0, 1.0, 2.0, 4.0, 1.0][(a * 7 + b * 3) % 8]
-        }
-    }
-
     proptest::proptest! {
         #[test]
         fn full_ahead_plan_matches_the_exhaustive_reference(
@@ -456,14 +447,13 @@ mod tests {
             // about one node in two is the one before it plus a load jitter on either side of
             // the 1e-12 tie tolerance, a jitter of 0 making an exact twin.  Small loads keep
             // finish times small enough that such jitters survive rounding.
-            let jitter = |code: u64| [0.0, 3e-13, 7e-13, 1e-12, 1.3e-12, 2e-12][(code % 6) as usize];
             let mut nodes: Vec<CandidateNode> = Vec::new();
             for (i, &code) in node_codes.iter().enumerate() {
                 let node = (i * 29 + 11) % 48;
                 let candidate = match nodes.last() {
                     Some(prev) if code >> 63 == 0 => CandidateNode {
                         node,
-                        total_load_mi: prev.total_load_mi + jitter(code >> 7),
+                        total_load_mi: prev.total_load_mi + load_jitter(code >> 7),
                         ..*prev
                     },
                     _ => CandidateNode {
@@ -471,7 +461,7 @@ mod tests {
                         capacity_mips: [0.0, 1.0, 2.0, 4.0, 1.0][(code % 5) as usize],
                         slots: 1 + ((code >> 3) % 4) as usize,
                         total_load_mi: [0.0, 10.0, 40.0][((code >> 5) % 3) as usize]
-                            + jitter(code >> 7),
+                            + load_jitter(code >> 7),
                     },
                 };
                 nodes.push(candidate);

@@ -320,6 +320,7 @@ fn greedy_assign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::tests::tiered_bw;
 
     fn uniform_bw(a: NodeId, b: NodeId) -> f64 {
         if a == b {
@@ -615,16 +616,6 @@ mod tests {
             remaining.retain(|&x| x != t_idx);
         }
         decisions
-    }
-
-    /// Bandwidth drawn from three values, so transfer times tie often, and one link in eight
-    /// dead (infinite transfer time).
-    fn tiered_bw(a: NodeId, b: NodeId) -> f64 {
-        if a == b {
-            f64::INFINITY
-        } else {
-            [0.0, 1.0, 2.0, 4.0, 1.0, 2.0, 4.0, 1.0][(a * 7 + b * 3) % 8]
-        }
     }
 
     /// Candidate `i` is node `2 i`; odd nodes never are candidates.  Capacities, slots and
