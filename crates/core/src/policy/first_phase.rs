@@ -97,7 +97,7 @@ pub fn matrix_pick_next(
 }
 
 /// What a pick reads of one completion-time row.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct RowSummary {
     /// The first candidate index holding the row minimum (0 when no cell is below infinity).
     best_h: usize,
