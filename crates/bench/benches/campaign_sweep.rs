@@ -1,16 +1,17 @@
 //! The pooled campaign path versus sequential execution, plus the pool-balance regression
 //! bench for skewed per-item costs.
 //!
-//! `campaign::run` fans independent simulation sessions out across the persistent
-//! work-stealing pool; `campaign::run_sequential` is the single-threaded reference.  Criterion
+//! `campaign::run` fans independent simulation sessions out across the `rayon` shim's
+//! parallel map; `campaign::run_sequential` is the single-threaded reference.  Criterion
 //! times both on a small sweep; setting `P2PGRID_BENCH_REDUCED=1` additionally runs a
 //! one-shot wall-clock comparison of a Reduced-scale campaign (the EXPERIMENTS.md speedup
-//! number).
+//! number).  Each side of that comparison runs on its own freshly built worlds, built
+//! outside the timed span, so both pay the one gossip-trace build a campaign pays.
 //!
-//! The `pool_balance` group pins the dynamic-chunking fix in the `rayon` shim: one item of
-//! the parallel map costs ~64x the others.  The old static one-chunk-per-core split serialised
-//! behind the heavy chunk (speedup -> 1 as the skew grows); with dynamic chunks and stealing,
-//! the light items spread over the remaining workers while one worker chews the heavy item.
+//! The `pool_balance` group pins the load balance of the parallel map: one item costs ~64x
+//! the others.  A static one-chunk-per-core split serialised behind the heavy chunk (speedup
+//! -> 1 as the skew grows); with threads pulling one item at a time from a shared queue, the
+//! light items spread over the other threads while one thread chews the heavy item.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2pgrid_bench::{bench_criterion_config, BENCH_SEED};
@@ -44,23 +45,30 @@ fn smoke_jobs() -> Vec<campaign::Job> {
     )
 }
 
+/// Four load factors x two algorithms on a freshly built Reduced world whose gossip trace
+/// has not run yet.
+fn reduced_jobs() -> Vec<campaign::Job> {
+    let base = Scenario::build(ExperimentScale::Reduced.base_config(BENCH_SEED))
+        .expect("bench config is valid");
+    let scenarios = load_factor_worlds(&base, &[1, 2, 3, 4]);
+    campaign::cross(
+        &scenarios,
+        &[
+            AlgorithmConfig::paper_default(Algorithm::Dsmf),
+            AlgorithmConfig::paper_default(Algorithm::MinMin),
+        ],
+    )
+}
+
 fn bench_campaign(c: &mut Criterion) {
     if std::env::var_os("P2PGRID_BENCH_REDUCED").is_some() {
-        let base = Scenario::build(ExperimentScale::Reduced.base_config(BENCH_SEED))
-            .expect("bench config is valid");
-        let scenarios = load_factor_worlds(&base, &[1, 2, 3, 4]);
-        let jobs = campaign::cross(
-            &scenarios,
-            &[
-                AlgorithmConfig::paper_default(Algorithm::Dsmf),
-                AlgorithmConfig::paper_default(Algorithm::MinMin),
-            ],
-        );
+        let jobs = reduced_jobs();
         let t = std::time::Instant::now();
-        let pooled = campaign::run(jobs.clone());
+        let pooled = campaign::run(jobs);
         let t_pooled = t.elapsed();
+        let jobs = reduced_jobs();
         let t = std::time::Instant::now();
-        let sequential = campaign::run_sequential(jobs.clone());
+        let sequential = campaign::run_sequential(jobs);
         let t_sequential = t.elapsed();
         assert_eq!(pooled.len(), sequential.len());
         for (p, s) in pooled.iter().zip(&sequential) {
@@ -70,7 +78,7 @@ fn bench_campaign(c: &mut Criterion) {
             "# campaign_sweep @ Reduced scale ({} jobs = 4 load factors x 2 algorithms, \
              one shared topology): pooled {t_pooled:?} vs sequential {t_sequential:?} \
              ({:.2}x speedup on {} workers)",
-            jobs.len(),
+            pooled.len(),
             t_sequential.as_secs_f64() / t_pooled.as_secs_f64(),
             rayon::current_num_threads()
         );

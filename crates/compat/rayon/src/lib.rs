@@ -2,201 +2,124 @@
 //!
 //! The workspace builds without network access, so this shim implements the slice of the
 //! rayon API the codebase uses — `slice.par_iter().map(f).collect()`,
-//! `range.into_par_iter().map(f).collect()`, [`join`] and scoped [`ThreadPool`]s — on top of
-//! a persistent work-stealing thread pool (see [`mod@self`] internals in `pool.rs`):
+//! `range.into_par_iter().map(f).collect()` and scoped [`ThreadPool`]s — as one parallel map
+//! on [`std::thread::scope`]:
 //!
-//! * a **global pool** is created lazily on first use and reused by every parallel call for
-//!   the rest of the process (no more spawn-per-call);
-//! * each worker owns a LIFO deque and steals from random victims when idle, so uneven
-//!   per-item costs re-balance instead of serialising behind one static chunk per core;
-//! * `par_iter` splits work into **dynamic chunks** (several per worker) and writes results
-//!   by input index, so output order matches input order exactly as with real rayon;
-//! * the `P2PGRID_POOL_THREADS` environment variable overrides the global pool's worker
-//!   count (`1` forces fully sequential inline execution — results are identical either
-//!   way, which CI pins by running the test suite at `1` and `8`).
+//! * a map of `n` items at width `w` runs on the calling thread and `min(w, n) − 1` scoped
+//!   threads, which pull `(index, item)` pairs from one shared queue, so a slow item never
+//!   holds up the items queued behind it;
+//! * each thread keeps its `(index, result)` pairs and the caller sorts them back, so output
+//!   order matches input order exactly as with real rayon;
+//! * a map called from inside an item of a map that runs on more than one thread runs inline
+//!   on that item's thread, so nested maps never multiply threads;
+//! * a panic in an item is re-raised on the caller once every thread has stopped;
+//! * the width is the installed [`ThreadPool`]'s, else the `P2PGRID_POOL_THREADS` environment
+//!   variable, else the machine's available parallelism.  `1` runs every map inline on the
+//!   calling thread; results are identical at any width, which CI pins by running the test
+//!   suite at `1` and `8`.
 //!
-//! Swap the path dependency for the crates.io release to get adaptive splitting and the
-//! full combinator set; call sites need no changes.
+//! Swap the path dependency for the crates.io release to get a persistent work-stealing pool
+//! and the full combinator set; call sites need no changes.
 
-use std::mem::{ManuallyDrop, MaybeUninit};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+use std::sync::{Mutex, OnceLock};
 
-mod pool;
-
-pub use pool::POOL_THREADS_ENV;
-use pool::{erase_job, BatchPanic, Latch, PoolState};
+/// Environment variable overriding the default width (`>= 1`; `1` means every parallel map
+/// runs inline on the calling thread, the fully sequential mode CI pins against `8`).
+pub const POOL_THREADS_ENV: &str = "P2PGRID_POOL_THREADS";
 
 /// The import surface (`use rayon::prelude::*`) mirroring rayon's prelude.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
 }
 
-/// Number of worker threads in the current thread pool (the installed pool if inside a
-/// [`ThreadPool::install`] scope, otherwise the global pool).
-pub fn current_num_threads() -> usize {
-    pool::current_pool().worker_count()
+thread_local! {
+    /// The width set on this thread: by [`ThreadPool::install`], or `1` while the thread runs
+    /// items of a map that runs on more than one thread.  `None` means the default width.
+    static WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-// ----- core parallel map -----------------------------------------------------------------
+/// Sets the calling thread's width and restores the previous one when dropped, unwinding
+/// included.
+struct WidthGuard(Option<usize>);
 
-/// A raw output cursor that may cross thread boundaries.  Each task writes a disjoint index
-/// range, so shared mutable access never overlaps.
-struct SendPtr<U>(*mut MaybeUninit<U>);
-
-impl<U> Clone for SendPtr<U> {
-    fn clone(&self) -> Self {
-        *self
+impl WidthGuard {
+    fn set(width: usize) -> Self {
+        WidthGuard(WIDTH.replace(Some(width)))
     }
 }
-impl<U> Copy for SendPtr<U> {}
-// Safety: the pointer is only ever written (never read) before the batch latch opens, and
-// every task writes a disjoint range of indices.
-unsafe impl<U: Send> Send for SendPtr<U> {}
-unsafe impl<U: Send> Sync for SendPtr<U> {}
 
-/// Map `f` over `items` on the current pool, preserving input order in the output.
+impl Drop for WidthGuard {
+    fn drop(&mut self) {
+        WIDTH.set(self.0);
+    }
+}
+
+/// The width when no pool is installed: `P2PGRID_POOL_THREADS` if it parses (clamped to at
+/// least 1), otherwise the machine's available parallelism.  Read once per process.
+fn default_width() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var(POOL_THREADS_ENV)
+            .ok()
+            .and_then(|value| value.trim().parse::<usize>().ok())
+            .map_or_else(
+                || std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+                |n| n.max(1),
+            )
+    })
+}
+
+/// Number of threads a parallel map started here may use: the installed pool's width inside
+/// [`ThreadPool::install`], `1` inside an item of a map that runs on more than one thread,
+/// otherwise the default width.
+pub fn current_num_threads() -> usize {
+    WIDTH.get().unwrap_or_else(default_width)
+}
+
+/// Map `f` over `items` at the current width, preserving input order in the output.
 ///
-/// Work is split into roughly `4 × workers` chunks so that uneven per-item costs re-balance
-/// via stealing; every chunk writes its results directly into the output vector at the
-/// item's original index.  Panics in `f` are caught, the batch is drained to completion
-/// (the latch must open before the stack frame holding the borrows unwinds), and the first
-/// panic payload is re-thrown on the calling thread.
-fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
+/// The calling thread and `width − 1` scoped threads pull `(index, item)` pairs from one
+/// queue, one item at a time, and run every item at width 1.  A panic in an item stops only
+/// the thread it ran on; the scope waits for the others before the payload is re-raised here.
+fn parallel_map<T, U, F, C>(items: Vec<T>, f: F) -> C
 where
     T: Send,
     U: Send,
     F: Fn(T) -> U + Sync,
+    C: FromIterator<U>,
 {
-    let len = items.len();
-    let pool = pool::current_pool();
-    if len <= 1 || pool.worker_count() <= 1 {
+    let threads = current_num_threads().min(items.len());
+    if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-
-    // Several chunks per worker: small enough to re-balance skewed workloads by stealing,
-    // large enough to keep per-chunk overhead negligible.
-    let chunk_size = len.div_ceil(pool.worker_count() * 4).max(1);
-    let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(len.div_ceil(chunk_size));
-    let mut items = items;
-    let mut consumed = 0usize;
-    while !items.is_empty() {
-        let rest = items.split_off(items.len().min(chunk_size));
-        let chunk = std::mem::replace(&mut items, rest);
-        let start = consumed;
-        consumed += chunk.len();
-        chunks.push((start, chunk));
-    }
-
-    let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(len);
-    // Safety: MaybeUninit<U> needs no initialisation, and `out` is only transmuted to
-    // Vec<U> after every index has been written (the latch guarantees it).
-    unsafe { out.set_len(len) };
-    let out_ptr = SendPtr(out.as_mut_ptr());
-
-    let latch = Latch::new(chunks.len());
-    let panics = BatchPanic::new();
-    let f = &f;
-    let latch_ref = &latch;
-    let tasks = chunks
-        .into_iter()
-        .map(|(start, chunk)| {
-            let panics = Arc::clone(&panics);
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                // Rebind the wrapper so the closure captures `SendPtr` itself — 2021
-                // disjoint capture would otherwise grab the raw (non-Send) field.
-                let out_ptr = out_ptr;
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    for (offset, item) in chunk.into_iter().enumerate() {
-                        // Safety: indices [start, start + chunk.len()) are owned by this
-                        // task alone and lie inside the `len`-element allocation.
-                        unsafe { (*out_ptr.0.add(start + offset)).write(f(item)) };
-                    }
-                }));
-                if let Err(payload) = result {
-                    panics.record(payload);
-                }
-                latch_ref.count_down();
-            });
-            // Safety: run_batch below blocks this frame until the latch opens, i.e. until
-            // every job has finished running, so the erased borrows outlive the jobs.
-            unsafe { erase_job(job) }
-        })
-        .collect();
-    pool.run_batch(tasks, &latch);
-    // Re-throw a worker panic only after every sibling finished (all borrows are dead, and
-    // `out` drops as MaybeUninit — written elements leak, which is safe).
-    panics.propagate();
-
-    // Safety: the latch opened with no panic recorded, so all `len` elements are written.
-    unsafe {
-        let mut out = ManuallyDrop::new(out);
-        Vec::from_raw_parts(out.as_mut_ptr().cast::<U>(), len, out.capacity())
-    }
-}
-
-// ----- join ------------------------------------------------------------------------------
-
-/// Run `a` and `b` potentially in parallel and return both results.
-///
-/// `b` is offered to the current pool while the calling thread runs `a`; the caller then
-/// helps execute pool tasks until `b` completes (it runs `b` itself if no worker stole it).
-/// On a single-threaded pool this is exactly `(a(), b())`.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let pool = pool::current_pool();
-    if pool.worker_count() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-
-    let latch = Latch::new(1);
-    let panics = BatchPanic::new();
-    let mut slot_b: Option<RB> = None;
-    {
-        let slot_b = &mut slot_b;
-        let panics_b = Arc::clone(&panics);
-        let latch_ref = &latch;
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            match catch_unwind(AssertUnwindSafe(b)) {
-                Ok(value) => *slot_b = Some(value),
-                Err(payload) => panics_b.record(payload),
-            }
-            latch_ref.count_down();
-        });
-        // Safety: help_until below keeps this frame alive until the latch opens, so the
-        // borrows of `slot_b`, `panics` and `latch` outlive the job.
-        let task = unsafe { erase_job(job) };
-        pool.push_task(task);
-    }
-
-    let ra = catch_unwind(AssertUnwindSafe(a));
-    pool.help_until(&latch);
-    let ra = match ra {
-        Ok(value) => value,
-        Err(payload) => {
-            panics.record(payload);
-            panics.propagate();
-            unreachable!("join: recorded panic must have been propagated")
-        }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let drain = || {
+        let _inline = WidthGuard::set(1);
+        // The lock guard dies with each `next()` call, so `f` runs unlocked.
+        std::iter::from_fn(|| queue.lock().expect("map queue poisoned").next())
+            .map(|(index, item)| (index, f(item)))
+            .collect::<Vec<_>>()
     };
-    panics.propagate();
-    (
-        ra,
-        slot_b.expect("join: closure b completed without panicking"),
-    )
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(drain)).collect();
+        let mut done = drain();
+        for helper in helpers {
+            match helper.join() {
+                Ok(pairs) => done.extend(pairs),
+                Err(payload) => resume_unwind(payload),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
-
-// ----- thread pools ----------------------------------------------------------------------
 
 /// Error returned by [`ThreadPoolBuilder::build`] (mirrors rayon's opaque error type; this
-/// shim's build can only fail if OS thread spawning fails, which panics instead).
+/// shim's build cannot fail).
 #[derive(Debug)]
 pub struct ThreadPoolBuildError(());
 
@@ -208,10 +131,10 @@ impl std::fmt::Display for ThreadPoolBuildError {
 
 impl std::error::Error for ThreadPoolBuildError {}
 
-/// Builder for an owned [`ThreadPool`], mirroring rayon's `ThreadPoolBuilder`.
+/// Builder for a [`ThreadPool`], mirroring rayon's `ThreadPoolBuilder`.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
-    num_threads: Option<usize>,
+    num_threads: usize,
 }
 
 impl ThreadPoolBuilder {
@@ -220,67 +143,50 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Set the worker count.  `0` (rayon convention) means "use the default", i.e. the
-    /// `P2PGRID_POOL_THREADS` override or the machine's available parallelism; `1` builds an
-    /// inline pool whose parallel operations run sequentially on the submitting thread.
+    /// Set the width.  `0` (rayon convention) means the default width, i.e. the
+    /// `P2PGRID_POOL_THREADS` override or the machine's available parallelism; `1` builds a
+    /// pool whose parallel maps run inline on the calling thread.
     pub fn num_threads(mut self, num_threads: usize) -> Self {
-        self.num_threads = (num_threads > 0).then_some(num_threads);
+        self.num_threads = num_threads;
         self
     }
 
-    /// Build the pool and spawn its workers.
+    /// Build the pool.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let workers = self.num_threads.unwrap_or_else(pool::default_worker_count);
-        let (state, handles) = PoolState::spawn(workers);
-        Ok(ThreadPool { state, handles })
+        let num_threads = match self.num_threads {
+            0 => default_width(),
+            n => n,
+        };
+        Ok(ThreadPool { num_threads })
     }
 }
 
-/// An owned work-stealing thread pool, independent of the global one.
+/// A width for the parallel maps run inside [`install`](Self::install).
 ///
-/// Unlike real rayon, [`install`](Self::install) runs the closure on the *calling* thread
-/// with this pool made current — parallel operations inside route to this pool's workers,
-/// which is the observable contract the workspace relies on (e.g. to compare thread counts
-/// within one process).  Workers are shut down and joined when the pool is dropped.
+/// Unlike real rayon, the pool owns no threads: `install` runs the closure on the *calling*
+/// thread with this width set, and each parallel map inside starts its own scoped threads.
+#[derive(Debug)]
 pub struct ThreadPool {
-    state: Arc<PoolState>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    num_threads: usize,
 }
 
 impl ThreadPool {
-    /// Run `f` with this pool as the current pool for every parallel operation inside.
+    /// Run `f` with this pool's width set for every parallel map inside.  The previous width
+    /// comes back when `f` returns or panics.
     pub fn install<R, F>(&self, f: F) -> R
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        pool::with_installed(&self.state, f)
+        let _installed = WidthGuard::set(self.num_threads);
+        f()
     }
 
-    /// Number of worker threads in this pool.
+    /// This pool's width.
     pub fn current_num_threads(&self) -> usize {
-        self.state.worker_count()
+        self.num_threads
     }
 }
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("num_threads", &self.state.worker_count())
-            .finish()
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.state.shutdown();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-// ----- parallel iterator surface ---------------------------------------------------------
 
 /// A not-yet-mapped parallel iterator over owned items.
 pub struct ParIter<T> {
@@ -322,8 +228,7 @@ where
 {
     type Item = U;
     fn collect<C: FromIterator<U>>(self) -> C {
-        let items: Vec<I::Item> = self.inner.collect();
-        parallel_map(items, self.f).into_iter().collect()
+        parallel_map(self.inner.collect(), self.f)
     }
 }
 
@@ -394,7 +299,7 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::{current_num_threads, join, ThreadPoolBuilder};
+    use super::{current_num_threads, ThreadPoolBuilder};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -422,13 +327,6 @@ mod tests {
         assert!(empty.is_empty());
         let one: Vec<u8> = vec![7u8].into_par_iter().map(|x| x + 1).collect();
         assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    fn join_runs_both_and_orders_results() {
-        let (a, b) = join(|| 2 + 2, || "right".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "right");
     }
 
     #[test]
@@ -481,6 +379,65 @@ mod tests {
         assert_eq!(pool.current_num_threads(), 3);
         let seen = pool.install(current_num_threads);
         assert_eq!(seen, 3);
+    }
+
+    #[test]
+    fn a_panic_inside_install_restores_the_default_width() {
+        let default = current_num_threads();
+        let pool = ThreadPoolBuilder::new()
+            .num_threads(default + 5)
+            .build()
+            .unwrap();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| panic!("boom"));
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(current_num_threads(), default);
+    }
+
+    #[test]
+    fn a_width_2_map_runs_at_most_two_items_at_once() {
+        // The bound holds in every interleaving; the sleep only makes the threads' items
+        // overlap, so a third item in flight would be seen.  The calling thread counts as one
+        // of the two.
+        let in_flight = AtomicUsize::new(0);
+        let most = AtomicUsize::new(0);
+        let pool = ThreadPoolBuilder::new().num_threads(2).build().unwrap();
+        pool.install(|| {
+            let _: Vec<()> = (0..32usize)
+                .into_par_iter()
+                .map(|_| {
+                    let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                    most.fetch_max(now, Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    in_flight.fetch_sub(1, Ordering::SeqCst);
+                })
+                .collect();
+        });
+        let most = most.load(Ordering::SeqCst);
+        assert!(most <= 2, "{most} items ran at once on a width-2 pool");
+    }
+
+    #[test]
+    fn items_of_a_multi_thread_map_run_nested_maps_inline() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let items: Vec<(usize, bool)> = pool.install(|| {
+            (0..8usize)
+                .into_par_iter()
+                .map(|_| {
+                    let me = std::thread::current().id();
+                    let nested: Vec<std::thread::ThreadId> = (0..16usize)
+                        .into_par_iter()
+                        .map(|_| std::thread::current().id())
+                        .collect();
+                    (current_num_threads(), nested.iter().all(|&id| id == me))
+                })
+                .collect()
+        });
+        for (width, inline) in items {
+            assert_eq!(width, 1, "an item of a 4-wide map saw width {width}");
+            assert!(inline, "a nested map left its item's thread");
+        }
     }
 
     #[test]

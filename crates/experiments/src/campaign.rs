@@ -10,10 +10,10 @@
 //!    what the edit changes and shares the base's `Arc`'d topology tables, workflow set and
 //!    gossip trace wherever their build inputs are unchanged.
 //! 3. [`cross`] the scenarios with the algorithm configurations into a flat job list and
-//!    [`run`] it across the shared work-stealing pool.  Reports come back in job order, so
-//!    no index bookkeeping is needed.  `run` consumes the jobs and drops each one as it
-//!    finishes, so a world nothing else holds — its gossip trace included — is freed once
-//!    its last job has run.
+//!    [`run`] it through the `rayon` shim's parallel map, whose threads pull one job at a
+//!    time.  Reports come back in job order, so no index bookkeeping is needed.  `run`
+//!    consumes the jobs and drops each one as it finishes, so a world nothing else holds —
+//!    its gossip trace included — is freed once its last job has run.
 //!
 //! [`sweep`] does all three for a one-knob sweep.  [`run_sequential`] is the single-threaded
 //! reference path: it executes the identical job list on the calling thread and is used by
@@ -91,8 +91,9 @@ pub fn paper_algorithms() -> Vec<AlgorithmConfig> {
         .collect()
 }
 
-/// Run every job across the shared work-stealing pool.  Reports are returned in job order
-/// regardless of which worker finished first.
+/// Run every job through one parallel map at the current pool width
+/// (`P2PGRID_POOL_THREADS`, or the installed `rayon::ThreadPool`'s).  Reports are returned in
+/// job order regardless of which thread finished first.
 ///
 /// Each job is dropped as soon as it has run, so a world held by nothing but its jobs is
 /// freed after the last of them rather than when the whole list is done.

@@ -67,9 +67,9 @@ pub struct FaultToleranceSweep {
 ///
 /// The base world is built **once**; each cell is derived with [`Scenario::derive`] — the
 /// fault schedule re-drawn once per MTBF, then the policy swapped on that MTBF's world — and
-/// the full grid of jobs runs across the shared work-stealing pool.  Recovery never changes
-/// liveness or gossip, so an MTBF's cells share one gossip trace: the protocol runs once per
-/// MTBF, not once per cell.
+/// the full grid of jobs runs through one parallel map.  Recovery never changes liveness or
+/// gossip, so an MTBF's cells share one gossip trace: the protocol runs once per MTBF, not
+/// once per cell.
 pub fn run(scale: ExperimentScale, seed: u64) -> FaultToleranceSweep {
     let mtbf_hours = scale.mtbf_sweep_hours();
     let policies = policies();

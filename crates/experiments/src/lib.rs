@@ -24,8 +24,8 @@
 //! All runners execute through the [`campaign`] module: sweep points are derived from one
 //! base world with `Scenario::derive`, so a whole sweep pays for a single
 //! topology/all-pairs-metrics build — and, where the swept knob leaves the gossip protocol's
-//! inputs alone, a single protocol run — and the resulting jobs run across the shared
-//! work-stealing pool with reports returned in input order.
+//! inputs alone, a single protocol run — and the resulting jobs run in parallel, one
+//! session per thread at a time, with reports returned in input order.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -2,11 +2,11 @@
 //!
 //! Build one base world, derive a seed sweep from it with `Scenario::with_seed` (the whole
 //! sweep shares the base's `Arc`'d topology / all-pairs-metrics / landmark tables, so it
-//! pays for exactly one expensive build), then run every (world, algorithm) job across the
-//! persistent work-stealing pool with `p2pgrid::experiments::campaign`.
+//! pays for exactly one expensive build), then run every (world, algorithm) job in parallel
+//! with `p2pgrid::experiments::campaign`.
 //!
 //! Run with `cargo run --release --example sweep_campaign`.  Set `P2PGRID_POOL_THREADS` to
-//! size (or, with `=1`, disable) the pool.
+//! the number of threads a sweep may use (`=1` runs every session on the calling thread).
 
 use p2pgrid::experiments::campaign;
 use p2pgrid::prelude::*;

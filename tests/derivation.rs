@@ -12,9 +12,9 @@
 //!    so a whole sweep pays for one topology + all-pairs-metrics + landmark computation, and
 //!    a sweep over a knob the gossip protocol does not read pays for one protocol run.
 //!
-//! A third pin covers the execution layer: running a campaign through the work-stealing pool
-//! must not perturb any report — pool sizes 1 and 8 and the sequential path all agree bit
-//! for bit.
+//! A third pin covers the execution layer: running a campaign through the parallel map must
+//! not perturb any report — pool widths 1 and 8 and the sequential path all agree bit for
+//! bit.
 
 use p2pgrid::experiments::campaign;
 use p2pgrid::prelude::*;
