@@ -1,21 +1,13 @@
-//! Offline stand-in for the real `serde` crate.
+//! The workspace's JSON codec, kept under the name of the `serde` crate it stands in for.
 //!
-//! The workspace builds without network access, so this shim supplies exactly the surface the
-//! codebase uses: the `Serialize` / `Deserialize` *derive macros* (which expand to nothing),
-//! same-named marker traits for bounds, and a minimal [`json`] backend: a self-describing
+//! The workspace builds without network access, and nothing in it derives or bounds on
+//! `serde`'s traits, so this crate holds only a minimal [`json`] backend: a self-describing
 //! [`json::Value`] tree with a conforming writer and parser, and the one codec every
 //! document the repo both writes and reads goes through — the [`json::Codec`] trait, its
 //! path-carrying [`json::SchemaError`] and the [`json_codec!`] table that declares a type's
 //! fields once.  Write-only builders (figures, report digests) assemble `Value` trees by
-//! hand.
-
-pub use serde_derive::{Deserialize, Serialize};
-
-/// Marker trait mirroring `serde::Serialize` (no methods in this offline shim).
-pub trait Serialize {}
-
-/// Marker trait mirroring `serde::Deserialize` (no methods in this offline shim).
-pub trait Deserialize<'de> {}
+//! hand.  None of this has a crates.io counterpart under the same paths: moving to the real
+//! `serde` and `serde_json` would mean rewriting every call site.
 
 /// A minimal JSON document model and writer (the `serde_json::Value` analogue).
 pub mod json {

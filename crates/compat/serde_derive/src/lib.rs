@@ -1,11 +1,10 @@
-//! Offline stand-in for the real `serde_derive` crate.
+//! No-op `Serialize` / `Deserialize` derives, which nothing in the workspace uses any more.
 //!
-//! This workspace builds in a fully offline environment (no crates.io access), so the
-//! `#[derive(Serialize, Deserialize)]` markers scattered across the data types are satisfied by
-//! these no-op derives instead of the real code generators.  Nothing in the workspace actually
-//! serializes values today; the derives exist so the types are ready for a real `serde` the day
-//! the build environment gains network access — swap the `[patch]`-free path dependency for the
-//! crates.io release and everything keeps compiling.
+//! The types once carried these derives for a real `serde` that no offline build can fetch;
+//! the JSON codec in `crates/compat/serde` was always the serializer.  The crate stays only
+//! because dropping it, and the `serde` shim's dependency edge on it, rewrites
+//! `perfbench/Cargo.lock`, which changes only together with the benchmark.  The next change
+//! to the benchmark deletes both.
 
 use proc_macro::TokenStream;
 

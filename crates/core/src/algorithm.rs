@@ -1,12 +1,11 @@
 //! The eight scheduling algorithms compared in Section IV, and their phase pairings.
 
 use serde::json::{Codec, SchemaError, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The workflow scheduling algorithm driving the **first phase** (dispatch from home nodes) and,
 /// for the full-ahead baselines, the whole plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// The paper's contribution: dynamic shortest (remaining) makespan first, applied at both
     /// phases.
@@ -122,7 +121,7 @@ impl fmt::Display for Algorithm {
 }
 
 /// The rule a resource node uses to pick the next task from its ready set (the second phase).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SecondPhase {
     /// DSMF / Formula 10: the task whose workflow has the shortest remaining makespan,
     /// tie-broken by longest RPM (Algorithm 2).
@@ -164,7 +163,7 @@ impl fmt::Display for SecondPhase {
 }
 
 /// A complete scheduler configuration: the first-phase algorithm plus the second-phase rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AlgorithmConfig {
     /// First-phase algorithm.
     pub algorithm: Algorithm,

@@ -9,10 +9,9 @@ use p2pgrid_gossip::MixedGossipConfig;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
 use p2pgrid_topology::WaxmanConfig;
 use p2pgrid_workflow::{WorkflowGeneratorConfig, WorkloadSpec};
-use serde::{Deserialize, Serialize};
 
 /// How node capacities are assigned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CapacityModel {
     /// Capacities drawn uniformly from the given set (Table I: {1, 2, 4, 8, 16} MIPS).
     Choices(Vec<f64>),
@@ -65,7 +64,7 @@ impl CapacityModel {
 
 /// One class of a heterogeneous slot distribution: nodes of this class own `slots` execution
 /// slots, and the class is drawn with probability proportional to `weight`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotClass {
     /// Execution slots per node of this class (≥ 1).
     pub slots: usize,
@@ -74,7 +73,7 @@ pub struct SlotClass {
 }
 
 /// How many execution slots each node owns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SlotModel {
     /// Every node has the same slot count (paper: 1).
     Uniform(usize),
@@ -131,7 +130,7 @@ impl SlotModel {
 }
 
 /// Whether a resource node's slots are preemptible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PreemptionPolicy {
     /// The paper's model: a task that starts executing holds its slot until it finishes.
     NonPreemptive,
@@ -152,7 +151,7 @@ pub enum PreemptionPolicy {
 /// individual task runs on one slot at the per-slot speed (`capacity / slots` of the
 /// advertised aggregate).  See `examples/multicore_grid.rs` (uniform sweep) and
 /// `examples/heterogeneous_grid.rs` (weighted distributions + preemption).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceModel {
     /// Per-node slot counts (paper default: uniform 1).
     pub slots: SlotModel,
@@ -210,7 +209,7 @@ impl ResourceModel {
 
 /// The churn model of §IV.B: a fixed fraction of the population is *stable* (may serve as home
 /// nodes and never departs); the rest may join/leave every scheduling interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// The dynamic factor `df`: the ratio of churning (joined + the same number departed) nodes
     /// to the total population per scheduling interval.  Zero disables churn.
@@ -279,7 +278,7 @@ impl ChurnConfig {
 /// The whole failure schedule is pre-drawn from the dedicated [`StreamKind::Faults`] stream
 /// (one sub-stream per node) when the scenario is built, so failures are ordinary node events
 /// and reports stay byte-identical across pool widths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StochasticFaults {
     /// Mean time between failures of one node (exponential uptime; must be positive).
     pub mtbf: SimDuration,
@@ -343,7 +342,7 @@ impl StochasticFaults {
 /// by outages arriving as a Poisson process (mean inter-outage time
 /// [`mtbf`](CorrelatedOutage::mtbf)).  An outage takes the whole group down for a fixed
 /// [`duration`](CorrelatedOutage::duration).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorrelatedOutage {
     /// Nodes per outage group (>= 2; the last group may be smaller).
     pub group_size: usize,
@@ -354,7 +353,7 @@ pub struct CorrelatedOutage {
 }
 
 /// How nodes fail — the fault model of a [`GridConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FaultModel {
     /// No faults at all (the static experiments of Fig. 4–10).
     #[default]
@@ -418,7 +417,7 @@ impl FaultModel {
 /// The policy only concerns tasks that were *running* when their node went down; tasks that
 /// were merely queued on the node re-enter the schedule-point queue for free under every
 /// policy (they cost nothing but the wasted placement).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RecoveryPolicy {
     /// The paper's behaviour: losing a running task fails its whole workflow.
     #[default]
@@ -549,7 +548,7 @@ impl StreamKind {
 /// master seed.  This is what lets [`Scenario::with_seed`](crate::scenario::Scenario::with_seed)
 /// re-seed the cheap streams of a derived world while the expensive topology/landmark
 /// streams stay pinned (and their `Arc`'d tables stay shared).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StreamSeeds {
     /// Override for the topology stream.
     pub topology: Option<u64>,
@@ -608,7 +607,7 @@ impl StreamSeeds {
 /// serialized [`WorkloadSpec`] instead (e.g. a checked-in artifact from `workloads/`): each
 /// entry names its DAG, its arrival time and its home-node policy, and `workflows_per_node`
 /// is ignored.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSource {
     /// Randomly generated workflows (the paper's Table I model).
     Synthetic(WorkflowGeneratorConfig),
@@ -665,7 +664,7 @@ impl WorkloadSource {
 /// Trace workloads ([`WorkloadSource::Trace`]) carry explicit per-entry arrival times; for
 /// them a non-`Batch` process *overrides* those times (same DAGs, resampled arrivals), which
 /// is what lets a checked-in workload be replayed under, say, a flash crowd.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum ArrivalProcess {
     /// Every workflow is submitted at its workload-defined time (time zero for synthetic
     /// workloads — the paper's model).  Samples no randomness.
@@ -840,7 +839,7 @@ pub(crate) fn exponential(rng: &mut SimRng, rate_per_sec: f64) -> f64 {
 }
 
 /// Full configuration of one grid-simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridConfig {
     /// Number of peer nodes (Table I: 200–2 000; the headline experiments use 1 000).
     pub nodes: usize,

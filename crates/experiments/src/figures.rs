@@ -1,10 +1,9 @@
 //! Figure data structures shared by all experiment runners.
 
 use p2pgrid_metrics::format_table;
-use serde::{Deserialize, Serialize};
 
 /// One curve of a figure: a legend label and `(x, y)` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Legend label (e.g. algorithm name or `df=0.2`).
     pub label: String,
@@ -44,7 +43,7 @@ impl Series {
 }
 
 /// The regenerated data behind one of the paper's figures (or text tables).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureData {
     /// Identifier such as `"fig4"`, `"fig11a"`, `"fcfs-ablation"`.
     pub id: String,
@@ -86,9 +85,7 @@ impl FigureData {
     }
 
     /// The whole figure as a machine-readable JSON document — the artifact `repro --json`
-    /// writes, one file per figure.  Serialized through the serde compat shim's
-    /// [`json`](serde::json) backend; with the real `serde`/`serde_json` this maps
-    /// one-to-one onto `#[derive(Serialize)]`.
+    /// writes, one file per figure, built as a [`json::Value`](serde::json::Value) tree.
     pub fn to_json(&self) -> serde::json::Value {
         serde::json::Value::object([
             ("id", self.id.as_str().into()),

@@ -3,10 +3,9 @@
 use p2pgrid_core::GridConfig;
 use p2pgrid_sim::SimDuration;
 use serde::json::{Codec, SchemaError, Value};
-use serde::{Deserialize, Serialize};
 
 /// How big to run an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentScale {
     /// Tiny configuration for unit/integration tests (tens of nodes, a few hours).
     Smoke,

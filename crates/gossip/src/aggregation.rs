@@ -17,10 +17,9 @@
 use crate::state::PeerId;
 use crate::view::NewscastView;
 use p2pgrid_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the aggregation protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AggregationConfig {
     /// Number of cycles per epoch; estimates are re-seeded from local values at epoch start.
     pub restart_every: u32,

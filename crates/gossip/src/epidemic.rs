@@ -8,10 +8,9 @@
 use crate::state::{MergeScratch, NodeStateRecord, PeerId, ResourceStateSet};
 use crate::view::NewscastView;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the epidemic gossip protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpidemicConfig {
     /// Number of neighbours each node pushes to per cycle (`log2 n` in the paper).
     pub fanout: usize,

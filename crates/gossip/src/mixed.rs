@@ -27,7 +27,6 @@ use crate::epidemic::{EpidemicConfig, EpidemicGossip, LocalAdvertisement};
 use crate::state::{PeerId, ResourceStateSet};
 use crate::view::NewscastView;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Ground-truth local state of one node, supplied by the simulation core every cycle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +51,7 @@ impl LocalNodeState {
 }
 
 /// Configuration of the mixed protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MixedGossipConfig {
     /// Epidemic fan-out; `None` selects the paper's `log2(n)` rule.
     pub fanout: Option<usize>,
@@ -86,7 +85,7 @@ impl Default for MixedGossipConfig {
 }
 
 /// Traffic statistics of the protocol.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GossipStats {
     /// Gossip cycles executed.
     pub cycles: u64,

@@ -1,13 +1,12 @@
 //! Per-node state records and the bounded resource state set `RSS`.
 
 use p2pgrid_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a peer node (dense index, shared with `p2pgrid-topology`).
 pub type PeerId = usize;
 
 /// A gossiped record describing one resource node's state.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeStateRecord {
     /// The node this record describes.
     pub node: PeerId,

@@ -1,9 +1,7 @@
 //! Online statistics (Welford's algorithm) and simple percentile helpers.
 
-use serde::{Deserialize, Serialize};
-
 /// Single-pass accumulator of count / mean / variance / min / max.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,

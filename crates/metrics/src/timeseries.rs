@@ -1,10 +1,9 @@
 //! Periodically sampled time series.
 
 use p2pgrid_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A named series of `(time, value)` samples, as plotted on the paper's figures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(SimTime, f64)>,

@@ -3,10 +3,9 @@
 use crate::stats::OnlineStats;
 use crate::timeseries::TimeSeries;
 use p2pgrid_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Final outcome of one workflow instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkflowOutcome {
     /// The exit task finished.
     Completed,
@@ -16,7 +15,7 @@ pub enum WorkflowOutcome {
 }
 
 /// Per-workflow record used by the accumulators.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkflowRecord {
     /// Time the workflow was submitted to its home node.
     pub submitted_at: SimTime,

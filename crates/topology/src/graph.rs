@@ -1,12 +1,10 @@
 //! The network graph data structure.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a peer node; indices are dense `0..n`.
 pub type NodeId = usize;
 
 /// Properties of a single (undirected) network link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EdgeProps {
     /// Link bandwidth in megabits per second.
     pub bandwidth_mbps: f64,
@@ -15,7 +13,7 @@ pub struct EdgeProps {
 }
 
 /// One directed adjacency entry (each undirected edge is stored twice).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Adjacency {
     /// The neighbouring node.
     pub to: NodeId,
@@ -28,7 +26,7 @@ pub struct Adjacency {
 /// Nodes carry 2-D coordinates (in the Waxman unit square scaled by the configured plane size),
 /// which the generator uses for distance-dependent edge probabilities and latencies, and which
 /// the landmark estimator uses to pick well-spread landmarks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     coords: Vec<(f64, f64)>,
     adjacency: Vec<Vec<Adjacency>>,

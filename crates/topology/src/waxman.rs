@@ -20,10 +20,9 @@
 
 use crate::graph::{EdgeProps, NodeId, Topology};
 use p2pgrid_sim::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the Waxman generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaxmanConfig {
     /// Number of nodes.
     pub nodes: usize,

@@ -14,10 +14,9 @@
 //! reuse the same recursion for both its own heuristic and the HEFT baseline.
 
 use crate::dag::{TaskId, Workflow};
-use serde::{Deserialize, Serialize};
 
 /// The system-wide average costs used for estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpectedCosts {
     /// Average node capacity in MIPS.
     pub avg_capacity_mips: f64,

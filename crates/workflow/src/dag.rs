@@ -1,10 +1,9 @@
 //! The workflow DAG data structure.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a task *within one workflow* (a dense index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u32);
 
 impl TaskId {
@@ -21,7 +20,7 @@ impl fmt::Display for TaskId {
 }
 
 /// A single workflow task.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Computational load in million instructions (Table I: 100–10 000 MI).
     pub load_mi: f64,
@@ -75,7 +74,7 @@ impl Task {
 
 /// A dependency edge annotated with the amount of data (Mb) the successor must receive from the
 /// precedent before it can start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataEdge {
     /// The other endpoint.
     pub task: TaskId,
@@ -162,7 +161,7 @@ impl WorkflowBuilder {
 /// After construction the workflow always has exactly one entry task and one exit task; if the
 /// user-supplied DAG had several, zero-cost virtual tasks are prepended/appended, exactly as
 /// Section II.A of the paper prescribes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workflow {
     tasks: Vec<Task>,
     succs: Vec<Vec<DataEdge>>,

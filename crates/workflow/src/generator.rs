@@ -2,11 +2,10 @@
 
 use crate::dag::{Task, TaskId, Workflow, WorkflowBuilder, WorkflowError};
 use p2pgrid_sim::SimRng;
-use serde::{Deserialize, Serialize};
 use std::ops::RangeInclusive;
 
 /// Parameter ranges for the random workflow generator, defaulting to Table I of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowGeneratorConfig {
     /// Number of (real) tasks per workflow.  Table I: 2–30.
     pub tasks: RangeInclusive<u32>,

@@ -27,7 +27,6 @@
 
 use crate::dag::{Task, TaskId, Workflow, WorkflowBuilder, WorkflowError};
 use serde::json::{self, Codec, SchemaError, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -124,7 +123,7 @@ impl From<SchemaError> for SpecError {
 }
 
 /// One task of a serialized workflow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSpec {
     /// Unique (within the workflow) task name; edges reference tasks by name.
     pub name: String,
@@ -139,7 +138,7 @@ pub struct TaskSpec {
 serde::json_codec! { TaskSpec { name, load_mi, image_size_mb, priority } }
 
 /// One dependency edge of a serialized workflow: `[from, to, data_mb]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeSpec {
     /// Name of the precedent task.
     pub from: String,
@@ -169,7 +168,7 @@ impl Codec for EdgeSpec {
 }
 
 /// A serializable workflow DAG (`p2pgrid-workflow/v1`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkflowSpec {
     /// The workflow's name (entries in a [`WorkloadSpec`] reference it).
     pub name: String,
@@ -300,7 +299,7 @@ impl std::str::FromStr for WorkflowSpec {
 }
 
 /// Where a submitted workflow instance lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HomePolicy {
     /// Round-robin over the scenario's stable home candidates (deterministic, in entry order).
     Auto,
@@ -327,7 +326,7 @@ impl Codec for HomePolicy {
 }
 
 /// One submitted workflow instance: which DAG, when, and where it is homed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadEntry {
     /// Name of a workflow in the workload's library.
     pub workflow: String,
@@ -340,7 +339,7 @@ pub struct WorkloadEntry {
 serde::json_codec! { WorkloadEntry { workflow, submit_at_ms = 0, home } }
 
 /// A serializable workload (`p2pgrid-workload/v1`): a workflow library plus arrival entries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
     /// The workload's name (used in reports and file names).
     pub name: String,
