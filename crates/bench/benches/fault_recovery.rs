@@ -1,25 +1,17 @@
-//! "Fig. 15" — the fault-tolerance study: DSMF under stochastic node lifetimes.
+//! The cost of the fault substrate behind Fig. 15: DSMF under stochastic node lifetimes.
 //!
-//! Regenerates the three fault-tolerance figures once at benchmark scale, then benchmarks
-//! two things: that [`FaultModel::Off`] costs no measurable wall time over the pre-fault
-//! engine (the fault substrate must be pay-for-what-you-use), and the overhead of full
-//! fault-injected runs under each recovery policy.
+//! Benchmarks two things: that [`FaultModel::Off`] costs no measurable wall time over the
+//! pre-fault engine (the fault substrate must be pay-for-what-you-use), and the overhead of
+//! full fault-injected runs under each recovery policy.  The figures themselves come from
+//! `repro --fig fault`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use p2pgrid_bench::{bench_criterion_config, bench_grid_config, print_figure};
+use p2pgrid_bench::{bench_criterion_config, bench_grid_config};
 use p2pgrid_core::{Algorithm, FaultModel, RecoveryPolicy, Scenario, StochasticFaults};
-use p2pgrid_experiments::{fault_tolerance, ExperimentScale};
 use p2pgrid_sim::SimDuration;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    let sweep = fault_tolerance::run(ExperimentScale::Smoke, p2pgrid_bench::BENCH_SEED);
-    print_figure(&sweep.fig15a_throughput());
-    print_figure(&sweep.fig15b_goodput());
-    print_figure(&sweep.fig15c_recovery_latency());
-    println!("# fault-tolerance summary");
-    println!("{}", sweep.summary_table());
-
     // FaultModel::Off must be free: the default config and the explicit Off spelling run
     // the exact same event stream, so the two timings below should be indistinguishable.
     // (They are separate Criterion ids so a regression shows up as the pair diverging.)

@@ -1,10 +1,9 @@
 //! Benchmark-scale configuration helpers.
 
 use p2pgrid_core::GridConfig;
-use p2pgrid_experiments::FigureData;
 use p2pgrid_sim::SimDuration;
 
-/// Seed used by every benchmark so that printed figure data is reproducible run to run.
+/// Seed used by every benchmark, so that its worlds are the same run to run.
 pub const BENCH_SEED: u64 = 20100913;
 
 /// A grid configuration sized for Criterion iterations: the paper's parameter ranges, a reduced
@@ -30,9 +29,4 @@ pub fn bench_criterion_config() -> criterion::Criterion {
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(5))
         .configure_from_args()
-}
-
-/// Print a regenerated figure to the bench log.
-pub fn print_figure(fig: &FigureData) {
-    println!("\n{}", fig.render());
 }

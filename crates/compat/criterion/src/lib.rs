@@ -69,21 +69,6 @@ impl Criterion {
         }
     }
 
-    /// Run a single benchmark outside any group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Display, mut f: F) {
-        self.run_one(&id.to_string(), &mut f);
-    }
-
-    /// Run `f` as the benchmark `id` with a borrowed input.
-    pub fn bench_with_input<I: ?Sized, F: FnMut(&mut Bencher, &I)>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) {
-        self.run_one(&id.to_string(), &mut |b: &mut Bencher| f(b, input));
-    }
-
     fn run_one(&self, name: &str, f: &mut dyn FnMut(&mut Bencher)) {
         if let Some(filter) = &self.filter {
             if !name.contains(filter.as_str()) {
