@@ -51,15 +51,6 @@ impl CapacityModel {
             None => Ok(()),
         }
     }
-
-    /// The mean capacity of the model (used by tests; the running system estimates this through
-    /// the aggregation gossip instead).
-    pub fn mean(&self) -> f64 {
-        match self {
-            CapacityModel::Choices(choices) => choices.iter().sum::<f64>() / choices.len() as f64,
-            CapacityModel::Uniform(c) => *c,
-        }
-    }
 }
 
 /// One class of a heterogeneous slot distribution: nodes of this class own `slots` execution
@@ -236,11 +227,6 @@ impl Default for ChurnConfig {
 }
 
 impl ChurnConfig {
-    /// A static system (no churn, every node is a home node).
-    pub fn none() -> Self {
-        ChurnConfig::default()
-    }
-
     /// Churn with the given dynamic factor and the paper's 50% stable population.  Home nodes
     /// are restricted to the stable population (also for `df = 0`) so that churn sweeps are
     /// comparable across dynamic factors.
@@ -640,14 +626,6 @@ impl WorkloadSource {
             WorkloadSource::Trace(_) => {
                 panic!("generator_mut() called on a trace workload source")
             }
-        }
-    }
-
-    /// The trace workload, if this source is a trace.
-    pub fn trace(&self) -> Option<&WorkloadSpec> {
-        match self {
-            WorkloadSource::Synthetic(_) => None,
-            WorkloadSource::Trace(spec) => Some(spec),
         }
     }
 }
@@ -1094,7 +1072,10 @@ mod tests {
         assert_eq!(cfg.scheduling_interval, SimDuration::from_mins(15));
         assert_eq!(cfg.gossip_interval, SimDuration::from_mins(5));
         assert_eq!(cfg.horizon, SimDuration::from_hours(36));
-        assert_eq!(cfg.capacity.mean(), 6.2);
+        assert_eq!(
+            cfg.capacity,
+            CapacityModel::Choices(vec![1.0, 2.0, 4.0, 8.0, 16.0])
+        );
         let generator = cfg
             .workload
             .generator()
@@ -1114,7 +1095,6 @@ mod tests {
         }
         let uniform = CapacityModel::Uniform(3.5);
         assert_eq!(uniform.sample(&mut rng), 3.5);
-        assert_eq!(uniform.mean(), 3.5);
     }
 
     #[test]
@@ -1137,7 +1117,7 @@ mod tests {
     #[test]
     fn churn_population_split_rules() {
         // The static experiments use every node as a home node...
-        assert!(!ChurnConfig::none().splits_population());
+        assert!(!ChurnConfig::default().splits_population());
         // ...while the churn sweep keeps the home set fixed to the stable half, even for the
         // df = 0 baseline, so its points are comparable.
         assert!(ChurnConfig::with_dynamic_factor(0.0).splits_population());

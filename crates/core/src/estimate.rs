@@ -123,11 +123,6 @@ impl<'a> FinishTimeEstimator<'a> {
         }
     }
 
-    /// The home node this estimator plans from.
-    pub fn home(&self) -> NodeId {
-        self.home
-    }
-
     /// Time in seconds to move `data_mb` megabits from `from` to `to`.
     pub fn transfer_secs(&self, from: NodeId, to: NodeId, data_mb: f64) -> f64 {
         if from == to || data_mb <= 0.0 {

@@ -15,11 +15,6 @@
 
 use p2pgrid_workflow::{Task, TaskId, Workflow, WorkflowBuilder};
 
-/// Names of the interesting tasks of workflow A, in index order `A1..A6`.
-pub const WORKFLOW_A_TASKS: [&str; 6] = ["A1", "A2", "A3", "A4", "A5", "A6"];
-/// Names of the interesting tasks of workflow B, in index order `B1..B5`.
-pub const WORKFLOW_B_TASKS: [&str; 5] = ["B1", "B2", "B3", "B4", "B5"];
-
 /// Build workflow A of Fig. 3.
 ///
 /// Structure: `A1 → {A2, A3}`, `A2 → A4 → A6`, `A3 → A5 → A6`.  Under unit averages the

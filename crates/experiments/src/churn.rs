@@ -116,14 +116,6 @@ impl ChurnSweep {
         }
         fig
     }
-
-    /// The report for a given dynamic factor (exact match).
-    pub fn report_for(&self, df: f64) -> Option<&SimulationReport> {
-        self.dynamic_factors
-            .iter()
-            .position(|&x| (x - df).abs() < 1e-9)
-            .map(|i| &self.reports[i])
-    }
 }
 
 #[cfg(test)]
@@ -134,7 +126,8 @@ mod tests {
     fn churn_sweep_shows_throughput_degradation_but_stable_survivor_metrics() {
         let sweep = run(ExperimentScale::Smoke, 21);
         assert_eq!(sweep.reports.len(), sweep.dynamic_factors.len());
-        let static_run = sweep.report_for(0.0).unwrap();
+        assert_eq!(sweep.dynamic_factors[0], 0.0);
+        let static_run = &sweep.reports[0];
         let heavy_churn = sweep.reports.last().unwrap();
         assert!(static_run.failed == 0, "no churn means no failures");
         assert!(

@@ -198,21 +198,22 @@ impl FaultToleranceSweep {
         }
         out
     }
-
-    /// The report for an exact (policy label, MTBF) cell.
-    pub fn report_for(&self, label: &str, mtbf_hours: f64) -> Option<&SimulationReport> {
-        let row = self.policy_labels.iter().position(|&l| l == label)?;
-        let col = self
-            .mtbf_hours
-            .iter()
-            .position(|&h| (h - mtbf_hours).abs() < 1e-9)?;
-        Some(&self.reports[row][col])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The report of an exact (policy label, MTBF) cell.
+    fn report_for<'a>(
+        sweep: &'a FaultToleranceSweep,
+        label: &str,
+        mtbf_hours: f64,
+    ) -> &'a SimulationReport {
+        let row = sweep.policy_labels.iter().position(|&l| l == label);
+        let col = sweep.mtbf_hours.iter().position(|&h| h == mtbf_hours);
+        &sweep.reports[row.unwrap()][col.unwrap()]
+    }
 
     #[test]
     fn sweep_covers_the_policy_by_mtbf_grid_and_faults_actually_fire() {
@@ -222,7 +223,7 @@ mod tests {
             assert_eq!(row.len(), sweep.mtbf_hours.len());
         }
         // The harshest cell must actually exercise the fault substrate.
-        let harsh = sweep.report_for("fail (paper)", 2.0).unwrap();
+        let harsh = report_for(&sweep, "fail (paper)", 2.0);
         assert!(
             harsh.robustness.node_failures > 0,
             "a 2h MTBF over a 12h horizon must fail some node"
@@ -244,8 +245,8 @@ mod tests {
     #[test]
     fn recovery_policies_beat_the_paper_baseline_under_pressure() {
         let sweep = run(ExperimentScale::Smoke, 33);
-        let fail = sweep.report_for("fail (paper)", 2.0).unwrap();
-        let retry = sweep.report_for("retry x3", 2.0).unwrap();
+        let fail = report_for(&sweep, "fail (paper)", 2.0);
+        let retry = report_for(&sweep, "retry x3", 2.0);
         assert!(
             retry.completed >= fail.completed,
             "bounded retry should not finish fewer workflows than failing outright \

@@ -28,11 +28,6 @@ impl Series {
         ])
     }
 
-    /// The final y value, if any.
-    pub fn final_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, y)| y)
-    }
-
     /// The y value at the given x (exact match), if present.
     pub fn value_at(&self, x: f64) -> Option<f64> {
         self.points
@@ -77,11 +72,6 @@ impl FigureData {
     /// Add a curve.
     pub fn push_series(&mut self, series: Series) {
         self.series.push(series);
-    }
-
-    /// Find a curve by label.
-    pub fn series_by_label(&self, label: &str) -> Option<&Series> {
-        self.series.iter().find(|s| s.label == label)
     }
 
     /// The whole figure as a machine-readable JSON document — the artifact `repro --json`
@@ -143,10 +133,8 @@ mod tests {
     #[test]
     fn series_queries() {
         let s = Series::new("DSMF", vec![(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)]);
-        assert_eq!(s.final_value(), Some(4.0));
         assert_eq!(s.value_at(1.0), Some(2.0));
         assert_eq!(s.value_at(9.0), None);
-        assert_eq!(Series::new("x", vec![]).final_value(), None);
     }
 
     #[test]
@@ -162,8 +150,6 @@ mod tests {
         assert!(text.contains("0.00"));
         assert!(text.contains("2.00"));
         assert!(text.contains('-'));
-        assert!(fig.series_by_label("DSMF").is_some());
-        assert!(fig.series_by_label("nope").is_none());
     }
 
     #[test]

@@ -253,11 +253,6 @@ impl UnitRunner {
         })
     }
 
-    /// The spec this runner executes.
-    pub fn spec(&self) -> &CampaignSpec {
-        &self.spec
-    }
-
     /// The scenario for a seed: the base world for the first seed, else that seed's world,
     /// derived from the base unless it is the current one.
     fn world(&mut self, seed: u64) -> Result<&Scenario, CampaignError> {

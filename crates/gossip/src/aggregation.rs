@@ -75,38 +75,6 @@ impl AggregationGossip {
         self.exchanges
     }
 
-    /// The exact average of the alive nodes' local values (ground truth, for tests and
-    /// convergence metrics).
-    pub fn true_mean(local: &[Option<f64>]) -> f64 {
-        let vals: Vec<f64> = local.iter().flatten().copied().collect();
-        if vals.is_empty() {
-            0.0
-        } else {
-            vals.iter().sum::<f64>() / vals.len() as f64
-        }
-    }
-
-    /// Mean absolute relative error of the alive nodes' estimates against the true mean.
-    pub fn mean_relative_error(&self, local: &[Option<f64>]) -> f64 {
-        let truth = Self::true_mean(local);
-        if truth == 0.0 {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        let mut cnt = 0u32;
-        for (i, v) in local.iter().enumerate() {
-            if v.is_some() {
-                sum += (self.estimate(i) - truth).abs() / truth.abs();
-                cnt += 1;
-            }
-        }
-        if cnt == 0 {
-            0.0
-        } else {
-            sum / cnt as f64
-        }
-    }
-
     /// Run one push–pull averaging cycle.
     ///
     /// `local[i]` is the node's current local value (`None` for departed nodes) and `views[i]`
@@ -187,11 +155,19 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn true_mean_ignores_departed_nodes() {
-        let local = vec![Some(2.0), None, Some(4.0), Some(6.0)];
-        assert_eq!(AggregationGossip::true_mean(&local), 4.0);
-        assert_eq!(AggregationGossip::true_mean(&[None, None]), 0.0);
+    /// Mean absolute relative error of the alive nodes' estimates against the exact average
+    /// of their local values.
+    fn mean_relative_error(agg: &AggregationGossip, local: &[Option<f64>]) -> f64 {
+        let alive: Vec<(usize, f64)> = local
+            .iter()
+            .enumerate()
+            .filter_map(|(i, v)| v.map(|v| (i, v)))
+            .collect();
+        let truth = alive.iter().map(|&(_, v)| v).sum::<f64>() / alive.len() as f64;
+        let errors = alive
+            .iter()
+            .map(|&(i, _)| (agg.estimate(i) - truth).abs() / truth);
+        errors.sum::<f64>() / alive.len() as f64
     }
 
     #[test]
@@ -207,11 +183,11 @@ mod tests {
         );
         let mut rng = SimRng::seed_from_u64(1);
         agg.run_cycle(&local, &views, &mut rng);
-        let err_after_1 = agg.mean_relative_error(&local);
+        let err_after_1 = mean_relative_error(&agg, &local);
         for _ in 0..14 {
             agg.run_cycle(&local, &views, &mut rng);
         }
-        let err_after_15 = agg.mean_relative_error(&local);
+        let err_after_15 = mean_relative_error(&agg, &local);
         assert!(
             err_after_15 < err_after_1 / 10.0,
             "convergence too slow: {err_after_1} -> {err_after_15}"
@@ -281,7 +257,7 @@ mod tests {
         for _ in 0..9 {
             agg.run_cycle(&local, &views, &mut rng);
         }
-        let err = agg.mean_relative_error(&local);
+        let err = mean_relative_error(&agg, &local);
         assert!(
             err < 0.05,
             "reported estimates right after a restart should stay converged, error {err}"
@@ -310,7 +286,7 @@ mod tests {
         for _ in 0..24 {
             agg.run_cycle(&local, &views, &mut rng);
         }
-        let err = agg.mean_relative_error(&local);
+        let err = mean_relative_error(&agg, &local);
         assert!(
             err < 0.05,
             "survivor estimates should re-converge, error {err}"

@@ -428,11 +428,12 @@ mod tests {
             }
         }
         // The capacity estimate now reflects only the survivors.
-        let survivors: Vec<Option<f64>> = local
+        let survivors: Vec<f64> = local
             .iter()
-            .map(|s| s.alive.then_some(s.capacity_mips))
+            .filter(|s| s.alive)
+            .map(|s| s.capacity_mips)
             .collect();
-        let truth = AggregationGossip::true_mean(&survivors);
+        let truth = survivors.iter().sum::<f64>() / survivors.len() as f64;
         let est = gossip.avg_capacity_estimate(1);
         assert!(
             (est - truth).abs() / truth < 0.25,

@@ -155,11 +155,9 @@ impl ResourceStateSet {
         self.records.iter()
     }
 
-    /// Known records sorted by node id (deterministic order for scheduling decisions).
-    ///
-    /// The set is kept in this order, so this is a plain copy — no per-call re-sort.  Prefer
-    /// [`ResourceStateSet::records`] when borrowing suffices.
-    pub fn records_sorted(&self) -> Vec<NodeStateRecord> {
+    /// Test fixture: a copy of the known records, in ascending node-id order.
+    #[cfg(test)]
+    pub(crate) fn records_sorted(&self) -> Vec<NodeStateRecord> {
         self.records.clone()
     }
 

@@ -29,18 +29,14 @@ impl NewscastView {
         }
     }
 
-    /// The node owning this view.
-    pub fn owner(&self) -> PeerId {
-        self.owner
-    }
-
     /// Maximum number of descriptors kept.
     pub fn size_limit(&self) -> usize {
         self.size
     }
 
     /// The peers currently in the view (excluding the owner).
-    pub fn peers(&self) -> Vec<PeerId> {
+    #[cfg(test)]
+    pub(crate) fn peers(&self) -> Vec<PeerId> {
         self.entries.iter().map(|&(p, _)| p).collect()
     }
 

@@ -8,9 +8,9 @@
 //! * **average efficiency (AE)** — Eq. (3), the mean of `eft(f) / ct(f)` over finished
 //!   workflows (Fig. 6, 8, 10, 11b, 14).
 //!
-//! This crate provides the accumulators for those quantities ([`WorkflowMetrics`]), generic
-//! online statistics ([`OnlineStats`]), periodically sampled time series ([`TimeSeries`]) and
-//! plain-text table/series printers used by the experiment runners.
+//! This crate provides the accumulators for those quantities ([`WorkflowMetrics`]), a running
+//! mean ([`OnlineStats`]), periodically sampled time series ([`TimeSeries`]) and
+//! the plain-text table printer used by the experiment runners.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -23,6 +23,6 @@ pub mod workflow_metrics;
 
 pub use robustness::RobustnessStats;
 pub use stats::OnlineStats;
-pub use table::{format_series, format_table};
+pub use table::format_table;
 pub use timeseries::TimeSeries;
 pub use workflow_metrics::{WorkflowMetrics, WorkflowOutcome, WorkflowRecord};

@@ -61,15 +61,6 @@ impl RobustnessStats {
             0.0
         }
     }
-
-    /// Mean retries per workflow, given the run's submitted-workflow count.
-    pub fn retries_per_workflow(&self, submitted: usize) -> f64 {
-        if submitted > 0 {
-            self.retries as f64 / submitted as f64
-        } else {
-            0.0
-        }
-    }
 }
 
 #[cfg(test)]
@@ -88,14 +79,11 @@ mod tests {
     }
 
     #[test]
-    fn latency_and_retry_rates_divide_safely() {
+    fn recovery_latency_divides_safely() {
         let mut stats = RobustnessStats::new();
         assert_eq!(stats.mean_recovery_latency_secs(), 0.0);
-        assert_eq!(stats.retries_per_workflow(0), 0.0);
         stats.recovery_latency_secs_sum = 30.0;
         stats.recoveries = 3;
-        stats.retries = 8;
         assert!((stats.mean_recovery_latency_secs() - 10.0).abs() < 1e-12);
-        assert!((stats.retries_per_workflow(4) - 2.0).abs() < 1e-12);
     }
 }

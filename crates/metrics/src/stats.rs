@@ -1,13 +1,10 @@
-//! Online statistics (Welford's algorithm) and simple percentile helpers.
+//! Online statistics: a single-pass running mean.
 
-/// Single-pass accumulator of count / mean / variance / min / max.
+/// Single-pass accumulator of count and mean.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
@@ -16,9 +13,6 @@ impl OnlineStats {
         OnlineStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -27,9 +21,6 @@ impl OnlineStats {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
@@ -45,81 +36,6 @@ impl OnlineStats {
             self.mean
         }
     }
-
-    /// Population variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merge another accumulator into this one (parallel/Chan update).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// The `q`-quantile (0 ≤ q ≤ 1) of a sample, by linear interpolation on the sorted data.
-/// Returns `None` for an empty sample.
-///
-/// The sample must be NaN-free (debug-asserted): sorting is by `f64::total_cmp`, a total
-/// order, so a stray NaN can no longer silently scramble the sort the way the old
-/// `partial_cmp(..).unwrap_or(Equal)` comparator did — it sorts after every number and is
-/// caught by the assertion in debug builds.
-pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    debug_assert!(
-        samples.iter().all(|x| !x.is_nan()),
-        "quantile() requires a NaN-free sample"
-    );
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        Some(sorted[lo])
-    } else {
-        let frac = pos - lo as f64;
-        Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
-    }
 }
 
 #[cfg(test)]
@@ -132,9 +48,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
     }
 
     #[test]
@@ -145,64 +58,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn merge_equals_sequential_push() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        // Merging an empty accumulator is a no-op.
-        let before = a;
-        a.merge(&OnlineStats::new());
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    fn quantiles_interpolate() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile(&xs, 0.0), Some(1.0));
-        assert_eq!(quantile(&xs, 1.0), Some(4.0));
-        assert_eq!(quantile(&xs, 0.5), Some(2.5));
-        assert_eq!(quantile(&[], 0.5), None);
-        assert_eq!(quantile(&[7.0], 0.99), Some(7.0));
-    }
-
-    #[test]
-    fn quantiles_use_a_total_order() {
-        // total_cmp sorts infinities to the extremes and is permutation-independent — the
-        // property the old partial_cmp-with-Equal-fallback comparator lost on odd inputs.
-        let xs = [f64::INFINITY, 1.0, f64::NEG_INFINITY, 2.0];
-        assert_eq!(quantile(&xs, 0.0), Some(f64::NEG_INFINITY));
-        assert_eq!(quantile(&xs, 1.0), Some(f64::INFINITY));
-        let mut reversed = xs;
-        reversed.reverse();
-        assert_eq!(quantile(&reversed, 0.5), quantile(&xs, 0.5));
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN-free")]
-    #[cfg(debug_assertions)]
-    fn quantile_rejects_nan_samples_in_debug_builds() {
-        quantile(&[1.0, f64::NAN], 0.5);
     }
 
     proptest! {
@@ -211,9 +66,8 @@ mod tests {
             let mut s = OnlineStats::new();
             for &x in &xs { s.push(x); }
             let mean = s.mean();
-            prop_assert!(mean >= s.min().unwrap() - 1e-9);
-            prop_assert!(mean <= s.max().unwrap() + 1e-9);
-            prop_assert!(s.variance() >= 0.0);
+            prop_assert!(mean >= xs.iter().copied().fold(f64::INFINITY, f64::min) - 1e-9);
+            prop_assert!(mean <= xs.iter().copied().fold(f64::NEG_INFINITY, f64::max) + 1e-9);
         }
     }
 }

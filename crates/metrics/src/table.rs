@@ -1,6 +1,4 @@
-//! Plain-text table and series formatting for the experiment runners.
-
-use crate::timeseries::TimeSeries;
+//! Plain-text table formatting for the experiment runners.
 
 /// Format a table with a header row and data rows as aligned plain text.
 ///
@@ -44,40 +42,9 @@ pub fn format_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Format a set of time series as a column-per-series table keyed by time in hours — the same
-/// layout as the gnuplot data behind the paper's figures.
-pub fn format_series(series: &[&TimeSeries]) -> String {
-    if series.is_empty() {
-        return String::new();
-    }
-    let header: Vec<&str> = std::iter::once("hour")
-        .chain(series.iter().map(|s| s.name()))
-        .collect();
-    // Use the sample times of the longest series as the time base.
-    let base = series
-        .iter()
-        .max_by_key(|s| s.len())
-        .expect("non-empty slice");
-    let rows: Vec<Vec<String>> = base
-        .points()
-        .iter()
-        .map(|&(t, _)| {
-            std::iter::once(format!("{:.1}", t.as_hours_f64()))
-                .chain(series.iter().map(|s| {
-                    s.value_at(t)
-                        .map(|v| format!("{v:.3}"))
-                        .unwrap_or_else(|| "-".to_string())
-                }))
-                .collect()
-        })
-        .collect();
-    format_table(&header, &rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use p2pgrid_sim::SimTime;
 
     #[test]
     fn table_is_aligned_and_complete() {
@@ -102,32 +69,5 @@ mod tests {
     #[should_panic(expected = "expected 2")]
     fn mismatched_row_width_panics() {
         format_table(&["a", "b"], &[vec!["1".into()]]);
-    }
-
-    #[test]
-    fn series_table_uses_hours_and_fills_missing_with_dash() {
-        let mut a = TimeSeries::new("DSMF");
-        a.push(SimTime::from_hours_helper(1), 10.0);
-        a.push(SimTime::from_hours_helper(2), 20.0);
-        let mut b = TimeSeries::new("HEFT");
-        b.push(SimTime::from_hours_helper(2), 5.0);
-        let out = format_series(&[&a, &b]);
-        assert!(out.contains("hour"));
-        assert!(out.contains("DSMF"));
-        assert!(out.contains("1.0"));
-        assert!(
-            out.contains('-'),
-            "missing early HEFT sample should print as a dash"
-        );
-        assert_eq!(format_series(&[]), "");
-    }
-
-    trait FromHours {
-        fn from_hours_helper(h: u64) -> SimTime;
-    }
-    impl FromHours for SimTime {
-        fn from_hours_helper(h: u64) -> SimTime {
-            SimTime::from_secs(h * 3600)
-        }
     }
 }

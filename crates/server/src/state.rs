@@ -14,7 +14,7 @@
 
 use crate::protocol::{JobId, JobStatus, WorkerId};
 use p2pgrid_experiments::rununit::{
-    merge_artifacts, render_result, CampaignError, CampaignSpec, RunUnit, UNIT_FORMAT,
+    merge_artifacts, CampaignError, CampaignSpec, RunUnit, UNIT_FORMAT,
 };
 use serde::json::{self, Value};
 
@@ -416,11 +416,6 @@ impl MasterState {
             .map(|u| u.artifact.clone().expect("done unit has an artifact"))
             .collect();
         merge_artifacts(&job.spec, &artifacts).map_err(|e| format!("merge failed: {e}"))
-    }
-
-    /// The merged artifact rendered the way it lands on disk (pretty + trailing newline).
-    pub fn fetch_rendered(&self, job: JobId) -> Result<String, String> {
-        self.fetch(job).map(|v| render_result(&v))
     }
 
     /// Check the structural invariants the proptest suite relies on; panics on violation.

@@ -116,11 +116,6 @@ impl LoopbackTransport {
     pub fn kill(&mut self) {
         self.remaining_calls = Some(0);
     }
-
-    /// The master this transport is connected to.
-    pub fn master(&self) -> &LoopbackMaster {
-        &self.master
-    }
 }
 
 impl Transport for LoopbackTransport {

@@ -66,11 +66,6 @@ impl<T: Transport> Worker<T> {
         self.id
     }
 
-    /// How many units this worker has executed.
-    pub fn executed(&self) -> usize {
-        self.executed
-    }
-
     /// Access the underlying transport (to inject faults in tests).
     pub fn transport_mut(&mut self) -> &mut T {
         &mut self.transport

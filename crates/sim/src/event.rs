@@ -48,7 +48,6 @@ impl<E> Ord for ScheduledEvent<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -63,7 +62,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -72,7 +70,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -80,7 +77,6 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(ScheduledEvent { time, seq, event });
     }
 
@@ -102,11 +98,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 
     /// Remove all pending events.
@@ -143,7 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_and_counters() {
+    fn peek_time_len_and_clear() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
@@ -151,10 +142,8 @@ mod tests {
         q.schedule(SimTime::from_secs(1), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
         q.clear();
         assert!(q.is_empty());
     }

@@ -198,14 +198,6 @@ impl SimRng {
         idx[..amount].iter().map(|&i| &slice[i]).collect()
     }
 
-    /// Shuffle a slice in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.uniform_u64((i + 1) as u64) as usize;
-            slice.swap(i, j);
-        }
-    }
-
     /// Uniform integer in `[0, span)` (`span == 0` means the full 64-bit range), using Lemire's
     /// nearly-divisionless rejection method so every value is exactly equally likely.
     fn uniform_u64(&mut self, span: u64) -> u64 {
@@ -374,7 +366,7 @@ mod tests {
     }
 
     #[test]
-    fn choose_and_shuffle() {
+    fn choose_picks_from_the_slice() {
         let mut rng = SimRng::seed_from_u64(11);
         let items = [1, 2, 3, 4, 5];
         assert!(items.contains(rng.choose(&items).unwrap()));
@@ -383,12 +375,6 @@ mod tests {
         assert_eq!(picked.len(), 3);
         let picked_all = rng.choose_multiple(&items, 50);
         assert_eq!(picked_all.len(), items.len());
-        let mut v: Vec<u32> = (0..100).collect();
-        let original = v.clone();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, original, "shuffle must be a permutation");
     }
 
     #[test]

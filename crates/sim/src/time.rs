@@ -63,15 +63,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Duration since `earlier`, panicking if `earlier` is in the future.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        assert!(
-            self.0 >= earlier.0,
-            "duration_since called with a later instant ({earlier:?} > {self:?})"
-        );
-        SimDuration(self.0 - earlier.0)
-    }
-
     /// Checked addition of a duration, returning `None` on overflow.
     pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_add(d.0).map(SimTime)
@@ -255,21 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn duration_since_and_ordering() {
+    fn subtraction_saturates_and_instants_order() {
         let a = SimTime::from_secs(5);
         let b = SimTime::from_secs(8);
-        assert_eq!(b.duration_since(a), SimDuration::from_secs(3));
         assert_eq!(b - a, SimDuration::from_secs(3));
         assert_eq!(a - b, SimDuration::ZERO);
         assert!(a < b);
-    }
-
-    #[test]
-    #[should_panic(expected = "duration_since")]
-    fn duration_since_panics_on_future_reference() {
-        let a = SimTime::from_secs(5);
-        let b = SimTime::from_secs(8);
-        let _ = a.duration_since(b);
     }
 
     #[test]

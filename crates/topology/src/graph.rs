@@ -44,10 +44,9 @@ impl Topology {
         }
     }
 
-    /// Create an edgeless topology with `n` nodes all placed at the origin.
-    ///
-    /// Useful for tests that only care about connectivity, not geometry.
-    pub fn with_unplaced_nodes(n: usize) -> Self {
+    /// Test fixture: an edgeless topology with `n` nodes all placed at the origin.
+    #[cfg(test)]
+    pub(crate) fn with_unplaced_nodes(n: usize) -> Self {
         Topology::new(vec![(0.0, 0.0); n])
     }
 
@@ -59,11 +58,6 @@ impl Topology {
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
         self.edge_count
-    }
-
-    /// Coordinates of node `u`.
-    pub fn coords(&self, u: NodeId) -> (f64, f64) {
-        self.coords[u]
     }
 
     /// Euclidean distance between two nodes.
@@ -91,19 +85,9 @@ impl Topology {
         self.edge_count += 1;
     }
 
-    /// True if an edge between `u` and `v` exists.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.adjacency[u].iter().any(|a| a.to == v)
-    }
-
     /// Neighbours of `u`.
     pub fn neighbors(&self, u: NodeId) -> &[Adjacency] {
         &self.adjacency[u]
-    }
-
-    /// Degree of `u`.
-    pub fn degree(&self, u: NodeId) -> usize {
-        self.adjacency[u].len()
     }
 
     /// Iterate over every undirected edge once, as `(u, v, props)` with `u < v`.
@@ -173,12 +157,10 @@ mod tests {
     fn add_edge_updates_both_endpoints() {
         let mut t = Topology::with_unplaced_nodes(3);
         t.add_edge(0, 1, props(5.0));
-        assert!(t.has_edge(0, 1));
-        assert!(t.has_edge(1, 0));
-        assert!(!t.has_edge(0, 2));
-        assert_eq!(t.degree(0), 1);
-        assert_eq!(t.degree(1), 1);
-        assert_eq!(t.degree(2), 0);
+        let ends = |u: NodeId| t.neighbors(u).iter().map(|a| a.to).collect::<Vec<_>>();
+        assert_eq!(ends(0), [1]);
+        assert_eq!(ends(1), [0]);
+        assert!(ends(2).is_empty());
         assert_eq!(t.edge_count(), 1);
     }
 

@@ -124,7 +124,8 @@ impl LandmarkEstimator {
     }
 
     /// Mean relative error of the estimate against ground truth over all connected pairs.
-    pub fn mean_relative_error(&self, metrics: &PairwiseMetrics) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_relative_error(&self, metrics: &PairwiseMetrics) -> f64 {
         let n = metrics.node_count();
         let mut sum = 0.0;
         let mut cnt = 0u64;

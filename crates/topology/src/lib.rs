@@ -19,8 +19,7 @@
 //!   with a rayon-parallel Dijkstra sweep;
 //! * [`LandmarkEstimator`] — the landmark-based bandwidth prediction scheme the paper cites
 //!   (each node only probes `log2 n` landmarks and pairwise bandwidth is estimated through the
-//!   best common landmark; the first estimate tabulates every pair, so later ones are one read);
-//! * [`synthetic`] — tiny hand-constructed topologies for unit tests and examples.
+//!   best common landmark; the first estimate tabulates every pair, so later ones are one read).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -28,7 +27,6 @@
 pub mod graph;
 pub mod landmark;
 pub mod paths;
-pub mod synthetic;
 pub mod waxman;
 
 pub use graph::{EdgeProps, NodeId, Topology};

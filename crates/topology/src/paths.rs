@@ -286,6 +286,74 @@ mod tests {
         best_bw
     }
 
+    /// `n` nodes, every pair joined by one identical link.
+    fn clique(n: usize, bw: f64, lat: f64) -> Topology {
+        let mut t = Topology::with_unplaced_nodes(n);
+        for u in 0..n {
+            for v in u + 1..n {
+                t.add_edge(u, v, props(bw, lat));
+            }
+        }
+        t
+    }
+
+    /// `n` nodes, node 0 the hub and every other node a leaf.
+    fn star(n: usize, bw: f64, lat: f64) -> Topology {
+        let mut t = Topology::with_unplaced_nodes(n);
+        for leaf in 1..n {
+            t.add_edge(0, leaf, props(bw, lat));
+        }
+        t
+    }
+
+    /// The path `0 - 1 - ... - (n - 1)`.
+    fn line(n: usize, bw: f64, lat: f64) -> Topology {
+        let mut t = Topology::with_unplaced_nodes(n);
+        for u in 1..n {
+            t.add_edge(u - 1, u, props(bw, lat));
+        }
+        t
+    }
+
+    #[test]
+    fn clique_has_all_pairs_connected_directly() {
+        let t = clique(6, 5.0, 1.0);
+        assert_eq!(t.edge_count(), 6 * 5 / 2);
+        assert!(t.is_connected());
+        let m = PairwiseMetrics::compute(&t);
+        for u in 0..6 {
+            for v in 0..6 {
+                if u != v {
+                    assert!((m.bandwidth_mbps(u, v) - 5.0).abs() < 1e-9);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn star_routes_through_hub() {
+        let t = star(5, 2.0, 3.0);
+        assert_eq!(t.edge_count(), 4);
+        let m = PairwiseMetrics::compute(&t);
+        // Leaf-to-leaf goes through the hub: two hops of latency.
+        assert!((m.latency_ms(1, 2) - 6.0).abs() < 1e-9);
+        assert!((m.bandwidth_mbps(1, 2) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn line_latency_accumulates() {
+        let t = line(5, 1.0, 2.0);
+        let m = PairwiseMetrics::compute(&t);
+        assert!((m.latency_ms(0, 4) - 8.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn degenerate_sizes() {
+        assert_eq!(clique(1, 1.0, 1.0).edge_count(), 0);
+        assert_eq!(star(1, 1.0, 1.0).edge_count(), 0);
+        assert_eq!(line(1, 1.0, 1.0).edge_count(), 0);
+    }
+
     /// A 4-node line: 0 -10-> 1 -2-> 2 -8-> 3, plus a slow shortcut 0 -1-> 3.
     fn line_with_shortcut() -> Topology {
         let mut t = Topology::with_unplaced_nodes(4);

@@ -74,11 +74,8 @@ pub fn rest_path_makespans(workflow: &Workflow, costs: ExpectedCosts) -> Vec<f64
 /// Precomputed per-task analysis of one workflow under an [`ExpectedCosts`] model.
 #[derive(Debug, Clone)]
 pub struct WorkflowAnalysis {
-    costs: ExpectedCosts,
     /// `rpm[t]` = rest path makespan (upward rank) of task `t`, in seconds.
     rpm: Vec<f64>,
-    /// `downward[t]` = longest path length from the entry up to (excluding) `t`, in seconds.
-    downward: Vec<f64>,
     critical_path: Vec<TaskId>,
 }
 
@@ -86,17 +83,6 @@ impl WorkflowAnalysis {
     /// Analyse `workflow` under the given average costs.
     pub fn new(workflow: &Workflow, costs: ExpectedCosts) -> Self {
         let rpm = rest_path_makespans(workflow, costs);
-
-        let mut downward = vec![0.0f64; workflow.task_count()];
-        for &t in workflow.topological_order() {
-            let eet = costs.eet_secs(workflow.task(t).load_mi);
-            for e in workflow.successors(t) {
-                let cand = downward[t.index()] + eet + costs.ett_secs(e.data_mb);
-                if cand > downward[e.task.index()] {
-                    downward[e.task.index()] = cand;
-                }
-            }
-        }
 
         // Extract one critical path by greedily following, from the entry, the successor that
         // preserves the total path length rpm[entry].
@@ -122,28 +108,12 @@ impl WorkflowAnalysis {
             }
         }
 
-        WorkflowAnalysis {
-            costs,
-            rpm,
-            downward,
-            critical_path,
-        }
-    }
-
-    /// The cost model used for this analysis.
-    pub fn costs(&self) -> ExpectedCosts {
-        self.costs
+        WorkflowAnalysis { rpm, critical_path }
     }
 
     /// Rest path makespan (upward rank) of a task, in seconds.
     pub fn rpm_secs(&self, t: TaskId) -> f64 {
         self.rpm[t.index()]
-    }
-
-    /// Longest-path distance from the entry task to the *start* of `t`, in seconds
-    /// (HEFT's downward rank).
-    pub fn downward_rank_secs(&self, t: TaskId) -> f64 {
-        self.downward[t.index()]
     }
 
     /// Expected finish time of the whole workflow, `eft(f)` of Eq. (1): the critical-path
@@ -158,17 +128,6 @@ impl WorkflowAnalysis {
     /// One critical path from the entry to the exit task.
     pub fn critical_path(&self) -> &[TaskId] {
         &self.critical_path
-    }
-
-    /// Task ids sorted by decreasing RPM (HEFT's list-scheduling order).
-    pub fn tasks_by_decreasing_rpm(&self) -> Vec<TaskId> {
-        let mut ids: Vec<TaskId> = (0..self.rpm.len() as u32).map(TaskId).collect();
-        ids.sort_by(|a, b| {
-            self.rpm[b.index()]
-                .partial_cmp(&self.rpm[a.index()])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        ids
     }
 }
 
@@ -211,10 +170,6 @@ mod tests {
         assert_eq!(a.rpm_secs(TaskId(0)), 750.0);
         assert_eq!(a.expected_finish_time_secs(), 750.0);
         assert_eq!(a.critical_path(), &[TaskId(0), TaskId(1), TaskId(2)]);
-        // Downward ranks: a=0, b=150, c=450.
-        assert_eq!(a.downward_rank_secs(TaskId(0)), 0.0);
-        assert_eq!(a.downward_rank_secs(TaskId(1)), 150.0);
-        assert_eq!(a.downward_rank_secs(TaskId(2)), 450.0);
     }
 
     #[test]
@@ -236,10 +191,10 @@ mod tests {
         assert_eq!(a.expected_finish_time_secs(), 530.0);
         // The heavy branch has the larger RPM.
         assert!(a.rpm_secs(heavy) > a.rpm_secs(light));
-        // Decreasing-RPM order starts with the entry task and ends with the exit task.
-        let order = a.tasks_by_decreasing_rpm();
-        assert_eq!(order[0], entry);
-        assert_eq!(*order.last().unwrap(), exit);
+        // The entry task has the largest RPM and the exit task the smallest.
+        for t in w.task_ids() {
+            assert!(a.rpm_secs(entry) >= a.rpm_secs(t) && a.rpm_secs(t) >= a.rpm_secs(exit));
+        }
     }
 
     #[test]

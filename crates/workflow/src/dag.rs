@@ -134,8 +134,9 @@ impl WorkflowBuilder {
         id
     }
 
-    /// Convenience: add an anonymous task with the given load and image size.
-    pub fn add_simple_task(&mut self, load_mi: f64, image_size_mb: f64) -> TaskId {
+    /// Test fixture: add an anonymous task with the given load and image size.
+    #[cfg(test)]
+    pub(crate) fn add_simple_task(&mut self, load_mi: f64, image_size_mb: f64) -> TaskId {
         self.add_task(Task::new(load_mi, image_size_mb))
     }
 
@@ -379,11 +380,6 @@ impl Workflow {
             mean_comm / mean_comp
         }
     }
-
-    /// Maximum fan-out degree over all tasks.
-    pub fn max_fanout(&self) -> usize {
-        self.succs.iter().map(|s| s.len()).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -416,7 +412,8 @@ mod tests {
         assert_eq!(w.precedents(TaskId(0)).len(), 0);
         assert_eq!(w.total_load_mi(), 1000.0);
         assert_eq!(w.total_data_mb(), 260.0);
-        assert_eq!(w.max_fanout(), 2);
+        let fanout = w.task_ids().map(|t| w.successors(t).len()).max();
+        assert_eq!(fanout, Some(2));
     }
 
     #[test]

@@ -46,19 +46,10 @@ impl ProgressTracker {
         self.finished_count == self.n
     }
 
-    /// Number of finished tasks.
-    pub fn finished_count(&self) -> usize {
-        self.finished_count
-    }
-
     /// True if `t` has finished.
-    pub fn is_finished(&self, t: TaskId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_finished(&self, t: TaskId) -> bool {
         self.finished[t.index()]
-    }
-
-    /// True if `t` has been dispatched to a resource node (and has not necessarily finished).
-    pub fn is_dispatched(&self, t: TaskId) -> bool {
-        self.dispatched[t.index()]
     }
 
     /// True if `t` is currently a schedule point: not dispatched, not finished, and all of its
@@ -152,7 +143,6 @@ mod tests {
         let p = ProgressTracker::new(&w);
         assert_eq!(p.schedule_points(&w), vec![a]);
         assert!(!p.is_complete());
-        assert_eq!(p.finished_count(), 0);
     }
 
     #[test]
@@ -241,7 +231,7 @@ mod tests {
                 steps += 1;
                 prop_assert!(steps <= w.task_count());
             }
-            prop_assert_eq!(p.finished_count(), w.task_count());
+            prop_assert_eq!(steps, w.task_count());
         }
     }
 }
