@@ -50,15 +50,6 @@ impl TimeSeries {
     pub fn last_value(&self) -> Option<f64> {
         self.points.last().map(|&(_, v)| v)
     }
-
-    /// Value at or before `time` (step interpolation), if any sample exists by then.
-    pub fn value_at(&self, time: SimTime) -> Option<f64> {
-        self.points
-            .iter()
-            .take_while(|&&(t, _)| t <= time)
-            .last()
-            .map(|&(_, v)| v)
-    }
 }
 
 #[cfg(test)]
@@ -75,16 +66,6 @@ mod tests {
         assert_eq!(ts.name(), "throughput");
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.last_value(), Some(9.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(15)), Some(5.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(0)), Some(0.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(100)), Some(9.0));
-    }
-
-    #[test]
-    fn value_before_first_sample_is_none() {
-        let mut ts = TimeSeries::new("x");
-        ts.push(SimTime::from_secs(10), 1.0);
-        assert_eq!(ts.value_at(SimTime::from_secs(5)), None);
     }
 
     #[test]
@@ -101,6 +82,6 @@ mod tests {
         ts.push(SimTime::from_secs(10), 1.0);
         ts.push(SimTime::from_secs(10), 2.0);
         assert_eq!(ts.len(), 2);
-        assert_eq!(ts.value_at(SimTime::from_secs(10)), Some(2.0));
+        assert_eq!(ts.last_value(), Some(2.0));
     }
 }
