@@ -1,11 +1,14 @@
-//! Frozen figure digests: `repro --scale S --fig all --json DIR` must write exactly the files,
-//! and print exactly the stdout, whose FNV-1a digests are checked into
-//! `tests/golden/figures-S.json` at the workspace root.
+//! Frozen artifact digests, checked into `tests/golden/` at the workspace root:
+//!
+//! - `figures-S.json`: every file `repro --scale S --fig all --json DIR` writes, and its stdout;
+//! - `campaigns.json`: the artifact `run_local` renders for `campaigns/smoke.json`, and for the
+//!   same spec replaying `workloads/montage.json`.
 //!
 //! `tests/golden/reports.json` pins single runs; these lists pin every figure the binary
-//! regenerates, so a deletion or a rewrite of a figure runner proves it moved nothing.  The
-//! Smoke list is checked with the workspace tests.  The Reduced list takes seconds in release,
-//! so its test is ignored by default and CI runs it in release:
+//! regenerates and the campaign artifact the server must reproduce, so a deletion or a rewrite
+//! of a figure runner proves it moved nothing.  The Smoke and campaign lists are checked with
+//! the workspace tests.  The Reduced list takes seconds in release, so its test is ignored by
+//! default and CI runs it in release:
 //!
 //! ```text
 //! cargo test --release -p p2pgrid-experiments --test figures -- --ignored
@@ -14,9 +17,14 @@
 //! Regenerate a list with `P2PGRID_BLESS=1` and say in the change which files moved and why.
 //! The `wrote …` lines are left out of the stdout digest, because they name the directory.
 
+use p2pgrid_experiments::rununit::{run_local, CampaignSpec};
+use p2pgrid_workflow::WorkloadSpec;
 use serde::json::{self, Value};
 use std::path::Path;
 use std::process::Command;
+use std::str::FromStr;
+
+const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 fn fnv1a(bytes: &[u8]) -> String {
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
@@ -63,34 +71,29 @@ fn digests(scale: &str) -> Vec<(String, String)> {
     out
 }
 
-fn render(scale: &str, digests: &[(String, String)]) -> String {
+fn render(format: &str, command: &str, digests: &[(String, String)]) -> String {
     let rows = digests
         .iter()
         .map(|(key, digest)| (key.clone(), Value::from(digest.as_str())))
         .collect();
     let doc = Value::object([
-        ("format", Value::from("p2pgrid-golden-figures/v1")),
-        (
-            "command",
-            Value::from(format!("repro --scale {scale} --fig all --json DIR")),
-        ),
+        ("format", Value::from(format)),
+        ("command", Value::from(command)),
         ("digests", Value::Object(rows)),
     ]);
     doc.to_string_pretty() + "\n"
 }
 
-fn check(scale: &str) {
-    let golden = format!(
-        "{}/../../tests/golden/figures-{scale}.json",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let actual = digests(scale);
+/// Compares `actual` with `tests/golden/<name>.json`, or rewrites that file under
+/// `P2PGRID_BLESS=1`.
+fn check(name: &str, format: &str, command: &str, actual: &[(String, String)]) {
+    let golden = format!("{ROOT}/tests/golden/{name}.json");
     if std::env::var_os("P2PGRID_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&golden, render(scale, &actual)).unwrap();
+        std::fs::write(&golden, render(format, command, actual)).unwrap();
         return;
     }
     let text = std::fs::read_to_string(&golden).unwrap_or_else(|_| {
-        panic!("tests/golden/figures-{scale}.json is missing; bless it with P2PGRID_BLESS=1")
+        panic!("tests/golden/{name}.json is missing; bless it with P2PGRID_BLESS=1")
     });
     let doc = json::parse(&text).unwrap();
     let frozen = doc
@@ -99,38 +102,70 @@ fn check(scale: &str) {
         .expect("a `digests` object");
     let moved: Vec<&str> = actual
         .iter()
-        .filter(|(name, digest)| {
+        .filter(|(key, digest)| {
             !frozen
                 .iter()
-                .any(|(k, d)| k == name && d.as_str() == Some(digest))
+                .any(|(k, d)| k == key && d.as_str() == Some(digest))
         })
-        .map(|(name, _)| name.as_str())
+        .map(|(key, _)| key.as_str())
         .collect();
     let gone: Vec<&str> = frozen
         .iter()
-        .filter(|(k, _)| !actual.iter().any(|(name, _)| name == k))
+        .filter(|(k, _)| !actual.iter().any(|(key, _)| key == k))
         .map(|(k, _)| k.as_str())
         .collect();
     assert!(
         moved.is_empty() && gone.is_empty(),
-        "{scale}: {} of {} digests moved: {moved:?}; no longer written: {gone:?}",
+        "{name}: {} of {} digests moved: {moved:?}; no longer written: {gone:?}",
         moved.len(),
         actual.len()
     );
     assert_eq!(
         text,
-        render(scale, &actual),
+        render(format, command, actual),
         "the file is not in canonical form"
+    );
+}
+
+fn check_figures(scale: &str) {
+    check(
+        &format!("figures-{scale}"),
+        "p2pgrid-golden-figures/v1",
+        &format!("repro --scale {scale} --fig all --json DIR"),
+        &digests(scale),
     );
 }
 
 #[test]
 fn smoke_figures_match_the_frozen_digests() {
-    check("smoke");
+    check_figures("smoke");
 }
 
 #[test]
 #[ignore = "seconds in release; CI runs it with --ignored"]
 fn reduced_figures_match_the_frozen_digests() {
-    check("reduced");
+    check_figures("reduced");
+}
+
+#[test]
+fn campaign_artifacts_match_the_frozen_digests() {
+    let read = |path: &str| std::fs::read_to_string(format!("{ROOT}/{path}")).unwrap();
+    let smoke = CampaignSpec::from_str(&read("campaigns/smoke.json")).unwrap();
+    let montage = CampaignSpec {
+        workload: Some(WorkloadSpec::from_str(&read("workloads/montage.json")).unwrap()),
+        ..smoke.clone()
+    };
+    let actual: Vec<(String, String)> = [
+        ("campaigns/smoke.json", smoke),
+        ("campaigns/smoke.json + workloads/montage.json", montage),
+    ]
+    .into_iter()
+    .map(|(key, spec)| (key.to_string(), fnv1a(run_local(&spec).unwrap().as_bytes())))
+    .collect();
+    check(
+        "campaigns",
+        "p2pgrid-golden-campaigns/v1",
+        "run_local(SPEC)",
+        &actual,
+    );
 }
