@@ -35,19 +35,20 @@ fn fnv1a(bytes: &[u8]) -> String {
     format!("{hash:016x}")
 }
 
-/// Runs `repro --scale <scale> --fig all --json` into a fresh directory and returns the digest
-/// of every file it wrote, by file name in name order, then that of its stdout.
-fn digests(scale: &str) -> Vec<(String, String)> {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("figures-{scale}"));
+/// Runs `repro --scale <scale> --fig <fig> --json` into a fresh directory named `dir` and
+/// returns the digest of every file it wrote, by file name in name order, and its stdout
+/// without the `wrote …` lines.
+fn repro(dir: &str, scale: &str, fig: &str) -> (Vec<(String, String)>, String) {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(dir);
     let _ = std::fs::remove_dir_all(&dir);
     let output = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--scale", scale, "--fig", "all", "--json"])
+        .args(["--scale", scale, "--fig", fig, "--json"])
         .arg(&dir)
         .output()
         .unwrap();
     assert!(
         output.status.success(),
-        "repro failed: {}",
+        "repro --fig {fig} failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     let mut files: Vec<_> = std::fs::read_dir(&dir)
@@ -55,7 +56,7 @@ fn digests(scale: &str) -> Vec<(String, String)> {
         .map(|entry| entry.unwrap().path())
         .collect();
     files.sort();
-    let mut out: Vec<(String, String)> = files
+    let digests = files
         .iter()
         .map(|path| {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
@@ -63,12 +64,19 @@ fn digests(scale: &str) -> Vec<(String, String)> {
         })
         .collect();
     let stdout = String::from_utf8(output.stdout).unwrap();
-    let stdout: String = stdout
+    let stdout = stdout
         .split_inclusive('\n')
         .filter(|line| !line.starts_with("wrote "))
         .collect();
-    out.push(("stdout".to_string(), fnv1a(stdout.as_bytes())));
-    out
+    (digests, stdout)
+}
+
+/// The digest of every file `repro --scale <scale> --fig all --json` writes, then that of its
+/// stdout.
+fn digests(scale: &str) -> Vec<(String, String)> {
+    let (mut digests, stdout) = repro(&format!("figures-{scale}"), scale, "all");
+    digests.push(("stdout".to_string(), fnv1a(stdout.as_bytes())));
+    digests
 }
 
 fn render(format: &str, command: &str, digests: &[(String, String)]) -> String {
@@ -145,6 +153,33 @@ fn smoke_figures_match_the_frozen_digests() {
 #[ignore = "seconds in release; CI runs it with --ignored"]
 fn reduced_figures_match_the_frozen_digests() {
     check_figures("reduced");
+}
+
+/// Each `--fig` value writes exactly the files the Smoke list freezes for it (the
+/// `figures.ndjson` stream aside, which holds only that run's figures) and prints, below the
+/// header, a verbatim part of the `--fig all` stdout.
+#[test]
+fn single_figure_runs_match_the_full_smoke_run() {
+    let golden = std::fs::read_to_string(format!("{ROOT}/tests/golden/figures-smoke.json"));
+    let doc = json::parse(&golden.unwrap()).unwrap();
+    let frozen = doc.get("digests").and_then(Value::as_object).unwrap();
+    let (_, all) = repro("single-all", "smoke", "all");
+    for fig in [
+        "3", "4-6", "headline", "fcfs", "7-8", "9-10", "11", "12-14", "15",
+    ] {
+        let (files, stdout) = repro(&format!("single-{fig}"), "smoke", fig);
+        for (name, digest) in files.iter().filter(|(name, _)| name != "figures.ndjson") {
+            let pinned = frozen.iter().find(|(k, _)| k == name).map(|(_, d)| d);
+            assert_eq!(
+                pinned.and_then(Value::as_str),
+                Some(digest.as_str()),
+                "--fig {fig} wrote {name}"
+            );
+        }
+        let (header, body) = stdout.split_once("\n\n").unwrap();
+        assert!(header.starts_with("# p2pgrid reproduction"), "{header}");
+        assert!(all.contains(body), "--fig {fig} printed:\n{body}");
+    }
 }
 
 #[test]
