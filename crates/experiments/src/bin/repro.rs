@@ -152,11 +152,13 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-/// Print a regenerated figure and, when `--json` is on, write its JSON artifact.
-fn emit(fig: &FigureData, json_dir: &Option<PathBuf>) {
-    println!("{}", fig.render());
-    if let Some(dir) = json_dir {
-        write_json(fig, dir);
+/// Print regenerated figures and, when `--json` is on, write their JSON artifacts.
+fn emit(figs: &[FigureData], json_dir: &Option<PathBuf>) {
+    for fig in figs {
+        println!("{}", fig.render());
+        if let Some(dir) = json_dir {
+            write_json(fig, dir);
+        }
     }
 }
 
@@ -223,28 +225,6 @@ fn print_worked_example() {
     println!();
 }
 
-fn run_static(scale: ExperimentScale, seed: u64, headline_only: bool, json_dir: &Option<PathBuf>) {
-    let cmp = static_comparison::run(scale, seed);
-    if !headline_only {
-        emit(&cmp.fig4_throughput(), json_dir);
-        emit(&cmp.fig5_average_finish_time(), json_dir);
-        emit(&cmp.fig6_average_efficiency(), json_dir);
-        println!("== converged summary (static environment) ==");
-        println!("{}", cmp.summary_table());
-    }
-    let h = cmp.headline();
-    println!("== headline claims (DSMF vs other decentralized algorithms) ==");
-    println!(
-        "ACT reduction:   {:.1}% .. {:.1}%   (paper: 20% .. 60%)",
-        h.act_reduction_pct.0, h.act_reduction_pct.1
-    );
-    println!(
-        "AE improvement:  {:.1}% .. {:.1}%   (paper: 37.5% .. 90%)",
-        h.ae_improvement_pct.0, h.ae_improvement_pct.1
-    );
-    println!();
-}
-
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -303,50 +283,66 @@ fn main() {
         print_worked_example();
     }
     if run_all || args.figure == Figure::StaticComparison || args.figure == Figure::Headline {
-        run_static(scale, seed, args.figure == Figure::Headline, json_dir);
+        let grid = static_comparison::run(scale, seed);
+        if args.figure != Figure::Headline {
+            emit(&static_comparison::figures(&grid), json_dir);
+            println!("== converged summary (static environment) ==");
+            println!("{}", static_comparison::summary_table(&grid));
+        }
+        let h = static_comparison::headline(&grid);
+        println!("== headline claims (DSMF vs other decentralized algorithms) ==");
+        println!(
+            "ACT reduction:   {:.1}% .. {:.1}%   (paper: 20% .. 60%)",
+            h.act_reduction_pct.0, h.act_reduction_pct.1
+        );
+        println!(
+            "AE improvement:  {:.1}% .. {:.1}%   (paper: 37.5% .. 90%)",
+            h.ae_improvement_pct.0, h.ae_improvement_pct.1
+        );
+        println!();
     }
     if run_all || args.figure == Figure::FcfsAblation {
-        let ablation = fcfs_ablation::run(scale, seed);
+        let grid = fcfs_ablation::run(scale, seed);
         println!("== second-phase vs FCFS ablation (§IV.B) ==");
-        println!("{}", ablation.table());
+        println!("{}", fcfs_ablation::table(&grid));
         println!(
             "paper second phase beats or matches FCFS for {}/{} algorithms\n",
-            ablation.second_phase_wins(),
-            ablation.pairs.len()
+            fcfs_ablation::second_phase_wins(&grid),
+            grid.xs.len()
         );
         // The figure duplicates the table on stdout, so only its JSON artifact is written —
         // stdout stays identical with and without --json.
         if let Some(dir) = json_dir {
-            write_json(&ablation.figure(), dir);
+            for fig in fcfs_ablation::figures(&grid) {
+                write_json(&fig, dir);
+            }
         }
     }
     if run_all || args.figure == Figure::LoadFactor {
-        let sweep = load_factor::run(scale, seed);
-        emit(&sweep.fig7_average_finish_time(), json_dir);
-        emit(&sweep.fig8_average_efficiency(), json_dir);
+        emit(
+            &load_factor::figures(&load_factor::run(scale, seed)),
+            json_dir,
+        );
     }
     if run_all || args.figure == Figure::Ccr {
-        let sweep = ccr::run(scale, seed);
+        let grid = ccr::run(scale, seed);
         println!("== CCR cases ==");
-        for (i, case) in sweep.cases.iter().enumerate() {
+        for (i, case) in ccr::paper_cases().iter().enumerate() {
             println!("case {i}: {}", case.label);
         }
-        emit(&sweep.fig9_average_finish_time(), json_dir);
-        emit(&sweep.fig10_average_efficiency(), json_dir);
+        emit(&ccr::figures(&grid), json_dir);
     }
     if run_all || args.figure == Figure::Scalability {
-        let sweep = scalability::run(scale, seed);
-        emit(&sweep.fig11a_rss_size(), json_dir);
-        emit(&sweep.fig11b_average_efficiency(), json_dir);
-        emit(&sweep.fig11c_average_finish_time(), json_dir);
+        emit(
+            &scalability::figures(&scalability::run(scale, seed)),
+            json_dir,
+        );
     }
     if run_all || args.figure == Figure::Churn {
-        let sweep = churn::run(scale, seed);
-        emit(&sweep.fig12_throughput(), json_dir);
-        emit(&sweep.fig13_average_finish_time(), json_dir);
-        emit(&sweep.fig14_average_efficiency(), json_dir);
+        let grid = churn::run(scale, seed);
+        emit(&churn::figures(&grid), json_dir);
         println!("== churn summary ==");
-        for (df, r) in sweep.dynamic_factors.iter().zip(&sweep.reports) {
+        for (df, r) in grid.xs.iter().zip(&grid.reports[0]) {
             println!(
                 "df={df:.1}: finished {}, failed {}, ACT {:.0}s, AE {:.3}",
                 r.completed,
@@ -357,11 +353,9 @@ fn main() {
         }
     }
     if run_all || args.figure == Figure::FaultTolerance {
-        let sweep = fault_tolerance::run(scale, seed);
-        emit(&sweep.fig15a_throughput(), json_dir);
-        emit(&sweep.fig15b_goodput(), json_dir);
-        emit(&sweep.fig15c_recovery_latency(), json_dir);
+        let grid = fault_tolerance::run(scale, seed);
+        emit(&fault_tolerance::figures(&grid), json_dir);
         println!("== fault-tolerance summary (MTBF x recovery policy) ==");
-        println!("{}", sweep.summary_table());
+        println!("{}", fault_tolerance::summary_table(&grid));
     }
 }

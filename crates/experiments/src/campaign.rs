@@ -15,11 +15,13 @@
 //!    consumes the jobs and drops each one as it finishes, so a world nothing else holds —
 //!    its gossip trace included — is freed once its last job has run.
 //!
-//! [`sweep`] does all three for a one-knob sweep.  [`run_sequential`] is the single-threaded
-//! reference path: it executes the identical job list on the calling thread and is used by
-//! the `campaign_sweep` bench (pooled versus sequential wall-clock) and by determinism tests
-//! (the pooled results must be byte-identical to the sequential ones).
+//! [`run_grid`] runs such a list and returns its reports as the [`ReportGrid`] every figure
+//! reads, and [`sweep`] does all three for a one-knob sweep.  [`run_sequential`] is the
+//! single-threaded reference path: it executes the identical job list on the calling thread
+//! and is used by the `campaign_sweep` bench (pooled versus sequential wall-clock) and by
+//! determinism tests (the pooled results must be byte-identical to the sequential ones).
 
+use crate::figures::ReportGrid;
 use p2pgrid_core::error::ConfigError;
 use p2pgrid_core::{Algorithm, AlgorithmConfig, GridConfig, Scenario, SimulationReport};
 use rayon::prelude::*;
@@ -49,29 +51,48 @@ impl Job {
     }
 }
 
-/// Derive a world per point from `base` with `edit`, cross with `algorithms`, run pooled,
-/// and return `reports[algorithm][point]` — the layout every figure in this crate consumes.
+/// Derive a world per x from `base` with `edit`, cross with `algorithms`, and run the grid
+/// every one-knob figure reads: one row per algorithm, labelled by
+/// [`AlgorithmConfig::label`], one point per x.
 ///
 /// Derivation runs on the calling thread: it is cheap by construction, and keeping it
 /// sequential keeps the pool free for the simulation jobs.  The jobs hold the only handles
 /// to the derived worlds, so each world is freed once its last job has run.
-pub fn sweep<P>(
+pub fn sweep(
     base: &Scenario,
-    points: &[P],
-    edit: impl Fn(GridConfig, &P) -> GridConfig,
+    xs: &[f64],
+    edit: impl Fn(GridConfig, f64) -> GridConfig,
     algorithms: &[AlgorithmConfig],
-) -> Result<Vec<Vec<SimulationReport>>, ConfigError> {
-    let worlds = points
+) -> Result<ReportGrid, ConfigError> {
+    let worlds = xs
         .iter()
-        .map(|point| base.derive(|config| edit(config, point)))
+        .map(|&x| base.derive(|config| edit(config, x)))
         .collect::<Result<Vec<_>, _>>()?;
     let jobs = cross(&worlds, algorithms);
     drop(worlds);
+    let labels = algorithms.iter().map(AlgorithmConfig::label).collect();
+    Ok(run_grid(labels, xs.to_vec(), jobs))
+}
+
+/// Run `jobs` through one parallel map ([`run`]) and lay the reports out row-major:
+/// `reports[r][p]` is the report of `jobs[r * xs.len() + p]`, so the algorithm-major list
+/// [`cross`] makes comes back with one row per algorithm.
+///
+/// # Panics
+///
+/// If there is not exactly one job per (label, x) cell.
+pub fn run_grid(labels: Vec<String>, xs: Vec<f64>, jobs: Vec<Job>) -> ReportGrid {
+    assert_eq!(jobs.len(), labels.len() * xs.len(), "one job per grid cell");
     let mut reports = run(jobs).into_iter();
-    Ok(algorithms
+    let reports = labels
         .iter()
-        .map(|_| reports.by_ref().take(points.len()).collect())
-        .collect())
+        .map(|_| reports.by_ref().take(xs.len()).collect())
+        .collect();
+    ReportGrid {
+        labels,
+        xs,
+        reports,
+    }
 }
 
 /// Cross scenarios with algorithm configurations into a flat job list, algorithm-major:
@@ -116,24 +137,26 @@ mod tests {
     #[test]
     fn sweep_keeps_figure_layout() {
         let base = Scenario::build(ExperimentScale::Smoke.base_config(7)).unwrap();
-        let points = [1usize, 2, 4];
+        let points = [1.0, 2.0, 4.0];
         let algorithms = [
             AlgorithmConfig::paper_default(Algorithm::Dsmf),
-            AlgorithmConfig::paper_default(Algorithm::MinMin),
+            AlgorithmConfig::with_fcfs_second_phase(Algorithm::MinMin),
         ];
-        let reports = sweep(
+        let grid = sweep(
             &base,
             &points,
-            |config, &lf| config.with_load_factor(lf),
+            |config, lf| config.with_load_factor(lf as usize),
             &algorithms,
         )
         .unwrap();
+        assert_eq!(grid.labels, ["DSMF", "min-min+FCFS"]);
+        assert_eq!(grid.xs, points);
+        let reports = &grid.reports;
         assert_eq!(reports.len(), algorithms.len());
-        for row in &reports {
+        for (label, row) in grid.labels.iter().zip(reports) {
             assert_eq!(row.len(), points.len());
+            assert!(row.iter().all(|r| &r.algorithm == label));
         }
-        assert_eq!(reports[0][0].algorithm, Algorithm::Dsmf.name());
-        assert_eq!(reports[1][0].algorithm, Algorithm::MinMin.name());
         // More workflows per node means more submissions at every point of the DSMF row.
         assert!(reports[0][2].submitted > reports[0][0].submitted);
         // The sweep's one trace was built by its first session, on the base's cell.

@@ -4,9 +4,9 @@
 //! 0.16, 1.6 and 16) and compares the converged ACT and AE of all eight algorithms under each.
 
 use crate::campaign;
-use crate::figures::{FigureData, Series};
+use crate::figures::{FigureData, ReportGrid};
 use crate::scale::ExperimentScale;
-use p2pgrid_core::{Algorithm, Scenario, SimulationReport};
+use p2pgrid_core::SimulationReport;
 use std::ops::RangeInclusive;
 
 /// One load/data combination of Fig. 9/10.
@@ -46,72 +46,47 @@ pub fn paper_cases() -> Vec<CcrCase> {
     ]
 }
 
-/// Results of the CCR sweep: `reports[algorithm][case]`.
-#[derive(Debug, Clone)]
-pub struct CcrSweep {
-    /// The four cases.
-    pub cases: Vec<CcrCase>,
-    /// One row per algorithm, in [`Algorithm::ALL`] order.
-    pub reports: Vec<Vec<SimulationReport>>,
-}
-
-/// Run the sweep (algorithms × cases, across the pool).  The base world is built **once**;
-/// each load/data case is derived from it with [`Scenario::derive`].  Only the workflow
-/// stream re-samples: the topology, the all-pairs metrics and the gossip trace are shared by
-/// all four cases.
-pub fn run(scale: ExperimentScale, seed: u64) -> CcrSweep {
+/// Run the sweep (algorithms × cases, across the pool): one row per algorithm, in
+/// [`p2pgrid_core::Algorithm::ALL`] order, and point `i` (x = `i`) is `paper_cases()[i]`.  The
+/// base world is built **once**; each load/data case is derived from it with
+/// [`Scenario::derive`](p2pgrid_core::Scenario::derive).  Only the workflow stream
+/// re-samples: the topology, the all-pairs metrics and the gossip trace are shared by all
+/// four cases.
+pub fn run(scale: ExperimentScale, seed: u64) -> ReportGrid {
     let cases = paper_cases();
-    let base = Scenario::build(scale.base_config(seed))
-        .unwrap_or_else(|e| panic!("invalid CCR base configuration: {e}"));
-    let reports = campaign::sweep(
-        &base,
-        &cases,
-        |config, case| config.with_load_and_data(case.load_mi.clone(), case.data_mb.clone()),
+    let xs: Vec<f64> = (0..cases.len()).map(|i| i as f64).collect();
+    campaign::sweep(
+        &scale.base_world(seed),
+        &xs,
+        |config, i| {
+            let case = &cases[i as usize];
+            config.with_load_and_data(case.load_mi.clone(), case.data_mb.clone())
+        },
         &campaign::paper_algorithms(),
     )
-    .unwrap_or_else(|e| panic!("invalid CCR case: {e}"));
-    CcrSweep { cases, reports }
+    .unwrap_or_else(|e| panic!("invalid CCR case: {e}"))
 }
 
-impl CcrSweep {
-    fn figure(
-        &self,
-        id: &str,
-        title: &str,
-        y_label: &str,
-        f: impl Fn(&SimulationReport) -> f64,
-    ) -> FigureData {
-        let mut fig = FigureData::new(id, title, "case index", y_label);
-        for (alg, row) in Algorithm::ALL.iter().zip(&self.reports) {
-            let points = row
-                .iter()
-                .enumerate()
-                .map(|(i, r)| (i as f64, f(r)))
-                .collect();
-            fig.push_series(Series::new(alg.name(), points));
-        }
-        fig
-    }
-
-    /// Fig. 9: converged ACT for each load/data combination.
-    pub fn fig9_average_finish_time(&self) -> FigureData {
-        self.figure(
+/// Fig. 9 and Fig. 10: converged ACT and AE for each load/data combination.
+pub fn figures(grid: &ReportGrid) -> [FigureData; 2] {
+    [
+        FigureData::scalar(
             "fig9",
             "Average finish-time of workflows under different CCRs",
+            "case index",
             "ACT (s)",
-            |r| r.act_secs(),
-        )
-    }
-
-    /// Fig. 10: converged AE for each load/data combination.
-    pub fn fig10_average_efficiency(&self) -> FigureData {
-        self.figure(
+            grid,
+            SimulationReport::act_secs,
+        ),
+        FigureData::scalar(
             "fig10",
             "Average efficiency of workflows under different CCRs",
+            "case index",
             "AE",
-            |r| r.average_efficiency(),
-        )
-    }
+            grid,
+            SimulationReport::average_efficiency,
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -128,13 +103,12 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_all_points() {
-        let sweep = run(ExperimentScale::Smoke, 9);
-        assert_eq!(sweep.reports.len(), 8);
-        for row in &sweep.reports {
+        let grid = run(ExperimentScale::Smoke, 9);
+        assert_eq!(grid.reports.len(), 8);
+        for row in &grid.reports {
             assert_eq!(row.len(), 4);
         }
-        let fig9 = sweep.fig9_average_finish_time();
-        let fig10 = sweep.fig10_average_efficiency();
+        let [fig9, fig10] = figures(&grid);
         assert_eq!(fig9.series.len(), 8);
         assert_eq!(fig10.series.len(), 8);
         for s in &fig10.series {

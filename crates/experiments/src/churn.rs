@@ -7,155 +7,101 @@
 //! for `df ≤ 0.2`.
 
 use crate::campaign;
-use crate::figures::{FigureData, Series};
+use crate::figures::{FigureData, ReportGrid};
 use crate::scale::ExperimentScale;
-use crate::static_comparison::series_points;
-use p2pgrid_core::{
-    Algorithm, AlgorithmConfig, ChurnConfig, RecoveryPolicy, Scenario, SimulationReport,
-};
+use p2pgrid_core::{Algorithm, AlgorithmConfig, ChurnConfig};
+use p2pgrid_metrics::WorkflowMetrics;
 
-/// Results of the churn sweep (DSMF only, as in the paper).
-#[derive(Debug, Clone)]
-pub struct ChurnSweep {
-    /// Swept dynamic factors.
-    pub dynamic_factors: Vec<f64>,
-    /// One report per dynamic factor.
-    pub reports: Vec<SimulationReport>,
-    /// Whether the future-work rescheduling extension was enabled.
-    pub rescheduling: bool,
-}
-
-/// Run the sweep with the paper's behaviour (lost tasks fail their workflow).
-pub fn run(scale: ExperimentScale, seed: u64) -> ChurnSweep {
-    run_with_rescheduling(scale, seed, false)
-}
-
-/// Run the sweep, optionally enabling the paper's future-work extension that re-schedules tasks
-/// lost to churn (an unlimited-budget [`RecoveryPolicy::Retry`]) instead of failing their
-/// workflow.
+/// Run the sweep with the paper's behaviour (lost tasks fail their workflow): one row,
+/// `DSMF`, and one point per dynamic factor.
 ///
 /// The base world is built **once**; each dynamic factor is derived from it with
-/// [`Scenario::derive`], sharing the topology tables.
-pub fn run_with_rescheduling(scale: ExperimentScale, seed: u64, rescheduling: bool) -> ChurnSweep {
-    let dynamic_factors = scale.dynamic_factor_sweep();
-    let base = Scenario::build(scale.base_config(seed))
-        .unwrap_or_else(|e| panic!("invalid churn base configuration: {e}"));
-    let mut reports = campaign::sweep(
-        &base,
-        &dynamic_factors,
-        |config, &df| {
-            let churned = config.with_churn(ChurnConfig::with_dynamic_factor(df));
-            if rescheduling {
-                churned.with_recovery(RecoveryPolicy::unlimited_retry())
-            } else {
-                churned
-            }
-        },
+/// [`Scenario::derive`](p2pgrid_core::Scenario::derive), sharing the topology tables.
+pub fn run(scale: ExperimentScale, seed: u64) -> ReportGrid {
+    campaign::sweep(
+        &scale.base_world(seed),
+        &scale.dynamic_factor_sweep(),
+        |config, df| config.with_churn(ChurnConfig::with_dynamic_factor(df)),
         &[AlgorithmConfig::paper_default(Algorithm::Dsmf)],
     )
-    .unwrap_or_else(|e| panic!("invalid churn sweep point: {e}"));
-    ChurnSweep {
-        dynamic_factors,
-        reports: reports.remove(0),
-        rescheduling,
-    }
+    .unwrap_or_else(|e| panic!("invalid churn sweep point: {e}"))
 }
 
-impl ChurnSweep {
-    fn label(&self, df: f64) -> String {
-        format!("dynamic factor={df:.1}")
-    }
-
-    /// Fig. 12: throughput over time for each dynamic factor.
-    pub fn fig12_throughput(&self) -> FigureData {
-        let mut fig = FigureData::new(
+/// Fig. 12–14: throughput, average finish time and average efficiency over time, one curve
+/// per dynamic factor.
+pub fn figures(grid: &ReportGrid) -> [FigureData; 3] {
+    let label = |_: &str, df: f64| format!("dynamic factor={df:.1}");
+    [
+        FigureData::hourly(
             "fig12",
             "Throughput of DSMF in a dynamic environment",
-            "hour",
             "workflows finished",
-        );
-        for (df, r) in self.dynamic_factors.iter().zip(&self.reports) {
-            fig.push_series(Series::new(
-                self.label(*df),
-                series_points(r.metrics.throughput_series()),
-            ));
-        }
-        fig
-    }
-
-    /// Fig. 13: average finish time over time for each dynamic factor.
-    pub fn fig13_average_finish_time(&self) -> FigureData {
-        let mut fig = FigureData::new(
+            grid,
+            label,
+            WorkflowMetrics::throughput_series,
+        ),
+        FigureData::hourly(
             "fig13",
             "Average finish-time of DSMF in a dynamic environment",
-            "hour",
             "ACT (s)",
-        );
-        for (df, r) in self.dynamic_factors.iter().zip(&self.reports) {
-            fig.push_series(Series::new(
-                self.label(*df),
-                series_points(r.metrics.act_series()),
-            ));
-        }
-        fig
-    }
-
-    /// Fig. 14: average efficiency over time for each dynamic factor.
-    pub fn fig14_average_efficiency(&self) -> FigureData {
-        let mut fig = FigureData::new(
+            grid,
+            label,
+            WorkflowMetrics::act_series,
+        ),
+        FigureData::hourly(
             "fig14",
             "Average efficiency of DSMF in a dynamic environment",
-            "hour",
             "AE",
-        );
-        for (df, r) in self.dynamic_factors.iter().zip(&self.reports) {
-            fig.push_series(Series::new(
-                self.label(*df),
-                series_points(r.metrics.ae_series()),
-            ));
-        }
-        fig
-    }
+            grid,
+            label,
+            WorkflowMetrics::ae_series,
+        ),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2pgrid_core::RecoveryPolicy;
 
     #[test]
     fn churn_sweep_shows_throughput_degradation_but_stable_survivor_metrics() {
-        let sweep = run(ExperimentScale::Smoke, 21);
-        assert_eq!(sweep.reports.len(), sweep.dynamic_factors.len());
-        assert_eq!(sweep.dynamic_factors[0], 0.0);
-        let static_run = &sweep.reports[0];
-        let heavy_churn = sweep.reports.last().unwrap();
+        let grid = run(ExperimentScale::Smoke, 21);
+        let reports = &grid.reports[0];
+        assert_eq!(reports.len(), grid.xs.len());
+        assert_eq!(grid.xs[0], 0.0);
+        let static_run = &reports[0];
+        let heavy_churn = reports.last().unwrap();
         assert!(static_run.failed == 0, "no churn means no failures");
         assert!(
             heavy_churn.completed <= static_run.completed,
             "churn should not increase throughput"
         );
         // Figures carry one curve per dynamic factor.
-        assert_eq!(
-            sweep.fig12_throughput().series.len(),
-            sweep.dynamic_factors.len()
-        );
-        assert_eq!(
-            sweep.fig13_average_finish_time().series.len(),
-            sweep.dynamic_factors.len()
-        );
-        assert_eq!(
-            sweep.fig14_average_efficiency().series.len(),
-            sweep.dynamic_factors.len()
-        );
+        for fig in figures(&grid) {
+            assert_eq!(fig.series.len(), grid.xs.len());
+        }
     }
 
+    /// The paper's future-work extension: tasks lost to churn are re-scheduled (an
+    /// unlimited-budget [`RecoveryPolicy::Retry`]) instead of failing their workflow.
     #[test]
     fn rescheduling_extension_recovers_throughput() {
-        let plain = run(ExperimentScale::Smoke, 22);
-        let resched = run_with_rescheduling(ExperimentScale::Smoke, 22, true);
-        let df_max_plain = plain.reports.last().unwrap();
-        let df_max_resched = resched.reports.last().unwrap();
-        assert!(resched.rescheduling);
+        let scale = ExperimentScale::Smoke;
+        let plain = run(scale, 22);
+        let resched = campaign::sweep(
+            &scale.base_world(22),
+            &scale.dynamic_factor_sweep(),
+            |config, df| {
+                config
+                    .with_churn(ChurnConfig::with_dynamic_factor(df))
+                    .with_recovery(RecoveryPolicy::unlimited_retry())
+            },
+            &[AlgorithmConfig::paper_default(Algorithm::Dsmf)],
+        )
+        .unwrap();
+        let df_max_plain = plain.reports[0].last().unwrap();
+        let df_max_resched = resched.reports[0].last().unwrap();
         assert_eq!(df_max_resched.failed, 0);
         assert!(
             df_max_resched.completed >= df_max_plain.completed,

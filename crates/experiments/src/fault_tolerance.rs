@@ -16,11 +16,10 @@
 //! [`RobustnessStats`]: p2pgrid_metrics::RobustnessStats
 
 use crate::campaign;
-use crate::figures::{FigureData, Series};
+use crate::figures::{FigureData, ReportGrid};
 use crate::scale::ExperimentScale;
 use p2pgrid_core::{
-    Algorithm, AlgorithmConfig, FaultModel, RecoveryPolicy, Scenario, SimulationReport,
-    StochasticFaults,
+    Algorithm, AlgorithmConfig, FaultModel, RecoveryPolicy, Scenario, StochasticFaults,
 };
 use p2pgrid_sim::SimDuration;
 
@@ -52,32 +51,21 @@ pub fn policies() -> Vec<(&'static str, RecoveryPolicy)> {
 /// node's tasks cannot simply wait the outage out.
 pub const MTTR: SimDuration = SimDuration::from_secs(20 * 60);
 
-/// Results of the MTBF × recovery-policy sweep (DSMF only).
-#[derive(Debug, Clone)]
-pub struct FaultToleranceSweep {
-    /// Swept per-node MTBF values, in hours.
-    pub mtbf_hours: Vec<f64>,
-    /// Policy labels, row-aligned with [`reports`](FaultToleranceSweep::reports).
-    pub policy_labels: Vec<&'static str>,
-    /// `reports[policy][mtbf]`: one report per (policy, MTBF) cell.
-    pub reports: Vec<Vec<SimulationReport>>,
-}
-
-/// Run the sweep: every recovery policy over every MTBF in the scale's sweep.
+/// Run the sweep: every recovery policy over every MTBF in the scale's sweep, one row per
+/// policy (labelled as in [`policies`]) and one point per MTBF in hours.
 ///
-/// The base world is built **once**; each cell is derived with [`Scenario::derive`] — the
-/// fault schedule re-drawn once per MTBF, then the policy swapped on that MTBF's world — and
-/// the full grid of jobs runs through one parallel map.  Recovery never changes liveness or
-/// gossip, so an MTBF's cells share one gossip trace: the protocol runs once per MTBF, not
-/// once per cell.
-pub fn run(scale: ExperimentScale, seed: u64) -> FaultToleranceSweep {
+/// The base world is built **once**; each cell is derived with
+/// [`Scenario::derive`] — the fault schedule re-drawn once per MTBF, then the policy swapped
+/// on that MTBF's world — and the full grid of jobs runs through one parallel map.  Recovery
+/// never changes liveness or gossip, so an MTBF's cells share one gossip trace: the protocol
+/// runs once per MTBF, not once per cell.
+pub fn run(scale: ExperimentScale, seed: u64) -> ReportGrid {
     let mtbf_hours = scale.mtbf_sweep_hours();
     let policies = policies();
-    let base = Scenario::build(scale.base_config(seed))
-        .unwrap_or_else(|e| panic!("invalid fault-tolerance base configuration: {e}"));
     // The jobs end up holding the only handles, so each MTBF's world and trace are freed
     // once its cells have run.
     let jobs = {
+        let base = scale.base_world(seed);
         let worlds: Vec<Scenario> = mtbf_hours
             .iter()
             .map(|&hours| {
@@ -87,7 +75,7 @@ pub fn run(scale: ExperimentScale, seed: u64) -> FaultToleranceSweep {
             })
             .collect::<Result<_, _>>()
             .unwrap_or_else(|e| panic!("invalid fault-tolerance sweep point: {e}"));
-        // Policy-major, so the report vector splits back into per-policy rows.
+        // Policy-major, so the reports come back one row per policy.
         let cells: Vec<Scenario> = policies
             .iter()
             .flat_map(|&(_, policy)| {
@@ -99,154 +87,118 @@ pub fn run(scale: ExperimentScale, seed: u64) -> FaultToleranceSweep {
             .unwrap_or_else(|e| panic!("invalid fault-tolerance recovery policy: {e}"));
         campaign::cross(&cells, &[AlgorithmConfig::paper_default(Algorithm::Dsmf)])
     };
-    let mut flat = campaign::run(jobs);
-    let mut reports = Vec::with_capacity(policies.len());
-    for _ in &policies {
-        let rest = flat.split_off(mtbf_hours.len());
-        reports.push(flat);
-        flat = rest;
-    }
-    FaultToleranceSweep {
-        mtbf_hours,
-        policy_labels: policies.iter().map(|&(label, _)| label).collect(),
-        reports,
-    }
+    let labels = policies.iter().map(|&(label, _)| label.into()).collect();
+    campaign::run_grid(labels, mtbf_hours, jobs)
 }
 
-impl FaultToleranceSweep {
-    fn figure<F: Fn(&SimulationReport) -> f64>(
-        &self,
-        id: &str,
-        title: &str,
-        y: &str,
-        value: F,
-    ) -> FigureData {
-        let mut fig = FigureData::new(id, title, "per-node MTBF (h)", y);
-        for (label, row) in self.policy_labels.iter().zip(&self.reports) {
-            let points = self
-                .mtbf_hours
-                .iter()
-                .zip(row)
-                .map(|(&h, r)| (h, value(r)))
-                .collect();
-            fig.push_series(Series::new(*label, points));
-        }
-        fig
-    }
-
-    /// Fig. 15a: workflows finished versus MTBF, one curve per recovery policy.
-    pub fn fig15a_throughput(&self) -> FigureData {
-        self.figure(
+/// Fig. 15: (a) workflows finished, (b) goodput (useful MI / total executed MI) and (c) mean
+/// recovery latency, each versus MTBF, one curve per recovery policy.
+pub fn figures(grid: &ReportGrid) -> [FigureData; 3] {
+    let x_label = "per-node MTBF (h)";
+    [
+        FigureData::scalar(
             "fig15a",
             "Throughput of DSMF under stochastic node failures",
+            x_label,
             "workflows finished",
+            grid,
             |r| r.completed as f64,
-        )
-    }
-
-    /// Fig. 15b: goodput (useful MI / total executed MI) versus MTBF per policy.
-    pub fn fig15b_goodput(&self) -> FigureData {
-        self.figure(
+        ),
+        FigureData::scalar(
             "fig15b",
             "Goodput of DSMF under stochastic node failures",
+            x_label,
             "useful / executed MI",
+            grid,
             |r| r.robustness.goodput(),
-        )
-    }
-
-    /// Fig. 15c: mean recovery latency versus MTBF per policy.
-    pub fn fig15c_recovery_latency(&self) -> FigureData {
-        self.figure(
+        ),
+        FigureData::scalar(
             "fig15c",
             "Mean task-recovery latency of DSMF under stochastic node failures",
+            x_label,
             "loss-to-redispatch (s)",
+            grid,
             |r| r.robustness.mean_recovery_latency_secs(),
-        )
-    }
+        ),
+    ]
+}
 
-    /// Plain-text summary table: one row per (policy, MTBF) cell with the full robustness
-    /// ledger.
-    pub fn summary_table(&self) -> String {
-        let mut out = format!(
-            "{:<16} {:>8} {:>9} {:>7} {:>7} {:>9} {:>8} {:>8} {:>10}\n",
-            "policy",
-            "mtbf(h)",
-            "finished",
-            "failed",
-            "lost",
-            "retries",
-            "goodput",
-            "rec(s)",
-            "wasted MI"
-        );
-        for (label, row) in self.policy_labels.iter().zip(&self.reports) {
-            for (&h, r) in self.mtbf_hours.iter().zip(row) {
-                let s = &r.robustness;
-                out.push_str(&format!(
-                    "{:<16} {:>8.1} {:>9} {:>7} {:>7} {:>9} {:>8.3} {:>8.0} {:>10.3e}\n",
-                    label,
-                    h,
-                    r.completed,
-                    r.failed,
-                    s.tasks_lost,
-                    s.retries,
-                    s.goodput(),
-                    s.mean_recovery_latency_secs(),
-                    s.wasted_mi,
-                ));
-            }
+/// Plain-text summary table: one row per (policy, MTBF) cell with the full robustness
+/// ledger.
+pub fn summary_table(grid: &ReportGrid) -> String {
+    let mut out = format!(
+        "{:<16} {:>8} {:>9} {:>7} {:>7} {:>9} {:>8} {:>8} {:>10}\n",
+        "policy",
+        "mtbf(h)",
+        "finished",
+        "failed",
+        "lost",
+        "retries",
+        "goodput",
+        "rec(s)",
+        "wasted MI"
+    );
+    for (label, row) in grid.labels.iter().zip(&grid.reports) {
+        for (&h, r) in grid.xs.iter().zip(row) {
+            let s = &r.robustness;
+            out.push_str(&format!(
+                "{:<16} {:>8.1} {:>9} {:>7} {:>7} {:>9} {:>8.3} {:>8.0} {:>10.3e}\n",
+                label,
+                h,
+                r.completed,
+                r.failed,
+                s.tasks_lost,
+                s.retries,
+                s.goodput(),
+                s.mean_recovery_latency_secs(),
+                s.wasted_mi,
+            ));
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use p2pgrid_core::SimulationReport;
+
     /// The report of an exact (policy label, MTBF) cell.
-    fn report_for<'a>(
-        sweep: &'a FaultToleranceSweep,
-        label: &str,
-        mtbf_hours: f64,
-    ) -> &'a SimulationReport {
-        let row = sweep.policy_labels.iter().position(|&l| l == label);
-        let col = sweep.mtbf_hours.iter().position(|&h| h == mtbf_hours);
-        &sweep.reports[row.unwrap()][col.unwrap()]
+    fn report_for<'a>(grid: &'a ReportGrid, label: &str, mtbf_hours: f64) -> &'a SimulationReport {
+        let row = grid.labels.iter().position(|l| l == label);
+        let col = grid.xs.iter().position(|&h| h == mtbf_hours);
+        &grid.reports[row.unwrap()][col.unwrap()]
     }
 
     #[test]
     fn sweep_covers_the_policy_by_mtbf_grid_and_faults_actually_fire() {
-        let sweep = run(ExperimentScale::Smoke, 31);
-        assert_eq!(sweep.reports.len(), sweep.policy_labels.len());
-        for row in &sweep.reports {
-            assert_eq!(row.len(), sweep.mtbf_hours.len());
+        let grid = run(ExperimentScale::Smoke, 31);
+        assert_eq!(grid.reports.len(), grid.labels.len());
+        for row in &grid.reports {
+            assert_eq!(row.len(), grid.xs.len());
         }
         // The harshest cell must actually exercise the fault substrate.
-        let harsh = report_for(&sweep, "fail (paper)", 2.0);
+        let harsh = report_for(&grid, "fail (paper)", 2.0);
         assert!(
             harsh.robustness.node_failures > 0,
             "a 2h MTBF over a 12h horizon must fail some node"
         );
         // Figures carry one curve per policy.
-        for fig in [
-            sweep.fig15a_throughput(),
-            sweep.fig15b_goodput(),
-            sweep.fig15c_recovery_latency(),
-        ] {
-            assert_eq!(fig.series.len(), sweep.policy_labels.len());
+        for fig in figures(&grid) {
+            assert_eq!(fig.series.len(), grid.labels.len());
             for s in &fig.series {
-                assert_eq!(s.points.len(), sweep.mtbf_hours.len());
+                assert_eq!(s.points.len(), grid.xs.len());
             }
         }
-        assert!(sweep.summary_table().contains("replicate x2"));
+        assert!(summary_table(&grid).contains("replicate x2"));
     }
 
     #[test]
     fn recovery_policies_beat_the_paper_baseline_under_pressure() {
-        let sweep = run(ExperimentScale::Smoke, 33);
-        let fail = report_for(&sweep, "fail (paper)", 2.0);
-        let retry = report_for(&sweep, "retry x3", 2.0);
+        let grid = run(ExperimentScale::Smoke, 33);
+        let fail = report_for(&grid, "fail (paper)", 2.0);
+        let retry = report_for(&grid, "retry x3", 2.0);
         assert!(
             retry.completed >= fail.completed,
             "bounded retry should not finish fewer workflows than failing outright \

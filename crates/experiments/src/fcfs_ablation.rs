@@ -8,9 +8,9 @@
 //! absolute values.
 
 use crate::campaign;
-use crate::figures::{FigureData, Series};
+use crate::figures::{FigureData, ReportGrid};
 use crate::scale::ExperimentScale;
-use p2pgrid_core::{Algorithm, AlgorithmConfig, Scenario, SimulationReport};
+use p2pgrid_core::{Algorithm, AlgorithmConfig, SimulationReport};
 use p2pgrid_metrics::format_table;
 
 /// The algorithms the paper runs through the ablation.
@@ -21,113 +21,69 @@ pub const ABLATED_ALGORITHMS: [Algorithm; 4] = [
     Algorithm::Dheft,
 ];
 
-/// One ablation pair: the same first-phase heuristic with the paper ready-set rule and with
-/// FCFS.
-#[derive(Debug, Clone)]
-pub struct AblationPair {
-    /// The first-phase heuristic.
-    pub algorithm: Algorithm,
-    /// Report with the paper's second phase.
-    pub with_second_phase: SimulationReport,
-    /// Report with the FCFS ready set.
-    pub with_fcfs: SimulationReport,
-}
-
-/// Results of the full ablation.
-#[derive(Debug, Clone)]
-pub struct FcfsAblation {
-    /// One pair per ablated algorithm.
-    pub pairs: Vec<AblationPair>,
-}
-
-/// Run the ablation (eight simulations across the pool, all sharing one pre-built world).
-pub fn run(scale: ExperimentScale, seed: u64) -> FcfsAblation {
-    let scenario = Scenario::build(scale.base_config(seed))
-        .unwrap_or_else(|e| panic!("invalid ablation configuration: {e}"));
+/// Run the ablation (eight simulations across the pool, all sharing one pre-built world):
+/// row 0 runs each ablated algorithm with the paper's second phase, row 1 with a FCFS ready
+/// set, and point `i` (x = `i`) is `ABLATED_ALGORITHMS[i]`.
+pub fn run(scale: ExperimentScale, seed: u64) -> ReportGrid {
     let configs: Vec<AlgorithmConfig> = ABLATED_ALGORITHMS
+        .map(AlgorithmConfig::paper_default)
+        .into_iter()
+        .chain(ABLATED_ALGORITHMS.map(AlgorithmConfig::with_fcfs_second_phase))
+        .collect();
+    let jobs = campaign::cross(&[scale.base_world(seed)], &configs);
+    let xs = (0..ABLATED_ALGORITHMS.len()).map(|i| i as f64).collect();
+    campaign::run_grid(vec!["paper second phase".into(), "FCFS".into()], xs, jobs)
+}
+
+/// The converged ACT comparison as a figure (x = algorithm index).
+pub fn figures(grid: &ReportGrid) -> [FigureData; 1] {
+    [FigureData::scalar(
+        "fcfs-ablation",
+        "Converged ACT with the paper second phase vs FCFS ready sets",
+        "algorithm index",
+        "ACT (s)",
+        grid,
+        SimulationReport::act_secs,
+    )]
+}
+
+/// The (paper second phase, FCFS) report pair of each ablated algorithm.
+fn pairs(grid: &ReportGrid) -> impl Iterator<Item = (&SimulationReport, &SimulationReport)> {
+    grid.reports[0].iter().zip(&grid.reports[1])
+}
+
+/// Render the ablation table (mirrors the §IV.B text numbers).
+pub fn table(grid: &ReportGrid) -> String {
+    let rows: Vec<Vec<String>> = ABLATED_ALGORITHMS
         .iter()
-        .flat_map(|&alg| {
-            [
-                AlgorithmConfig::paper_default(alg),
-                AlgorithmConfig::with_fcfs_second_phase(alg),
+        .zip(pairs(grid))
+        .map(|(algorithm, (paper, fcfs))| {
+            vec![
+                algorithm.name().to_string(),
+                format!("{:.0}", paper.act_secs()),
+                format!("{:.0}", fcfs.act_secs()),
+                format!("{:.3}", paper.average_efficiency()),
+                format!("{:.3}", fcfs.average_efficiency()),
             ]
         })
         .collect();
-    let reports = campaign::run(campaign::cross(std::slice::from_ref(&scenario), &configs));
-    let pairs = ABLATED_ALGORITHMS
-        .iter()
-        .enumerate()
-        .map(|(i, &algorithm)| AblationPair {
-            algorithm,
-            with_second_phase: reports[2 * i].clone(),
-            with_fcfs: reports[2 * i + 1].clone(),
-        })
-        .collect();
-    FcfsAblation { pairs }
+    format_table(
+        &[
+            "algorithm",
+            "ACT (phase 2)",
+            "ACT (FCFS)",
+            "AE (phase 2)",
+            "AE (FCFS)",
+        ],
+        &rows,
+    )
 }
 
-impl FcfsAblation {
-    /// The converged ACT comparison as a figure (x = algorithm index).
-    pub fn figure(&self) -> FigureData {
-        let mut fig = FigureData::new(
-            "fcfs-ablation",
-            "Converged ACT with the paper second phase vs FCFS ready sets",
-            "algorithm index",
-            "ACT (s)",
-        );
-        fig.push_series(Series::new(
-            "paper second phase",
-            self.pairs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (i as f64, p.with_second_phase.act_secs()))
-                .collect(),
-        ));
-        fig.push_series(Series::new(
-            "FCFS",
-            self.pairs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (i as f64, p.with_fcfs.act_secs()))
-                .collect(),
-        ));
-        fig
-    }
-
-    /// Render the ablation table (mirrors the §IV.B text numbers).
-    pub fn table(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .pairs
-            .iter()
-            .map(|p| {
-                vec![
-                    p.algorithm.name().to_string(),
-                    format!("{:.0}", p.with_second_phase.act_secs()),
-                    format!("{:.0}", p.with_fcfs.act_secs()),
-                    format!("{:.3}", p.with_second_phase.average_efficiency()),
-                    format!("{:.3}", p.with_fcfs.average_efficiency()),
-                ]
-            })
-            .collect();
-        format_table(
-            &[
-                "algorithm",
-                "ACT (phase 2)",
-                "ACT (FCFS)",
-                "AE (phase 2)",
-                "AE (FCFS)",
-            ],
-            &rows,
-        )
-    }
-
-    /// Number of ablated algorithms whose paper second phase beats (or ties) FCFS on ACT.
-    pub fn second_phase_wins(&self) -> usize {
-        self.pairs
-            .iter()
-            .filter(|p| p.with_second_phase.act_secs() <= p.with_fcfs.act_secs() * 1.02)
-            .count()
-    }
+/// Number of ablated algorithms whose paper second phase beats (or ties) FCFS on ACT.
+pub fn second_phase_wins(grid: &ReportGrid) -> usize {
+    pairs(grid)
+        .filter(|(paper, fcfs)| paper.act_secs() <= fcfs.act_secs() * 1.02)
+        .count()
 }
 
 #[cfg(test)]
@@ -136,19 +92,20 @@ mod tests {
 
     #[test]
     fn ablation_runs_and_reports_all_pairs() {
-        let ablation = run(ExperimentScale::Smoke, 5);
-        assert_eq!(ablation.pairs.len(), 4);
-        for p in &ablation.pairs {
-            assert!(p.with_second_phase.completed > 0, "{}", p.algorithm);
-            assert!(p.with_fcfs.completed > 0, "{}", p.algorithm);
-            assert!(p.with_fcfs.algorithm.contains("FCFS"));
+        let grid = run(ExperimentScale::Smoke, 5);
+        assert_eq!(grid.reports.len(), 2);
+        for (i, (paper, fcfs)) in pairs(&grid).enumerate() {
+            let algorithm = ABLATED_ALGORITHMS[i];
+            assert_eq!(paper.algorithm, algorithm.name());
+            assert_eq!(fcfs.algorithm, format!("{algorithm}+FCFS"));
+            assert!(paper.completed > 0 && fcfs.completed > 0, "{algorithm}");
         }
-        let table = ablation.table();
+        let table = table(&grid);
         assert!(table.contains("min-min"));
         assert!(table.contains("DHEFT"));
-        let fig = ablation.figure();
+        let [fig] = figures(&grid);
         assert_eq!(fig.series.len(), 2);
         assert_eq!(fig.series[0].points.len(), 4);
-        assert!(ablation.second_phase_wins() <= 4);
+        assert!(second_phase_wins(&grid) <= 4);
     }
 }

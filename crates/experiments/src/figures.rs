@@ -1,6 +1,8 @@
-//! Figure data structures shared by all experiment runners.
+//! Figure data structures shared by all experiment runners, and the report grid every paper
+//! figure is read from.
 
-use p2pgrid_metrics::format_table;
+use p2pgrid_core::SimulationReport;
+use p2pgrid_metrics::{format_table, TimeSeries, WorkflowMetrics};
 
 /// One curve of a figure: a legend label and `(x, y)` points.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,6 +22,12 @@ impl Series {
         }
     }
 
+    /// An hourly-sampled time series as a curve, x in hours.
+    pub fn hourly(label: impl Into<String>, series: &TimeSeries) -> Self {
+        let points = series.points().iter();
+        Series::new(label, points.map(|&(t, v)| (t.as_hours_f64(), v)).collect())
+    }
+
     /// The series as a JSON value (`{"label": ..., "points": [[x, y], ...]}`).
     pub fn to_json(&self) -> serde::json::Value {
         serde::json::Value::object([
@@ -35,6 +43,18 @@ impl Series {
             .find(|&&(px, _)| (px - x).abs() < 1e-9)
             .map(|&(_, y)| y)
     }
+}
+
+/// The reports one sweep produced, laid out the way its figures read them: a legend label per
+/// row, an x value per point, and `reports[row][point]`.
+#[derive(Debug, Clone)]
+pub struct ReportGrid {
+    /// Legend label of each row, such as an algorithm or a recovery policy.
+    pub labels: Vec<String>,
+    /// The x value of each point, such as a load factor or an MTBF.
+    pub xs: Vec<f64>,
+    /// `reports[row][point]`.
+    pub reports: Vec<Vec<SimulationReport>>,
 }
 
 /// The regenerated data behind one of the paper's figures (or text tables).
@@ -72,6 +92,43 @@ impl FigureData {
     /// Add a curve.
     pub fn push_series(&mut self, series: Series) {
         self.series.push(series);
+    }
+
+    /// One curve per grid row, labelled by the row: `metric` of each of its reports against
+    /// the point's x.
+    pub fn scalar(
+        id: &str,
+        title: &str,
+        x_label: &str,
+        y_label: &str,
+        grid: &ReportGrid,
+        metric: impl Fn(&SimulationReport) -> f64,
+    ) -> Self {
+        let mut fig = FigureData::new(id, title, x_label, y_label);
+        for (label, row) in grid.labels.iter().zip(&grid.reports) {
+            let points = grid.xs.iter().zip(row).map(|(&x, r)| (x, metric(r)));
+            fig.push_series(Series::new(label.as_str(), points.collect()));
+        }
+        fig
+    }
+
+    /// One curve per report, row by row: its hourly `series` against the hour, labelled by
+    /// `label(row label, x)`.
+    pub fn hourly(
+        id: &str,
+        title: &str,
+        y_label: &str,
+        grid: &ReportGrid,
+        label: impl Fn(&str, f64) -> String,
+        series: impl Fn(&WorkflowMetrics) -> &TimeSeries,
+    ) -> Self {
+        let mut fig = FigureData::new(id, title, "hour", y_label);
+        for (row_label, row) in grid.labels.iter().zip(&grid.reports) {
+            for (&x, report) in grid.xs.iter().zip(row) {
+                fig.push_series(Series::hourly(label(row_label, x), series(&report.metrics)));
+            }
+        }
+        fig
     }
 
     /// The whole figure as a machine-readable JSON document — the artifact `repro --json`

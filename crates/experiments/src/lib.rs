@@ -1,16 +1,27 @@
 //! # p2pgrid-experiments — regenerating every table and figure of the paper
 //!
-//! Each module reproduces one experiment of Section IV:
+//! Each figure module reproduces one experiment of Section IV.  Its `run(scale, seed)` returns
+//! a [`ReportGrid`] — a legend label per row, an x value per point, `reports[row][point]` —
+//! and its `figures(&grid)` lists the figures read off that grid, each built by
+//! [`FigureData::scalar`] (one curve per row of a scalar metric against x) or
+//! [`FigureData::hourly`] (one hourly curve per report):
 //!
-//! | module | paper artefact |
+//! | module | paper artefact | grid rows × points |
+//! |---|---|---|
+//! | [`static_comparison`] | Fig. 4 (throughput), Fig. 5 (ACT), Fig. 6 (AE) and the headline 20–60 % / 37.5–90 % claims | 8 algorithms × 1 |
+//! | [`fcfs_ablation`]     | the §IV.B text numbers comparing phase-2 rules against FCFS | paper rule, FCFS × 4 algorithms |
+//! | [`load_factor`]       | Fig. 7 / Fig. 8 (load-factor sweep 1–8) | 8 algorithms × load factor |
+//! | [`ccr`]               | Fig. 9 / Fig. 10 (four load/data combinations, CCR 0.16–16) | 8 algorithms × case |
+//! | [`scalability`]       | Fig. 11 (RSS size, AE, ACT versus system scale) | DSMF × node count |
+//! | [`churn`]             | Fig. 12–14 (dynamic factor 0–0.4) | DSMF × dynamic factor |
+//! | [`fault_tolerance`]   | the fault-tolerance study the paper never ran ("Fig. 15") | 4 recovery policies × MTBF |
+//!
+//! The rest serve them and the campaign server:
+//!
+//! | module | role |
 //! |---|---|
-//! | [`static_comparison`] | Fig. 4 (throughput), Fig. 5 (ACT), Fig. 6 (AE) and the headline 20–60 % / 37.5–90 % claims |
-//! | [`fcfs_ablation`]     | the §IV.B text numbers comparing phase-2 rules against FCFS |
-//! | [`load_factor`]       | Fig. 7 / Fig. 8 (load-factor sweep 1–8) |
-//! | [`ccr`]               | Fig. 9 / Fig. 10 (four load/data combinations, CCR 0.16–16) |
-//! | [`scalability`]       | Fig. 11 (RSS size, AE, ACT versus system scale) |
-//! | [`churn`]             | Fig. 12–14 (dynamic factor 0–0.4) |
-//! | [`fault_tolerance`]   | the fault-tolerance study the paper never ran (MTBF × recovery policy, "Fig. 15") |
+//! | [`campaign`]          | jobs, the one parallel map, [`campaign::run_grid`] and [`campaign::sweep`] |
+//! | [`figures`]           | [`FigureData`], [`ReportGrid`] and the two figure builders |
 //! | [`workload`]          | replay of serialized workload artifacts (`repro --workload`) |
 //! | [`rununit`]           | campaign-spec decomposition, run-unit execution and artifact merging (the campaign server's library core) |
 //!
@@ -43,6 +54,6 @@ pub mod scale;
 pub mod static_comparison;
 pub mod workload;
 
-pub use figures::{FigureData, Series};
+pub use figures::{FigureData, ReportGrid, Series};
 pub use rununit::{CampaignSpec, RunUnit, UnitRunner};
 pub use scale::ExperimentScale;

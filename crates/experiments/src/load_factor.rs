@@ -2,103 +2,75 @@
 //! number of workflows submitted per node) from 1 to 8 and compare converged ACT and AE.
 
 use crate::campaign;
-use crate::figures::{FigureData, Series};
+use crate::figures::{FigureData, ReportGrid};
 use crate::scale::ExperimentScale;
-use p2pgrid_core::{Algorithm, Scenario, SimulationReport};
+use p2pgrid_core::SimulationReport;
 
-/// Results of the load-factor sweep: `reports[algorithm][sweep point]`.
-#[derive(Debug, Clone)]
-pub struct LoadFactorSweep {
-    /// The swept load factors.
-    pub load_factors: Vec<usize>,
-    /// One row of reports per algorithm, in [`Algorithm::ALL`] order.
-    pub reports: Vec<Vec<SimulationReport>>,
-}
-
-/// Run the sweep (algorithms × load factors, across the pool).  The base world is built
-/// **once**; each sweep point is derived from it with [`Scenario::derive`].  Only the
-/// workflow draw changes, so the whole sweep pays for a single topology and all-pairs-metrics
-/// computation and a single gossip-protocol run.
-pub fn run(scale: ExperimentScale, seed: u64) -> LoadFactorSweep {
-    let load_factors = scale.load_factor_sweep();
-    let base = Scenario::build(scale.base_config(seed))
-        .unwrap_or_else(|e| panic!("invalid load-factor base configuration: {e}"));
-    let reports = campaign::sweep(
-        &base,
+/// Run the sweep (algorithms × load factors, across the pool): one row per algorithm, in
+/// [`p2pgrid_core::Algorithm::ALL`] order, one point per load factor.  The base world is
+/// built **once**; each sweep point is derived from it with
+/// [`Scenario::derive`](p2pgrid_core::Scenario::derive).  Only the workflow draw changes, so
+/// the whole sweep pays for a single topology and all-pairs-metrics computation and a single
+/// gossip-protocol run.
+pub fn run(scale: ExperimentScale, seed: u64) -> ReportGrid {
+    let load_factors: Vec<f64> = scale
+        .load_factor_sweep()
+        .into_iter()
+        .map(|lf| lf as f64)
+        .collect();
+    campaign::sweep(
+        &scale.base_world(seed),
         &load_factors,
-        |config, &lf| config.with_load_factor(lf),
+        |config, lf| config.with_load_factor(lf as usize),
         &campaign::paper_algorithms(),
     )
-    .unwrap_or_else(|e| panic!("invalid load-factor sweep point: {e}"));
-    LoadFactorSweep {
-        load_factors,
-        reports,
-    }
+    .unwrap_or_else(|e| panic!("invalid load-factor sweep point: {e}"))
 }
 
-impl LoadFactorSweep {
-    fn figure(
-        &self,
-        id: &str,
-        title: &str,
-        y_label: &str,
-        f: impl Fn(&SimulationReport) -> f64,
-    ) -> FigureData {
-        let mut fig = FigureData::new(id, title, "load factor", y_label);
-        for (alg, row) in Algorithm::ALL.iter().zip(&self.reports) {
-            let points = self
-                .load_factors
-                .iter()
-                .zip(row)
-                .map(|(&lf, r)| (lf as f64, f(r)))
-                .collect();
-            fig.push_series(Series::new(alg.name(), points));
-        }
-        fig
-    }
-
-    /// Fig. 7: converged average finish time versus load factor.
-    pub fn fig7_average_finish_time(&self) -> FigureData {
-        self.figure(
+/// Fig. 7 and Fig. 8: converged average finish time and average efficiency versus load
+/// factor.
+pub fn figures(grid: &ReportGrid) -> [FigureData; 2] {
+    [
+        FigureData::scalar(
             "fig7",
             "Average finish-time of workflows under different load factors",
+            "load factor",
             "ACT (s)",
-            |r| r.act_secs(),
-        )
-    }
-
-    /// Fig. 8: converged average efficiency versus load factor.
-    pub fn fig8_average_efficiency(&self) -> FigureData {
-        self.figure(
+            grid,
+            SimulationReport::act_secs,
+        ),
+        FigureData::scalar(
             "fig8",
             "Average efficiency of workflows under different load factors",
+            "load factor",
             "AE",
-            |r| r.average_efficiency(),
-        )
-    }
+            grid,
+            SimulationReport::average_efficiency,
+        ),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use p2pgrid_core::Algorithm;
 
     #[test]
     fn smoke_sweep_produces_a_point_per_algorithm_and_factor() {
-        let sweep = run(ExperimentScale::Smoke, 3);
-        assert_eq!(sweep.reports.len(), 8);
-        for row in &sweep.reports {
-            assert_eq!(row.len(), sweep.load_factors.len());
+        let grid = run(ExperimentScale::Smoke, 3);
+        assert_eq!(grid.reports.len(), 8);
+        for row in &grid.reports {
+            assert_eq!(row.len(), grid.xs.len());
         }
-        let fig7 = sweep.fig7_average_finish_time();
-        let fig8 = sweep.fig8_average_efficiency();
+        let [fig7, fig8] = figures(&grid);
         assert_eq!(fig7.series.len(), 8);
         assert_eq!(fig8.series.len(), 8);
         for s in &fig7.series {
-            assert_eq!(s.points.len(), sweep.load_factors.len());
+            assert_eq!(s.points.len(), grid.xs.len());
             assert!(s.points.iter().all(|&(_, y)| y >= 0.0));
         }
         // Higher load factors submit more workflows.
-        let dsmf_row = &sweep.reports[Algorithm::ALL
+        let dsmf_row = &grid.reports[Algorithm::ALL
             .iter()
             .position(|&a| a == Algorithm::Dsmf)
             .unwrap()];

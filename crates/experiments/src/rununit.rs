@@ -32,6 +32,7 @@ use crate::figures::{FigureData, Series};
 use crate::scale::ExperimentScale;
 use p2pgrid_core::error::ConfigError;
 use p2pgrid_core::{Algorithm, AlgorithmConfig, Scenario, SimulationReport};
+use p2pgrid_metrics::TimeSeries;
 use p2pgrid_workflow::{HomePolicy, WorkloadSpec};
 use serde::json::{self, Codec, SchemaError, Value};
 use std::fmt;
@@ -287,7 +288,7 @@ fn unit_figure(
     id_suffix: &str,
     title: &str,
     y_label: &str,
-    points: Vec<(f64, f64)>,
+    series: &TimeSeries,
 ) -> FigureData {
     let mut fig = FigureData::new(
         format!("u{}-{}", unit.index, id_suffix),
@@ -295,7 +296,7 @@ fn unit_figure(
         "hour",
         y_label,
     );
-    fig.push_series(Series::new(unit.algorithm.name(), points));
+    fig.push_series(Series::hourly(unit.algorithm.name(), series));
     fig
 }
 
@@ -303,13 +304,6 @@ fn unit_figure(
 /// (`p2pgrid-campaign-unit/v1`): run coordinates, a scalar summary (workflow counts, ACT,
 /// AE, gossip traffic, the robustness ledger) and the three hourly [`FigureData`] series.
 pub fn unit_artifact(unit: &RunUnit, report: &SimulationReport) -> Value {
-    let hourly = |series: &p2pgrid_metrics::TimeSeries| -> Vec<(f64, f64)> {
-        series
-            .points()
-            .iter()
-            .map(|&(t, v)| (t.as_hours_f64(), v))
-            .collect()
-    };
     let summary = Value::object([
         ("nodes", Value::from(report.nodes)),
         ("submitted", Value::from(report.submitted)),
@@ -361,21 +355,21 @@ pub fn unit_artifact(unit: &RunUnit, report: &SimulationReport) -> Value {
             "throughput",
             "Cumulative throughput",
             "workflows finished",
-            hourly(report.metrics.throughput_series()),
+            report.metrics.throughput_series(),
         ),
         unit_figure(
             unit,
             "act",
             "Average completion time",
             "ACT (s)",
-            hourly(report.metrics.act_series()),
+            report.metrics.act_series(),
         ),
         unit_figure(
             unit,
             "ae",
             "Average efficiency",
             "AE",
-            hourly(report.metrics.ae_series()),
+            report.metrics.ae_series(),
         ),
     ];
     canonical(Value::object([

@@ -5,27 +5,19 @@
 //! * Fig. 11(b)/(c): DSMF's average efficiency and average finish time stay stable with scale.
 
 use crate::campaign;
-use crate::figures::{FigureData, Series};
+use crate::figures::{FigureData, ReportGrid};
 use crate::scale::ExperimentScale;
 use p2pgrid_core::{Algorithm, AlgorithmConfig, Scenario, SimulationReport};
 use rayon::prelude::*;
 
-/// Results of the scalability sweep (DSMF only, as in the paper).
-#[derive(Debug, Clone)]
-pub struct ScalabilitySweep {
-    /// Swept node counts.
-    pub node_counts: Vec<usize>,
-    /// One report per node count.
-    pub reports: Vec<SimulationReport>,
-}
-
-/// Run the sweep (one DSMF run per system scale, across the pool).
+/// Run the sweep (one DSMF run per system scale, across the pool): one row, `DSMF`, and one
+/// point per node count.
 ///
 /// This is the one sweep that cannot derive its points from one base world: every point has a
 /// different node count and therefore a genuinely different topology.  The worlds are built
 /// in parallel, then the sessions run through the same [`campaign`] path as every other
 /// experiment.
-pub fn run(scale: ExperimentScale, seed: u64) -> ScalabilitySweep {
+pub fn run(scale: ExperimentScale, seed: u64) -> ReportGrid {
     let node_counts = scale.scalability_sweep();
     let scenarios: Vec<Scenario> = node_counts
         .par_iter()
@@ -40,56 +32,40 @@ pub fn run(scale: ExperimentScale, seed: u64) -> ScalabilitySweep {
         &[AlgorithmConfig::paper_default(Algorithm::Dsmf)],
     );
     drop(scenarios);
-    ScalabilitySweep {
-        node_counts,
-        reports: campaign::run(jobs),
-    }
+    let xs = node_counts.iter().map(|&n| n as f64).collect();
+    campaign::run_grid(vec!["DSMF".into()], xs, jobs)
 }
 
-impl ScalabilitySweep {
-    fn points(&self, f: impl Fn(&SimulationReport) -> f64) -> Vec<(f64, f64)> {
-        self.node_counts
-            .iter()
-            .zip(&self.reports)
-            .map(|(&n, r)| (n as f64, f(r)))
-            .collect()
-    }
-
-    /// Fig. 11(a): average number of peers known per node (space scalability of the gossip).
-    pub fn fig11a_rss_size(&self) -> FigureData {
-        let mut fig = FigureData::new(
+/// Fig. 11: (a) the average number of peers known per node (space scalability of the gossip),
+/// (b) average efficiency and (c) average finish time, each versus system scale.
+pub fn figures(grid: &ReportGrid) -> [FigureData; 3] {
+    let x_label = "system scale (n)";
+    [
+        FigureData::scalar(
             "fig11a",
             "Number of nodes known by each node (gossip space scalability)",
-            "system scale (n)",
+            x_label,
             "average RSS size",
-        );
-        fig.push_series(Series::new("DSMF", self.points(|r| r.avg_rss_size)));
-        fig
-    }
-
-    /// Fig. 11(b): average efficiency versus scale.
-    pub fn fig11b_average_efficiency(&self) -> FigureData {
-        let mut fig = FigureData::new(
+            grid,
+            |r| r.avg_rss_size,
+        ),
+        FigureData::scalar(
             "fig11b",
             "Average execution efficiency versus system scale",
-            "system scale (n)",
+            x_label,
             "AE",
-        );
-        fig.push_series(Series::new("DSMF", self.points(|r| r.average_efficiency())));
-        fig
-    }
-
-    /// Fig. 11(c): average finish time versus scale.
-    pub fn fig11c_average_finish_time(&self) -> FigureData {
-        let mut fig = FigureData::new(
+            grid,
+            SimulationReport::average_efficiency,
+        ),
+        FigureData::scalar(
             "fig11c",
             "Average finish-time versus system scale",
-            "system scale (n)",
+            x_label,
             "ACT (s)",
-        );
-        fig.push_series(Series::new("DSMF", self.points(|r| r.act_secs())));
-        fig
-    }
+            grid,
+            SimulationReport::act_secs,
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -98,12 +74,10 @@ mod tests {
 
     #[test]
     fn smoke_sweep_reports_bounded_rss_and_stable_metrics() {
-        let sweep = run(ExperimentScale::Smoke, 17);
-        assert_eq!(sweep.reports.len(), sweep.node_counts.len());
-        let fig_a = sweep.fig11a_rss_size();
-        let fig_b = sweep.fig11b_average_efficiency();
-        let fig_c = sweep.fig11c_average_finish_time();
-        assert_eq!(fig_a.series[0].points.len(), sweep.node_counts.len());
+        let grid = run(ExperimentScale::Smoke, 17);
+        assert_eq!(grid.reports[0].len(), grid.xs.len());
+        let [fig_a, fig_b, fig_c] = figures(&grid);
+        assert_eq!(fig_a.series[0].points.len(), grid.xs.len());
         for &(_, rss) in &fig_a.series[0].points {
             assert!(rss >= 1.0);
             assert!(rss <= 40.0, "RSS size {rss} exceeds the O(log n) band");

@@ -1,6 +1,6 @@
 //! Experiment scale presets.
 
-use p2pgrid_core::GridConfig;
+use p2pgrid_core::{GridConfig, Scenario};
 use p2pgrid_sim::SimDuration;
 use serde::json::{Codec, SchemaError, Value};
 
@@ -59,6 +59,13 @@ impl ExperimentScale {
                 cfg
             }
         }
+    }
+
+    /// The world every figure of this scale derives its points from, built from
+    /// [`base_config`](ExperimentScale::base_config).
+    pub fn base_world(self, seed: u64) -> Scenario {
+        Scenario::build(self.base_config(seed))
+            .unwrap_or_else(|e| panic!("invalid {} base configuration: {e}", self.name()))
     }
 
     /// Number of nodes used by this scale's base configuration.

@@ -12,7 +12,7 @@ fn main() {
     let custom_nodes: Option<usize> = std::env::args().nth(1).and_then(|s| s.parse().ok());
     let (scale, label) = (ExperimentScale::Reduced, "reduced (120 nodes)");
 
-    let comparison = match custom_nodes {
+    let grid = match custom_nodes {
         None => {
             println!("Running the 8-algorithm comparison at {label} scale...");
             static_comparison::run(scale, 20100913)
@@ -29,9 +29,9 @@ fn main() {
     };
 
     println!();
-    println!("{}", comparison.summary_table());
+    println!("{}", static_comparison::summary_table(&grid));
 
-    let headline = comparison.headline();
+    let headline = static_comparison::headline(&grid);
     println!(
         "DSMF vs other decentralized algorithms: ACT reduced by {:.1}%..{:.1}% (paper: 20..60%),",
         headline.act_reduction_pct.0, headline.act_reduction_pct.1
@@ -43,5 +43,6 @@ fn main() {
 
     println!();
     println!("throughput over time (workflows finished):");
-    println!("{}", comparison.fig4_throughput().render());
+    let [throughput, ..] = static_comparison::figures(&grid);
+    println!("{}", throughput.render());
 }
