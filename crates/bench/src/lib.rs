@@ -6,7 +6,6 @@
 //! | `micro_substrates` | substrate micro-benchmarks (topology, gossip, DAG analysis, event queue) |
 //! | `scenario_derive` | `Scenario::with_seed` / `Scenario::derive` vs a full rebuild |
 //! | `campaign_sweep` | the pooled campaign path vs sequential + the pool-balance regression |
-//! | `fault_recovery` | `FaultModel::Off` vs no fault model, and each recovery policy (Fig. 15) |
 //!
 //! The paper's figures themselves are regenerated by the `repro` binary of
 //! `p2pgrid-experiments`, at any scale.
