@@ -27,13 +27,11 @@ pub fn run(scale: ExperimentScale, seed: u64) -> ReportGrid {
         })
         .collect();
     // The jobs hold the only handles, so each world is freed once its session has run.
-    let jobs = campaign::cross(
-        &scenarios,
-        &[AlgorithmConfig::paper_default(Algorithm::Dsmf)],
-    );
+    let dsmf = AlgorithmConfig::paper_default(Algorithm::Dsmf);
+    let jobs = campaign::cross(&scenarios, &[dsmf]);
     drop(scenarios);
     let xs = node_counts.iter().map(|&n| n as f64).collect();
-    campaign::run_grid(vec!["DSMF".into()], xs, jobs)
+    campaign::run_grid(vec![dsmf.label()], xs, jobs)
 }
 
 /// Fig. 11: (a) the average number of peers known per node (space scalability of the gossip),
