@@ -155,31 +155,58 @@ fn reduced_figures_match_the_frozen_digests() {
     check_figures("reduced");
 }
 
-/// Each `--fig` value writes exactly the files the Smoke list freezes for it (the
+/// Each `--fig` value writes files with the digests the Smoke list freezes for them (the
 /// `figures.ndjson` stream aside, which holds only that run's figures) and prints, below the
-/// header, a verbatim part of the `--fig all` stdout.
+/// header, a verbatim part of the `--fig all` stdout.  In `--fig all` order, the figure runs
+/// print exactly that stdout and write exactly its files between them, and `headline` prints
+/// only the headline block that closes the `4-6` output.
 #[test]
 fn single_figure_runs_match_the_full_smoke_run() {
     let golden = std::fs::read_to_string(format!("{ROOT}/tests/golden/figures-smoke.json"));
     let doc = json::parse(&golden.unwrap()).unwrap();
     let frozen = doc.get("digests").and_then(Value::as_object).unwrap();
-    let (_, all) = repro("single-all", "smoke", "all");
+    let below_header = |fig: &str, stdout: &str| {
+        let (header, body) = stdout.split_once("\n\n").unwrap();
+        assert!(
+            header.starts_with("# p2pgrid reproduction"),
+            "--fig {fig}: {header}"
+        );
+        body.to_string()
+    };
+    let not_ndjson = |(name, _): &(String, String)| name != "figures.ndjson";
+    let (all_files, all) = repro("single-all", "smoke", "all");
+    let all = below_header("all", &all);
+    let (mut printed, mut written) = (String::new(), Vec::new());
     for fig in [
-        "3", "4-6", "headline", "fcfs", "7-8", "9-10", "11", "12-14", "15",
+        "3", "4-6", "fcfs", "7-8", "9-10", "11", "12-14", "15", "headline",
     ] {
         let (files, stdout) = repro(&format!("single-{fig}"), "smoke", fig);
-        for (name, digest) in files.iter().filter(|(name, _)| name != "figures.ndjson") {
-            let pinned = frozen.iter().find(|(k, _)| k == name).map(|(_, d)| d);
+        for (name, digest) in files.into_iter().filter(not_ndjson) {
+            let pinned = frozen.iter().find(|(k, _)| *k == name).map(|(_, d)| d);
             assert_eq!(
                 pinned.and_then(Value::as_str),
                 Some(digest.as_str()),
                 "--fig {fig} wrote {name}"
             );
+            written.push(name);
         }
-        let (header, body) = stdout.split_once("\n\n").unwrap();
-        assert!(header.starts_with("# p2pgrid reproduction"), "{header}");
-        assert!(all.contains(body), "--fig {fig} printed:\n{body}");
+        let body = below_header(fig, &stdout);
+        assert!(all.contains(&body), "--fig {fig} printed:\n{body}");
+        if fig == "headline" {
+            assert!(body.starts_with("== headline claims"), "{body}");
+            assert!(printed.contains(&format!("\n{body}")), "{body}");
+        } else {
+            printed.push_str(&body);
+        }
     }
+    assert_eq!(printed, all);
+    written.sort();
+    let all_files: Vec<String> = all_files
+        .into_iter()
+        .filter(not_ndjson)
+        .map(|f| f.0)
+        .collect();
+    assert_eq!(written, all_files);
 }
 
 #[test]
