@@ -41,7 +41,7 @@ fn stochastic(recovery: RecoveryPolicy) -> GridConfig {
         .with_recovery(recovery)
 }
 
-/// The rows.  Static, churn and the trace row run every scheduler; to keep the test fast
+/// The rows.  Static, churn and the two trace rows run every scheduler; to keep the test fast
 /// in a debug build, each fault row runs two of them, so the four recovery policies together
 /// still cover all eight, and the heterogeneous row runs one of each planner kind (greedy
 /// just-in-time, full-ahead, matrix).
@@ -103,8 +103,20 @@ fn rows() -> Vec<Row> {
         Row {
             name: "montage-poisson",
             config: smoke()
-                .with_workload(montage)
+                .with_workload(montage.clone())
                 .with_arrivals(ArrivalProcess::Poisson { rate_per_hour: 2.0 }),
+            algorithms: Algorithm::ALL.to_vec(),
+        },
+        // Deferred arrivals and pre-drawn failures and repairs in one session, so their
+        // order at an equal instant is pinned for every scheduler.
+        Row {
+            name: "montage-faults-retry",
+            config: stochastic(RecoveryPolicy::Retry {
+                budget: 3,
+                backoff: SimDuration::from_mins(5),
+            })
+            .with_workload(montage)
+            .with_arrivals(ArrivalProcess::Poisson { rate_per_hour: 2.0 }),
             algorithms: Algorithm::ALL.to_vec(),
         },
     ]
