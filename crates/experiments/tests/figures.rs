@@ -2,12 +2,13 @@
 //!
 //! - `figures-S.json`: every file `repro --scale S --fig all --json DIR` writes, and its stdout;
 //! - `campaigns.json`: the artifact `run_local` renders for `campaigns/smoke.json`, and for the
-//!   same spec replaying `workloads/montage.json`.
+//!   same spec replaying `workloads/montage.json`;
+//! - `replays.json`: the stdout of `repro --scale smoke --workload workloads/montage.json`.
 //!
 //! `tests/golden/reports.json` pins single runs; these lists pin every figure the binary
-//! regenerates and the campaign artifact the server must reproduce, so a deletion or a rewrite
-//! of a figure runner proves it moved nothing.  The Smoke and campaign lists are checked with
-//! the workspace tests.  The Reduced list takes seconds in release, so its test is ignored by
+//! regenerates, its workload replay and the campaign artifact the server must reproduce, so a
+//! deletion or a rewrite of a figure runner proves it moved nothing.  The Smoke, replay and
+//! campaign lists are checked with the workspace tests.  The Reduced list takes seconds in release, so its test is ignored by
 //! default and CI runs it in release:
 //!
 //! ```text
@@ -229,5 +230,28 @@ fn campaign_artifacts_match_the_frozen_digests() {
         "p2pgrid-golden-campaigns/v1",
         "run_local(SPEC)",
         &actual,
+    );
+}
+
+/// The replay table CI prints for the Montage artifact.  The path is given relative to the
+/// workspace root, as CI gives it, because the table's header names it.
+#[test]
+fn workload_replay_matches_the_frozen_digest() {
+    let command = "repro --scale smoke --workload workloads/montage.json";
+    let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(command.split(' ').skip(1))
+        .current_dir(ROOT)
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "{command} failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    check(
+        "replays",
+        "p2pgrid-golden-replays/v1",
+        command,
+        &[("stdout".to_string(), fnv1a(&output.stdout))],
     );
 }
