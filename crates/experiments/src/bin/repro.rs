@@ -30,7 +30,7 @@ use p2pgrid_experiments::{
     ccr, churn, fault_tolerance, fcfs_ablation, load_factor, scalability, static_comparison,
     workload, FigureData,
 };
-use p2pgrid_workflow::{ExpectedCosts, WorkflowAnalysis};
+use p2pgrid_workflow::{ExpectedCosts, WorkflowAnalysis, WorkloadSpec};
 use std::path::{Path, PathBuf};
 
 /// The accepted `--scale` spellings, shown when an unknown value is passed.
@@ -260,10 +260,13 @@ fn main() {
             }
         }
         if let Some(file) = &args.workload {
-            match workload::run_file(file, scale, seed) {
-                Ok(cmp) => {
+            let replay = WorkloadSpec::load(file)
+                .map_err(|e| e.to_string())
+                .and_then(|spec| Ok((workload::run_spec(&spec, scale, seed)?, spec)));
+            match replay {
+                Ok((grid, spec)) => {
                     println!("== workload replay ({}) ==", file.display());
-                    println!("{}", cmp.table());
+                    println!("{}", workload::table(&spec, &grid));
                 }
                 Err(msg) => {
                     eprintln!("cannot replay {}: {msg}", file.display());

@@ -7,81 +7,49 @@
 //! the same workload on every machine, every scale and every seed (the seed still drives the
 //! topology, capacities and churn).
 
-use crate::campaign;
+use crate::figures::ReportGrid;
 use crate::scale::ExperimentScale;
-use p2pgrid_core::{Scenario, SimulationReport};
+use crate::static_comparison;
+use p2pgrid_core::Scenario;
 use p2pgrid_workflow::WorkloadSpec;
 use std::path::Path;
 use std::str::FromStr;
 
-/// Reports of one workload replay: every paper algorithm over the identical trace.
-#[derive(Debug, Clone)]
-pub struct WorkloadComparison {
-    /// The workload's name (from the artifact).
-    pub name: String,
-    /// Number of submitted workflow instances in the trace.
-    pub entries: usize,
-    /// The latest arrival in the trace, in virtual milliseconds.
-    pub last_arrival_ms: u64,
-    /// One report per algorithm, in [`p2pgrid_core::Algorithm::ALL`] order.
-    pub reports: Vec<SimulationReport>,
-}
-
-impl WorkloadComparison {
-    /// Render the comparison as an aligned text table.
-    pub fn table(&self) -> String {
-        let mut out = format!(
-            "workload `{}`: {} instances, last arrival at {:.0} min\n",
-            self.name,
-            self.entries,
-            self.last_arrival_ms as f64 / 60_000.0
-        );
-        out.push_str("algorithm   completed  failed  ACT (s)   AE\n");
-        for r in &self.reports {
-            out.push_str(&format!(
-                "{:<10}  {:>9}  {:>6}  {:>8.0}  {:>5.3}\n",
-                r.algorithm,
-                r.completed,
-                r.failed,
-                r.act_secs(),
-                r.average_efficiency()
-            ));
-        }
-        out
-    }
-}
-
-/// Replay a workload over this scale's base grid with every paper algorithm.
+/// Replay a workload over this scale's base grid with every paper algorithm: one row per
+/// algorithm, as [`static_comparison::run_on`] lays it out.
 ///
 /// The world is built once; all eight sessions share it, so the comparison is on
 /// byte-identical traces by construction.
 pub fn run_spec(
-    spec: WorkloadSpec,
+    spec: &WorkloadSpec,
     scale: ExperimentScale,
     seed: u64,
-) -> Result<WorkloadComparison, String> {
-    let name = spec.name.clone();
-    let entries = spec.entry_count();
-    let last_arrival_ms = spec.last_arrival_ms();
-    let config = scale.base_config(seed).with_workload(spec);
+) -> Result<ReportGrid, String> {
+    let config = scale.base_config(seed).with_workload(spec.clone());
     let world = Scenario::build(config).map_err(|e| format!("invalid workload: {e}"))?;
-    let jobs = campaign::cross(std::slice::from_ref(&world), &campaign::paper_algorithms());
-    Ok(WorkloadComparison {
-        name,
-        entries,
-        last_arrival_ms,
-        reports: campaign::run(jobs),
-    })
+    Ok(static_comparison::run_on(&world))
 }
 
-/// Load a workload file and replay it ([`run_spec`]).
-pub fn run_file(
-    path: impl AsRef<Path>,
-    scale: ExperimentScale,
-    seed: u64,
-) -> Result<WorkloadComparison, String> {
-    let spec = WorkloadSpec::load(path.as_ref()).map_err(|e| e.to_string())?;
-    run_spec(spec, scale, seed)
+/// Render a replay of `spec` ([`run_spec`]) as an aligned text table.
+pub fn table(spec: &WorkloadSpec, grid: &ReportGrid) -> String {
+    let mut out = format!(
+        "workload `{}`: {} instances, last arrival at {:.0} min\n",
+        spec.name,
+        spec.entry_count(),
+        spec.last_arrival_ms() as f64 / 60_000.0
+    );
+    out.push_str("algorithm   completed  failed  ACT (s)   AE\n");
+    for r in grid.reports.iter().flatten() {
+        out.push_str(&format!(
+            "{:<10}  {:>9}  {:>6}  {:>8.0}  {:>5.3}\n",
+            r.algorithm,
+            r.completed,
+            r.failed,
+            r.act_secs(),
+            r.average_efficiency()
+        ));
+    }
+    out
 }
 
 /// Summary of one successfully validated artifact.
@@ -179,13 +147,15 @@ mod tests {
 
     #[test]
     fn replaying_a_trace_compares_all_algorithms_on_identical_submissions() {
-        let cmp = run_spec(tiny_workload(), ExperimentScale::Smoke, 11).unwrap();
-        assert_eq!(cmp.reports.len(), 8);
-        assert_eq!(cmp.entries, 2);
-        for r in &cmp.reports {
+        let spec = tiny_workload();
+        let grid = run_spec(&spec, ExperimentScale::Smoke, 11).unwrap();
+        assert_eq!(grid.reports.len(), 8);
+        for r in grid.reports.iter().flatten() {
             assert_eq!(r.submitted, 2, "{}", r.algorithm);
         }
-        assert!(cmp.table().contains("workload `tiny`"));
+        let table = table(&spec, &grid);
+        assert!(table.starts_with("workload `tiny`: 2 instances"), "{table}");
+        assert_eq!(table.lines().count(), 2 + 8, "{table}");
     }
 
     #[test]
