@@ -912,10 +912,7 @@ impl Engine {
             if !self.workflows[wf].is_active() {
                 continue;
             }
-            let sps = {
-                let w = &self.workflows[wf];
-                w.progress.schedule_points(&w.workflow)
-            };
+            let sps: Vec<TaskId> = self.workflows[wf].progress.schedule_points().collect();
             for task in sps {
                 if !self.dispatchable(wf, task, now) {
                     continue;
@@ -957,13 +954,16 @@ impl Engine {
             if !w.is_active() {
                 continue;
             }
-            let sps = w.progress.schedule_points(&w.workflow);
-            if sps.is_empty() {
+            if w.progress.schedule_points().next().is_none() {
                 continue;
             }
             let rpm = rest_path_makespans(&w.workflow, costs);
-            let ms = sps.iter().map(|&t| rpm[t.index()]).fold(0.0f64, f64::max);
-            for t in sps {
+            let ms = w
+                .progress
+                .schedule_points()
+                .map(|t| rpm[t.index()])
+                .fold(0.0f64, f64::max);
+            for t in w.progress.schedule_points() {
                 if !self.dispatchable(wf, t, now) {
                     continue; // still inside its retry backoff
                 }

@@ -114,20 +114,19 @@ mod tests {
         pb.mark_finished(&wb, wb.entry());
 
         let ms_a = pa
-            .schedule_points(&wa)
-            .iter()
-            .map(|&t| aa.rpm_secs(t))
+            .schedule_points()
+            .map(|t| aa.rpm_secs(t))
             .fold(0.0f64, f64::max);
         let ms_b = pb
-            .schedule_points(&wb)
-            .iter()
-            .map(|&t| ab.rpm_secs(t))
+            .schedule_points()
+            .map(|t| ab.rpm_secs(t))
             .fold(0.0f64, f64::max);
         assert_eq!(ms_a, 115.0);
         assert_eq!(ms_b, 65.0);
         // The schedule points are exactly {A2, A3} and {B2, B3}.
-        assert_eq!(pa.schedule_points(&wa), vec![TaskId(1), TaskId(2)]);
-        assert_eq!(pb.schedule_points(&wb), vec![TaskId(1), TaskId(2)]);
+        let points = |p: &ProgressTracker| p.schedule_points().collect::<Vec<_>>();
+        assert_eq!(points(&pa), vec![TaskId(1), TaskId(2)]);
+        assert_eq!(points(&pb), vec![TaskId(1), TaskId(2)]);
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! have already been dispatched to a resource node, and which are currently **schedule points**
 //! — the paper's term for the tasks whose precedents are all complete but which have not yet
 //! been dispatched (`spset(f)` in Eq. 8).
+//!
+//! A home node reads `spset(f)` of every active workflow at every scheduling instant, while
+//! only a dispatch, a completion or an undone dispatch changes it.  So the tracker keeps the set
+//! as a bitset that those three transitions update, and reading it visits the set bits, not
+//! every task.
 
 use crate::dag::{TaskId, Workflow};
 
@@ -16,6 +21,8 @@ pub struct ProgressTracker {
     finished: Vec<bool>,
     dispatched: Vec<bool>,
     finished_count: usize,
+    /// The schedule points: task `t` is bit `t % 64` of word `t / 64`.
+    schedule_points: Vec<u64>,
 }
 
 impl ProgressTracker {
@@ -23,17 +30,24 @@ impl ProgressTracker {
     /// and only the entry task a schedule point.
     pub fn new(workflow: &Workflow) -> Self {
         let n = workflow.task_count();
-        let remaining_preds = workflow
+        let remaining_preds: Vec<usize> = workflow
             .task_ids()
             .map(|t| workflow.precedents(t).len())
             .collect();
-        ProgressTracker {
+        let mut tracker = ProgressTracker {
             n,
             remaining_preds,
             finished: vec![false; n],
             dispatched: vec![false; n],
             finished_count: 0,
+            schedule_points: vec![0; n.div_ceil(64)],
+        };
+        for t in workflow.task_ids() {
+            if tracker.remaining_preds[t.index()] == 0 {
+                tracker.set_schedule_point(t, true);
+            }
         }
+        tracker
     }
 
     /// Number of tasks in the tracked workflow.
@@ -60,12 +74,32 @@ impl ProgressTracker {
             && self.remaining_preds[t.index()] == 0
     }
 
-    /// The current schedule-point set `spset(f)`, in task-id order.
-    pub fn schedule_points(&self, workflow: &Workflow) -> Vec<TaskId> {
-        workflow
-            .task_ids()
-            .filter(|&t| self.is_schedule_point(t))
-            .collect()
+    /// The current schedule-point set `spset(f)`, in ascending task-id order, read off the kept
+    /// bitset without allocating.
+    pub fn schedule_points(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.schedule_points
+            .iter()
+            .enumerate()
+            .flat_map(|(word_index, &word)| {
+                let base = (word_index * 64) as u32;
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    (rest != 0).then(|| {
+                        let bit = rest.trailing_zeros();
+                        rest &= rest - 1;
+                        TaskId(base + bit)
+                    })
+                })
+            })
+    }
+
+    fn set_schedule_point(&mut self, t: TaskId, on: bool) {
+        let (word, bit) = (t.index() / 64, 1u64 << (t.index() % 64));
+        if on {
+            self.schedule_points[word] |= bit;
+        } else {
+            self.schedule_points[word] &= !bit;
+        }
     }
 
     /// Mark `t` as dispatched to a resource node.
@@ -79,6 +113,7 @@ impl ProgressTracker {
             "task {t} is not a schedule point (dispatched twice or precedents unfinished)"
         );
         self.dispatched[t.index()] = true;
+        self.set_schedule_point(t, false);
     }
 
     /// Undo a dispatch (used when a resource node churns away before executing the task and the
@@ -89,13 +124,16 @@ impl ProgressTracker {
             "task {t} cannot be un-dispatched"
         );
         self.dispatched[t.index()] = false;
+        // A dispatched task was a schedule point, and precedents never un-finish.
+        self.set_schedule_point(t, true);
     }
 
-    /// Mark `t` as finished and return the tasks that *became* schedule points as a result.
+    /// Mark `t` as finished; every successor whose last precedent it was, and which is not
+    /// dispatched, becomes a schedule point.
     ///
     /// # Panics
     /// Panics if `t` already finished or if any precedent of `t` has not finished.
-    pub fn mark_finished(&mut self, workflow: &Workflow, t: TaskId) -> Vec<TaskId> {
+    pub fn mark_finished(&mut self, workflow: &Workflow, t: TaskId) {
         assert!(!self.finished[t.index()], "task {t} finished twice");
         assert_eq!(
             self.remaining_preds[t.index()],
@@ -104,15 +142,14 @@ impl ProgressTracker {
         );
         self.finished[t.index()] = true;
         self.finished_count += 1;
-        let mut newly_ready = Vec::new();
+        self.set_schedule_point(t, false);
         for e in workflow.successors(t) {
             let s = e.task;
             self.remaining_preds[s.index()] -= 1;
             if self.remaining_preds[s.index()] == 0 && !self.dispatched[s.index()] {
-                newly_ready.push(s);
+                self.set_schedule_point(s, true);
             }
         }
-        newly_ready
     }
 }
 
@@ -141,7 +178,7 @@ mod tests {
     fn only_entry_is_initially_ready() {
         let (w, [a, ..]) = diamond();
         let p = ProgressTracker::new(&w);
-        assert_eq!(p.schedule_points(&w), vec![a]);
+        assert_eq!(p.schedule_points().collect::<Vec<_>>(), vec![a]);
         assert!(!p.is_complete());
     }
 
@@ -154,9 +191,8 @@ mod tests {
             !p.is_schedule_point(a),
             "dispatched tasks are no longer schedule points"
         );
-        let newly = p.mark_finished(&w, a);
-        assert_eq!(newly, vec![b, c]);
-        assert_eq!(p.schedule_points(&w), vec![b, c]);
+        p.mark_finished(&w, a);
+        assert_eq!(p.schedule_points().collect::<Vec<_>>(), vec![b, c]);
         assert!(!p.is_schedule_point(d));
     }
 
@@ -167,11 +203,12 @@ mod tests {
         p.mark_dispatched(a);
         p.mark_finished(&w, a);
         p.mark_dispatched(b);
-        let newly = p.mark_finished(&w, b);
-        assert!(newly.is_empty(), "d still waits for c");
+        p.mark_finished(&w, b);
+        assert!(!p.is_schedule_point(d), "d still waits for c");
         p.mark_dispatched(c);
-        let newly = p.mark_finished(&w, c);
-        assert_eq!(newly, vec![d]);
+        assert_eq!(p.schedule_points().count(), 0);
+        p.mark_finished(&w, c);
+        assert_eq!(p.schedule_points().collect::<Vec<_>>(), vec![d]);
         p.mark_dispatched(d);
         p.mark_finished(&w, d);
         assert!(p.is_complete());
@@ -201,8 +238,16 @@ mod tests {
         let mut p = ProgressTracker::new(&w);
         p.mark_dispatched(a);
         assert!(!p.is_schedule_point(a));
+        assert_eq!(p.schedule_points().count(), 0);
         p.unmark_dispatched(a);
         assert!(p.is_schedule_point(a));
+        assert_eq!(p.schedule_points().collect::<Vec<_>>(), vec![a]);
+    }
+
+    /// The schedule-point set as first written: scan every task.  Kept as the oracle the kept
+    /// bitset must match.
+    fn scanned_schedule_points(p: &ProgressTracker, w: &Workflow) -> Vec<TaskId> {
+        w.task_ids().filter(|&t| p.is_schedule_point(t)).collect()
     }
 
     proptest! {
@@ -219,7 +264,7 @@ mod tests {
             let mut p = ProgressTracker::new(&w);
             let mut steps = 0usize;
             while !p.is_complete() {
-                let sps = p.schedule_points(&w);
+                let sps: Vec<TaskId> = p.schedule_points().collect();
                 prop_assert!(!sps.is_empty(), "deadlock: unfinished workflow with no schedule points");
                 // Pick a pseudo-random schedule point to model out-of-order completion.
                 let pick = sps[(seed as usize + steps) % sps.len()];
@@ -232,6 +277,46 @@ mod tests {
                 prop_assert!(steps <= w.task_count());
             }
             prop_assert_eq!(steps, w.task_count());
+        }
+    }
+
+    proptest! {
+        /// After every step of any sequence of dispatches, undone dispatches and completions —
+        /// completions of undispatched schedule points included — the kept set is the one a
+        /// scan of every task finds.  Workflows reach 150 tasks, so the set spans three words.
+        #[test]
+        fn kept_schedule_points_match_the_scan(
+            seed in 0u64..=u64::MAX,
+            ops in proptest::collection::vec(0u64..=u64::MAX, 1..400),
+        ) {
+            let gen = WorkflowGenerator::new(WorkflowGeneratorConfig {
+                tasks: 1..=150,
+                ..WorkflowGeneratorConfig::default()
+            });
+            let w = gen.generate(&mut SimRng::seed_from_u64(seed));
+            let mut p = ProgressTracker::new(&w);
+            prop_assert_eq!(p.schedule_points().collect::<Vec<_>>(), scanned_schedule_points(&p, &w));
+            for op in ops {
+                let pick = |tasks: Vec<TaskId>| tasks[(op >> 2) as usize % tasks.len()];
+                let dispatched: Vec<TaskId> = w
+                    .task_ids()
+                    .filter(|&t| p.dispatched[t.index()] && !p.is_finished(t))
+                    .collect();
+                let points = scanned_schedule_points(&p, &w);
+                match op % 4 {
+                    0 | 1 if !points.is_empty() => p.mark_dispatched(pick(points)),
+                    2 if !dispatched.is_empty() => p.unmark_dispatched(pick(dispatched)),
+                    _ => {
+                        let ready: Vec<TaskId> = dispatched.into_iter().chain(points).collect();
+                        if ready.is_empty() {
+                            prop_assert!(p.is_complete());
+                            continue;
+                        }
+                        p.mark_finished(&w, pick(ready));
+                    }
+                }
+                prop_assert_eq!(p.schedule_points().collect::<Vec<_>>(), scanned_schedule_points(&p, &w));
+            }
         }
     }
 }
