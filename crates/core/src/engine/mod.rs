@@ -913,6 +913,7 @@ impl Engine {
                 continue;
             }
             let sps: Vec<TaskId> = self.workflows[wf].progress.schedule_points().collect();
+            let mut predecessors = Vec::new();
             for task in sps {
                 if !self.dispatchable(wf, task, now) {
                     continue;
@@ -926,11 +927,25 @@ impl Engine {
                 };
                 let (rpm, ms, sufferage) = {
                     let w = &self.workflows[wf];
+                    predecessors.clear();
+                    predecessors.extend(w.predecessor_data(task));
                     (w.static_rpm[task.index()], w.static_ms_secs, 0.0)
                 };
                 // Full-ahead plans place exactly one copy per task; `RecoveryPolicy::Replicate`
                 // only fans out on the just-in-time path.
-                self.dispatch_task(home, wf, task, target, rpm, ms, sufferage, now, obs, false);
+                self.dispatch_task(
+                    home,
+                    wf,
+                    task,
+                    target,
+                    rpm,
+                    ms,
+                    sufferage,
+                    &predecessors,
+                    now,
+                    obs,
+                    false,
+                );
             }
         }
     }
@@ -967,15 +982,6 @@ impl Engine {
                 if !self.dispatchable(wf, t, now) {
                     continue; // still inside its retry backoff
                 }
-                let predecessors: Vec<PredecessorData> = w
-                    .workflow
-                    .precedents(t)
-                    .iter()
-                    .map(|e| PredecessorData {
-                        location: w.output_location(e.task),
-                        data_mb: e.data_mb,
-                    })
-                    .collect();
                 candidate_tasks.push(DispatchCandidateTask {
                     workflow: wf,
                     task: t,
@@ -988,7 +994,7 @@ impl Engine {
                     image_size_mb: w.workflow.task(t).image_size_mb,
                     rpm_secs: rpm[t.index()],
                     workflow_ms_secs: ms,
-                    predecessors,
+                    predecessors: w.predecessor_data(t).collect(),
                 });
             }
         }
@@ -1015,24 +1021,26 @@ impl Engine {
         let decisions = self
             .scheduler
             .plan_dispatch(&candidate_tasks, &mut candidates, &estimator);
-        let lookup: FxHashMap<(usize, TaskId), (f64, f64)> = candidate_tasks
+        let lookup: FxHashMap<(usize, TaskId), usize> = candidate_tasks
             .iter()
-            .map(|t| ((t.workflow, t.task), (t.rpm_secs, t.workflow_ms_secs)))
+            .enumerate()
+            .map(|(i, t)| ((t.workflow, t.task), i))
             .collect();
         let copies = match self.config.recovery {
             RecoveryPolicy::Replicate { copies } => copies,
             _ => 1,
         };
         for d in decisions {
-            let (rpm, ms) = lookup[&(d.workflow, d.task)];
+            let t = &candidate_tasks[lookup[&(d.workflow, d.task)]];
             let dispatched = self.dispatch_task(
                 home,
                 d.workflow,
                 d.task,
                 d.target,
-                rpm,
-                ms,
+                t.rpm_secs,
+                t.workflow_ms_secs,
                 d.sufferage_secs,
+                &t.predecessors,
                 now,
                 obs,
                 false,
@@ -1058,9 +1066,10 @@ impl Engine {
                     d.workflow,
                     d.task,
                     twin,
-                    rpm,
-                    ms,
+                    t.rpm_secs,
+                    t.workflow_ms_secs,
                     d.sufferage_secs,
+                    &t.predecessors,
                     now,
                     obs,
                     true,
@@ -1070,7 +1079,8 @@ impl Engine {
     }
 
     /// Migrate a task to its chosen resource node: mark it dispatched, enqueue it in the ready
-    /// set and schedule the completion of its (true) data transfers.
+    /// set and schedule the completion of its (true) data transfers, timed over the
+    /// `predecessors` the caller gathered for the same instant.
     /// A `replica` dispatch (the fan-out copies of `RecoveryPolicy::Replicate`) enqueues and
     /// transfers like the primary but never touches workflow progress or the dispatch
     /// counters — the task is dispatched once, executed possibly many times.
@@ -1087,6 +1097,7 @@ impl Engine {
         rpm_secs: f64,
         ms_secs: f64,
         sufferage_secs: f64,
+        predecessors: &[PredecessorData],
         now: SimTime,
         obs: &mut Observers<'_, '_>,
         replica: bool,
@@ -1097,21 +1108,14 @@ impl Engine {
             // retried at the next scheduling cycle.
             return false;
         }
-        let (load_mi, image_mb, inputs): (f64, f64, Vec<(NodeId, f64)>) = {
-            let w = &self.workflows[wf];
-            let t = w.workflow.task(task);
-            let inputs = w
-                .workflow
-                .precedents(task)
-                .iter()
-                .map(|e| (w.output_location(e.task), e.data_mb))
-                .collect();
+        let (load_mi, image_mb) = {
+            let t = self.workflows[wf].workflow.task(task);
             let load = self
                 .load_override
                 .get(&(wf, task))
                 .copied()
                 .unwrap_or(t.load_mi);
-            (load, t.image_size_mb, inputs)
+            (load, t.image_size_mb)
         };
         if !replica {
             self.workflows[wf].progress.mark_dispatched(task);
@@ -1134,7 +1138,7 @@ impl Engine {
         // plus dependent data from every precedent's execution site, all in parallel.
         let transfer_secs = self
             .transfer
-            .arrival_delay_secs(home, target, image_mb, &inputs);
+            .arrival_delay_secs(home, target, image_mb, predecessors);
         let view = ReadyTaskView {
             workflow_ms_secs: ms_secs,
             rpm_secs,

@@ -8,6 +8,7 @@
 //! after the *slowest* individual transfer.  A local dispatch with no remote inputs is
 //! data-complete at once, within the dispatching instant.
 
+use crate::estimate::PredecessorData;
 use crate::NodeId;
 use p2pgrid_topology::PairwiseMetrics;
 
@@ -44,19 +45,20 @@ impl TransferModel {
     }
 
     /// Seconds until a task dispatched to `target` is data-complete: its program image flows
-    /// from `home` while every `(location, data_mb)` dependency flows from its precedent's
-    /// execution site, all in parallel — the slowest transfer gates the task.
+    /// from `home` while every precedent's data flows from where that precedent ran, all in
+    /// parallel — the slowest transfer gates the task.  The precedents are the list the first
+    /// phase gathered to estimate the same transfers.
     pub fn arrival_delay_secs(
         &self,
         home: NodeId,
         target: NodeId,
         image_size_mb: f64,
-        inputs: &[(NodeId, f64)],
+        predecessors: &[PredecessorData],
     ) -> f64 {
         let image = self.transfer_secs(home, target, image_size_mb);
-        inputs
+        predecessors
             .iter()
-            .map(|&(from, data_mb)| self.transfer_secs(from, target, data_mb))
+            .map(|p| self.transfer_secs(p.location, target, p.data_mb))
             .fold(image, f64::max)
     }
 }
@@ -73,17 +75,21 @@ mod tests {
         TransferModel::new(PairwiseMetrics::compute(&topo))
     }
 
+    fn from(location: NodeId, data_mb: f64) -> PredecessorData {
+        PredecessorData { location, data_mb }
+    }
+
     #[test]
     fn arrival_delay_is_the_slowest_concurrent_transfer() {
         let m = model(12);
         let image = m.transfer_secs(0, 5, 40.0);
         let dep_a = m.transfer_secs(1, 5, 200.0);
         let dep_b = m.transfer_secs(2, 5, 10.0);
-        let delay = m.arrival_delay_secs(0, 5, 40.0, &[(1, 200.0), (2, 10.0)]);
+        let delay = m.arrival_delay_secs(0, 5, 40.0, &[from(1, 200.0), from(2, 10.0)]);
         assert_eq!(delay, image.max(dep_a).max(dep_b));
         // Data already on the target contributes nothing.
         assert_eq!(m.transfer_secs(5, 5, 1000.0), 0.0);
-        assert_eq!(m.arrival_delay_secs(5, 5, 1000.0, &[(5, 1000.0)]), 0.0);
+        assert_eq!(m.arrival_delay_secs(5, 5, 1000.0, &[from(5, 1000.0)]), 0.0);
     }
 
     #[test]

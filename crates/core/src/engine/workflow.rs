@@ -1,5 +1,6 @@
 //! Per-workflow runtime state: progress, task locations and (for full-ahead baselines) plans.
 
+use crate::estimate::PredecessorData;
 use crate::NodeId;
 use p2pgrid_sim::SimTime;
 use p2pgrid_workflow::{ProgressTracker, TaskId, Workflow};
@@ -49,6 +50,18 @@ impl WorkflowRuntime {
     /// that never left (e.g. the entry task's inputs).
     pub fn output_location(&self, task: TaskId) -> NodeId {
         self.task_location[task.index()].unwrap_or(self.home)
+    }
+
+    /// What `task` needs moved before it can start: where each precedent's output lives and
+    /// how much of it there is, in precedent order.
+    pub fn predecessor_data(&self, task: TaskId) -> impl Iterator<Item = PredecessorData> + '_ {
+        self.workflow
+            .precedents(task)
+            .iter()
+            .map(|e| PredecessorData {
+                location: self.output_location(e.task),
+                data_mb: e.data_mb,
+            })
     }
 
     /// Apply one task completion: record the execution site and mark the task finished.
