@@ -83,17 +83,63 @@ impl CandidateNode {
     /// Execution time of a task with `load_mi` on this node, in seconds.  One task runs on one
     /// slot, so this uses the per-slot rate — not the aggregate.
     pub fn execution_secs(&self, load_mi: f64) -> f64 {
-        if self.capacity_mips <= 0.0 {
-            f64::INFINITY
-        } else {
-            load_mi / self.per_slot_capacity_mips()
-        }
+        CandidateRates::of(self).execution_secs(load_mi)
     }
 
     /// Account for a task of `load_mi` just dispatched to this node (Algorithm 1, line 15:
     /// "Update p_r's state record in RSS(p_s)").
     pub fn add_load(&mut self, load_mi: f64) {
         self.total_load_mi += load_mi;
+    }
+}
+
+/// What the finish-time model reads of one candidate besides its transfers: the queuing delay
+/// and the rate one task runs at.  Both change only when the candidate's load does, so a planner
+/// reads them once per assignment rather than once per (task, candidate).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CandidateRates {
+    /// [`CandidateNode::queuing_delay_secs`].
+    pub(crate) queue_secs: f64,
+    capacity_mips: f64,
+    per_slot_mips: f64,
+}
+
+impl CandidateRates {
+    pub(crate) fn of(candidate: &CandidateNode) -> Self {
+        CandidateRates {
+            queue_secs: candidate.queuing_delay_secs(),
+            capacity_mips: candidate.capacity_mips,
+            per_slot_mips: candidate.per_slot_capacity_mips(),
+        }
+    }
+
+    /// [`CandidateNode::execution_secs`] of the candidate these rates were read from.
+    pub(crate) fn execution_secs(&self, load_mi: f64) -> f64 {
+        if self.capacity_mips <= 0.0 {
+            f64::INFINITY
+        } else {
+            load_mi / self.per_slot_mips
+        }
+    }
+}
+
+/// Seconds to move `data_mb` megabits from `from` to `to`, where `bandwidth_mbps` reads the
+/// link's bandwidth: nothing for a local or empty transfer, which never reads the link, and
+/// forever over a dead link.
+pub(crate) fn transfer_secs_over(
+    from: NodeId,
+    to: NodeId,
+    data_mb: f64,
+    bandwidth_mbps: impl FnOnce() -> f64,
+) -> f64 {
+    if from == to || data_mb <= 0.0 {
+        return 0.0;
+    }
+    let bw = bandwidth_mbps();
+    if bw <= 0.0 {
+        f64::INFINITY
+    } else {
+        data_mb / bw
     }
 }
 
@@ -123,17 +169,19 @@ impl<'a> FinishTimeEstimator<'a> {
         }
     }
 
+    /// The node the decisions are taken at, where every program image comes from.
+    pub(crate) fn home(&self) -> NodeId {
+        self.home
+    }
+
+    /// The estimated bandwidth from `from` to `to`, in Mb/s.
+    pub(crate) fn bandwidth_mbps(&self, from: NodeId, to: NodeId) -> f64 {
+        (self.bandwidth_mbps)(from, to)
+    }
+
     /// Time in seconds to move `data_mb` megabits from `from` to `to`.
     pub fn transfer_secs(&self, from: NodeId, to: NodeId, data_mb: f64) -> f64 {
-        if from == to || data_mb <= 0.0 {
-            return 0.0;
-        }
-        let bw = (self.bandwidth_mbps)(from, to);
-        if bw <= 0.0 {
-            f64::INFINITY
-        } else {
-            data_mb / bw
-        }
+        transfer_secs_over(from, to, data_mb, || self.bandwidth_mbps(from, to))
     }
 
     /// The longest transmission delay LTD (Eq. 4): the slowest of the concurrent transfers the
@@ -190,10 +238,25 @@ impl<'a> FinishTimeEstimator<'a> {
         image_size_mb: f64,
         predecessors: &[PredecessorData],
     ) -> Option<(usize, f64)> {
+        let rates: Vec<CandidateRates> = candidates.iter().map(CandidateRates::of).collect();
+        self.best_of(candidates, &rates, load_mi, image_size_mb, predecessors)
+    }
+
+    /// [`FinishTimeEstimator::best_candidate`] over rates read beforehand: `rates[i]` must be
+    /// `CandidateRates::of(&candidates[i])`, so a planner re-reads only the candidate whose
+    /// load it changed.
+    pub(crate) fn best_of(
+        &self,
+        candidates: &[CandidateNode],
+        rates: &[CandidateRates],
+        load_mi: f64,
+        image_size_mb: f64,
+        predecessors: &[PredecessorData],
+    ) -> Option<(usize, f64)> {
         let mut best: Option<(usize, f64)> = None;
-        for (i, c) in candidates.iter().enumerate() {
-            let queue = c.queuing_delay_secs();
-            let exec = c.execution_secs(load_mi);
+        for (i, (c, r)) in candidates.iter().zip(rates).enumerate() {
+            let queue = r.queue_secs;
+            let exec = r.execution_secs(load_mi);
             if let Some((_, bft)) = best {
                 if queue + exec - bft > 1e-12 {
                     continue;

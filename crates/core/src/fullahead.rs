@@ -28,7 +28,7 @@
 //! time below the latest precedent finish.
 
 use crate::algorithm::Algorithm;
-use crate::estimate::CandidateNode;
+use crate::estimate::{transfer_secs_over, CandidateNode, CandidateRates};
 use crate::NodeId;
 use p2pgrid_workflow::{rest_path_makespans, ExpectedCosts, TaskId, Workflow};
 use std::cmp::Ordering;
@@ -111,8 +111,10 @@ pub fn plan_full_ahead(
         _ => unreachable!("guarded above"),
     }
 
-    // Greedy earliest-finish-time processor selection.
-    let mut node_available: Vec<f64> = nodes.iter().map(|n| n.queuing_delay_secs()).collect();
+    // Greedy earliest-finish-time processor selection.  A node's per-slot rate never changes,
+    // and its queue is `node_available`, so both are read once.
+    let rates: Vec<CandidateRates> = nodes.iter().map(CandidateRates::of).collect();
+    let mut node_available: Vec<f64> = rates.iter().map(|r| r.queue_secs).collect();
     let mut plans: Vec<WorkflowPlan> = inputs
         .iter()
         .map(|inp| vec![0usize; inp.workflow.task_count()])
@@ -122,16 +124,8 @@ pub fn plan_full_ahead(
         .map(|inp| vec![0.0f64; inp.workflow.task_count()])
         .collect();
 
-    let transfer = |from: NodeId, to: NodeId, mb: f64| -> f64 {
-        if from == to || mb <= 0.0 {
-            return 0.0;
-        }
-        let bw = bandwidth_mbps(from, to);
-        if bw <= 0.0 {
-            f64::INFINITY
-        } else {
-            mb / bw
-        }
+    let transfer = |from: NodeId, to: NodeId, mb: f64| {
+        transfer_secs_over(from, to, mb, || bandwidth_mbps(from, to))
     };
 
     // (planned node id, planned finish, data volume) of the current task's precedents.
@@ -147,7 +141,7 @@ pub fn plan_full_ahead(
         let latest = precedents.iter().fold(0.0f64, |m, &(_, f, _)| m.max(f));
         let mut best: Option<(usize, f64)> = None;
         for (h, node) in nodes.iter().enumerate() {
-            let exec = node.execution_secs(task.load_mi);
+            let exec = rates[h].execution_secs(task.load_mi);
             if let Some((_, bft)) = best {
                 if node_available[h].max(latest) + exec - bft > 1e-12 {
                     continue;

@@ -25,7 +25,9 @@
 //! fails it and forces a rescan.
 
 use crate::algorithm::Algorithm;
-use crate::estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
+use crate::estimate::{
+    transfer_secs_over, CandidateNode, CandidateRates, FinishTimeEstimator, PredecessorData,
+};
 use crate::NodeId;
 use p2pgrid_workflow::TaskId;
 use std::cmp::Ordering;
@@ -246,17 +248,52 @@ fn matrix_assign(
     estimator: &FinishTimeEstimator<'_>,
 ) -> Vec<DispatchDecision> {
     let width = candidates.len();
+    // The bandwidth from every source — the home node and each node holding a precedent's
+    // output — to every candidate, read once: `bandwidth[row(source) + h]`.
+    let home = estimator.home();
+    let mut sources: Vec<NodeId> = tasks
+        .iter()
+        .flat_map(|t| t.predecessors.iter().map(|p| p.location))
+        .chain([home])
+        .collect();
+    sources.sort_unstable();
+    sources.dedup();
+    let bandwidth: Vec<f64> = sources
+        .iter()
+        .flat_map(|&s| {
+            candidates
+                .iter()
+                .map(move |c| estimator.bandwidth_mbps(s, c.node))
+        })
+        .collect();
+    let row = |node: NodeId| width * sources.binary_search(&node).expect("a listed source");
+    let home_row = row(home);
+    let rates: Vec<CandidateRates> = candidates.iter().map(CandidateRates::of).collect();
     let mut ltd = Vec::with_capacity(tasks.len() * width);
     let mut exec = Vec::with_capacity(tasks.len() * width);
     let mut ct = Vec::with_capacity(tasks.len() * width);
+    // (row, node, data) of the current task's precedents.
+    let mut inputs: Vec<(usize, NodeId, f64)> = Vec::new();
     for t in tasks {
-        for c in candidates.iter() {
-            let l =
-                estimator.longest_transmission_delay_secs(c.node, t.image_size_mb, &t.predecessors);
-            let e = c.execution_secs(t.load_mi);
+        inputs.clear();
+        inputs.extend(
+            t.predecessors
+                .iter()
+                .map(|p| (row(p.location), p.location, p.data_mb)),
+        );
+        for (h, (c, r)) in candidates.iter().zip(&rates).enumerate() {
+            // Eq. 4, exactly as `longest_transmission_delay_secs` folds it.
+            let transfer = |row: usize, from: NodeId, data_mb: f64| {
+                transfer_secs_over(from, c.node, data_mb, || bandwidth[row + h])
+            };
+            let l = inputs
+                .iter()
+                .map(|&(row, from, data_mb)| transfer(row, from, data_mb))
+                .fold(transfer(home_row, home, t.image_size_mb), f64::max);
+            let e = r.execution_secs(t.load_mi);
             ltd.push(l);
             exec.push(e);
-            ct.push(c.queuing_delay_secs().max(l) + e);
+            ct.push(r.queue_secs.max(l) + e);
         }
     }
     let mut summaries: Vec<RowSummary> = ct.chunks_exact(width).map(RowSummary::scan).collect();
@@ -291,6 +328,8 @@ fn matrix_assign(
     decisions
 }
 
+/// Formula 9 for each task in `order`, re-reading only the rates of the candidate that took
+/// the last task.
 fn greedy_assign(
     order: &[usize],
     tasks: &[DispatchCandidateTask],
@@ -298,11 +337,16 @@ fn greedy_assign(
     estimator: &FinishTimeEstimator<'_>,
 ) -> Vec<DispatchDecision> {
     let mut decisions = Vec::with_capacity(order.len());
+    let mut rates: Vec<CandidateRates> = candidates.iter().map(CandidateRates::of).collect();
     for &i in order {
         let t = &tasks[i];
-        let Some((idx, ft)) =
-            estimator.best_candidate(candidates, t.load_mi, t.image_size_mb, &t.predecessors)
-        else {
+        let Some((idx, ft)) = estimator.best_of(
+            candidates,
+            &rates,
+            t.load_mi,
+            t.image_size_mb,
+            &t.predecessors,
+        ) else {
             continue;
         };
         decisions.push(DispatchDecision {
@@ -313,6 +357,7 @@ fn greedy_assign(
             sufferage_secs: 0.0,
         });
         candidates[idx].add_load(t.load_mi);
+        rates[idx] = CandidateRates::of(&candidates[idx]);
     }
     decisions
 }
