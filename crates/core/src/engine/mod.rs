@@ -116,7 +116,8 @@ impl GridEvent {
     }
 }
 
-/// Events at one node, on the engine's node-event queue.
+/// Events at one node: data arrivals and completions in flight on the engine's node-event
+/// heap, workflow arrivals, failures and repairs on its pre-drawn list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodeEvent {
     /// All input data of a dispatched task has arrived at its resource node.
@@ -145,6 +146,58 @@ enum NodeEvent {
     NodeFailure { node: NodeId },
     /// The node comes back after its pre-drawn repair time, empty.
     NodeRepair { node: NodeId },
+}
+
+/// The engine's node events: a heap of those in flight (data arrivals and task completions)
+/// and the world's pre-drawn ones (deferred workflow arrivals, stochastic failures and
+/// repairs), listed once at session start and sorted stably by time.  Together they pop in the
+/// `(time, insertion)` order of one queue that was given the pre-drawn events first: at an
+/// equal instant the list pops ahead of the heap.  The heap then holds only what is in flight,
+/// not every pre-drawn event still to come.
+struct NodeEvents<E> {
+    in_flight: EventQueue<E>,
+    predrawn: Vec<(SimTime, E)>,
+    /// The pre-drawn events from this index on are still to come.
+    next_predrawn: usize,
+}
+
+impl<E: Copy> NodeEvents<E> {
+    fn new(mut predrawn: Vec<(SimTime, E)>) -> Self {
+        predrawn.sort_by_key(|&(time, _)| time);
+        NodeEvents {
+            in_flight: EventQueue::new(),
+            predrawn,
+            next_predrawn: 0,
+        }
+    }
+
+    fn schedule(&mut self, time: SimTime, event: E) {
+        self.in_flight.schedule(time, event);
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        let predrawn = self.predrawn.get(self.next_predrawn).map(|&(time, _)| time);
+        match (predrawn, self.in_flight.peek_time()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// The next event due at or before `now`, if any.
+    fn pop_due(&mut self, now: SimTime) -> Option<E> {
+        let in_flight = self.in_flight.peek_time();
+        if let Some(&(time, event)) = self.predrawn.get(self.next_predrawn) {
+            if time <= now && in_flight.is_none_or(|t| time <= t) {
+                self.next_predrawn += 1;
+                return Some(event);
+            }
+        }
+        if in_flight? <= now {
+            self.in_flight.pop().map(|e| e.event)
+        } else {
+            None
+        }
+    }
 }
 
 /// The observers registered on one session, passed down the engine call tree so every hook
@@ -192,7 +245,7 @@ pub(crate) struct Engine {
     workflows: Vec<WorkflowRuntime>,
     home_of: Arc<Vec<Vec<usize>>>,
     metrics: WorkflowMetrics,
-    events: EventQueue<NodeEvent>,
+    events: NodeEvents<NodeEvent>,
     cadences: EventQueue<GridEvent>,
     /// The last executed instant.
     now: SimTime,
@@ -227,9 +280,9 @@ pub(crate) struct Engine {
 
 impl Engine {
     /// Clone the scenario's mutable runtime state into a fresh engine, run the scheduler's
-    /// full-ahead planning pass (HEFT / SMF plan centrally before execution) and queue the
-    /// world's deferred workflow arrivals, its stochastic faults and the cadences' first
-    /// instants.
+    /// full-ahead planning pass (HEFT / SMF plan centrally before execution), list the world's
+    /// deferred workflow arrivals and stochastic faults in time order, and queue the cadences'
+    /// first instants.
     pub(crate) fn new(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
         let world = scenario.world();
         let mut workflows = (*world.workflows).clone();
@@ -288,22 +341,22 @@ impl Engine {
         let gossip = Arc::clone(world.gossip_trace.get());
 
         // The deferred arrivals in workflow order, then the pre-drawn faults in the
-        // schedule's node-major order (already clipped to the horizon at build), so equal
-        // instants pop in those orders.
-        let mut events = EventQueue::new();
-        for (wf, w) in workflows.iter().enumerate() {
-            if !w.arrived && w.submitted_at <= horizon {
-                events.schedule(w.submitted_at, NodeEvent::WorkflowArrival { wf });
-            }
-        }
-        for &(node, time, down) in world.faults.iter() {
+        // schedule's node-major order (already clipped to the horizon at build); the stable
+        // sort keeps those orders at equal instants.
+        let arrivals = workflows
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| !w.arrived && w.submitted_at <= horizon)
+            .map(|(wf, w)| (w.submitted_at, NodeEvent::WorkflowArrival { wf }));
+        let faults = world.faults.iter().map(|&(node, time, down)| {
             let event = if down {
                 NodeEvent::NodeFailure { node }
             } else {
                 NodeEvent::NodeRepair { node }
             };
-            events.schedule(time, event);
-        }
+            (time, event)
+        });
+        let events = NodeEvents::new(arrivals.chain(faults).collect());
         let mut cadences = EventQueue::new();
         for event in GridEvent::AT_START {
             cadences.schedule(SimTime::ZERO, event);
@@ -447,8 +500,7 @@ impl Engine {
     /// Pop and handle every node event due at `now`, including those the handlers schedule
     /// for `now` themselves (a zero-length execution's completion).
     fn run_node_events(&mut self, now: SimTime, obs: &mut Observers<'_, '_>) {
-        while self.events.peek_time().is_some_and(|t| t <= now) {
-            let event = self.events.pop().expect("peeked event must pop").event;
+        while let Some(event) = self.events.pop_due(now) {
             match event {
                 NodeEvent::DataReady {
                     node,
@@ -1199,6 +1251,52 @@ mod tests {
         let mut engine = Engine::new(&scenario, Box::new(algo));
         while engine.step(&mut []).is_some() {}
         engine
+    }
+
+    proptest::proptest! {
+        /// Pre-drawn events listed at start, then events scheduled in flight — each at or after
+        /// the instant being executed — pop in the order one queue given the pre-drawn events
+        /// first pops them.  Times come from a few milliseconds, so most instants tie.
+        #[test]
+        fn node_events_pop_like_one_queue(
+            predrawn_ms in proptest::collection::vec(0u64..12, 0..40),
+            ops in proptest::collection::vec(0u64..=u64::MAX, 0..120),
+        ) {
+            let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+            let predrawn: Vec<(SimTime, usize)> =
+                predrawn_ms.iter().enumerate().map(|(i, &ms)| (at(ms), i)).collect();
+            let mut oracle = EventQueue::new();
+            for &(time, i) in &predrawn {
+                oracle.schedule(time, i);
+            }
+            let mut events = NodeEvents::new(predrawn);
+            let mut now = SimTime::ZERO;
+            let mut next_id = predrawn_ms.len();
+            for op in ops {
+                if op % 3 == 0 {
+                    let time = now + SimDuration::from_millis((op >> 2) % 4);
+                    events.schedule(time, next_id);
+                    oracle.schedule(time, next_id);
+                    next_id += 1;
+                } else {
+                    proptest::prop_assert_eq!(events.peek_time(), oracle.peek_time());
+                    let Some(time) = events.peek_time() else { continue };
+                    if time > now {
+                        proptest::prop_assert_eq!(events.pop_due(now), None);
+                        now = time;
+                    }
+                    proptest::prop_assert_eq!(
+                        events.pop_due(now),
+                        oracle.pop().map(|e| e.event)
+                    );
+                }
+            }
+            while let Some(time) = oracle.peek_time() {
+                let expected = oracle.pop().map(|e| e.event);
+                proptest::prop_assert_eq!(events.pop_due(time), expected);
+            }
+            proptest::prop_assert_eq!(events.peek_time(), None);
+        }
     }
 
     #[test]
