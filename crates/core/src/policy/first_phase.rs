@@ -2,8 +2,10 @@
 //!
 //! DSMF, DHEFT and DSDF order the schedule points once and place each with Formula 9
 //! ([`FinishTimeEstimator::best_candidate`], which skips every candidate its queue-plus-execution
-//! bound rules out).  Min-min, max-min and sufferage instead pick against the completion-time
-//! matrix of the *current* candidate loads after every assignment.
+//! bound rules out).  They read every candidate's queuing delay and per-slot rate once, and
+//! after each assignment re-read only the candidate that took the task.  Min-min, max-min and
+//! sufferage instead pick against the completion-time matrix of the *current* candidate loads
+//! after every assignment.
 //!
 //! ## The incremental completion-time matrix
 //!
@@ -11,6 +13,12 @@
 //! only on the task and the candidate, so the planner computes them once, in flat `T × H`
 //! storage; an assignment changes only its candidate's queue, so only that column is
 //! refreshed, from the stored terms, bit for bit what a full rebuild would compute.
+//!
+//! The transfer delays take one bandwidth estimate per (source, candidate), read before the
+//! first cell: the sources are the home node, where every program image comes from, and each
+//! distinct node holding a precedent's output.  A cell folds Eq. 4 over that table in the order
+//! [`FinishTimeEstimator::longest_transmission_delay_secs`] folds it, so it is the same value,
+//! from one read per pair instead of one per cell and transfer.
 //!
 //! Every row keeps a summary — its best candidate (the first index holding the row minimum),
 //! the minimum, and the second-smallest value — equal at all times to what scanning the row
@@ -249,7 +257,8 @@ fn matrix_assign(
 ) -> Vec<DispatchDecision> {
     let width = candidates.len();
     // The bandwidth from every source — the home node and each node holding a precedent's
-    // output — to every candidate, read once: `bandwidth[row(source) + h]`.
+    // output — to every candidate, read once: `bandwidth[row(source) + h]`.  A transfer
+    // within one node reads no link, so neither does the table.
     let home = estimator.home();
     let mut sources: Vec<NodeId> = tasks
         .iter()
@@ -261,9 +270,13 @@ fn matrix_assign(
     let bandwidth: Vec<f64> = sources
         .iter()
         .flat_map(|&s| {
-            candidates
-                .iter()
-                .map(move |c| estimator.bandwidth_mbps(s, c.node))
+            candidates.iter().map(move |c| {
+                if s == c.node {
+                    f64::INFINITY
+                } else {
+                    estimator.bandwidth_mbps(s, c.node)
+                }
+            })
         })
         .collect();
     let row = |node: NodeId| width * sources.binary_search(&node).expect("a listed source");
@@ -579,6 +592,42 @@ mod tests {
         let tasks = fig3_tasks();
         let mut no_candidates: Vec<CandidateNode> = Vec::new();
         assert!(plan_dispatch(Algorithm::Dsmf, &tasks, &mut no_candidates, &est).is_empty());
+    }
+
+    #[test]
+    fn planners_never_read_a_link_within_one_node() {
+        // The home node and every precedent's output sit on candidates, so each planner meets
+        // transfers within one node, which take no time and read no link.
+        let bw = |a: NodeId, b: NodeId| {
+            assert_ne!(a, b, "read the link from node {a} to itself");
+            1.0
+        };
+        let est = FinishTimeEstimator::new(100, &bw);
+        let tasks: Vec<DispatchCandidateTask> = (0..3)
+            .map(|i| DispatchCandidateTask {
+                workflow: 0,
+                task: TaskId(i),
+                load_mi: 100.0,
+                image_size_mb: 10.0,
+                rpm_secs: 1.0,
+                workflow_ms_secs: 1.0,
+                predecessors: vec![PredecessorData {
+                    location: 100 + i as NodeId,
+                    data_mb: 50.0,
+                }],
+            })
+            .collect();
+        for alg in [
+            Algorithm::Dsmf,
+            Algorithm::Dheft,
+            Algorithm::Dsdf,
+            Algorithm::MinMin,
+            Algorithm::MaxMin,
+            Algorithm::Sufferage,
+        ] {
+            let mut candidates = idle_candidates(3);
+            assert_eq!(plan_dispatch(alg, &tasks, &mut candidates, &est).len(), 3);
+        }
     }
 
     #[test]
