@@ -16,6 +16,8 @@
 //! 4. The **first scheduling phase** runs every fifteen minutes on every home node: schedule
 //!    points are prioritised and dispatched per the configured [`Scheduler`] (Algorithm 1 for
 //!    DSMF), program images and dependent data start flowing to the chosen resource nodes.
+//!    Each workflow's progress tracker keeps its schedule points, and the planner's list of a
+//!    task's precedents also times the task's true transfers when it is dispatched.
 //! 5. The **second scheduling phase** runs on every resource node whenever an execution slot
 //!    frees up: the data-complete ready task with the smallest scheduler
 //!    [`ReadyKey`](crate::policy::second_phase::ReadyKey) is popped from the node's indexed
@@ -42,8 +44,12 @@
 //!
 //! The engine keeps two queues, each popped in `(time, insertion)` order: one of node events
 //! (data arrivals, task completions, workflow arrivals, stochastic failures and repairs) and
-//! one of the grid-wide cadences (gossip, scheduling, metrics).  One step executes one
-//! virtual instant `t`:
+//! one of the grid-wide cadences (gossip, scheduling, metrics).  The node-event queue has two
+//! parts: a heap holds the data arrivals and completions in flight, and a list sorted stably
+//! by time holds the world's deferred arrivals and pre-drawn failures and repairs, listed once
+//! when the session starts.  At an equal instant the list pops ahead of the heap, which is the
+//! insertion order: every listed event was in the queue before anything was in flight.  So the
+//! heap stays as small as the work in flight.  One step executes one virtual instant `t`:
 //!
 //! 1. every node event due at `t`, in queue order;
 //! 2. the cadences due at `t`, in queue order — after t = 0 a scheduling instant's churn
@@ -960,12 +966,12 @@ impl Engine {
     /// (falling back to the home node if the planned node has churned away).
     fn dispatch_full_ahead(&mut self, home: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
         let home_of = Arc::clone(&self.home_of);
+        let mut predecessors = Vec::new();
         for &wf in &home_of[home] {
             if !self.workflows[wf].is_active() {
                 continue;
             }
             let sps: Vec<TaskId> = self.workflows[wf].progress.schedule_points().collect();
-            let mut predecessors = Vec::new();
             for task in sps {
                 if !self.dispatchable(wf, task, now) {
                     continue;

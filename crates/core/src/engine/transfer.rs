@@ -45,9 +45,9 @@ impl TransferModel {
     }
 
     /// Seconds until a task dispatched to `target` is data-complete: its program image flows
-    /// from `home` while every precedent's data flows from where that precedent ran, all in
-    /// parallel — the slowest transfer gates the task.  The precedents are the list the first
-    /// phase gathered to estimate the same transfers.
+    /// from `home` while every precedent's data flows from its `location`, all in parallel —
+    /// the slowest transfer gates the task.  It reads the precedent list the first phase's
+    /// estimate reads, so a dispatch is timed over the transfers it was planned on.
     pub fn arrival_delay_secs(
         &self,
         home: NodeId,

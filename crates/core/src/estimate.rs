@@ -38,6 +38,16 @@
 //! Such an `FT` is above `best`, so it neither beats `best − 1e-12` nor ties within 1e-12,
 //! and the unchanged comparison would have rejected it.  (`f64::max` ignores a NaN LTD, so
 //! `FT ≥ R + et` holds even then; a NaN bound is never `> 1e-12`, so it is scored in full.)
+//!
+//! ## Reading each candidate once per assignment
+//!
+//! A candidate's queuing delay and per-slot rate change only when its load does.  The greedy
+//! planners read both into `CandidateRates` once, score every task through the same scan
+//! `best_candidate` runs, and after each assignment re-read only the candidate that took the
+//! task; `best_candidate` itself reads them afresh on every call.  One function,
+//! `transfer_secs_over`, holds the rule for a single transfer — nothing for a local or empty
+//! one, forever over a dead link — for this estimator, the matrix heuristics and the
+//! full-ahead planner.
 
 use crate::NodeId;
 

@@ -21,11 +21,12 @@
 //! negative time).  The planner gathers each task's precedents — planned node, planned finish,
 //! data volume — once, and skips a node whose bound `max(available, latest) + exec` exceeds the
 //! best finish time found so far by more than the 1e-12 tie tolerance, before computing any of
-//! its transfers.  The skip is exact: IEEE rounding is monotone, so the node's finish time is at
-//! least the bound, hence more than 1e-12 above the best, and the unchanged comparison would
+//! its transfers.  The skip is exact: IEEE rounding is monotone, so the node's finish time is
+//! at least the bound, hence more than 1e-12 above the best, and the unchanged comparison would
 //! have rejected it.  The plans are the ones scoring every node gives.  This needs bandwidths
 //! that are never NaN: `f64::max` would drop a NaN arrival time and could leave the data-ready
-//! time below the latest precedent finish.
+//! time below the latest precedent finish.  A node's per-slot rate never changes during
+//! planning, so the planner reads it once per node, not once per (task, node).
 
 use crate::algorithm::Algorithm;
 use crate::estimate::{transfer_secs_over, CandidateNode, CandidateRates};

@@ -13,7 +13,9 @@
 
 use crate::dag::{TaskId, Workflow};
 
-/// Execution progress of a single workflow instance.
+/// Execution progress of a single workflow instance: per task whether it finished, whether it
+/// is dispatched and how many precedents it still waits for, and the schedule-point set those
+/// three determine, kept as a bitset.
 #[derive(Debug, Clone)]
 pub struct ProgressTracker {
     n: usize,
