@@ -13,18 +13,26 @@
 
 use crate::dag::{TaskId, Workflow};
 
-/// Execution progress of a single workflow instance: per task whether it finished, whether it
-/// is dispatched and how many precedents it still waits for, and the schedule-point set those
-/// three determine, kept as a bitset.
+/// Execution progress of a single workflow instance: per task its state and how many
+/// precedents it still waits for, and the schedule-point set those two determine, kept as a
+/// bitset.
 #[derive(Debug, Clone)]
 pub struct ProgressTracker {
     n: usize,
     remaining_preds: Vec<usize>,
-    finished: Vec<bool>,
-    dispatched: Vec<bool>,
+    state: Vec<TaskState>,
     finished_count: usize,
     /// The schedule points: task `t` is bit `t % 64` of word `t / 64`.
     schedule_points: Vec<u64>,
+}
+
+/// Where one task is in its lifecycle.  A finished task stays finished whether or not it was
+/// dispatched first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TaskState {
+    Waiting,
+    Dispatched,
+    Finished,
 }
 
 impl ProgressTracker {
@@ -39,8 +47,7 @@ impl ProgressTracker {
         let mut tracker = ProgressTracker {
             n,
             remaining_preds,
-            finished: vec![false; n],
-            dispatched: vec![false; n],
+            state: vec![TaskState::Waiting; n],
             finished_count: 0,
             schedule_points: vec![0; n.div_ceil(64)],
         };
@@ -65,15 +72,13 @@ impl ProgressTracker {
     /// True if `t` has finished.
     #[cfg(test)]
     pub(crate) fn is_finished(&self, t: TaskId) -> bool {
-        self.finished[t.index()]
+        self.state[t.index()] == TaskState::Finished
     }
 
     /// True if `t` is currently a schedule point: not dispatched, not finished, and all of its
     /// precedents are finished.
     pub fn is_schedule_point(&self, t: TaskId) -> bool {
-        !self.dispatched[t.index()]
-            && !self.finished[t.index()]
-            && self.remaining_preds[t.index()] == 0
+        self.state[t.index()] == TaskState::Waiting && self.remaining_preds[t.index()] == 0
     }
 
     /// The current schedule-point set `spset(f)`, in ascending task-id order, read off the kept
@@ -114,7 +119,7 @@ impl ProgressTracker {
             self.is_schedule_point(t),
             "task {t} is not a schedule point (dispatched twice or precedents unfinished)"
         );
-        self.dispatched[t.index()] = true;
+        self.state[t.index()] = TaskState::Dispatched;
         self.set_schedule_point(t, false);
     }
 
@@ -122,10 +127,10 @@ impl ProgressTracker {
     /// home node re-schedules it).
     pub fn unmark_dispatched(&mut self, t: TaskId) {
         assert!(
-            self.dispatched[t.index()] && !self.finished[t.index()],
+            self.state[t.index()] == TaskState::Dispatched,
             "task {t} cannot be un-dispatched"
         );
-        self.dispatched[t.index()] = false;
+        self.state[t.index()] = TaskState::Waiting;
         // A dispatched task was a schedule point, and precedents never un-finish.
         self.set_schedule_point(t, true);
     }
@@ -136,19 +141,24 @@ impl ProgressTracker {
     /// # Panics
     /// Panics if `t` already finished or if any precedent of `t` has not finished.
     pub fn mark_finished(&mut self, workflow: &Workflow, t: TaskId) {
-        assert!(!self.finished[t.index()], "task {t} finished twice");
+        assert!(
+            self.state[t.index()] != TaskState::Finished,
+            "task {t} finished twice"
+        );
         assert_eq!(
             self.remaining_preds[t.index()],
             0,
             "task {t} finished before its precedents"
         );
-        self.finished[t.index()] = true;
+        self.state[t.index()] = TaskState::Finished;
         self.finished_count += 1;
         self.set_schedule_point(t, false);
         for e in workflow.successors(t) {
             let s = e.task;
             self.remaining_preds[s.index()] -= 1;
-            if self.remaining_preds[s.index()] == 0 && !self.dispatched[s.index()] {
+            if self.remaining_preds[s.index()] == 0
+                && self.state[s.index()] != TaskState::Dispatched
+            {
                 self.set_schedule_point(s, true);
             }
         }
@@ -302,7 +312,7 @@ mod tests {
                 let pick = |tasks: Vec<TaskId>| tasks[(op >> 2) as usize % tasks.len()];
                 let dispatched: Vec<TaskId> = w
                     .task_ids()
-                    .filter(|&t| p.dispatched[t.index()] && !p.is_finished(t))
+                    .filter(|&t| p.state[t.index()] == TaskState::Dispatched)
                     .collect();
                 let points = scanned_schedule_points(&p, &w);
                 match op % 4 {
