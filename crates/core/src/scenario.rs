@@ -709,6 +709,70 @@ mod tests {
     }
 
     #[test]
+    fn a_predrawn_failure_pops_before_a_completion_due_at_the_same_instant() {
+        use crate::observer::{TraceEvent, TraceRecorder};
+        // Homes on the stable half and no churn draws: a churnable node runs until a
+        // pre-drawn event takes it down.
+        let cfg = GridConfig::small(12)
+            .with_seed(6)
+            .with_churn(ChurnConfig::with_dynamic_factor(0.0));
+        let base = Scenario::build(cfg).unwrap();
+        let stable = stable_count(base.config());
+        let mut trace = TraceRecorder::new();
+        base.simulate_algorithm(Algorithm::Dsmf)
+            .observe(&mut trace)
+            .run();
+        let (at, wf, task, node) = trace
+            .events()
+            .iter()
+            .find_map(|&(at, event)| match event {
+                TraceEvent::TaskFinished { wf, task, node } if node >= stable => {
+                    Some((at, wf, task, node))
+                }
+                _ => None,
+            })
+            .expect("some task finishes on a churnable node");
+
+        // The same world, with that node failing at that millisecond.
+        let old = base.world();
+        let faults = vec![(node, at, true)];
+        let inputs = TraceInputs::new(&old.config, &old.nodes, &faults, &old.home_of);
+        let failing = Scenario {
+            world: Arc::new(ScenarioWorld {
+                config: old.config.clone(),
+                transfer: Arc::clone(&old.transfer),
+                landmarks: Arc::clone(&old.landmarks),
+                local_bw: Arc::clone(&old.local_bw),
+                nodes: old.nodes.clone(),
+                workflows: Arc::clone(&old.workflows),
+                home_of: Arc::clone(&old.home_of),
+                true_costs: old.true_costs,
+                gossip_trace: Arc::new(TraceCell::new(inputs)),
+                faults,
+            }),
+        };
+        let mut trace = TraceRecorder::new();
+        failing
+            .simulate_algorithm(Algorithm::Dsmf)
+            .observe(&mut trace)
+            .run();
+        let at_instant: Vec<TraceEvent> = trace
+            .events()
+            .iter()
+            .filter(|&&(time, _)| time == at)
+            .map(|&(_, event)| event)
+            .collect();
+        assert!(
+            at_instant.contains(&TraceEvent::TaskLost { wf, task, node }),
+            "{at_instant:?}"
+        );
+        assert!(
+            !at_instant.contains(&TraceEvent::TaskFinished { wf, task, node }),
+            "{at_instant:?}"
+        );
+    }
+
+    #[test]
     fn recovery_derivation_shares_every_table() {
         use crate::config::RecoveryPolicy;
         let base = Scenario::build(GridConfig::small(12).with_seed(9)).unwrap();
