@@ -260,8 +260,11 @@ fn main() {
             }
         }
         if let Some(file) = &args.workload {
-            let replay = WorkloadSpec::load(file)
+            // The message below names the file, so read it here: `WorkloadSpec::load` would
+            // name it once more in its I/O error.
+            let replay = std::fs::read_to_string(file)
                 .map_err(|e| e.to_string())
+                .and_then(|text| text.parse::<WorkloadSpec>().map_err(|e| e.to_string()))
                 .and_then(|spec| Ok((workload::run_spec(&spec, scale, seed)?, spec)));
             match replay {
                 Ok((grid, spec)) => {

@@ -255,3 +255,25 @@ fn workload_replay_matches_the_frozen_digest() {
         &[("stdout".to_string(), fnv1a(&output.stdout))],
     );
 }
+
+/// A replay that cannot start exits 2 and names its file once, whether the file is missing or
+/// not JSON.
+#[test]
+fn workload_replay_failures_name_the_file_once() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("replay-failures");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let malformed = dir.join("malformed.json");
+    std::fs::write(&malformed, "{\"format\": ").unwrap();
+    for file in [dir.join("missing.json"), malformed] {
+        let output = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--scale", "smoke", "--workload"])
+            .arg(&file)
+            .output()
+            .unwrap();
+        let path = file.display().to_string();
+        let stderr = String::from_utf8(output.stderr).unwrap();
+        assert_eq!(output.status.code(), Some(2), "{path}: {stderr}");
+        assert_eq!(stderr.matches(&path).count(), 1, "{path}: {stderr}");
+    }
+}
