@@ -198,59 +198,31 @@ impl ResourceModel {
     }
 }
 
-/// The churn model of §IV.B: a fixed fraction of the population is *stable* (may serve as home
-/// nodes and never departs); the rest may join/leave every scheduling interval.
+/// Fraction of nodes that are stable under churn and stochastic faults: the paper's 500 of
+/// 1 000.  Nodes `0..stable` never fail and host every workflow, so the churn sweep's `df = 0`
+/// baseline submits from the same home nodes as its churned points.
+pub const STABLE_FRACTION: f64 = 0.5;
+
+/// The churn model of §IV.B: the [`STABLE_FRACTION`] of the population is *stable* (hosts every
+/// workflow and never departs); the rest may join/leave every scheduling interval.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// The dynamic factor `df`: the ratio of churning (joined + the same number departed) nodes
-    /// to the total population per scheduling interval.  Zero disables churn.
+    /// to the total population per scheduling interval.  Zero disables churn, but home nodes
+    /// stay on the stable population.
     pub dynamic_factor: f64,
-    /// Fraction of nodes that are stable (the paper uses 500 of 1 000).
-    pub stable_fraction: f64,
-    /// Restrict home nodes to the stable population even when `dynamic_factor` is zero.
-    ///
-    /// The churn experiments (Fig. 12–14) compare different dynamic factors against a `df = 0`
-    /// baseline; for that comparison to be apples-to-apples every point must submit workflows
-    /// from the same (stable) home nodes.  The static experiments (Fig. 4–10) leave this off so
-    /// every node is a home node, as in the paper.
-    pub homes_on_stable_only: bool,
-}
-
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        ChurnConfig {
-            dynamic_factor: 0.0,
-            stable_fraction: 0.5,
-            homes_on_stable_only: false,
-        }
-    }
 }
 
 impl ChurnConfig {
-    /// Churn with the given dynamic factor and the paper's 50% stable population.  Home nodes
-    /// are restricted to the stable population (also for `df = 0`) so that churn sweeps are
-    /// comparable across dynamic factors.
+    /// Churn with the given dynamic factor.
     pub fn with_dynamic_factor(df: f64) -> Self {
-        ChurnConfig {
-            dynamic_factor: df,
-            homes_on_stable_only: true,
-            ..ChurnConfig::default()
-        }
-    }
-
-    /// True when resource nodes outside the stable population may churn or must not host
-    /// workflows — i.e. when the node population has to be split into stable / churnable.
-    pub fn splits_population(&self) -> bool {
-        self.dynamic_factor > 0.0 || self.homes_on_stable_only
+        ChurnConfig { dynamic_factor: df }
     }
 
     /// Validate the churn parameters.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(0.0..=1.0).contains(&self.dynamic_factor) {
             return Err(ConfigError::InvalidDynamicFactor(self.dynamic_factor));
-        }
-        if !(0.0..=1.0).contains(&self.stable_fraction) {
-            return Err(ConfigError::InvalidStableFraction(self.stable_fraction));
         }
         Ok(())
     }
@@ -260,6 +232,8 @@ impl ChurnConfig {
 /// distributed uptime (mean [`mtbf`](StochasticFaults::mtbf)) and an exponentially distributed
 /// repair time (mean [`mttr`](StochasticFaults::mttr)).  A failed node loses every queued and
 /// running task it holds; what happens to those tasks is the [`RecoveryPolicy`]'s business.
+/// The [`STABLE_FRACTION`] of the nodes never fails and hosts every workflow, so a failure
+/// never takes a workflow's submission site down.
 ///
 /// The whole failure schedule is pre-drawn from the dedicated [`StreamKind::Faults`] stream
 /// (one sub-stream per node) when the scenario is built, so failures are ordinary node events
@@ -270,85 +244,36 @@ pub struct StochasticFaults {
     pub mtbf: SimDuration,
     /// Mean time to repair of one node (exponential downtime; must be positive).
     pub mttr: SimDuration,
-    /// Fraction of nodes that never fail (ids `0..stable`).  Home nodes are restricted to
-    /// this stable population so a failure never takes a workflow's submission site down.
-    pub stable_fraction: f64,
-    /// Optional correlated outages striking whole groups of nodes at once (rack/AS failures).
-    pub correlated_outage: Option<CorrelatedOutage>,
 }
 
 impl StochasticFaults {
-    /// Independent per-node failures with the paper's 50% stable population and no
-    /// correlated outages.
+    /// Independent per-node failures.
     pub fn new(mtbf: SimDuration, mttr: SimDuration) -> Self {
-        StochasticFaults {
-            mtbf,
-            mttr,
-            stable_fraction: 0.5,
-            correlated_outage: None,
-        }
-    }
-
-    /// Add a correlated-outage process on top of the independent per-node failures.
-    pub fn with_outage(mut self, outage: CorrelatedOutage) -> Self {
-        self.correlated_outage = Some(outage);
-        self
+        StochasticFaults { mtbf, mttr }
     }
 
     /// Validate the failure parameters.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let positive = |what: &'static str, d: SimDuration| {
+        for (what, d) in [("mtbf", self.mtbf), ("mttr", self.mttr)] {
             if d.is_zero() {
-                Err(ConfigError::InvalidFault { what, value: 0.0 })
-            } else {
-                Ok(())
+                return Err(ConfigError::InvalidFault { what, value: 0.0 });
             }
-        };
-        positive("mtbf", self.mtbf)?;
-        positive("mttr", self.mttr)?;
-        if !(0.0..=1.0).contains(&self.stable_fraction) {
-            return Err(ConfigError::InvalidStableFraction(self.stable_fraction));
-        }
-        if let Some(outage) = &self.correlated_outage {
-            if outage.group_size < 2 {
-                return Err(ConfigError::InvalidFault {
-                    what: "outage group size (need >= 2)",
-                    value: outage.group_size as f64,
-                });
-            }
-            positive("outage mtbf", outage.mtbf)?;
-            positive("outage duration", outage.duration)?;
         }
         Ok(())
     }
 }
 
-/// A correlated-outage process: the churnable population is chunked into groups of
-/// [`group_size`](CorrelatedOutage::group_size) consecutive nodes, and each group is struck
-/// by outages arriving as a Poisson process (mean inter-outage time
-/// [`mtbf`](CorrelatedOutage::mtbf)).  An outage takes the whole group down for a fixed
-/// [`duration`](CorrelatedOutage::duration).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CorrelatedOutage {
-    /// Nodes per outage group (>= 2; the last group may be smaller).
-    pub group_size: usize,
-    /// Mean time between outages of one group (must be positive).
-    pub mtbf: SimDuration,
-    /// How long an outage keeps its group down (must be positive).
-    pub duration: SimDuration,
-}
-
 /// How nodes fail — the fault model of a [`GridConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FaultModel {
-    /// No faults at all (the static experiments of Fig. 4–10).
+    /// No faults at all (the static experiments of Fig. 4–10): every node is a home node.
     #[default]
     Off,
     /// The paper's synchronized churn of §IV.B: a fixed fraction of the population is swapped
     /// (same number of departures and joins) every scheduling interval.
     Churn(ChurnConfig),
-    /// Stochastic per-node lifetimes (exponential MTBF/MTTR), optionally with correlated
-    /// group outages.  The fault model the paper names as future work.
+    /// Stochastic per-node lifetimes (exponential MTBF/MTTR).  The fault model the paper
+    /// names as future work.
     Stochastic(StochasticFaults),
 }
 
@@ -366,25 +291,6 @@ impl FaultModel {
         match self {
             FaultModel::Stochastic(s) => Some(s),
             _ => None,
-        }
-    }
-
-    /// True when the node population has to be split into stable / churnable (fallible)
-    /// halves — i.e. when some nodes may fail or must not host workflows.
-    pub fn splits_population(&self) -> bool {
-        match self {
-            FaultModel::Off => false,
-            FaultModel::Churn(c) => c.splits_population(),
-            FaultModel::Stochastic(_) => true,
-        }
-    }
-
-    /// Fraction of nodes that never fail.  `1.0` when the model is off.
-    pub fn stable_fraction(&self) -> f64 {
-        match self {
-            FaultModel::Off => 1.0,
-            FaultModel::Churn(c) => c.stable_fraction,
-            FaultModel::Stochastic(s) => s.stable_fraction,
         }
     }
 
@@ -475,9 +381,9 @@ impl RecoveryPolicy {
 /// the master seed, in sampling order.
 ///
 /// Every stochastic component of the world draws from its own stream, so perturbing one
-/// (e.g. re-seeding the workflow draw) never shifts the randomness of the others.  The
-/// [`StreamSeeds`] overrides pin individual streams to a seed other than the master —
-/// the plumbing behind `Scenario::with_seed`, which re-seeds a world over the same network.
+/// (e.g. changing the workflow generator) never shifts the randomness of the others.  The
+/// topology and landmark streams read [`GridConfig::network_seed`] when it is set — the pin
+/// behind `Scenario::with_seed`, which re-seeds a world over the same network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamKind {
     /// Waxman topology generation (node placement + edge sampling).
@@ -494,23 +400,11 @@ pub enum StreamKind {
     Gossip,
     /// Churn arrival/departure draws.
     Churn,
-    /// Stochastic per-node failure/repair lifetimes and correlated outages.
+    /// Stochastic per-node failure/repair lifetimes.
     Faults,
 }
 
 impl StreamKind {
-    /// All streams, in the order `Scenario::build` derives them.
-    pub const ALL: [StreamKind; 8] = [
-        StreamKind::Topology,
-        StreamKind::Landmarks,
-        StreamKind::Capacity,
-        StreamKind::Slots,
-        StreamKind::Workflows,
-        StreamKind::Gossip,
-        StreamKind::Churn,
-        StreamKind::Faults,
-    ];
-
     /// The `SimRng::derive` label of this stream (the same labels `Scenario::build` uses).
     pub fn label(self) -> &'static str {
         match self {
@@ -523,65 +417,6 @@ impl StreamKind {
             StreamKind::Churn => "churn",
             StreamKind::Faults => "faults",
         }
-    }
-}
-
-/// Optional per-stream seed overrides (see [`StreamKind`]).
-///
-/// Every field defaults to `None`, meaning "derive this stream from the master
-/// [`GridConfig::seed`]" — the behaviour (and byte-exact sampling) of a config without
-/// overrides.  Setting a field pins that stream to the given seed independently of the
-/// master seed.  This is what lets [`Scenario::with_seed`](crate::scenario::Scenario::with_seed)
-/// re-seed the cheap streams of a derived world while the expensive topology/landmark
-/// streams stay pinned (and their `Arc`'d tables stay shared).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreamSeeds {
-    /// Override for the topology stream.
-    pub topology: Option<u64>,
-    /// Override for the landmark-selection stream.
-    pub landmarks: Option<u64>,
-    /// Override for the capacity-sampling stream.
-    pub capacity: Option<u64>,
-    /// Override for the slot-sampling stream.
-    pub slots: Option<u64>,
-    /// Override for the workflow-generation stream.
-    pub workflows: Option<u64>,
-    /// Override for the gossip stream.
-    pub gossip: Option<u64>,
-    /// Override for the churn stream.
-    pub churn: Option<u64>,
-    /// Override for the stochastic-fault stream.
-    pub faults: Option<u64>,
-}
-
-impl StreamSeeds {
-    /// The override for `kind`, if any.
-    pub fn get(&self, kind: StreamKind) -> Option<u64> {
-        match kind {
-            StreamKind::Topology => self.topology,
-            StreamKind::Landmarks => self.landmarks,
-            StreamKind::Capacity => self.capacity,
-            StreamKind::Slots => self.slots,
-            StreamKind::Workflows => self.workflows,
-            StreamKind::Gossip => self.gossip,
-            StreamKind::Churn => self.churn,
-            StreamKind::Faults => self.faults,
-        }
-    }
-
-    /// Set the override for `kind`.
-    pub fn set(&mut self, kind: StreamKind, seed: u64) {
-        let slot = match kind {
-            StreamKind::Topology => &mut self.topology,
-            StreamKind::Landmarks => &mut self.landmarks,
-            StreamKind::Capacity => &mut self.capacity,
-            StreamKind::Slots => &mut self.slots,
-            StreamKind::Workflows => &mut self.workflows,
-            StreamKind::Gossip => &mut self.gossip,
-            StreamKind::Churn => &mut self.churn,
-            StreamKind::Faults => &mut self.faults,
-        };
-        *slot = Some(seed);
     }
 }
 
@@ -632,16 +467,15 @@ impl WorkloadSource {
 
 /// When synthetic workflows arrive at their home nodes.
 ///
-/// All variants other than the default [`Batch`](ArrivalProcess::Batch) draw their arrival
-/// times from the tail of the [`StreamKind::Workflows`] stream (after the DAGs themselves), so
-/// enabling an arrival process never perturbs topology, capacities or gossip.  `Batch` draws
-/// nothing at all — the default configuration samples byte-identically to the pre-arrival
-/// engine.  Arrival times may exceed the horizon; such workflows never enter the system and
-/// are not counted as submitted.
+/// [`Poisson`](ArrivalProcess::Poisson) draws its arrival times from the tail of the
+/// [`StreamKind::Workflows`] stream (after the DAGs themselves), so enabling it never perturbs
+/// topology, capacities or gossip.  The default [`Batch`](ArrivalProcess::Batch) draws nothing
+/// at all — the default configuration samples byte-identically to the pre-arrival engine.
+/// Arrival times may exceed the horizon; such workflows never enter the system and are not
+/// counted as submitted.
 ///
 /// Trace workloads ([`WorkloadSource::Trace`]) carry explicit per-entry arrival times; for
-/// them a non-`Batch` process *overrides* those times (same DAGs, resampled arrivals), which
-/// is what lets a checked-in workload be replayed under, say, a flash crowd.
+/// them `Poisson` *overrides* those times (same DAGs, resampled arrivals).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum ArrivalProcess {
     /// Every workflow is submitted at its workload-defined time (time zero for synthetic
@@ -653,89 +487,22 @@ pub enum ArrivalProcess {
         /// Mean arrivals per simulated hour (> 0).
         rate_per_hour: f64,
     },
-    /// A diurnal (sinusoidally modulated) Poisson process, sampled by thinning: the rate
-    /// swings between `base_rate_per_hour` (trough, at time zero) and `peak_rate_per_hour`
-    /// once per `period`.
-    Diurnal {
-        /// Trough arrival rate per hour (>= 0).
-        base_rate_per_hour: f64,
-        /// Peak arrival rate per hour (>= base, > 0).
-        peak_rate_per_hour: f64,
-        /// Length of one day (one full swing); must be positive.
-        period: SimDuration,
-    },
-    /// A bursty / flash-crowd process: burst instants form a Poisson process and each burst
-    /// submits a heavy-tailed (Pareto) number of workflows simultaneously.
-    Bursty {
-        /// Mean bursts per simulated hour (> 0).
-        bursts_per_hour: f64,
-        /// Mean number of workflows per burst (>= 1).
-        mean_burst_size: f64,
-        /// Pareto tail index of the burst size (> 1 so the mean exists; smaller = heavier
-        /// tail.  The classic flash-crowd regime is 1 < shape <= 2: finite mean, infinite
-        /// variance).
-        pareto_shape: f64,
-    },
 }
 
 impl ArrivalProcess {
-    /// Check every rate/shape parameter, reporting the first problem found.
+    /// Check the rate parameter.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let positive = |what: &'static str, value: f64| {
-            if value.is_finite() && value > 0.0 {
-                Ok(())
-            } else {
-                Err(ConfigError::InvalidArrival { what, value })
-            }
-        };
         match self {
             ArrivalProcess::Batch => Ok(()),
-            ArrivalProcess::Poisson { rate_per_hour } => positive("rate_per_hour", *rate_per_hour),
-            ArrivalProcess::Diurnal {
-                base_rate_per_hour,
-                peak_rate_per_hour,
-                period,
-            } => {
-                if !base_rate_per_hour.is_finite() || *base_rate_per_hour < 0.0 {
-                    return Err(ConfigError::InvalidArrival {
-                        what: "base_rate_per_hour",
-                        value: *base_rate_per_hour,
-                    });
+            &ArrivalProcess::Poisson { rate_per_hour } => {
+                if rate_per_hour.is_finite() && rate_per_hour > 0.0 {
+                    Ok(())
+                } else {
+                    Err(ConfigError::InvalidArrival {
+                        what: "rate_per_hour",
+                        value: rate_per_hour,
+                    })
                 }
-                positive("peak_rate_per_hour", *peak_rate_per_hour)?;
-                if peak_rate_per_hour < base_rate_per_hour {
-                    return Err(ConfigError::InvalidArrival {
-                        what: "peak_rate_per_hour (must be >= base)",
-                        value: *peak_rate_per_hour,
-                    });
-                }
-                if period.is_zero() {
-                    return Err(ConfigError::InvalidArrival {
-                        what: "period",
-                        value: 0.0,
-                    });
-                }
-                Ok(())
-            }
-            ArrivalProcess::Bursty {
-                bursts_per_hour,
-                mean_burst_size,
-                pareto_shape,
-            } => {
-                positive("bursts_per_hour", *bursts_per_hour)?;
-                if !mean_burst_size.is_finite() || *mean_burst_size < 1.0 {
-                    return Err(ConfigError::InvalidArrival {
-                        what: "mean_burst_size",
-                        value: *mean_burst_size,
-                    });
-                }
-                if !pareto_shape.is_finite() || *pareto_shape <= 1.0 {
-                    return Err(ConfigError::InvalidArrival {
-                        what: "pareto_shape",
-                        value: *pareto_shape,
-                    });
-                }
-                Ok(())
             }
         }
     }
@@ -748,9 +515,8 @@ impl ArrivalProcess {
 
     /// Sample `n` arrival times in submission order.
     ///
-    /// `Batch` returns all zeros without touching `rng`; every other process consumes draws
-    /// from `rng` only (deterministic per stream seed).  Times are monotonically
-    /// non-decreasing.
+    /// `Batch` returns all zeros without touching `rng`; `Poisson` consumes draws from `rng`
+    /// only (deterministic per stream seed).  Times are monotonically non-decreasing.
     pub(crate) fn sample_times(&self, n: usize, rng: &mut SimRng) -> Vec<SimTime> {
         let mut times = Vec::with_capacity(n);
         match self {
@@ -761,48 +527,6 @@ impl ArrivalProcess {
                 for _ in 0..n {
                     t += exponential(rng, rate_per_sec);
                     times.push(SimTime::from_secs_f64(t));
-                }
-            }
-            ArrivalProcess::Diurnal {
-                base_rate_per_hour,
-                peak_rate_per_hour,
-                period,
-            } => {
-                // Thinning (Lewis & Shedler): candidates at the peak rate, each kept with
-                // probability rate(t) / peak.  rate(t) swings base -> peak -> base over one
-                // period, trough at t = 0.
-                let peak_per_sec = peak_rate_per_hour / 3600.0;
-                let base_per_sec = base_rate_per_hour / 3600.0;
-                let period_secs = period.as_secs_f64();
-                let mut t = 0.0f64;
-                while times.len() < n {
-                    t += exponential(rng, peak_per_sec);
-                    let phase = (t / period_secs) * std::f64::consts::TAU;
-                    let rate =
-                        base_per_sec + (peak_per_sec - base_per_sec) * 0.5 * (1.0 - phase.cos());
-                    if rng.gen_f64() < rate / peak_per_sec {
-                        times.push(SimTime::from_secs_f64(t));
-                    }
-                }
-            }
-            ArrivalProcess::Bursty {
-                bursts_per_hour,
-                mean_burst_size,
-                pareto_shape,
-            } => {
-                let rate_per_sec = bursts_per_hour / 3600.0;
-                // Pareto(xm, a) has mean xm * a / (a - 1); scale xm so the mean burst size
-                // comes out as configured.
-                let xm = mean_burst_size * (pareto_shape - 1.0) / pareto_shape;
-                let mut t = 0.0f64;
-                while times.len() < n {
-                    t += exponential(rng, rate_per_sec);
-                    let u = (1.0 - rng.gen_f64()).max(f64::MIN_POSITIVE);
-                    let size = (xm * u.powf(-1.0 / pareto_shape)).round().max(1.0) as usize;
-                    let when = SimTime::from_secs_f64(t);
-                    for _ in 0..size.min(n - times.len()) {
-                        times.push(when);
-                    }
                 }
             }
         }
@@ -849,8 +573,10 @@ pub struct GridConfig {
     pub recovery: RecoveryPolicy,
     /// Master seed; every stochastic component derives its own stream from it.
     pub seed: u64,
-    /// Per-stream seed overrides (default: all derived from the master seed).
-    pub streams: StreamSeeds,
+    /// The seed of the topology and landmark streams when it differs from the master seed
+    /// (default `None`: both derive from `seed`).  `Scenario::with_seed` sets it, so a
+    /// re-seeded world keeps its network.
+    pub network_seed: Option<u64>,
 }
 
 impl GridConfig {
@@ -876,7 +602,7 @@ impl GridConfig {
             faults: FaultModel::Off,
             recovery: RecoveryPolicy::FailWorkflow,
             seed: 20100913, // ICPP 2010 started on 13 September 2010.
-            streams: StreamSeeds::default(),
+            network_seed: None,
         }
     }
 
@@ -982,19 +708,15 @@ impl GridConfig {
         self
     }
 
-    /// Pin one RNG stream to its own seed, independent of the master seed (see
-    /// [`StreamSeeds`]).
-    pub fn with_stream_seed(mut self, kind: StreamKind, seed: u64) -> Self {
-        self.streams.set(kind, seed);
-        self
-    }
-
-    /// The effective seed of `kind`: its [`StreamSeeds`] override if set, else the master
-    /// seed.  `Scenario::build` seeds the stream as
-    /// `SimRng::seed_from_u64(stream_seed(kind)).derive(kind.label())`, so two configs with
-    /// equal effective seeds sample that stream byte-identically.
+    /// The effective seed of `kind`: [`GridConfig::network_seed`] for the topology and
+    /// landmark streams when it is set, else the master seed.  `Scenario::build` seeds the
+    /// stream as `SimRng::seed_from_u64(stream_seed(kind)).derive(kind.label())`, so two
+    /// configs with equal effective seeds sample that stream byte-identically.
     pub fn stream_seed(&self, kind: StreamKind) -> u64 {
-        self.streams.get(kind).unwrap_or(self.seed)
+        match kind {
+            StreamKind::Topology | StreamKind::Landmarks => self.network_seed.unwrap_or(self.seed),
+            _ => self.seed,
+        }
     }
 
     /// Check the whole configuration, reporting the first problem found.
@@ -1116,26 +838,22 @@ mod tests {
 
     #[test]
     fn churn_population_split_rules() {
-        // The static experiments use every node as a home node...
-        assert!(!ChurnConfig::default().splits_population());
-        // ...while the churn sweep keeps the home set fixed to the stable half, even for the
-        // df = 0 baseline, so its points are comparable.
-        assert!(ChurnConfig::with_dynamic_factor(0.0).splits_population());
-        assert!(ChurnConfig::with_dynamic_factor(0.2).splits_population());
-        assert!(ChurnConfig::with_dynamic_factor(0.2).homes_on_stable_only);
-        assert_eq!(ChurnConfig::with_dynamic_factor(0.2).stable_fraction, 0.5);
-        // The FaultModel wrapper delegates to the active model.
-        assert!(!FaultModel::Off.splits_population());
-        assert_eq!(FaultModel::Off.stable_fraction(), 1.0);
-        let churned = FaultModel::Churn(ChurnConfig::with_dynamic_factor(0.2));
-        assert!(churned.splits_population());
-        assert_eq!(churned.stable_fraction(), 0.5);
-        let stochastic = FaultModel::Stochastic(StochasticFaults::new(
-            SimDuration::from_hours(4),
-            SimDuration::from_mins(30),
-        ));
-        assert!(stochastic.splits_population());
-        assert_eq!(stochastic.stable_fraction(), 0.5);
+        use crate::scenario::Scenario;
+        // The static experiments use every node as a home node, while churn (even at df = 0,
+        // so the churn sweep's points are comparable) and stochastic faults keep every home
+        // on the stable half.
+        let stochastic =
+            StochasticFaults::new(SimDuration::from_hours(4), SimDuration::from_mins(30));
+        let models = [
+            (FaultModel::Off, 24),
+            (FaultModel::Churn(ChurnConfig::with_dynamic_factor(0.0)), 12),
+            (FaultModel::Churn(ChurnConfig::with_dynamic_factor(0.2)), 12),
+            (FaultModel::Stochastic(stochastic), 12),
+        ];
+        for (model, workflows) in models {
+            let scenario = Scenario::build(GridConfig::small(12).with_faults(model)).unwrap();
+            assert_eq!(scenario.workflow_count(), workflows, "{model:?}");
+        }
     }
 
     #[test]
@@ -1154,24 +872,6 @@ mod tests {
         assert!(matches!(
             zero_mttr,
             Err(ConfigError::InvalidFault { what: "mttr", .. })
-        ));
-        let mut bad_fraction =
-            StochasticFaults::new(SimDuration::from_hours(4), SimDuration::from_mins(30));
-        bad_fraction.stable_fraction = 1.5;
-        assert_eq!(
-            bad_fraction.validate(),
-            Err(ConfigError::InvalidStableFraction(1.5))
-        );
-        let tiny_group =
-            StochasticFaults::new(SimDuration::from_hours(4), SimDuration::from_mins(30))
-                .with_outage(CorrelatedOutage {
-                    group_size: 1,
-                    mtbf: SimDuration::from_hours(8),
-                    duration: SimDuration::from_mins(10),
-                });
-        assert!(matches!(
-            tiny_group.validate(),
-            Err(ConfigError::InvalidFault { .. })
         ));
         // The config surfaces the same errors end to end.
         let cfg = GridConfig::small(8).with_faults(FaultModel::Stochastic(StochasticFaults::new(
@@ -1381,86 +1081,25 @@ mod tests {
 
     #[test]
     fn stochastic_arrival_processes_are_monotone_and_deterministic() {
-        let processes = [
-            ArrivalProcess::Poisson {
-                rate_per_hour: 60.0,
-            },
-            ArrivalProcess::Diurnal {
-                base_rate_per_hour: 5.0,
-                peak_rate_per_hour: 120.0,
-                period: SimDuration::from_hours(24),
-            },
-            ArrivalProcess::Bursty {
-                bursts_per_hour: 10.0,
-                mean_burst_size: 4.0,
-                pareto_shape: 1.5,
-            },
-        ];
-        for process in &processes {
-            process.validate().unwrap();
-            assert!(!process.is_batch());
-            let mut a = SimRng::seed_from_u64(42);
-            let mut b = SimRng::seed_from_u64(42);
-            let first = process.sample_times(64, &mut a);
-            let second = process.sample_times(64, &mut b);
-            assert_eq!(first, second, "same seed must give the same arrivals");
-            assert_eq!(first.len(), 64);
-            assert!(first.windows(2).all(|w| w[0] <= w[1]), "non-decreasing");
-            assert!(
-                first[0] > SimTime::ZERO,
-                "stochastic arrivals start after 0"
-            );
-        }
-    }
-
-    #[test]
-    fn bursty_arrivals_share_burst_instants() {
-        let process = ArrivalProcess::Bursty {
-            bursts_per_hour: 2.0,
-            mean_burst_size: 8.0,
-            pareto_shape: 1.2,
+        let process = ArrivalProcess::Poisson {
+            rate_per_hour: 60.0,
         };
-        let mut rng = SimRng::seed_from_u64(3);
-        let times = process.sample_times(200, &mut rng);
-        let distinct: std::collections::BTreeSet<_> = times.iter().collect();
-        // Heavy-tailed bursts: far fewer distinct instants than arrivals.
-        assert!(distinct.len() < times.len() / 2);
+        process.validate().unwrap();
+        assert!(!process.is_batch());
+        let mut a = SimRng::seed_from_u64(42);
+        let mut b = SimRng::seed_from_u64(42);
+        let first = process.sample_times(64, &mut a);
+        let second = process.sample_times(64, &mut b);
+        assert_eq!(first, second, "same seed must give the same arrivals");
+        assert_eq!(first.len(), 64);
+        assert!(first.windows(2).all(|w| w[0] <= w[1]), "non-decreasing");
+        assert!(first[0] > SimTime::ZERO, "Poisson arrivals start after 0");
     }
 
     #[test]
     fn arrival_process_validation_rejects_bad_parameters() {
-        let bad = [
-            ArrivalProcess::Poisson { rate_per_hour: 0.0 },
-            ArrivalProcess::Poisson {
-                rate_per_hour: f64::NAN,
-            },
-            ArrivalProcess::Diurnal {
-                base_rate_per_hour: -1.0,
-                peak_rate_per_hour: 10.0,
-                period: SimDuration::from_hours(24),
-            },
-            ArrivalProcess::Diurnal {
-                base_rate_per_hour: 20.0,
-                peak_rate_per_hour: 10.0,
-                period: SimDuration::from_hours(24),
-            },
-            ArrivalProcess::Diurnal {
-                base_rate_per_hour: 1.0,
-                peak_rate_per_hour: 10.0,
-                period: SimDuration::ZERO,
-            },
-            ArrivalProcess::Bursty {
-                bursts_per_hour: 5.0,
-                mean_burst_size: 0.5,
-                pareto_shape: 1.5,
-            },
-            ArrivalProcess::Bursty {
-                bursts_per_hour: 5.0,
-                mean_burst_size: 4.0,
-                pareto_shape: 1.0,
-            },
-        ];
-        for process in &bad {
+        for rate_per_hour in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let process = ArrivalProcess::Poisson { rate_per_hour };
             let err = process.validate().unwrap_err();
             assert!(
                 matches!(err, ConfigError::InvalidArrival { .. }),

@@ -14,8 +14,10 @@
 //!    advertised load, and at each scheduling instant it rebuilds the home node's `RSS` from
 //!    the trace's `(node, age)` pairs and those loads.
 //! 4. The **first scheduling phase** runs every fifteen minutes on every home node: schedule
-//!    points are prioritised and dispatched per the configured [`Scheduler`] (Algorithm 1 for
-//!    DSMF), program images and dependent data start flowing to the chosen resource nodes.
+//!    points are prioritised and dispatched per the session's [`AlgorithmConfig`]
+//!    (Algorithm 1 for DSMF), program images and dependent data start flowing to the chosen
+//!    resource nodes.  The full-ahead baselines (HEFT, SMF) instead follow the plan they made
+//!    when the session started.
 //!    Each workflow's progress tracker keeps its schedule points, and the planner's list of a
 //!    task's precedents also times the task's true transfers when it is dispatched.
 //! 5. The **second scheduling phase** runs on every resource node whenever an execution slot
@@ -68,15 +70,15 @@ pub mod node;
 pub mod transfer;
 pub(crate) mod workflow;
 
+use crate::algorithm::AlgorithmConfig;
 use crate::config::{GridConfig, RecoveryPolicy};
 use crate::estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
-use crate::fullahead::PlanInput;
+use crate::fullahead::{plan_full_ahead, PlanInput};
 use crate::observer::{GridSample, Observer};
-use crate::policy::first_phase::DispatchCandidateTask;
-use crate::policy::second_phase::ReadyTaskView;
+use crate::policy::first_phase::{plan_dispatch, DispatchCandidateTask};
+use crate::policy::second_phase::{ready_key, ReadyTaskView};
 use crate::report::SimulationReport;
 use crate::scenario::Scenario;
-use crate::scheduler::Scheduler;
 use crate::NodeId;
 use fxhash::FxHashMap;
 use gossip_trace::GossipTrace;
@@ -234,7 +236,7 @@ impl Observers<'_, '_> {
 /// a time; see the [module docs](self) for the order within an instant.
 pub(crate) struct Engine {
     config: GridConfig,
-    scheduler: Box<dyn Scheduler>,
+    algo: AlgorithmConfig,
     transfer: Arc<TransferModel>,
     landmarks: Arc<LandmarkEstimator>,
     /// The world's gossip trace: every home node's `RSS` at every scheduling instant.
@@ -285,25 +287,25 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// Clone the scenario's mutable runtime state into a fresh engine, run the scheduler's
-    /// full-ahead planning pass (HEFT / SMF plan centrally before execution), list the world's
+    /// Clone the scenario's mutable runtime state into a fresh engine, run the full-ahead
+    /// planning pass of HEFT and SMF (they plan centrally before execution), list the world's
     /// deferred workflow arrivals and stochastic faults in time order, and queue the cadences'
     /// first instants.
-    pub(crate) fn new(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
+    pub(crate) fn new(scenario: &Scenario, algo: AlgorithmConfig) -> Self {
         let world = scenario.world();
         let mut workflows = (*world.workflows).clone();
         let horizon = SimTime::ZERO + world.config.horizon;
         // Workflows arriving at time zero (all of them under the paper's batch model) are
         // counted as submitted right away.  Later arrivals are counted when their
         // `WorkflowArrival` event fires; arrivals beyond the horizon never enter the system.
-        let mut metrics = WorkflowMetrics::new(scheduler.label());
+        let mut metrics = WorkflowMetrics::new(algo.label());
         for w in &workflows {
             if w.arrived {
                 metrics.record_submission();
             }
         }
 
-        {
+        if algo.algorithm.is_full_ahead() {
             let inputs: Vec<PlanInput<'_>> = workflows
                 .iter()
                 .map(|w| PlanInput {
@@ -324,22 +326,10 @@ impl Engine {
                 .collect();
             let transfer = &world.transfer;
             let bw = |a: NodeId, b: NodeId| transfer.bandwidth_mbps(a, b);
-            if let Some(plans) =
-                scheduler.plan_full_ahead(&inputs, &candidates, world.true_costs, &bw)
-            {
-                assert_eq!(
-                    plans.len(),
-                    workflows.len(),
-                    "full-ahead scheduler must plan every workflow"
-                );
-                for (w, plan) in workflows.iter_mut().zip(plans) {
-                    assert_eq!(
-                        plan.len(),
-                        w.workflow.task_count(),
-                        "full-ahead plan must place every task"
-                    );
-                    w.plan = Some(plan);
-                }
+            let plans =
+                plan_full_ahead(algo.algorithm, &inputs, &candidates, world.true_costs, &bw);
+            for (w, plan) in workflows.iter_mut().zip(plans) {
+                w.plan = Some(plan);
             }
         }
 
@@ -370,7 +360,7 @@ impl Engine {
 
         Engine {
             config: world.config.clone(),
-            scheduler,
+            algo,
             transfer: Arc::clone(&world.transfer),
             landmarks: Arc::clone(&world.landmarks),
             advertised_loads: vec![0.0; gossip.ring_len() * world.nodes.len()],
@@ -451,7 +441,7 @@ impl Engine {
     }
 
     pub(crate) fn label(&self) -> String {
-        self.scheduler.label()
+        self.algo.label()
     }
 
     /// Close the session: take the final metrics sample (at the horizon if the run completed,
@@ -468,7 +458,7 @@ impl Engine {
         self.metrics.sample(end_time);
         let (gossip_stats, avg_rss_size) = self.gossip.closing(self.gossip_cycles, end_time);
         SimulationReport {
-            algorithm: self.scheduler.label(),
+            algorithm: self.algo.label(),
             gossip_stats,
             avg_rss_size,
             end_time,
@@ -702,7 +692,7 @@ impl Engine {
             // Re-key the displaced task against its updated view: rules keyed on exec time
             // now see the *remaining* time (shortest-remaining-time semantics), while
             // ms/rpm-based rules and FCFS recompute the same key as before.
-            displaced.key = self.scheduler.ready_key(&displaced.view);
+            displaced.key = ready_key(self.algo.second_phase, &displaced.view);
             self.nodes[node].ready.insert(displaced);
             self.start_task(node, &chosen, now, obs);
         }
@@ -1076,9 +1066,12 @@ impl Engine {
         let bw_estimate =
             move |a: NodeId, b: NodeId| -> f64 { landmarks.estimate_bandwidth_mbps(a, b) };
         let estimator = FinishTimeEstimator::new(home, &bw_estimate);
-        let decisions = self
-            .scheduler
-            .plan_dispatch(&candidate_tasks, &mut candidates, &estimator);
+        let decisions = plan_dispatch(
+            self.algo.algorithm,
+            &candidate_tasks,
+            &mut candidates,
+            &estimator,
+        );
         let lookup: FxHashMap<(usize, TaskId), usize> = candidate_tasks
             .iter()
             .enumerate()
@@ -1205,7 +1198,7 @@ impl Engine {
             enqueued_seq: self.next_seq,
         };
         self.next_seq += 1;
-        let key = self.scheduler.ready_key(&view);
+        let key = ready_key(self.algo.second_phase, &view);
         self.nodes[target].ready.insert(ReadyEntry {
             wf,
             task,
@@ -1254,7 +1247,7 @@ mod tests {
     /// asserting on dispatch/execution counters.
     fn run_session(cfg: GridConfig, algo: AlgorithmConfig) -> Engine {
         let scenario = Scenario::build(cfg).expect("test config is valid");
-        let mut engine = Engine::new(&scenario, Box::new(algo));
+        let mut engine = Engine::new(&scenario, algo);
         while engine.step(&mut []).is_some() {}
         engine
     }
@@ -1356,10 +1349,10 @@ mod tests {
     fn fcfs_ablation_changes_only_the_second_phase() {
         let scenario = Scenario::build(tiny_config(5)).unwrap();
         let paper = scenario
-            .simulate_config(AlgorithmConfig::paper_default(Algorithm::MinMin))
+            .simulate(AlgorithmConfig::paper_default(Algorithm::MinMin))
             .run();
         let fcfs = scenario
-            .simulate_config(AlgorithmConfig::with_fcfs_second_phase(Algorithm::MinMin))
+            .simulate(AlgorithmConfig::with_fcfs_second_phase(Algorithm::MinMin))
             .run();
         assert_eq!(paper.submitted, fcfs.submitted);
         assert_eq!(fcfs.algorithm, "min-min+FCFS");
@@ -1497,7 +1490,7 @@ mod tests {
     fn second_phase_rule_is_respected_in_reports_label() {
         let report = Scenario::build(tiny_config(10))
             .unwrap()
-            .simulate_config(AlgorithmConfig {
+            .simulate(AlgorithmConfig {
                 algorithm: Algorithm::Dsmf,
                 second_phase: SecondPhase::Fcfs,
             })
@@ -1621,52 +1614,5 @@ mod tests {
         assert!(a.completed + a.failed <= a.submitted);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.act_secs().to_bits(), b.act_secs().to_bits());
-    }
-
-    #[test]
-    fn custom_scheduler_plugs_into_the_engine() {
-        // The Scheduler seam: a greedy "random-ish but deterministic" policy that was never one
-        // of the paper's eight — round-robin dispatch over candidates, FCFS ready sets.
-        struct RoundRobin;
-        impl crate::scheduler::Scheduler for RoundRobin {
-            fn label(&self) -> String {
-                "round-robin".to_string()
-            }
-            fn plan_dispatch(
-                &self,
-                tasks: &[DispatchCandidateTask],
-                candidates: &mut [CandidateNode],
-                _estimator: &FinishTimeEstimator<'_>,
-            ) -> Vec<crate::policy::first_phase::DispatchDecision> {
-                tasks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let c = &mut candidates[i % candidates.len()];
-                        c.add_load(t.load_mi);
-                        crate::policy::first_phase::DispatchDecision {
-                            workflow: t.workflow,
-                            task: t.task,
-                            target: c.node,
-                            estimated_finish_secs: 0.0,
-                            sufferage_secs: 0.0,
-                        }
-                    })
-                    .collect()
-            }
-            fn ready_key(&self, task: &ReadyTaskView) -> crate::policy::second_phase::ReadyKey {
-                crate::policy::second_phase::ready_key(SecondPhase::Fcfs, task)
-            }
-        }
-        let report = Scenario::build(tiny_config(13))
-            .unwrap()
-            .simulate(Box::new(RoundRobin))
-            .run();
-        assert_eq!(report.algorithm, "round-robin");
-        assert_eq!(report.submitted, 12);
-        assert!(
-            report.completed > 0,
-            "a custom scheduler must still make progress"
-        );
     }
 }

@@ -21,8 +21,6 @@ pub enum ConfigError {
     },
     /// The churn dynamic factor lies outside `[0, 1]`.
     InvalidDynamicFactor(f64),
-    /// The stable-population fraction lies outside `[0, 1]`.
-    InvalidStableFraction(f64),
     /// A periodic interval (scheduling / gossip / metrics) is zero.
     ZeroInterval(&'static str),
     /// The capacity choice set is empty.
@@ -91,9 +89,6 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::InvalidDynamicFactor(df) => {
                 write!(f, "churn dynamic factor must be in [0, 1], got {df}")
-            }
-            ConfigError::InvalidStableFraction(sf) => {
-                write!(f, "churn stable fraction must be in [0, 1], got {sf}")
             }
             ConfigError::ZeroInterval(which) => {
                 write!(f, "{which} interval must be positive")

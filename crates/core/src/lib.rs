@@ -65,7 +65,6 @@
 //! | [`estimate`]  | the finish-time model of Eq. 4–7 evaluated against (possibly stale) gossip state |
 //! | [`policy`]    | first-phase dispatch planning and second-phase ready-set selection |
 //! | [`fullahead`] | the centralized full-ahead planner used by the HEFT and SMF baselines |
-//! | [`scheduler`] | the pluggable [`Scheduler`] seam unifying both phases (implemented by [`AlgorithmConfig`]) |
 //! | [`config`]    | experiment configuration (Table I defaults, [`config::ResourceModel`] slots, [`config::FaultModel`] faults, [`config::RecoveryPolicy`] recovery, load factor, CCR) |
 //! | [`error`]     | the typed [`ConfigError`] returned by validation and [`Scenario::build`] |
 //! | [`scenario`]  | the reusable pre-sampled world ([`Scenario`]) |
@@ -87,22 +86,20 @@ pub mod observer;
 pub mod policy;
 pub mod report;
 pub mod scenario;
-pub mod scheduler;
 pub mod simulation;
 pub mod worked_example;
 
 pub use algorithm::{Algorithm, AlgorithmConfig, SecondPhase};
 pub use config::{
-    ArrivalProcess, CapacityModel, ChurnConfig, CorrelatedOutage, FaultModel, GridConfig,
-    PreemptionPolicy, RecoveryPolicy, ResourceModel, SlotClass, SlotModel, StochasticFaults,
-    StreamKind, StreamSeeds, WorkloadSource,
+    ArrivalProcess, CapacityModel, ChurnConfig, FaultModel, GridConfig, PreemptionPolicy,
+    RecoveryPolicy, ResourceModel, SlotClass, SlotModel, StochasticFaults, StreamKind,
+    WorkloadSource,
 };
 pub use error::ConfigError;
 pub use estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
 pub use observer::{GridSample, Observer, TimeSeriesProbe, TraceEvent, TraceRecorder};
 pub use report::SimulationReport;
 pub use scenario::Scenario;
-pub use scheduler::Scheduler;
 pub use simulation::Simulation;
 
 /// Identifier of a peer node (shared dense index with `p2pgrid-topology` and `p2pgrid-gossip`).

@@ -39,13 +39,14 @@
 //! mid-experiment.
 
 use crate::algorithm::{Algorithm, AlgorithmConfig};
-use crate::config::{exponential, GridConfig, StreamKind, WorkloadSource};
+use crate::config::{
+    exponential, FaultModel, GridConfig, StreamKind, WorkloadSource, STABLE_FRACTION,
+};
 use crate::engine::gossip_trace::{GossipTrace, TraceCell, TraceInputs};
 use crate::engine::node::{NodeRuntime, ReadySet};
 use crate::engine::transfer::TransferModel;
 use crate::engine::workflow::WorkflowRuntime;
 use crate::error::ConfigError;
-use crate::scheduler::Scheduler;
 use crate::simulation::Simulation;
 use crate::NodeId;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
@@ -84,30 +85,28 @@ pub(crate) struct ScenarioWorld {
     /// The pre-drawn stochastic failure schedule: `(node, time, down)` transitions, node-major
     /// and time-ascending per node, clipped to the horizon.  Empty unless the fault model is
     /// [`FaultModel::Stochastic`].  Pre-drawing the whole schedule at build time (one RNG
-    /// sub-stream per node / outage group) keeps sessions free of failure randomness: each
-    /// session queues the schedule's events when it starts.
+    /// sub-stream per node) keeps sessions free of failure randomness: each session queues
+    /// the schedule's events when it starts.
     pub(crate) faults: Vec<(NodeId, SimTime, bool)>,
 }
 
-/// Number of stable (never-failing, home-eligible) nodes under `config`.
+/// Number of stable (never-failing, home-eligible) nodes under `config`: every node without
+/// faults, else the [`STABLE_FRACTION`].
 fn stable_count(config: &GridConfig) -> usize {
     let n = config.nodes;
-    if config.faults.splits_population() {
-        ((n as f64) * config.faults.stable_fraction())
-            .round()
-            .max(1.0) as usize
-    } else {
+    if config.faults == FaultModel::Off {
         n
+    } else {
+        ((n as f64) * STABLE_FRACTION).round().max(1.0) as usize
     }
 }
 
 /// Pre-draw the whole stochastic failure schedule (see [`ScenarioWorld::faults`]).
 ///
 /// Every churnable node draws alternating exponential uptime/downtime intervals from its own
-/// sub-stream of the [`StreamKind::Faults`] stream; correlated outages overlay fixed-length
-/// down-windows per node group from per-group sub-streams.  Overlapping down-intervals are
-/// union-merged per node, so a node never emits two consecutive failures without a repair in
-/// between.
+/// sub-stream of the [`StreamKind::Faults`] stream, so its down-intervals come in ascending
+/// order.  A down-interval that starts exactly at the previous repair (a zero uptime draw)
+/// joins it, so a node never emits two consecutive failures without a repair in between.
 fn sample_fault_schedule(config: &GridConfig, stable: usize) -> Vec<(NodeId, SimTime, bool)> {
     let Some(faults) = config.faults.stochastic() else {
         return Vec::new();
@@ -118,38 +117,10 @@ fn sample_fault_schedule(config: &GridConfig, stable: usize) -> Vec<(NodeId, Sim
     let repair_rate = 1.0 / faults.mttr.as_secs_f64();
     let root = stream_rng(config, StreamKind::Faults);
 
-    // Correlated outages: chunk the churnable population into groups of `group_size`
-    // consecutive nodes and pre-draw each group's outage windows.
-    let group_windows: Vec<Vec<(f64, f64)>> = match &faults.correlated_outage {
-        None => Vec::new(),
-        Some(outage) => {
-            let churnable = n.saturating_sub(stable);
-            let groups = churnable.div_ceil(outage.group_size);
-            let rate = 1.0 / outage.mtbf.as_secs_f64();
-            let duration = outage.duration.as_secs_f64();
-            (0..groups)
-                .map(|g| {
-                    let mut rng = root.derive_indexed("outage", g as u64);
-                    let mut windows = Vec::new();
-                    let mut t = 0.0f64;
-                    loop {
-                        t += exponential(&mut rng, rate);
-                        if t >= horizon {
-                            break;
-                        }
-                        windows.push((t, t + duration));
-                        t += duration;
-                    }
-                    windows
-                })
-                .collect()
-        }
-    };
-
     let mut schedule = Vec::new();
     for node in stable..n {
         let mut rng = root.derive_indexed("node", node as u64);
-        let mut intervals: Vec<(f64, f64)> = Vec::new();
+        let mut merged: Vec<(f64, f64)> = Vec::new();
         let mut t = 0.0f64;
         loop {
             t += exponential(&mut rng, fail_rate);
@@ -157,19 +128,11 @@ fn sample_fault_schedule(config: &GridConfig, stable: usize) -> Vec<(NodeId, Sim
                 break;
             }
             let down = exponential(&mut rng, repair_rate);
-            intervals.push((t, t + down));
-            t += down;
-        }
-        if let Some(outage) = &faults.correlated_outage {
-            intervals.extend_from_slice(&group_windows[(node - stable) / outage.group_size]);
-        }
-        intervals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-        let mut merged: Vec<(f64, f64)> = Vec::new();
-        for (start, end) in intervals {
             match merged.last_mut() {
-                Some(last) if start <= last.1 => last.1 = last.1.max(end),
-                _ => merged.push((start, end)),
+                Some(last) if t <= last.1 => last.1 = last.1.max(t + down),
+                _ => merged.push((t, t + down)),
             }
+            t += down;
         }
         for (start, end) in merged {
             schedule.push((node, SimTime::from_secs_f64(start), true));
@@ -246,8 +209,8 @@ fn compute_local_bw(transfer: &TransferModel, landmarks: &LandmarkEstimator, n: 
 /// A reusable, immutable, cheaply-cloneable world: build it once, run many schedulers on it.
 ///
 /// See the [module docs](self) for the full story; [`Scenario::simulate`] (or the
-/// [`Scenario::simulate_algorithm`] / [`Scenario::simulate_config`] conveniences) starts an
-/// independent [`Simulation`] session on the shared world.
+/// [`Scenario::simulate_algorithm`] convenience) starts an independent [`Simulation`] session
+/// on the shared world.
 #[derive(Clone)]
 pub struct Scenario {
     world: Arc<ScenarioWorld>,
@@ -397,10 +360,10 @@ impl Scenario {
 
                 // Arrival times.  `Batch` keeps the workload-defined times (all zero for
                 // synthetic workloads — the paper's model) and draws nothing, so the default
-                // path samples byte-identically to the pre-arrival engine.  Every other
-                // process samples from the *tail* of the workflow stream (after the DAGs)
-                // and overrides the workload times — this is what lets a checked-in trace be
-                // replayed under, say, a flash crowd.
+                // path samples byte-identically to the pre-arrival engine.  `Poisson`
+                // samples from the *tail* of the workflow stream (after the DAGs) and
+                // overrides the workload times — this is what lets a checked-in trace be
+                // replayed under another arrival regime.
                 if !config.arrivals.is_batch() {
                     let times = config.arrivals.sample_times(drafts.len(), &mut wf_rng);
                     for (draft, when) in drafts.iter_mut().zip(times) {
@@ -494,21 +457,17 @@ impl Scenario {
 
     /// Derive a world with a new master seed over the same network.
     ///
-    /// The topology and landmark streams are pinned (via [`crate::StreamSeeds`]) to their
-    /// current effective seeds, so the derived config still describes the *same* network —
-    /// the `Arc`'d topology, `PairwiseMetrics` and landmark tables are shared, not rebuilt —
-    /// while the capacity, slot, workflow, gossip and churn streams all re-sample from
-    /// `seed` (so the derived world builds its own gossip trace).  A 1000-point seed sweep
-    /// therefore pays for one all-pairs Dijkstra sweep total.  The result is byte-identical
-    /// to `Scenario::build` of the equivalent config.
+    /// [`GridConfig::network_seed`] is pinned to the current topology seed, so the derived
+    /// config still describes the *same* network — the `Arc`'d topology, `PairwiseMetrics`
+    /// and landmark tables are shared, not rebuilt — while the capacity, slot, workflow,
+    /// gossip, churn and fault streams all re-sample from `seed` (so the derived world builds
+    /// its own gossip trace).  A 1000-point seed sweep therefore pays for one all-pairs
+    /// Dijkstra sweep total.  The result is byte-identical to `Scenario::build` of the
+    /// equivalent config.
     pub fn with_seed(&self, seed: u64) -> Result<Scenario, ConfigError> {
-        self.derive(|config| {
-            let topology = config.stream_seed(StreamKind::Topology);
-            let landmarks = config.stream_seed(StreamKind::Landmarks);
-            config
-                .with_stream_seed(StreamKind::Topology, topology)
-                .with_stream_seed(StreamKind::Landmarks, landmarks)
-                .with_seed(seed)
+        self.derive(|mut config| {
+            config.network_seed = Some(config.stream_seed(StreamKind::Topology));
+            config.with_seed(seed)
         })
     }
 
@@ -563,21 +522,16 @@ impl Scenario {
         self.world.true_costs
     }
 
-    /// Start an independent [`Simulation`] session driven by any [`Scheduler`] — the seam for
-    /// policies beyond the paper's built-in eight.  The session clones the mutable runtime
-    /// state; the scenario itself is never perturbed, so sessions can run concurrently.
-    pub fn simulate<'obs>(&self, scheduler: Box<dyn Scheduler>) -> Simulation<'obs> {
-        Simulation::start(self, scheduler)
+    /// Start an independent [`Simulation`] session of an algorithm × second-phase pairing.
+    /// The session clones the mutable runtime state; the scenario itself is never perturbed,
+    /// so sessions can run concurrently.
+    pub fn simulate<'obs>(&self, algo: AlgorithmConfig) -> Simulation<'obs> {
+        Simulation::start(self, algo)
     }
 
     /// [`Scenario::simulate`] with an algorithm's paper-default phase pairing.
     pub fn simulate_algorithm<'obs>(&self, algorithm: Algorithm) -> Simulation<'obs> {
-        self.simulate_config(AlgorithmConfig::paper_default(algorithm))
-    }
-
-    /// [`Scenario::simulate`] with an explicit algorithm × second-phase pairing.
-    pub fn simulate_config<'obs>(&self, algo: AlgorithmConfig) -> Simulation<'obs> {
-        self.simulate(Box::new(algo))
+        self.simulate(AlgorithmConfig::paper_default(algorithm))
     }
 }
 
@@ -656,15 +610,11 @@ mod tests {
 
     #[test]
     fn stochastic_fault_schedule_is_deterministic_and_well_formed() {
-        use crate::config::{CorrelatedOutage, FaultModel, StochasticFaults};
-        let faults = FaultModel::Stochastic(
-            StochasticFaults::new(SimDuration::from_hours(2), SimDuration::from_mins(20))
-                .with_outage(CorrelatedOutage {
-                    group_size: 3,
-                    mtbf: SimDuration::from_hours(6),
-                    duration: SimDuration::from_mins(15),
-                }),
-        );
+        use crate::config::StochasticFaults;
+        let faults = FaultModel::Stochastic(StochasticFaults::new(
+            SimDuration::from_hours(2),
+            SimDuration::from_mins(20),
+        ));
         let cfg = GridConfig::small(20).with_seed(7).with_faults(faults);
         let a = Scenario::build(cfg.clone()).unwrap();
         let b = Scenario::build(cfg.clone()).unwrap();

@@ -23,16 +23,16 @@
 //! Observers never perturb the engine: a fully-stepped session — with or without observers —
 //! produces a report byte-identical to an unobserved [`Simulation::run`] at the same seed.
 
+use crate::algorithm::AlgorithmConfig;
 use crate::engine::Engine;
 use crate::observer::{GridSample, Observer};
 use crate::report::SimulationReport;
 use crate::scenario::Scenario;
-use crate::scheduler::Scheduler;
 use p2pgrid_sim::SimTime;
 
 /// One in-flight simulation run: step it, observe it, or drive it to the horizon.
 ///
-/// Created by [`Scenario::simulate`] (or its algorithm conveniences); see the
+/// Created by [`Scenario::simulate`] (or [`Scenario::simulate_algorithm`]); see the
 /// [module docs](self) for the lifecycle.  `'obs` is the lifetime of the registered
 /// observers — a session without observers is `Simulation<'static>`.
 pub struct Simulation<'obs> {
@@ -42,9 +42,9 @@ pub struct Simulation<'obs> {
 }
 
 impl<'obs> Simulation<'obs> {
-    pub(crate) fn start(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
+    pub(crate) fn start(scenario: &Scenario, algo: AlgorithmConfig) -> Self {
         Simulation {
-            engine: Engine::new(scenario, scheduler),
+            engine: Engine::new(scenario, algo),
             observers: Vec::new(),
             started: false,
         }

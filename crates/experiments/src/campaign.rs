@@ -47,7 +47,7 @@ impl Job {
 
     /// Run this job to its horizon.
     pub fn run(&self) -> SimulationReport {
-        self.scenario.simulate_config(self.algorithm).run()
+        self.scenario.simulate(self.algorithm).run()
     }
 }
 

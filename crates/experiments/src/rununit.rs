@@ -276,7 +276,7 @@ impl UnitRunner {
     pub fn run(&mut self, unit: &RunUnit) -> Result<Value, CampaignError> {
         let scenario = self.world(unit.seed)?;
         let report = scenario
-            .simulate_config(AlgorithmConfig::paper_default(unit.algorithm))
+            .simulate(AlgorithmConfig::paper_default(unit.algorithm))
             .run();
         Ok(unit_artifact(unit, &report))
     }

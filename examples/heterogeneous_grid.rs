@@ -18,8 +18,8 @@
 //! cargo run --release --example heterogeneous_grid
 //! ```
 
-use p2pgrid::core::policy::first_phase::DispatchCandidateTask;
-use p2pgrid::core::{CandidateNode, FinishTimeEstimator, Scheduler};
+use p2pgrid::core::policy::first_phase::{plan_dispatch, DispatchCandidateTask};
+use p2pgrid::core::{CandidateNode, FinishTimeEstimator};
 use p2pgrid::prelude::*;
 use p2pgrid::workflow::TaskId;
 
@@ -62,8 +62,7 @@ fn single_task_placement_demo() {
         predecessors: vec![],
     };
     let mut candidates = vec![multi, single];
-    let scheduler = AlgorithmConfig::paper_default(Algorithm::Dsmf);
-    let decisions = scheduler.plan_dispatch(&[task], &mut candidates, &estimator);
+    let decisions = plan_dispatch(Algorithm::Dsmf, &[task], &mut candidates, &estimator);
     println!(
         "\nDSMF places the task on node {} — the fast single core, not the slot farm.\n",
         decisions[0].target

@@ -67,10 +67,9 @@ pub use p2pgrid_workflow as workflow;
 pub mod prelude {
     pub use p2pgrid_core::{
         Algorithm, AlgorithmConfig, ArrivalProcess, CapacityModel, ChurnConfig, ConfigError,
-        CorrelatedOutage, FaultModel, GridConfig, GridSample, Observer, PreemptionPolicy,
-        RecoveryPolicy, ResourceModel, Scenario, SecondPhase, Simulation, SimulationReport,
-        SlotClass, SlotModel, StochasticFaults, StreamKind, StreamSeeds, TimeSeriesProbe,
-        TraceEvent, TraceRecorder, WorkloadSource,
+        FaultModel, GridConfig, GridSample, Observer, PreemptionPolicy, RecoveryPolicy,
+        ResourceModel, Scenario, SecondPhase, Simulation, SimulationReport, SlotClass, SlotModel,
+        StochasticFaults, StreamKind, TimeSeriesProbe, TraceEvent, TraceRecorder, WorkloadSource,
     };
     pub use p2pgrid_experiments::{CampaignSpec, ExperimentScale};
     pub use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowRecord};

@@ -40,7 +40,7 @@ fn dsmf(scenario: &Scenario) -> SimulationReport {
 }
 
 /// The derived world must be byte-identical to `Scenario::build` of its own config — the
-/// edited config, including any pinned stream seeds.
+/// edited config, including its pinned network seed.
 fn assert_matches_fresh_build(derived: &Scenario, derivation: &str) {
     let rebuilt = Scenario::build(derived.config().clone()).unwrap();
     let d = dsmf(derived);
@@ -108,19 +108,21 @@ fn with_churn_matches_fresh_build() {
     assert_matches_fresh_build(&derived, "with_churn(0.2)");
 }
 
+/// The gossip config edit of the sweeps' trace pins: a shorter record lifetime.
+fn shorter_gossip_ttl(mut config: GridConfig) -> GridConfig {
+    config.gossip.ttl -= 1;
+    config
+}
+
 #[test]
-fn reseeded_gossip_and_churn_streams_match_fresh_build_and_keep_the_workload() {
+fn gossip_config_edits_match_fresh_build_and_keep_the_workload() {
     let base = Scenario::build(config(96)).unwrap();
-    let derived = base
-        .derive(|c| {
-            c.with_stream_seed(StreamKind::Gossip, 777)
-                .with_stream_seed(StreamKind::Churn, 777)
-        })
-        .unwrap();
+    let derived = base.derive(shorter_gossip_ttl).unwrap();
     // The static substrate is untouched: same topology tables, same workflow set.
     assert!(derived.shares_topology_with(&base));
     assert!(derived.shares_workflows_with(&base));
-    assert_matches_fresh_build(&derived, "gossip and churn streams pinned to 777");
+    assert!(!derived.shares_gossip_trace_with(&base));
+    assert_matches_fresh_build(&derived, "a shorter gossip ttl");
 }
 
 #[test]
@@ -238,14 +240,7 @@ fn derivations(base: &Scenario) -> Vec<(&'static str, Scenario, bool)> {
             derive(&|c| c.with_faults(FaultModel::Stochastic(faults))),
             false,
         ),
-        (
-            "gossip and churn streams",
-            derive(&|c| {
-                c.with_stream_seed(StreamKind::Gossip, 888)
-                    .with_stream_seed(StreamKind::Churn, 888)
-            }),
-            false,
-        ),
+        ("gossip config", derive(&shorter_gossip_ttl), false),
         (
             "Montage workload",
             derive(&|c| c.with_workload(montage())),
@@ -362,12 +357,18 @@ fn edit(config: GridConfig, kind: usize, p: u64) -> GridConfig {
     let pick = |n: u64| (p % n) as usize;
     match kind {
         0 => config.with_seed(p % 1000),
-        1 => config.with_stream_seed(StreamKind::ALL[pick(8)], (p >> 8) % 1000),
-        // The two streams only the gossip trace reads, once more on their own.
-        2 => config.with_stream_seed(
-            [StreamKind::Gossip, StreamKind::Churn][pick(2)],
-            (p >> 8) % 1000,
-        ),
+        // Pin the network where it is and re-seed everything else, as `with_seed` does.
+        1 => {
+            let mut config = config;
+            config.network_seed = Some(config.stream_seed(StreamKind::Topology));
+            config.with_seed(p % 1000)
+        }
+        // Re-seed the network alone.
+        2 => {
+            let mut config = config;
+            config.network_seed = Some((p >> 8) % 1000);
+            config
+        }
         3 => config.with_load_factor(1 + pick(3)),
         4 => {
             let mut config = config;
@@ -400,11 +401,7 @@ fn edit(config: GridConfig, kind: usize, p: u64) -> GridConfig {
             };
             config
         }
-        9 => config.with_faults(FaultModel::Churn(ChurnConfig {
-            dynamic_factor: [0.0, 0.2][pick(2)],
-            stable_fraction: [0.3, 0.5, 0.7][((p >> 4) % 3) as usize],
-            homes_on_stable_only: true,
-        })),
+        9 => config.with_churn(ChurnConfig::with_dynamic_factor([0.0, 0.2][pick(2)])),
         10 => config.with_faults(match pick(3) {
             0 => FaultModel::Off,
             _ => FaultModel::Stochastic(StochasticFaults::new(

@@ -94,10 +94,10 @@ fn rescheduling_extension_eliminates_churn_failures() {
 fn fcfs_ablation_is_wired_through_the_facade() {
     let shared = scenario(16, 7);
     let paper = shared
-        .simulate_config(AlgorithmConfig::paper_default(Algorithm::Sufferage))
+        .simulate(AlgorithmConfig::paper_default(Algorithm::Sufferage))
         .run();
     let fcfs = shared
-        .simulate_config(AlgorithmConfig::with_fcfs_second_phase(
+        .simulate(AlgorithmConfig::with_fcfs_second_phase(
             Algorithm::Sufferage,
         ))
         .run();
