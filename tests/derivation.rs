@@ -108,7 +108,7 @@ fn with_churn_matches_fresh_build() {
     assert_matches_fresh_build(&derived, "with_churn(0.2)");
 }
 
-/// The gossip config edit of the sweeps' trace pins: a shorter record lifetime.
+/// A gossip-config edit: records travel one hop fewer (ttl 4 → 3).
 fn shorter_gossip_ttl(mut config: GridConfig) -> GridConfig {
     config.gossip.ttl -= 1;
     config
