@@ -25,8 +25,8 @@
 //! its cadences, then the engine's own cadence queue, so after t = 0 the churn step and the
 //! first phase at a scheduling instant run before that instant's gossip cycle.
 //!
-//! The build reads one value, [`TraceInputs`]: the gossip config, the gossip and churn
-//! stream seeds, the churn dynamic factor, the cadences and the horizon, each node's churn
+//! The build reads one value, [`TraceInputs`]: the gossip config, the seed of the gossip and
+//! churn streams, the churn dynamic factor, the cadences and the horizon, each node's churn
 //! role and advertised resources, the fault schedule and the set of home nodes.  A world
 //! keeps its trace in a [`TraceCell`] keyed by those inputs, and a world derived from it
 //! shares the cell whenever its inputs are equal.  The protocol reads neither the DAGs, nor
@@ -48,10 +48,9 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TraceInputs {
     gossip: MixedGossipConfig,
-    /// The effective seed of the gossip stream.
-    gossip_seed: u64,
-    /// The effective seed of the churn stream.
-    churn_seed: u64,
+    /// The seed of the gossip and churn streams: the master seed, which only the topology and
+    /// landmark streams can override.
+    seed: u64,
     /// The churn step's dynamic factor; zero without churn.
     dynamic_factor: f64,
     gossip_interval: SimDuration,
@@ -83,8 +82,7 @@ impl TraceInputs {
         faults.sort_by_key(|&(_, time, _)| time);
         TraceInputs {
             gossip: config.gossip,
-            gossip_seed: config.stream_seed(StreamKind::Gossip),
-            churn_seed: config.stream_seed(StreamKind::Churn),
+            seed: config.seed,
             dynamic_factor: config.churn().map_or(0.0, |churn| churn.dynamic_factor),
             gossip_interval: config.gossip_interval,
             scheduling_interval: config.scheduling_interval,
@@ -320,9 +318,9 @@ impl GossipTrace {
             "GridConfig::validate bounds the record width"
         );
 
-        let mut gossip_rng = seeded_stream(StreamKind::Gossip, inputs.gossip_seed);
+        let mut gossip_rng = seeded_stream(StreamKind::Gossip, inputs.seed);
         let mut gossip = MixedGossip::new(n, inputs.gossip, &mut gossip_rng);
-        let mut churn_rng = seeded_stream(StreamKind::Churn, inputs.churn_seed);
+        let mut churn_rng = seeded_stream(StreamKind::Churn, inputs.seed);
         let mut local = inputs.local.clone();
         let faults = &inputs.faults;
 
