@@ -19,7 +19,11 @@
 //!    resource nodes.  The full-ahead baselines (HEFT, SMF) instead follow the plan they made
 //!    when the session started.
 //!    Each workflow's progress tracker keeps its schedule points, and the planner's list of a
-//!    task's precedents also times the task's true transfers when it is dispatched.
+//!    task's precedents also times the task's true transfers when it is dispatched.  The
+//!    session keeps one set of first-phase buffers — the candidate tasks and their precedent
+//!    lists, the RPM, the candidate view, the planner's workspace and its decisions — and
+//!    refills it at every home node and instant, so once they have grown the first phase
+//!    allocates nothing.
 //! 5. The **second scheduling phase** runs on every resource node whenever an execution slot
 //!    frees up: the data-complete ready task with the smallest scheduler
 //!    [`ReadyKey`](crate::policy::second_phase::ReadyKey) is popped from the node's indexed
@@ -75,7 +79,9 @@ use crate::config::{GridConfig, RecoveryPolicy};
 use crate::estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
 use crate::fullahead::{plan_full_ahead, PlanInput};
 use crate::observer::{GridSample, Observer};
-use crate::policy::first_phase::{plan_dispatch, DispatchCandidateTask};
+use crate::policy::first_phase::{
+    plan_dispatch_into, DispatchCandidateTask, DispatchDecision, PlanWorkspace,
+};
 use crate::policy::second_phase::{ready_key, ReadyTaskView};
 use crate::report::SimulationReport;
 use crate::scenario::Scenario;
@@ -86,7 +92,7 @@ use node::{NodeRuntime, ReadyEntry};
 use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowOutcome, WorkflowRecord};
 use p2pgrid_sim::{EventQueue, SimDuration, SimTime};
 use p2pgrid_topology::LandmarkEstimator;
-use p2pgrid_workflow::{rest_path_makespans, TaskId};
+use p2pgrid_workflow::{rest_path_makespans_into, TaskId};
 use std::sync::Arc;
 use transfer::TransferModel;
 use workflow::WorkflowRuntime;
@@ -208,6 +214,45 @@ impl<E: Copy> NodeEvents<E> {
     }
 }
 
+/// The first phase's buffers, kept for the whole session and refilled at every home node and
+/// scheduling instant, so once they have grown the first phase allocates nothing.
+#[derive(Default)]
+struct FirstPhaseBuffers {
+    /// Candidate-task slots: a just-in-time plan fills the first `n` of them and keeps every
+    /// slot, with its precedent list's allocation, for the next.
+    tasks: Vec<DispatchCandidateTask>,
+    /// One workflow's rest path makespans under the home node's current averages.
+    rpm: Vec<f64>,
+    /// The home node's `RSS` as candidate resource nodes.
+    candidates: Vec<CandidateNode>,
+    planner: PlanWorkspace,
+    /// The plan: `(index into tasks, decision)` in dispatch order.
+    planned: Vec<(usize, DispatchDecision)>,
+    /// The further nodes a replicated task fans out to.
+    twins: Vec<NodeId>,
+    /// The full-ahead path's schedule points of one workflow and precedents of one task.
+    schedule_points: Vec<TaskId>,
+    predecessors: Vec<PredecessorData>,
+}
+
+impl FirstPhaseBuffers {
+    /// Candidate-task slot `i`, added empty if the slots end before it.
+    fn task_slot(&mut self, i: usize) -> &mut DispatchCandidateTask {
+        if i == self.tasks.len() {
+            self.tasks.push(DispatchCandidateTask {
+                workflow: 0,
+                task: TaskId(0),
+                load_mi: 0.0,
+                image_size_mb: 0.0,
+                rpm_secs: 0.0,
+                workflow_ms_secs: 0.0,
+                predecessors: Vec::new(),
+            });
+        }
+        &mut self.tasks[i]
+    }
+}
+
 /// The observers registered on one session, passed down the engine call tree so every hook
 /// fires at the exact transition it describes.  Observers only ever receive `&mut self`
 /// callbacks with copied event data — they cannot reach engine state, so a run with observers
@@ -284,6 +329,8 @@ pub(crate) struct Engine {
     /// Loss instant of each task awaiting its recovery re-dispatch (for the recovery-latency
     /// metric).  Lookup-only.
     pending_recovery: FxHashMap<(usize, TaskId), SimTime>,
+    /// The first phase's buffers, taken out while a scheduling instant runs.
+    first_phase: FirstPhaseBuffers,
 }
 
 impl Engine {
@@ -386,6 +433,7 @@ impl Engine {
             load_override: FxHashMap::default(),
             replica_sites: FxHashMap::default(),
             pending_recovery: FxHashMap::default(),
+            first_phase: FirstPhaseBuffers::default(),
         }
     }
 
@@ -716,14 +764,18 @@ impl Engine {
     /// Home node `home`'s `RSS` at scheduling instant `instant`, restricted to currently alive
     /// nodes, as candidate resource nodes: capacity and slots from the node table, load as
     /// each node advertised it at its record's cycle.
-    fn rss_candidates(&self, instant: usize, home: NodeId) -> Vec<CandidateNode> {
+    fn rss_candidates(
+        &self,
+        instant: usize,
+        home: NodeId,
+    ) -> impl Iterator<Item = CandidateNode> + '_ {
         let n = self.nodes.len();
         let ring_len = self.gossip.ring_len();
         let latest = (self.gossip_cycles.saturating_sub(1) % ring_len as u64) as usize;
         self.gossip
             .rss(instant, home)
             .filter(|r| self.nodes[r.node].alive)
-            .map(|r| {
+            .map(move |r| {
                 let row = if r.age <= latest {
                     latest - r.age
                 } else {
@@ -737,7 +789,6 @@ impl Engine {
                     total_load_mi: self.advertised_loads[row * n + r.node],
                 }
             })
-            .collect()
     }
 
     fn fail_workflow(&mut self, wf: usize, now: SimTime, obs: &mut Observers<'_, '_>) {
@@ -940,29 +991,43 @@ impl Engine {
     // ----- first phase ---------------------------------------------------------------------
 
     fn scheduling_phase_one(&mut self, instant: usize, now: SimTime, obs: &mut Observers<'_, '_>) {
-        let home_nodes: Vec<NodeId> = (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].alive && !self.home_of[i].is_empty())
-            .collect();
-        for home in home_nodes {
+        let mut buffers = std::mem::take(&mut self.first_phase);
+        // A dispatch changes no node's liveness, so each home is checked as the loop meets it.
+        for home in 0..self.nodes.len() {
+            if !self.nodes[home].alive || self.home_of[home].is_empty() {
+                continue;
+            }
             if self.workflows[self.home_of[home][0]].plan.is_some() {
-                self.dispatch_full_ahead(home, now, obs);
+                self.dispatch_full_ahead(home, now, &mut buffers, obs);
             } else {
-                self.dispatch_just_in_time(home, instant, now, obs);
+                self.dispatch_just_in_time(home, instant, now, &mut buffers, obs);
             }
         }
+        self.first_phase = buffers;
     }
 
     /// Dispatch every current schedule point of a full-ahead plan to its pre-planned node
     /// (falling back to the home node if the planned node has churned away).
-    fn dispatch_full_ahead(&mut self, home: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn dispatch_full_ahead(
+        &mut self,
+        home: NodeId,
+        now: SimTime,
+        buffers: &mut FirstPhaseBuffers,
+        obs: &mut Observers<'_, '_>,
+    ) {
         let home_of = Arc::clone(&self.home_of);
-        let mut predecessors = Vec::new();
+        let FirstPhaseBuffers {
+            schedule_points,
+            predecessors,
+            ..
+        } = buffers;
         for &wf in &home_of[home] {
             if !self.workflows[wf].is_active() {
                 continue;
             }
-            let sps: Vec<TaskId> = self.workflows[wf].progress.schedule_points().collect();
-            for task in sps {
+            schedule_points.clear();
+            schedule_points.extend(self.workflows[wf].progress.schedule_points());
+            for &task in schedule_points.iter() {
                 if !self.dispatchable(wf, task, now) {
                     continue;
                 }
@@ -989,7 +1054,7 @@ impl Engine {
                     rpm,
                     ms,
                     sufferage,
-                    &predecessors,
+                    predecessors,
                     now,
                     obs,
                     false,
@@ -1005,13 +1070,14 @@ impl Engine {
         home: NodeId,
         instant: usize,
         now: SimTime,
+        buffers: &mut FirstPhaseBuffers,
         obs: &mut Observers<'_, '_>,
     ) {
         // The home node's estimates of the system-wide averages come from the aggregation
         // gossip; its candidate set comes from the epidemic gossip's RSS.
         let costs = self.gossip.expected_costs(instant, home);
 
-        let mut candidate_tasks: Vec<DispatchCandidateTask> = Vec::new();
+        let mut n_tasks = 0;
         for &wf in &self.home_of[home] {
             let w = &self.workflows[wf];
             if !w.is_active() {
@@ -1020,7 +1086,8 @@ impl Engine {
             if w.progress.schedule_points().next().is_none() {
                 continue;
             }
-            let rpm = rest_path_makespans(&w.workflow, costs);
+            rest_path_makespans_into(&w.workflow, costs, &mut buffers.rpm);
+            let rpm = &buffers.rpm;
             let ms = w
                 .progress
                 .schedule_points()
@@ -1030,29 +1097,41 @@ impl Engine {
                 if !self.dispatchable(wf, t, now) {
                     continue; // still inside its retry backoff
                 }
-                candidate_tasks.push(DispatchCandidateTask {
-                    workflow: wf,
-                    task: t,
-                    // A checkpointed task only has its residual load left to execute.
-                    load_mi: self
-                        .load_override
-                        .get(&(wf, t))
-                        .copied()
-                        .unwrap_or(w.workflow.task(t).load_mi),
-                    image_size_mb: w.workflow.task(t).image_size_mb,
-                    rpm_secs: rpm[t.index()],
-                    workflow_ms_secs: ms,
-                    predecessors: w.predecessor_data(t).collect(),
-                });
+                let rpm_secs = buffers.rpm[t.index()];
+                let slot = buffers.task_slot(n_tasks);
+                n_tasks += 1;
+                slot.workflow = wf;
+                slot.task = t;
+                // A checkpointed task only has its residual load left to execute.
+                slot.load_mi = self
+                    .load_override
+                    .get(&(wf, t))
+                    .copied()
+                    .unwrap_or(w.workflow.task(t).load_mi);
+                slot.image_size_mb = w.workflow.task(t).image_size_mb;
+                slot.rpm_secs = rpm_secs;
+                slot.workflow_ms_secs = ms;
+                slot.predecessors.clear();
+                slot.predecessors.extend(w.predecessor_data(t));
             }
         }
-        if candidate_tasks.is_empty() {
+        if n_tasks == 0 {
             return;
         }
+        let FirstPhaseBuffers {
+            tasks,
+            candidates,
+            planner,
+            planned,
+            twins,
+            ..
+        } = buffers;
+        let tasks = &tasks[..n_tasks];
 
         // Candidate resource nodes: the home node's RSS (always contains itself once gossip has
         // run; fall back to the home node before that), restricted to currently alive nodes.
-        let mut candidates = self.rss_candidates(instant, home);
+        candidates.clear();
+        candidates.extend(self.rss_candidates(instant, home));
         if candidates.is_empty() {
             candidates.push(CandidateNode {
                 node: home,
@@ -1066,23 +1145,20 @@ impl Engine {
         let bw_estimate =
             move |a: NodeId, b: NodeId| -> f64 { landmarks.estimate_bandwidth_mbps(a, b) };
         let estimator = FinishTimeEstimator::new(home, &bw_estimate);
-        let decisions = plan_dispatch(
+        plan_dispatch_into(
             self.algo.algorithm,
-            &candidate_tasks,
-            &mut candidates,
+            tasks,
+            candidates,
             &estimator,
+            planner,
+            planned,
         );
-        let lookup: FxHashMap<(usize, TaskId), usize> = candidate_tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| ((t.workflow, t.task), i))
-            .collect();
         let copies = match self.config.recovery {
             RecoveryPolicy::Replicate { copies } => copies,
             _ => 1,
         };
-        for d in decisions {
-            let t = &candidate_tasks[lookup[&(d.workflow, d.task)]];
+        for &(i, d) in planned.iter() {
+            let t = &tasks[i];
             let dispatched = self.dispatch_task(
                 home,
                 d.workflow,
@@ -1102,16 +1178,16 @@ impl Engine {
             // Replicate: fan the task out to `copies - 1` further alive nodes, taken in the
             // scheduler's post-plan candidate order.  The first copy to complete wins and
             // cancels the rest.
-            let mut extra: Vec<NodeId> = Vec::new();
+            twins.clear();
             for c in candidates.iter() {
-                if extra.len() + 1 >= copies {
+                if twins.len() + 1 >= copies {
                     break;
                 }
-                if c.node != d.target && !extra.contains(&c.node) && self.nodes[c.node].alive {
-                    extra.push(c.node);
+                if c.node != d.target && !twins.contains(&c.node) && self.nodes[c.node].alive {
+                    twins.push(c.node);
                 }
             }
-            for twin in extra {
+            for &twin in twins.iter() {
                 self.dispatch_task(
                     home,
                     d.workflow,

@@ -23,14 +23,25 @@
 //! Every row keeps a summary — its best candidate (the first index holding the row minimum),
 //! the minimum, and the second-smallest value — equal at all times to what scanning the row
 //! would give ([`matrix_pick_next`]'s scan).  A pick reads the summaries, O(T).  Refreshing a
-//! cell from `old` to `new` leaves the summary exact without a rescan when `old` was above the
+//! cell from `old` to `new` leaves the summary exact without a rescan in two cases.  Either the
+//! cell did not change (`new == old`), so neither did the row.  Or `old` was above the
 //! second-best and `new ≥ old`: a value that was not among the two smallest (so not the best
 //! either, which is at most the second-best) only grew, so the two smallest and the first index
-//! of the minimum stand.  In every other case — the cell held the best or the second-best, or
+//! of the minimum stand.  Otherwise — the cell held the best or the second-best and changed, or
 //! it fell — the row is rescanned, O(H).  Queues only grow as loads are added, so most
-//! refreshes take the O(1) path and a pick costs O(T) instead of the O(T·H) of rescanning every
-//! row.  The test is written as "keep the summary only if both hold", so a NaN on either side
-//! fails it and forces a rescan.
+//! refreshes take an O(1) path and a pick costs O(T) instead of the O(T·H) of rescanning every
+//! row.  Both tests are written as "keep the summary only if this holds", so a NaN on either
+//! side fails them and forces a rescan.
+//!
+//! ## One workspace per session
+//!
+//! A home node re-plans at every scheduling instant, so the engine keeps one `PlanWorkspace`
+//! for the whole session — the greedy order and candidate rates, and the matrix's sources,
+//! bandwidth table, `T × H` terms, row summaries and remaining rows — and plans every home at
+//! every instant through it with `plan_dispatch_into`, which also writes its decisions into a
+//! kept buffer.  Each call clears a buffer before it fills it, so a call reads nothing an
+//! earlier one left, and once the buffers have grown to the largest plan, planning allocates
+//! nothing.  [`plan_dispatch`] runs the same code over a fresh workspace.
 
 use crate::algorithm::Algorithm;
 use crate::estimate::{
@@ -70,8 +81,9 @@ pub struct DispatchDecision {
     pub target: NodeId,
     /// Estimated finish time (seconds from the scheduling instant) on the chosen node.
     pub estimated_finish_secs: f64,
-    /// Sufferage value (second-best minus best completion time) at decision time; zero for
-    /// heuristics that do not use it.
+    /// The chosen completion-time row's second-best minus best value at decision time, as the
+    /// matrix heuristics (min-min, max-min and sufferage) compute it; zero for the Formula 9
+    /// planners (DSMF, DHEFT, DSDF and the full-ahead orderings), which keep no matrix.
     pub sufferage_secs: f64,
 }
 
@@ -184,58 +196,118 @@ pub fn plan_dispatch(
     candidates: &mut [CandidateNode],
     estimator: &FinishTimeEstimator<'_>,
 ) -> Vec<DispatchDecision> {
+    let mut planned = Vec::new();
+    plan_dispatch_into(
+        algorithm,
+        tasks,
+        candidates,
+        estimator,
+        &mut PlanWorkspace::default(),
+        &mut planned,
+    );
+    planned.into_iter().map(|(_, d)| d).collect()
+}
+
+/// The buffers one planning call fills, kept between calls (module docs).  Every call clears a
+/// buffer before it fills it.
+#[derive(Debug, Default)]
+pub(crate) struct PlanWorkspace {
+    /// The greedy planners' task indices, in planning order.
+    order: Vec<usize>,
+    /// `CandidateRates::of` each candidate, re-read after the candidate takes a task.
+    rates: Vec<CandidateRates>,
+    /// The matrix's source nodes — the home node and each node holding a precedent's output —
+    /// ascending and distinct.
+    sources: Vec<NodeId>,
+    /// `bandwidth[row(source) + h]`: the bandwidth from each source to candidate `h`.
+    bandwidth: Vec<f64>,
+    /// The matrix's transfer delays, execution times and completion times, flat `T × H`.
+    ltd: Vec<f64>,
+    exec: Vec<f64>,
+    ct: Vec<f64>,
+    /// Each matrix row's summary.
+    summaries: Vec<RowSummary>,
+    /// The matrix rows still unassigned, ascending.
+    remaining: Vec<usize>,
+    /// `(row, node, data)` of the current task's precedents.
+    inputs: Vec<(usize, NodeId, f64)>,
+}
+
+/// [`plan_dispatch`] through a kept workspace: `planned` is cleared, then receives each
+/// decision in dispatch order with the index in `tasks` of the task it places.
+pub(crate) fn plan_dispatch_into(
+    algorithm: Algorithm,
+    tasks: &[DispatchCandidateTask],
+    candidates: &mut [CandidateNode],
+    estimator: &FinishTimeEstimator<'_>,
+    workspace: &mut PlanWorkspace,
+    planned: &mut Vec<(usize, DispatchDecision)>,
+) {
+    planned.clear();
     if tasks.is_empty() || candidates.is_empty() {
-        return Vec::new();
+        return;
     }
     match algorithm {
         Algorithm::Dsmf | Algorithm::Smf => {
             // Workflows in ascending remaining makespan, tasks within a workflow in descending
             // RPM.  (SMF shares the ordering; it only differs by being planned full-ahead,
             // which the simulation handles elsewhere.)
-            let mut order: Vec<usize> = (0..tasks.len()).collect();
-            order.sort_by(|&a, &b| {
-                let ta = &tasks[a];
-                let tb = &tasks[b];
-                ta.workflow_ms_secs
-                    .partial_cmp(&tb.workflow_ms_secs)
-                    .unwrap_or(Ordering::Equal)
-                    .then(ta.workflow.cmp(&tb.workflow))
-                    .then(
-                        tb.rpm_secs
-                            .partial_cmp(&ta.rpm_secs)
-                            .unwrap_or(Ordering::Equal),
-                    )
-                    .then(ta.task.cmp(&tb.task))
-            });
-            greedy_assign(&order, tasks, candidates, estimator)
+            greedy_assign(
+                tasks,
+                candidates,
+                estimator,
+                workspace,
+                planned,
+                |ta, tb| {
+                    ta.workflow_ms_secs
+                        .partial_cmp(&tb.workflow_ms_secs)
+                        .unwrap_or(Ordering::Equal)
+                        .then(ta.workflow.cmp(&tb.workflow))
+                        .then(
+                            tb.rpm_secs
+                                .partial_cmp(&ta.rpm_secs)
+                                .unwrap_or(Ordering::Equal),
+                        )
+                        .then(ta.task.cmp(&tb.task))
+                },
+            );
         }
         Algorithm::Dheft | Algorithm::Heft => {
             // Longest RPM first, across all workflows.
-            let mut order: Vec<usize> = (0..tasks.len()).collect();
-            order.sort_by(|&a, &b| {
-                tasks[b]
-                    .rpm_secs
-                    .partial_cmp(&tasks[a].rpm_secs)
-                    .unwrap_or(Ordering::Equal)
-                    .then(tasks[a].workflow.cmp(&tasks[b].workflow))
-                    .then(tasks[a].task.cmp(&tasks[b].task))
-            });
-            greedy_assign(&order, tasks, candidates, estimator)
+            greedy_assign(
+                tasks,
+                candidates,
+                estimator,
+                workspace,
+                planned,
+                |ta, tb| {
+                    tb.rpm_secs
+                        .partial_cmp(&ta.rpm_secs)
+                        .unwrap_or(Ordering::Equal)
+                        .then(ta.workflow.cmp(&tb.workflow))
+                        .then(ta.task.cmp(&tb.task))
+                },
+            );
         }
         Algorithm::Dsdf => {
             // Shortest deadline (slack between the workflow's remaining makespan and the task's
             // own rest path makespan) first.
-            let mut order: Vec<usize> = (0..tasks.len()).collect();
-            order.sort_by(|&a, &b| {
-                let slack_a = tasks[a].workflow_ms_secs - tasks[a].rpm_secs;
-                let slack_b = tasks[b].workflow_ms_secs - tasks[b].rpm_secs;
-                slack_a
-                    .partial_cmp(&slack_b)
-                    .unwrap_or(Ordering::Equal)
-                    .then(tasks[a].workflow.cmp(&tasks[b].workflow))
-                    .then(tasks[a].task.cmp(&tasks[b].task))
-            });
-            greedy_assign(&order, tasks, candidates, estimator)
+            greedy_assign(
+                tasks,
+                candidates,
+                estimator,
+                workspace,
+                planned,
+                |ta, tb| {
+                    let slack_a = ta.workflow_ms_secs - ta.rpm_secs;
+                    let slack_b = tb.workflow_ms_secs - tb.rpm_secs;
+                    slack_a
+                        .partial_cmp(&slack_b)
+                        .unwrap_or(Ordering::Equal)
+                        .then(ta.workflow.cmp(&tb.workflow))
+                        .then(ta.task.cmp(&tb.task))
+                },
+            );
         }
         Algorithm::MinMin | Algorithm::MaxMin | Algorithm::Sufferage => {
             let heuristic = match algorithm {
@@ -243,7 +315,7 @@ pub fn plan_dispatch(
                 Algorithm::MaxMin => MatrixHeuristic::MaxMin,
                 _ => MatrixHeuristic::Sufferage,
             };
-            matrix_assign(heuristic, tasks, candidates, estimator)
+            matrix_assign(heuristic, tasks, candidates, estimator, workspace, planned);
         }
     }
 }
@@ -254,39 +326,53 @@ fn matrix_assign(
     tasks: &[DispatchCandidateTask],
     candidates: &mut [CandidateNode],
     estimator: &FinishTimeEstimator<'_>,
-) -> Vec<DispatchDecision> {
+    workspace: &mut PlanWorkspace,
+    planned: &mut Vec<(usize, DispatchDecision)>,
+) {
+    let PlanWorkspace {
+        rates,
+        sources,
+        bandwidth,
+        ltd,
+        exec,
+        ct,
+        summaries,
+        remaining,
+        inputs,
+        ..
+    } = workspace;
     let width = candidates.len();
     // The bandwidth from every source — the home node and each node holding a precedent's
     // output — to every candidate, read once: `bandwidth[row(source) + h]`.  A transfer
     // within one node reads no link, so neither does the table.
     let home = estimator.home();
-    let mut sources: Vec<NodeId> = tasks
-        .iter()
-        .flat_map(|t| t.predecessors.iter().map(|p| p.location))
-        .chain([home])
-        .collect();
+    sources.clear();
+    sources.extend(
+        tasks
+            .iter()
+            .flat_map(|t| t.predecessors.iter().map(|p| p.location))
+            .chain([home]),
+    );
     sources.sort_unstable();
     sources.dedup();
-    let bandwidth: Vec<f64> = sources
-        .iter()
-        .flat_map(|&s| {
-            candidates.iter().map(move |c| {
-                if s == c.node {
-                    f64::INFINITY
-                } else {
-                    estimator.bandwidth_mbps(s, c.node)
-                }
-            })
+    bandwidth.clear();
+    bandwidth.extend(sources.iter().flat_map(|&s| {
+        candidates.iter().map(move |c| {
+            if s == c.node {
+                f64::INFINITY
+            } else {
+                estimator.bandwidth_mbps(s, c.node)
+            }
         })
-        .collect();
+    }));
+    let sources = &*sources;
     let row = |node: NodeId| width * sources.binary_search(&node).expect("a listed source");
     let home_row = row(home);
-    let rates: Vec<CandidateRates> = candidates.iter().map(CandidateRates::of).collect();
-    let mut ltd = Vec::with_capacity(tasks.len() * width);
-    let mut exec = Vec::with_capacity(tasks.len() * width);
-    let mut ct = Vec::with_capacity(tasks.len() * width);
-    // (row, node, data) of the current task's precedents.
-    let mut inputs: Vec<(usize, NodeId, f64)> = Vec::new();
+    rates.clear();
+    rates.extend(candidates.iter().map(CandidateRates::of));
+    ltd.clear();
+    exec.clear();
+    ct.clear();
     for t in tasks {
         inputs.clear();
         inputs.extend(
@@ -294,7 +380,7 @@ fn matrix_assign(
                 .iter()
                 .map(|p| (row(p.location), p.location, p.data_mb)),
         );
-        for (h, (c, r)) in candidates.iter().zip(&rates).enumerate() {
+        for (h, (c, r)) in candidates.iter().zip(rates.iter()).enumerate() {
             // Eq. 4, exactly as `longest_transmission_delay_secs` folds it.
             let transfer = |row: usize, from: NodeId, data_mb: f64| {
                 transfer_secs_over(from, c.node, data_mb, || bandwidth[row + h])
@@ -309,70 +395,81 @@ fn matrix_assign(
             ct.push(r.queue_secs.max(l) + e);
         }
     }
-    let mut summaries: Vec<RowSummary> = ct.chunks_exact(width).map(RowSummary::scan).collect();
-    let mut remaining: Vec<usize> = (0..tasks.len()).collect();
-    let mut decisions = Vec::with_capacity(tasks.len());
+    summaries.clear();
+    summaries.extend(ct.chunks_exact(width).map(RowSummary::scan));
+    remaining.clear();
+    remaining.extend(0..tasks.len());
     while let Some((t_idx, h, sufferage)) =
         pick_row(heuristic, remaining.iter().map(|&t| (t, summaries[t])))
     {
         let t = &tasks[t_idx];
-        decisions.push(DispatchDecision {
-            workflow: t.workflow,
-            task: t.task,
-            target: candidates[h].node,
-            estimated_finish_secs: ct[t_idx * width + h],
-            sufferage_secs: sufferage,
-        });
+        planned.push((
+            t_idx,
+            DispatchDecision {
+                workflow: t.workflow,
+                task: t.task,
+                target: candidates[h].node,
+                estimated_finish_secs: ct[t_idx * width + h],
+                sufferage_secs: sufferage,
+            },
+        ));
         candidates[h].add_load(t.load_mi);
         remaining.retain(|&x| x != t_idx);
         let queue = candidates[h].queuing_delay_secs();
-        for &r in &remaining {
+        for &r in remaining.iter() {
             let cell = r * width + h;
             let old = ct[cell];
             let new = queue.max(ltd[cell]) + exec[cell];
             ct[cell] = new;
             let s = &mut summaries[r];
-            let summary_stands = old > s.second && new >= old;
+            let summary_stands = new == old || (old > s.second && new >= old);
             if !summary_stands {
                 *s = RowSummary::scan(&ct[r * width..(r + 1) * width]);
             }
         }
     }
-    decisions
 }
 
-/// Formula 9 for each task in `order`, re-reading only the rates of the candidate that took
-/// the last task.
+/// Formula 9 for each task, taken in the stable sort by `planning_order`, re-reading only the
+/// rates of the candidate that took the last task.
 fn greedy_assign(
-    order: &[usize],
     tasks: &[DispatchCandidateTask],
     candidates: &mut [CandidateNode],
     estimator: &FinishTimeEstimator<'_>,
-) -> Vec<DispatchDecision> {
-    let mut decisions = Vec::with_capacity(order.len());
-    let mut rates: Vec<CandidateRates> = candidates.iter().map(CandidateRates::of).collect();
-    for &i in order {
+    workspace: &mut PlanWorkspace,
+    planned: &mut Vec<(usize, DispatchDecision)>,
+    planning_order: impl Fn(&DispatchCandidateTask, &DispatchCandidateTask) -> Ordering,
+) {
+    let PlanWorkspace { order, rates, .. } = workspace;
+    order.clear();
+    order.extend(0..tasks.len());
+    order.sort_by(|&a, &b| planning_order(&tasks[a], &tasks[b]));
+    rates.clear();
+    rates.extend(candidates.iter().map(CandidateRates::of));
+    for &i in order.iter() {
         let t = &tasks[i];
         let Some((idx, ft)) = estimator.best_of(
             candidates,
-            &rates,
+            rates,
             t.load_mi,
             t.image_size_mb,
             &t.predecessors,
         ) else {
             continue;
         };
-        decisions.push(DispatchDecision {
-            workflow: t.workflow,
-            task: t.task,
-            target: candidates[idx].node,
-            estimated_finish_secs: ft,
-            sufferage_secs: 0.0,
-        });
+        planned.push((
+            i,
+            DispatchDecision {
+                workflow: t.workflow,
+                task: t.task,
+                target: candidates[idx].node,
+                estimated_finish_secs: ft,
+                sufferage_secs: 0.0,
+            },
+        ));
         candidates[idx].add_load(t.load_mi);
         rates[idx] = CandidateRates::of(&candidates[idx]);
     }
-    decisions
 }
 
 #[cfg(test)]
@@ -724,7 +821,9 @@ mod tests {
         }
     }
 
-    /// A task with up to three predecessors on any of nodes 0–47, candidate or not.
+    /// A task with up to three predecessors on any of nodes 0–47, candidate or not.  One task
+    /// in eight weighs 1e-9 MI, so placing it moves its candidate's cells by less than a part
+    /// in a billion.
     fn decode_task(i: usize, code: u64) -> DispatchCandidateTask {
         let predecessors = (0..(code >> 6) % 4)
             .map(|p| {
@@ -738,7 +837,11 @@ mod tests {
         DispatchCandidateTask {
             workflow: i / 4,
             task: TaskId((i % 4) as u32),
-            load_mi: [100.0, 100.0, 200.0, 800.0][(code % 4) as usize],
+            load_mi: if (code >> 56).is_multiple_of(8) {
+                1e-9
+            } else {
+                [100.0, 100.0, 200.0, 800.0][(code % 4) as usize]
+            },
             image_size_mb: [0.0, 10.0][((code >> 2) % 2) as usize],
             rpm_secs: 0.0,
             workflow_ms_secs: 0.0,
@@ -805,6 +908,85 @@ mod tests {
                 proptest::prop_assert_eq!(bits(&planned), bits(&oracle), "{}", algorithm);
                 proptest::prop_assert_eq!(planned.len(), tasks.len());
                 proptest::prop_assert_eq!(planned_view, oracle_view);
+            }
+        }
+
+        /// One workspace carried through a random sequence of plans — every just-in-time
+        /// algorithm, 0–40 tasks, 0–24 candidates, precedents on candidate and other nodes,
+        /// homes varying call to call — plans each call exactly as a fresh workspace does: the
+        /// same decisions to the bit, each naming the index of the task it places, the same
+        /// post-plan candidate view and the same links read, in the same order.
+        #[test]
+        fn a_kept_workspace_plans_every_call_like_a_fresh_one(
+            calls in proptest::collection::vec(
+                proptest::collection::vec(0u64..=u64::MAX, 65..66),
+                1..8,
+            ),
+        ) {
+            let mut workspace = PlanWorkspace::default();
+            let mut planned = Vec::new();
+            for codes in &calls {
+                // A header code, then forty task codes and twenty-four candidate codes.
+                let header = codes[0];
+                let algorithm = Algorithm::DECENTRALIZED[(header % 6) as usize];
+                let home = ((header >> 8) % 48) as NodeId;
+                let tasks: Vec<DispatchCandidateTask> = codes[1..=((header >> 16) % 41) as usize]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &code)| DispatchCandidateTask {
+                        rpm_secs: [0.0, 10.0, 50.0, 120.0][((code >> 40) % 4) as usize],
+                        workflow_ms_secs: [0.0, 60.0, 120.0][((code >> 42) % 3) as usize],
+                        ..decode_task(i, code)
+                    })
+                    .collect();
+                let candidates: Vec<CandidateNode> = codes[41..41 + ((header >> 24) % 25) as usize]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &code)| decode_candidate(i, code))
+                    .collect();
+                let reads = std::cell::RefCell::new(Vec::new());
+                let bw = |a: NodeId, b: NodeId| {
+                    reads.borrow_mut().push((a, b));
+                    tiered_bw(a, b)
+                };
+                let est = FinishTimeEstimator::new(home, &bw);
+                let mut fresh_view = candidates.clone();
+                let fresh = plan_dispatch(algorithm, &tasks, &mut fresh_view, &est);
+                let fresh_reads = reads.take();
+                let mut kept_view = candidates.clone();
+                plan_dispatch_into(
+                    algorithm,
+                    &tasks,
+                    &mut kept_view,
+                    &est,
+                    &mut workspace,
+                    &mut planned,
+                );
+                let kept_reads = reads.take();
+                let bits = |i: usize, d: &DispatchDecision| {
+                    (
+                        i,
+                        d.workflow,
+                        d.task,
+                        d.target,
+                        d.estimated_finish_secs.to_bits(),
+                        d.sufferage_secs.to_bits(),
+                    )
+                };
+                let fresh_bits: Vec<_> = fresh
+                    .iter()
+                    .map(|d| {
+                        let i = tasks
+                            .iter()
+                            .position(|t| (t.workflow, t.task) == (d.workflow, d.task))
+                            .expect("a decision places a listed task");
+                        bits(i, d)
+                    })
+                    .collect();
+                let kept_bits: Vec<_> = planned.iter().map(|(i, d)| bits(*i, d)).collect();
+                proptest::prop_assert_eq!(kept_bits, fresh_bits, "{}", algorithm);
+                proptest::prop_assert_eq!(&kept_view, &fresh_view);
+                proptest::prop_assert_eq!(kept_reads, fresh_reads);
             }
         }
     }

@@ -53,10 +53,19 @@ impl ExpectedCosts {
 /// task id: `RPM(t) = eet(t) + max over successors s of (ett(t→s) + RPM(s))`.
 ///
 /// This is the one recursion behind [`WorkflowAnalysis::rpm_secs`], for callers that need
-/// nothing else of the analysis (the first phase recomputes it at every scheduling instant,
-/// under the home node's current averages).
+/// nothing else of the analysis.
 pub fn rest_path_makespans(workflow: &Workflow, costs: ExpectedCosts) -> Vec<f64> {
-    let mut rpm = vec![0.0f64; workflow.task_count()];
+    let mut rpm = Vec::new();
+    rest_path_makespans_into(workflow, costs, &mut rpm);
+    rpm
+}
+
+/// [`rest_path_makespans`] written into `rpm`, which it resizes to the task count, for a
+/// caller that recomputes it often (the first phase does at every scheduling instant, under
+/// the home node's current averages) and keeps one buffer for it.
+pub fn rest_path_makespans_into(workflow: &Workflow, costs: ExpectedCosts, rpm: &mut Vec<f64>) {
+    rpm.clear();
+    rpm.resize(workflow.task_count(), 0.0);
     // Walk the reverse topological order so successors are finished first; every edge is
     // visited exactly once, giving the O(edges) complexity claimed in Section III.E.
     for &t in workflow.topological_order().iter().rev() {
@@ -68,7 +77,6 @@ pub fn rest_path_makespans(workflow: &Workflow, costs: ExpectedCosts) -> Vec<f64
             .fold(0.0f64, f64::max);
         rpm[t.index()] = eet + tail;
     }
-    rpm
 }
 
 /// Precomputed per-task analysis of one workflow under an [`ExpectedCosts`] model.

@@ -28,7 +28,9 @@ pub mod generator;
 pub mod progress;
 pub mod spec;
 
-pub use analysis::{rest_path_makespans, ExpectedCosts, WorkflowAnalysis};
+pub use analysis::{
+    rest_path_makespans, rest_path_makespans_into, ExpectedCosts, WorkflowAnalysis,
+};
 pub use dag::{Task, TaskId, Workflow, WorkflowBuilder, WorkflowError};
 pub use generator::{shapes, WorkflowGenerator, WorkflowGeneratorConfig};
 pub use progress::ProgressTracker;
