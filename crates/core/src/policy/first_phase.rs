@@ -822,8 +822,8 @@ mod tests {
     }
 
     /// A task with up to three predecessors on any of nodes 0–47, candidate or not.  One task
-    /// in eight weighs 1e-9 MI, so placing it moves its candidate's cells by less than a part
-    /// in a billion.
+    /// in eight weighs 1e-9 or 3e-14 MI, so placing it moves its candidate's cells by less than
+    /// a part in a billion, or by a few units in the last place.
     fn decode_task(i: usize, code: u64) -> DispatchCandidateTask {
         let predecessors = (0..(code >> 6) % 4)
             .map(|p| {
@@ -838,7 +838,7 @@ mod tests {
             workflow: i / 4,
             task: TaskId((i % 4) as u32),
             load_mi: if (code >> 56).is_multiple_of(8) {
-                1e-9
+                [1e-9, 3e-14][((code >> 59) % 2) as usize]
             } else {
                 [100.0, 100.0, 200.0, 800.0][(code % 4) as usize]
             },
