@@ -225,6 +225,7 @@ struct FirstPhaseBuffers {
     rpm: Vec<f64>,
     /// The home node's `RSS` as candidate resource nodes.
     candidates: Vec<CandidateNode>,
+    /// The planner's own buffers.
     planner: PlanWorkspace,
     /// The plan: `(index into tasks, decision)` in dispatch order.
     planned: Vec<(usize, DispatchDecision)>,
