@@ -186,3 +186,64 @@ fn mid_run_sampling_sees_live_backlog() {
     assert!(probe.samples().iter().any(|&(t, _)| t <= mid));
     assert!(probe.samples().iter().any(|&(t, _)| t > mid));
 }
+
+#[test]
+fn a_stepped_session_tells_its_observers_what_a_run_tells_them() {
+    // Stepping to the end and then finishing delivers the same hooks, in the same order, as
+    // the one-shot run: the submissions once before the first instant, every instant's
+    // events, and the closing sample.
+    let scenario =
+        Scenario::build(config(24, 5).with_churn(ChurnConfig::with_dynamic_factor(0.3))).unwrap();
+    let record = |stepped: bool| {
+        let mut trace = TraceRecorder::new();
+        let mut probe = TimeSeriesProbe::new();
+        let mut session = scenario
+            .simulate_algorithm(Algorithm::Dsmf)
+            .observe(&mut trace)
+            .observe(&mut probe);
+        let report = if stepped {
+            while session.step().is_some() {}
+            session.finish()
+        } else {
+            session.run()
+        };
+        (report.digest(), trace, probe)
+    };
+    let (run_digest, run_trace, run_probe) = record(false);
+    let (stepped_digest, stepped_trace, stepped_probe) = record(true);
+    assert_eq!(stepped_digest, run_digest);
+    assert_eq!(stepped_trace.events(), run_trace.events());
+    assert_eq!(stepped_probe.samples(), run_probe.samples());
+    assert!(run_trace.count(|e| matches!(e, TraceEvent::NodeDeparted { .. })) > 0);
+}
+
+#[test]
+fn finishing_an_unstepped_session_announces_the_submissions_once() {
+    let scenario = Scenario::build(config(12, 3)).unwrap();
+    let mut trace = TraceRecorder::new();
+    let mut probe = TimeSeriesProbe::new();
+    let report = scenario
+        .simulate_algorithm(Algorithm::Dsmf)
+        .observe(&mut trace)
+        .observe(&mut probe)
+        .finish();
+    assert_eq!(report.end_time, SimTime::ZERO);
+    assert_eq!(report.submitted, 24);
+    assert_eq!(trace.events().len() as u64, report.submitted);
+    for (wf, &(t, e)) in trace.events().iter().enumerate() {
+        assert_eq!(t, SimTime::ZERO);
+        assert!(matches!(e, TraceEvent::WorkflowSubmitted { wf: w, .. } if w == wf));
+    }
+    assert_eq!(probe.samples().len(), 1);
+    assert_eq!(probe.samples()[0].0, SimTime::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "observers must be registered before the first step")]
+fn an_observer_registered_after_the_first_step_is_refused() {
+    let scenario = Scenario::build(config(12, 3)).unwrap();
+    let mut probe = TimeSeriesProbe::new();
+    let mut session = scenario.simulate_algorithm(Algorithm::Dsmf);
+    session.step();
+    let _ = session.observe(&mut probe);
+}
