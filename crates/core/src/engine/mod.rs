@@ -38,13 +38,11 @@
 //! 7. Throughput, ACT and AE are sampled hourly, exactly like the paper's figures.
 //!
 //! Steps 1–2 (and every other seed-derived sample) live in
-//! [`Scenario::build`](crate::scenario::Scenario::build) so a sweep pays for them once; the
-//! event loop itself is crate-private, and the public
-//! [`Simulation`](crate::simulation::Simulation) handle drives it one instant at a time.
-//! Every externally meaningful transition is mirrored to the session's registered
-//! [`Observer`](crate::observer)s — [`node`] (the indexed ready set and slot
-//! runtime) and [`transfer`] are exported for benches and tooling; everything else stays
-//! crate-private.
+//! [`Scenario::build`](crate::scenario::Scenario::build) so a sweep pays for them once.  The
+//! event loop is the [`Simulation`] session itself: it steps one instant at a time and owns
+//! its registered [`Observer`](crate::observer)s, to which every externally meaningful
+//! transition is mirrored as it happens.  [`node`] (the indexed ready set and slot runtime)
+//! and [`transfer`] are exported for benches and tooling; everything else stays crate-private.
 //!
 //! # The event loop
 //!
@@ -76,7 +74,7 @@ pub(crate) mod workflow;
 
 use crate::algorithm::AlgorithmConfig;
 use crate::config::{GridConfig, RecoveryPolicy};
-use crate::estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
+use crate::estimate::{CandidateNode, FinishTimeEstimator};
 use crate::fullahead::{plan_full_ahead, PlanInput};
 use crate::observer::{GridSample, Observer};
 use crate::policy::first_phase::{
@@ -88,7 +86,7 @@ use crate::scenario::Scenario;
 use crate::NodeId;
 use fxhash::FxHashMap;
 use gossip_trace::GossipTrace;
-use node::{NodeRuntime, ReadyEntry};
+use node::{LostRun, NodeRuntime, ReadyEntry};
 use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowOutcome, WorkflowRecord};
 use p2pgrid_sim::{EventQueue, SimDuration, SimTime};
 use p2pgrid_topology::LandmarkEstimator;
@@ -218,8 +216,8 @@ impl<E: Copy> NodeEvents<E> {
 /// scheduling instant, so once they have grown the first phase allocates nothing.
 #[derive(Default)]
 struct FirstPhaseBuffers {
-    /// Candidate-task slots: a just-in-time plan fills the first `n` of them and keeps every
-    /// slot, with its precedent list's allocation, for the next.
+    /// Candidate-task slots: a just-in-time plan fills the first `n` of them, a full-ahead
+    /// dispatch the first, and each slot keeps its precedent list's allocation for the next.
     tasks: Vec<DispatchCandidateTask>,
     /// One workflow's rest path makespans under the home node's current averages.
     rpm: Vec<f64>,
@@ -231,9 +229,8 @@ struct FirstPhaseBuffers {
     planned: Vec<(usize, DispatchDecision)>,
     /// The further nodes a replicated task fans out to.
     twins: Vec<NodeId>,
-    /// The full-ahead path's schedule points of one workflow and precedents of one task.
+    /// The full-ahead path's schedule points of one workflow.
     schedule_points: Vec<TaskId>,
-    predecessors: Vec<PredecessorData>,
 }
 
 impl FirstPhaseBuffers {
@@ -254,33 +251,36 @@ impl FirstPhaseBuffers {
     }
 }
 
-/// The observers registered on one session, passed down the engine call tree so every hook
-/// fires at the exact transition it describes.  Observers only ever receive `&mut self`
-/// callbacks with copied event data — they cannot reach engine state, so a run with observers
-/// attached stays byte-identical to the same run without them.
-pub(crate) struct Observers<'a, 'obs>(pub(crate) &'a mut [&'obs mut dyn Observer]);
-
-impl Observers<'_, '_> {
-    /// True when no observer is registered, so a caller can skip a loop that only builds
-    /// event payloads.
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn emit(&mut self, mut f: impl FnMut(&mut dyn Observer)) {
-        for o in self.0.iter_mut() {
-            f(&mut **o);
-        }
-    }
-}
-
-/// The event loop of one simulation run.
+/// One in-flight simulation run, and the event loop that executes it: step it, observe it, or
+/// drive it to the horizon.
 ///
-/// Owns every node's runtime, the node-event and cadence queues, and the grid-wide state
-/// (workflows, metrics, the advertised-load ring the world's gossip trace is read through).
-/// The public [`Simulation`](crate::simulation::Simulation) handle advances it one instant at
-/// a time; see the [module docs](self) for the order within an instant.
-pub(crate) struct Engine {
+/// Created by [`Scenario::simulate`] (or [`Scenario::simulate_algorithm`]) on a pre-built
+/// world, a session owns every node's runtime, the node-event and cadence queues, and the
+/// grid-wide state (workflows, metrics, the advertised-load ring the world's gossip trace is
+/// read through).  [`Simulation::step`] executes one virtual instant — see the
+/// [module docs](self) for the order within it — [`Simulation::run_until`] advances to a
+/// virtual instant, and [`Simulation::run`] drives to the horizon.  Any number of
+/// [`Observer`]s registered via [`Simulation::observe`] receive every externally meaningful
+/// event, at the exact transition it describes.  `'obs` is the lifetime of the registered
+/// observers — a session without observers is `Simulation<'static>`.
+///
+/// ```
+/// use p2pgrid_core::scenario::Scenario;
+/// use p2pgrid_core::{Algorithm, GridConfig};
+/// use p2pgrid_sim::{SimDuration, SimTime};
+///
+/// let scenario = Scenario::build(GridConfig::small(12).with_seed(1)).unwrap();
+/// let mut session = scenario.simulate_algorithm(Algorithm::Dsmf);
+/// session.run_until(SimTime::ZERO + SimDuration::from_hours(2)); // peek mid-run...
+/// println!("backlog after 2 h: {} tasks", session.sample().ready_tasks);
+/// let report = session.run();                                    // ...then drive to the end
+/// assert_eq!(report.submitted, 24);
+/// ```
+///
+/// Observers only ever receive `&mut self` callbacks with copied event data — they cannot reach
+/// the session's state — so a fully-stepped session, with or without observers, produces a
+/// report byte-identical to an unobserved [`Simulation::run`] at the same seed.
+pub struct Simulation<'obs> {
     config: GridConfig,
     algo: AlgorithmConfig,
     transfer: Arc<TransferModel>,
@@ -332,14 +332,18 @@ pub(crate) struct Engine {
     pending_recovery: FxHashMap<(usize, TaskId), SimTime>,
     /// The first phase's buffers, taken out while a scheduling instant runs.
     first_phase: FirstPhaseBuffers,
+    /// The registered observers, in registration order.
+    observers: Vec<&'obs mut dyn Observer>,
+    /// True once the time-zero submissions were announced, at the first step.
+    started: bool,
 }
 
-impl Engine {
-    /// Clone the scenario's mutable runtime state into a fresh engine, run the full-ahead
+impl<'obs> Simulation<'obs> {
+    /// Clone the scenario's mutable runtime state into a fresh session, run the full-ahead
     /// planning pass of HEFT and SMF (they plan centrally before execution), list the world's
     /// deferred workflow arrivals and stochastic faults in time order, and queue the cadences'
     /// first instants.
-    pub(crate) fn new(scenario: &Scenario, algo: AlgorithmConfig) -> Self {
+    pub(crate) fn start(scenario: &Scenario, algo: AlgorithmConfig) -> Self {
         let world = scenario.world();
         let mut workflows = (*world.workflows).clone();
         let horizon = SimTime::ZERO + world.config.horizon;
@@ -406,7 +410,7 @@ impl Engine {
             cadences.schedule(SimTime::ZERO, event);
         }
 
-        Engine {
+        Simulation {
             config: world.config.clone(),
             algo,
             transfer: Arc::clone(&world.transfer),
@@ -435,75 +439,75 @@ impl Engine {
             replica_sites: FxHashMap::default(),
             pending_recovery: FxHashMap::default(),
             first_phase: FirstPhaseBuffers::default(),
+            observers: Vec::new(),
+            started: false,
         }
     }
 
     // ----- session surface -----------------------------------------------------------------
 
-    /// Announce the time-zero workflow submissions (fires once, before the first step).
-    /// Workflows with later arrival times are announced when their `WorkflowArrival` event
-    /// fires instead.
-    pub(crate) fn announce_submissions(&self, observers: &mut [&mut dyn Observer]) {
-        let mut obs = Observers(observers);
-        if obs.is_empty() {
-            return;
-        }
-        for (wf, w) in self.workflows.iter().enumerate() {
-            if w.arrived {
-                let home = w.home;
-                obs.emit(|o| o.on_workflow_submitted(SimTime::ZERO, wf, home));
-            }
-        }
+    /// Register an observer.  Must happen before the first step — observers registered later
+    /// would silently miss events, so that is rejected with a panic.
+    ///
+    /// The observer is borrowed (`&mut`), not owned: its recorded data stays with the caller
+    /// and remains available after [`Simulation::run`] consumes the session.
+    #[must_use = "observe returns the session; chain it or rebind it"]
+    pub fn observe(mut self, observer: &'obs mut dyn Observer) -> Self {
+        assert!(
+            !self.started,
+            "observers must be registered before the first step"
+        );
+        self.observers.push(observer);
+        self
     }
 
-    /// The instant [`Engine::step`] would execute next, or `None` when the run is over (queues
-    /// drained, or every remaining event lies beyond the horizon).
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        let next = match (self.events.peek_time(), self.cadences.peek_time()) {
-            (Some(a), Some(b)) => a.min(b),
-            (a, b) => a.or(b)?,
-        };
-        (next <= self.horizon).then_some(next)
-    }
-
-    /// Execute the next instant — its node events, then its cadences, then the node events
-    /// those cadences scheduled for it — and return it, or `None` when the run is over.
-    pub(crate) fn step(&mut self, observers: &mut [&mut dyn Observer]) -> Option<SimTime> {
+    /// Execute exactly one virtual instant — every event due at it, across every node, and
+    /// the grid-wide cadences due at it — and return it, or `None` when the run is over
+    /// (event queues drained, or every remaining event lies beyond the horizon).
+    pub fn step(&mut self) -> Option<SimTime> {
+        self.ensure_started();
         let now = self.peek_time()?;
         self.now = now;
-        let mut obs = Observers(observers);
-        self.run_node_events(now, &mut obs);
+        self.run_node_events(now);
         if self.cadences.peek_time() == Some(now) {
-            self.run_cadences(now, &mut obs);
-            self.run_node_events(now, &mut obs);
+            self.run_cadences(now);
+            self.run_node_events(now);
         }
         Some(now)
     }
 
-    /// The last executed instant.
-    pub(crate) fn now(&self) -> SimTime {
-        self.now
+    /// Execute every instant at or before `until` and return how many ran.  Events exactly
+    /// at `until` are included, matching the horizon's inclusive semantics.
+    pub fn run_until(&mut self, until: SimTime) -> u64 {
+        self.ensure_started();
+        let mut delivered = 0;
+        while self.peek_time().is_some_and(|t| t <= until) {
+            self.step();
+            delivered += 1;
+        }
+        delivered
     }
 
-    pub(crate) fn horizon(&self) -> SimTime {
-        self.horizon
+    /// Drive the run to its horizon and return the report (the one-shot path, byte-identical
+    /// to stepping it instant by instant).
+    pub fn run(mut self) -> SimulationReport {
+        while self.step().is_some() {}
+        self.finish()
     }
 
-    pub(crate) fn label(&self) -> String {
-        self.algo.label()
-    }
-
-    /// Close the session: take the final metrics sample (at the horizon if the run completed,
-    /// at the current time if it was cut short), mirror it to the observers, and build the
-    /// report.  A fully-stepped session produces a report byte-identical to the one-shot run.
-    pub(crate) fn finish(mut self, observers: &mut [&mut dyn Observer]) -> SimulationReport {
+    /// Close the session where it stands and return the report: take the final metrics
+    /// sample and mirror it to the observers.  A session that already ran out of events
+    /// reports at the horizon (exactly like [`Simulation::run`]); a session cut short reports
+    /// at its current virtual time.
+    pub fn finish(mut self) -> SimulationReport {
+        self.ensure_started();
         let end_time = if self.peek_time().is_none() {
             self.horizon
         } else {
             self.now
         };
-        let sample = self.grid_sample();
-        Observers(observers).emit(|o| o.on_sample(end_time, &sample));
+        let sample = self.sample();
+        self.emit(|o| o.on_sample(end_time, &sample));
         self.metrics.sample(end_time);
         let (gossip_stats, avg_rss_size) = self.gossip.closing(self.gossip_cycles, end_time);
         SimulationReport {
@@ -520,9 +524,30 @@ impl Engine {
         }
     }
 
-    /// One aggregate snapshot over the alive population, built from the per-node `O(1)`
-    /// accessors in node order — `O(nodes)` total, no heap walks.
-    pub(crate) fn grid_sample(&self) -> GridSample {
+    /// Current virtual time: the last executed instant.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// The instant the next [`Simulation::step`] would execute, or `None` when the run is
+    /// over (queues drained, or every remaining event lies beyond the horizon).
+    pub fn peek_time(&self) -> Option<SimTime> {
+        let next = match (self.events.peek_time(), self.cadences.peek_time()) {
+            (Some(a), Some(b)) => a.min(b),
+            (a, b) => a.or(b)?,
+        };
+        (next <= self.horizon).then_some(next)
+    }
+
+    /// The run's horizon (virtual end time).
+    pub fn horizon(&self) -> SimTime {
+        self.horizon
+    }
+
+    /// A live aggregate snapshot of the grid — the same [`GridSample`] the metrics-cadence
+    /// observer hook receives, computable at any point of a stepped run.  It is built from the
+    /// per-node `O(1)` accessors over the alive population: `O(nodes)`, no heap walks.
+    pub fn sample(&self) -> GridSample {
         let mut sample = GridSample {
             alive_nodes: 0,
             ready_tasks: 0,
@@ -540,11 +565,40 @@ impl Engine {
         sample
     }
 
+    /// Label of the scheduler driving this session (e.g. `"DSMF"`).
+    pub fn algorithm(&self) -> String {
+        self.algo.label()
+    }
+
+    /// Announce the time-zero workflow submissions exactly once, before the first delivered
+    /// event.  Workflows with later arrival times are announced when their `WorkflowArrival`
+    /// event fires instead.
+    fn ensure_started(&mut self) {
+        if self.started {
+            return;
+        }
+        self.started = true;
+        for wf in 0..self.workflows.len() {
+            let w = &self.workflows[wf];
+            if w.arrived {
+                let home = w.home;
+                self.emit(|o| o.on_workflow_submitted(SimTime::ZERO, wf, home));
+            }
+        }
+    }
+
+    /// Fire one hook on every registered observer, at the transition it describes.
+    fn emit(&mut self, mut f: impl FnMut(&mut dyn Observer)) {
+        for o in &mut self.observers {
+            f(&mut **o);
+        }
+    }
+
     // ----- the instant ---------------------------------------------------------------------
 
     /// Pop and handle every node event due at `now`, including those the handlers schedule
     /// for `now` themselves (a zero-length execution's completion).
-    fn run_node_events(&mut self, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn run_node_events(&mut self, now: SimTime) {
         while let Some(event) = self.events.pop_due(now) {
             match event {
                 NodeEvent::DataReady {
@@ -555,7 +609,7 @@ impl Engine {
                 } => {
                     if self.nodes[node].accepts(epoch) {
                         self.nodes[node].ready.mark_data_ready(wf, task);
-                        self.try_start_tasks(node, now, obs);
+                        self.try_start_tasks(node, now);
                     }
                 }
                 NodeEvent::TaskCompleted {
@@ -564,40 +618,40 @@ impl Engine {
                     wf,
                     task,
                     run,
-                } => self.on_task_completed(node, epoch, wf, task, run, now, obs),
+                } => self.on_task_completed(node, epoch, wf, task, run, now),
                 NodeEvent::WorkflowArrival { wf } => {
                     let w = &mut self.workflows[wf];
                     w.arrived = true;
                     let home = w.home;
                     self.metrics.record_submission();
-                    obs.emit(|o| o.on_workflow_submitted(now, wf, home));
+                    self.emit(|o| o.on_workflow_submitted(now, wf, home));
                 }
-                NodeEvent::NodeFailure { node } => self.handle_departure(node, now, obs),
-                NodeEvent::NodeRepair { node } => self.handle_join(node, now, obs),
+                NodeEvent::NodeFailure { node } => self.handle_departure(node, now),
+                NodeEvent::NodeRepair { node } => self.handle_join(node, now),
             }
         }
     }
 
     /// Pop and handle every grid-wide cadence event due at `now`.
-    fn run_cadences(&mut self, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn run_cadences(&mut self, now: SimTime) {
         while self.cadences.peek_time() == Some(now) {
             let event = self.cadences.pop().expect("peeked event must pop").event;
             match event {
                 GridEvent::GossipCycle => {
                     let cycle = self.gossip_cycles;
                     self.record_advertised_loads(now);
-                    obs.emit(|o| o.on_gossip_cycle(now, cycle));
+                    self.emit(|o| o.on_gossip_cycle(now, cycle));
                 }
                 GridEvent::SchedulingCycle => {
                     let instant = self.scheduling_instants;
                     self.scheduling_instants += 1;
-                    self.churn_step(instant, now, obs);
-                    self.scheduling_phase_one(instant, now, obs);
+                    self.churn_step(instant, now);
+                    self.scheduling_phase_one(instant, now);
                 }
                 GridEvent::MetricsSample => {
                     self.metrics.sample(now);
-                    let sample = self.grid_sample();
-                    obs.emit(|o| o.on_sample(now, &sample));
+                    let sample = self.sample();
+                    self.emit(|o| o.on_sample(now, &sample));
                 }
             }
             self.cadences
@@ -609,7 +663,6 @@ impl Engine {
 
     /// A completion event fired: if it still belongs to a live run, free the slot, apply the
     /// completion and refill the node's slots.
-    #[allow(clippy::too_many_arguments)]
     fn on_task_completed(
         &mut self,
         node: NodeId,
@@ -618,7 +671,6 @@ impl Engine {
         task: TaskId,
         run: u64,
         now: SimTime,
-        obs: &mut Observers<'_, '_>,
     ) {
         let rt = &mut self.nodes[node];
         if !rt.accepts(epoch) {
@@ -636,9 +688,9 @@ impl Engine {
         };
         let completed = rt.complete(wf, task, run);
         debug_assert!(completed, "the entry located above must complete");
-        obs.emit(|o| o.on_task_finished(now, wf, task, node));
-        self.apply_completion(wf, task, node, load_mi, now, obs);
-        self.try_start_tasks(node, now, obs);
+        self.emit(|o| o.on_task_finished(now, wf, task, node));
+        self.apply_completion(wf, task, node, load_mi, now);
+        self.try_start_tasks(node, now);
     }
 
     /// Book one finished run: record the executed work, advance workflow state (firing
@@ -651,7 +703,6 @@ impl Engine {
         node: NodeId,
         load_mi: f64,
         now: SimTime,
-        obs: &mut Observers<'_, '_>,
     ) {
         if !self.workflows[wf].is_active() {
             // The run finished after its workflow already failed: pure waste.
@@ -678,28 +729,22 @@ impl Engine {
             // Every task the workflow completed is retroactively useful work.
             self.robustness.useful_mi += self.wf_completed_mi[wf];
             self.wf_completed_mi[wf] = 0.0;
-            obs.emit(|o| o.on_workflow_completed(now, wf));
+            self.emit(|o| o.on_workflow_completed(now, wf));
         }
         for site in self.replica_sites.remove(&(wf, task)).unwrap_or_default() {
             if site != node {
-                self.cancel_replica(wf, task, site, now, obs);
+                self.cancel_replica(wf, task, site, now);
             }
         }
     }
 
     /// Occupy one slot of the node with `chosen` and schedule its completion.
-    fn start_task(
-        &mut self,
-        node: NodeId,
-        chosen: &ReadyEntry,
-        now: SimTime,
-        obs: &mut Observers<'_, '_>,
-    ) {
+    fn start_task(&mut self, node: NodeId, chosen: &ReadyEntry, now: SimTime) {
         let run = self.next_run;
         self.next_run += 1;
         let finish_at = self.nodes[node].start(chosen, now, run);
         self.executed_tasks += 1;
-        obs.emit(|o| o.on_task_started(now, chosen.wf, chosen.task, node));
+        self.emit(|o| o.on_task_started(now, chosen.wf, chosen.task, node));
         let event = NodeEvent::TaskCompleted {
             node,
             epoch: self.nodes[node].epoch,
@@ -714,7 +759,7 @@ impl Engine {
     /// task (smallest scheduler key) and run it.  Under the time-sliced preemptive substrate a
     /// remaining ready task that outranks the lowest-priority running task then displaces it —
     /// the victim re-enters the ready heap with its residual load and resumes later.
-    fn try_start_tasks(&mut self, node: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn try_start_tasks(&mut self, node: NodeId, now: SimTime) {
         if !self.nodes[node].alive {
             return;
         }
@@ -722,7 +767,7 @@ impl Engine {
             let Some(chosen) = self.nodes[node].ready.pop_next() else {
                 break;
             };
-            self.start_task(node, &chosen, now, obs);
+            self.start_task(node, &chosen, now);
         }
         if !self.config.resource.is_preemptive() {
             return;
@@ -737,13 +782,13 @@ impl Engine {
                 .ready
                 .pop_next()
                 .expect("peeked entry must still be queued");
-            obs.emit(|o| o.on_task_displaced(now, displaced.wf, displaced.task, node));
+            self.emit(|o| o.on_task_displaced(now, displaced.wf, displaced.task, node));
             // Re-key the displaced task against its updated view: rules keyed on exec time
             // now see the *remaining* time (shortest-remaining-time semantics), while
             // ms/rpm-based rules and FCFS recompute the same key as before.
             displaced.key = ready_key(self.algo.second_phase, &displaced.view);
             self.nodes[node].ready.insert(displaced);
-            self.start_task(node, &chosen, now, obs);
+            self.start_task(node, &chosen, now);
         }
     }
 
@@ -769,7 +814,7 @@ impl Engine {
         &self,
         instant: usize,
         home: NodeId,
-    ) -> impl Iterator<Item = CandidateNode> + '_ {
+    ) -> impl Iterator<Item = CandidateNode> + use<'_, 'obs> {
         let n = self.nodes.len();
         let ring_len = self.gossip.ring_len();
         let latest = (self.gossip_cycles.saturating_sub(1) % ring_len as u64) as usize;
@@ -792,7 +837,7 @@ impl Engine {
             })
     }
 
-    fn fail_workflow(&mut self, wf: usize, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn fail_workflow(&mut self, wf: usize, now: SimTime) {
         let w = &mut self.workflows[wf];
         if !w.is_active() {
             return;
@@ -808,82 +853,74 @@ impl Engine {
         // nothing.
         self.robustness.wasted_mi += self.wf_completed_mi[wf];
         self.wf_completed_mi[wf] = 0.0;
-        obs.emit(|o| o.on_workflow_failed(now, wf));
+        self.emit(|o| o.on_workflow_failed(now, wf));
     }
 
     /// A node departs: a churn departure or a stochastic failure.  Every resident task goes
     /// through the configured [`RecoveryPolicy`] — with the paper-default `FailWorkflow`,
     /// waiting tasks requeue for free and running tasks take their workflow down, exactly the
     /// original churn semantics.
-    fn handle_departure(&mut self, node: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn handle_departure(&mut self, node: NodeId, now: SimTime) {
         if !self.nodes[node].alive {
             return;
         }
-        let rate_mips = self.nodes[node].capacity_mips;
         let (waiting, running) = self.nodes[node].depart(now);
         self.robustness.node_failures += 1;
         for (wf, task) in waiting {
-            obs.emit(|o| o.on_task_lost(now, node, wf, task));
-            self.recover_lost_task(wf, task, node, false, 0.0, 0.0, rate_mips, now, obs);
+            self.emit(|o| o.on_task_lost(now, node, wf, task));
+            // A waiting copy never executed: a zero-length run.
+            let lost = LostRun {
+                wf,
+                task,
+                total_secs: 0.0,
+                executed_secs: 0.0,
+            };
+            self.recover_lost_task(lost, node, false, now);
         }
         for lost in running {
-            obs.emit(|o| o.on_task_lost(now, node, lost.wf, lost.task));
-            self.recover_lost_task(
-                lost.wf,
-                lost.task,
-                node,
-                true,
-                lost.total_secs,
-                lost.executed_secs,
-                rate_mips,
-                now,
-                obs,
-            );
+            self.emit(|o| o.on_task_lost(now, node, lost.wf, lost.task));
+            self.recover_lost_task(lost, node, true, now);
         }
-        obs.emit(|o| o.on_node_departed(now, node));
+        self.emit(|o| o.on_node_departed(now, node));
     }
 
     /// A node joins (or is repaired): it comes back empty.
-    fn handle_join(&mut self, node: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn handle_join(&mut self, node: NodeId, now: SimTime) {
         if !self.nodes[node].alive {
             self.nodes[node].join();
             self.robustness.node_repairs += 1;
-            obs.emit(|o| o.on_node_joined(now, node));
+            self.emit(|o| o.on_node_joined(now, node));
         }
     }
 
     /// Apply the churn departures, then the joins, the world's trace drew for scheduling
     /// instant `instant`.
-    fn churn_step(&mut self, instant: usize, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn churn_step(&mut self, instant: usize, now: SimTime) {
         let trace = Arc::clone(&self.gossip);
         let (leaving, joining) = trace.churn(instant);
         for &node in leaving {
-            self.handle_departure(node, now, obs);
+            self.handle_departure(node, now);
         }
         for &node in joining {
-            self.handle_join(node, now, obs);
+            self.handle_join(node, now);
         }
     }
 
     // ----- recovery ------------------------------------------------------------------------
 
-    /// Apply the configured [`RecoveryPolicy`] to one task that was resident on a failed
-    /// node.  A *waiting* copy never executed anything, so requeueing it is free under every
-    /// policy — exactly the original churn engine's behavior; only *running* losses consume
-    /// retry budget, cash in checkpoints, or fail the workflow.
-    #[allow(clippy::too_many_arguments)]
-    fn recover_lost_task(
-        &mut self,
-        wf: usize,
-        task: TaskId,
-        node: NodeId,
-        was_running: bool,
-        total_secs: f64,
-        executed_secs: f64,
-        rate_mips: f64,
-        now: SimTime,
-        obs: &mut Observers<'_, '_>,
-    ) {
+    /// Apply the configured [`RecoveryPolicy`] to one task that was resident on failed node
+    /// `node`: `lost` is its run there, zero-length for a copy that was still waiting.  A
+    /// *waiting* copy never executed anything, so requeueing it is free under every policy —
+    /// exactly the original churn engine's behavior; only *running* losses consume retry
+    /// budget, cash in checkpoints, or fail the workflow.
+    fn recover_lost_task(&mut self, lost: LostRun, node: NodeId, was_running: bool, now: SimTime) {
+        let LostRun {
+            wf,
+            task,
+            total_secs,
+            executed_secs,
+        } = lost;
+        let rate_mips = self.nodes[node].capacity_mips;
         self.robustness.tasks_lost += 1;
         if !self.workflows[wf].is_active() {
             self.robustness.wasted_mi += executed_secs * rate_mips;
@@ -917,7 +954,7 @@ impl Engine {
         match self.config.recovery {
             RecoveryPolicy::FailWorkflow => {
                 self.robustness.wasted_mi += executed_secs * rate_mips;
-                self.fail_workflow(wf, now, obs);
+                self.fail_workflow(wf, now);
             }
             RecoveryPolicy::Retry { budget, backoff } => {
                 let counter = self.attempts.entry((wf, task)).or_insert(0);
@@ -925,7 +962,7 @@ impl Engine {
                 let attempt = *counter;
                 self.robustness.wasted_mi += executed_secs * rate_mips;
                 if attempt > budget {
-                    self.fail_workflow(wf, now, obs);
+                    self.fail_workflow(wf, now);
                     return;
                 }
                 self.robustness.retries += 1;
@@ -934,7 +971,7 @@ impl Engine {
                 let delay = SimDuration::from_secs_f64(backoff.as_secs_f64() * attempt as f64);
                 self.retry_after.insert((wf, task), now + delay);
                 self.requeue(wf, task, now);
-                obs.emit(|o| o.on_task_retried(now, wf, task, attempt));
+                self.emit(|o| o.on_task_retried(now, wf, task, attempt));
             }
             RecoveryPolicy::Checkpoint { interval } => {
                 // Work up to the last checkpoint boundary survives; everything past it is
@@ -970,14 +1007,7 @@ impl Engine {
     /// twin — booking its execution as wasted — and refill the freed slot at once.  An
     /// in-flight completion event of the cancelled run finds no matching running entry and
     /// goes stale, exactly like after a preemption.
-    fn cancel_replica(
-        &mut self,
-        wf: usize,
-        task: TaskId,
-        site: NodeId,
-        now: SimTime,
-        obs: &mut Observers<'_, '_>,
-    ) {
+    fn cancel_replica(&mut self, wf: usize, task: TaskId, site: NodeId, now: SimTime) {
         let rt = &mut self.nodes[site];
         if rt.ready.remove(wf, task).is_some() {
             return;
@@ -986,22 +1016,23 @@ impl Engine {
             return; // already gone (its node failed first)
         };
         self.robustness.wasted_mi += executed_secs * rt.capacity_mips;
-        self.try_start_tasks(site, now, obs);
+        self.try_start_tasks(site, now);
     }
 
     // ----- first phase ---------------------------------------------------------------------
 
-    fn scheduling_phase_one(&mut self, instant: usize, now: SimTime, obs: &mut Observers<'_, '_>) {
+    fn scheduling_phase_one(&mut self, instant: usize, now: SimTime) {
         let mut buffers = std::mem::take(&mut self.first_phase);
+        let full_ahead = self.algo.algorithm.is_full_ahead();
         // A dispatch changes no node's liveness, so each home is checked as the loop meets it.
         for home in 0..self.nodes.len() {
             if !self.nodes[home].alive || self.home_of[home].is_empty() {
                 continue;
             }
-            if self.workflows[self.home_of[home][0]].plan.is_some() {
-                self.dispatch_full_ahead(home, now, &mut buffers, obs);
+            if full_ahead {
+                self.dispatch_full_ahead(home, now, &mut buffers);
             } else {
-                self.dispatch_just_in_time(home, instant, now, &mut buffers, obs);
+                self.dispatch_just_in_time(home, instant, now, &mut buffers);
             }
         }
         self.first_phase = buffers;
@@ -1009,57 +1040,45 @@ impl Engine {
 
     /// Dispatch every current schedule point of a full-ahead plan to its pre-planned node
     /// (falling back to the home node if the planned node has churned away).
-    fn dispatch_full_ahead(
-        &mut self,
-        home: NodeId,
-        now: SimTime,
-        buffers: &mut FirstPhaseBuffers,
-        obs: &mut Observers<'_, '_>,
-    ) {
+    fn dispatch_full_ahead(&mut self, home: NodeId, now: SimTime, buffers: &mut FirstPhaseBuffers) {
         let home_of = Arc::clone(&self.home_of);
-        let FirstPhaseBuffers {
-            schedule_points,
-            predecessors,
-            ..
-        } = buffers;
         for &wf in &home_of[home] {
-            if !self.workflows[wf].is_active() {
+            let w = &self.workflows[wf];
+            if !w.is_active() {
                 continue;
             }
-            schedule_points.clear();
-            schedule_points.extend(self.workflows[wf].progress.schedule_points());
-            for &task in schedule_points.iter() {
+            buffers.schedule_points.clear();
+            buffers.schedule_points.extend(w.progress.schedule_points());
+            for i in 0..buffers.schedule_points.len() {
+                let task = buffers.schedule_points[i];
                 if !self.dispatchable(wf, task, now) {
                     continue;
                 }
-                let planned =
-                    self.workflows[wf].plan.as_ref().expect("full-ahead plan")[task.index()];
+                let w = &self.workflows[wf];
+                let planned = w.plan.as_ref().expect("full-ahead plan")[task.index()];
                 let target = if self.nodes[planned].alive {
                     planned
                 } else {
                     home
                 };
-                let (rpm, ms, sufferage) = {
-                    let w = &self.workflows[wf];
-                    predecessors.clear();
-                    predecessors.extend(w.predecessor_data(task));
-                    (w.static_rpm[task.index()], w.static_ms_secs, 0.0)
-                };
+                let t = w.workflow.task(task);
+                let slot = buffers.task_slot(0);
+                slot.workflow = wf;
+                slot.task = task;
+                // A checkpointed task only has its residual load left to execute.
+                slot.load_mi = self
+                    .load_override
+                    .get(&(wf, task))
+                    .copied()
+                    .unwrap_or(t.load_mi);
+                slot.image_size_mb = t.image_size_mb;
+                slot.rpm_secs = w.static_rpm[task.index()];
+                slot.workflow_ms_secs = w.eft_secs;
+                slot.predecessors.clear();
+                slot.predecessors.extend(w.predecessor_data(task));
                 // Full-ahead plans place exactly one copy per task; `RecoveryPolicy::Replicate`
                 // only fans out on the just-in-time path.
-                self.dispatch_task(
-                    home,
-                    wf,
-                    task,
-                    target,
-                    rpm,
-                    ms,
-                    sufferage,
-                    predecessors,
-                    now,
-                    obs,
-                    false,
-                );
+                self.dispatch_task(home, slot, target, 0.0, now, false);
             }
         }
     }
@@ -1072,7 +1091,6 @@ impl Engine {
         instant: usize,
         now: SimTime,
         buffers: &mut FirstPhaseBuffers,
-        obs: &mut Observers<'_, '_>,
     ) {
         // The home node's estimates of the system-wide averages come from the aggregation
         // gossip; its candidate set comes from the epidemic gossip's RSS.
@@ -1160,19 +1178,7 @@ impl Engine {
         };
         for &(i, d) in planned.iter() {
             let t = &tasks[i];
-            let dispatched = self.dispatch_task(
-                home,
-                d.workflow,
-                d.task,
-                d.target,
-                t.rpm_secs,
-                t.workflow_ms_secs,
-                d.sufferage_secs,
-                &t.predecessors,
-                now,
-                obs,
-                false,
-            );
+            let dispatched = self.dispatch_task(home, t, d.target, d.sufferage_secs, now, false);
             if copies <= 1 || !dispatched {
                 continue;
             }
@@ -1189,45 +1195,29 @@ impl Engine {
                 }
             }
             for &twin in twins.iter() {
-                self.dispatch_task(
-                    home,
-                    d.workflow,
-                    d.task,
-                    twin,
-                    t.rpm_secs,
-                    t.workflow_ms_secs,
-                    d.sufferage_secs,
-                    &t.predecessors,
-                    now,
-                    obs,
-                    true,
-                );
+                self.dispatch_task(home, t, twin, d.sufferage_secs, now, true);
             }
         }
     }
 
     /// Migrate a task to its chosen resource node: mark it dispatched, enqueue it in the ready
-    /// set and schedule the completion of its (true) data transfers, timed over the
-    /// `predecessors` the caller gathered for the same instant.
+    /// set and schedule the completion of its (true) data transfers.  Everything about the
+    /// task comes from the record `t` its first phase filled at the same instant: its load
+    /// (a checkpointed task's residual), image size, RPM, workflow makespan and the precedents
+    /// its transfers are timed over.
     /// A `replica` dispatch (the fan-out copies of `RecoveryPolicy::Replicate`) enqueues and
     /// transfers like the primary but never touches workflow progress or the dispatch
     /// counters — the task is dispatched once, executed possibly many times.
     ///
     /// Returns `false` when the migration failed because the target is dead (the task then
     /// simply stays a schedule point).
-    #[allow(clippy::too_many_arguments)]
     fn dispatch_task(
         &mut self,
         home: NodeId,
-        wf: usize,
-        task: TaskId,
+        t: &DispatchCandidateTask,
         target: NodeId,
-        rpm_secs: f64,
-        ms_secs: f64,
         sufferage_secs: f64,
-        predecessors: &[PredecessorData],
         now: SimTime,
-        obs: &mut Observers<'_, '_>,
         replica: bool,
     ) -> bool {
         if !self.nodes[target].alive {
@@ -1236,15 +1226,7 @@ impl Engine {
             // retried at the next scheduling cycle.
             return false;
         }
-        let (load_mi, image_mb) = {
-            let t = self.workflows[wf].workflow.task(task);
-            let load = self
-                .load_override
-                .get(&(wf, task))
-                .copied()
-                .unwrap_or(t.load_mi);
-            (load, t.image_size_mb)
-        };
+        let (wf, task) = (t.workflow, t.task);
         if !replica {
             self.workflows[wf].progress.mark_dispatched(task);
             self.dispatched_tasks += 1;
@@ -1264,13 +1246,13 @@ impl Engine {
 
         // True transfer times on the ground-truth network: program image from the home node
         // plus dependent data from every precedent's execution site, all in parallel.
-        let transfer_secs = self
-            .transfer
-            .arrival_delay_secs(home, target, image_mb, predecessors);
+        let transfer_secs =
+            self.transfer
+                .arrival_delay_secs(home, target, t.image_size_mb, &t.predecessors);
         let view = ReadyTaskView {
-            workflow_ms_secs: ms_secs,
-            rpm_secs,
-            exec_secs: self.nodes[target].execution_secs(load_mi),
+            workflow_ms_secs: t.workflow_ms_secs,
+            rpm_secs: t.rpm_secs,
+            exec_secs: self.nodes[target].execution_secs(t.load_mi),
             sufferage_secs,
             enqueued_seq: self.next_seq,
         };
@@ -1279,12 +1261,12 @@ impl Engine {
         self.nodes[target].ready.insert(ReadyEntry {
             wf,
             task,
-            load_mi,
+            load_mi: t.load_mi,
             key,
             view,
             data_ready: false,
         });
-        obs.emit(|o| o.on_task_dispatched(now, wf, task, target));
+        self.emit(|o| o.on_task_dispatched(now, wf, task, target));
         let event = NodeEvent::DataReady {
             node: target,
             epoch: self.nodes[target].epoch,
@@ -1304,7 +1286,6 @@ mod tests {
     use crate::config::{CapacityModel, ChurnConfig};
     use crate::config::{RecoveryPolicy, StochasticFaults};
     use crate::scenario::Scenario;
-    use crate::simulation::Simulation;
 
     fn tiny_config(seed: u64) -> GridConfig {
         let mut cfg = GridConfig::small(12).with_seed(seed);
@@ -1320,13 +1301,13 @@ mod tests {
             .simulate_algorithm(algorithm)
     }
 
-    /// Run a session to the horizon and hand back the internal engine, for white-box tests
+    /// Step a session to the horizon and hand it back unfinished, for white-box tests
     /// asserting on dispatch/execution counters.
-    fn run_session(cfg: GridConfig, algo: AlgorithmConfig) -> Engine {
+    fn run_session(cfg: GridConfig, algo: AlgorithmConfig) -> Simulation<'static> {
         let scenario = Scenario::build(cfg).expect("test config is valid");
-        let mut engine = Engine::new(&scenario, algo);
-        while engine.step(&mut []).is_some() {}
-        engine
+        let mut session = scenario.simulate(algo);
+        while session.step().is_some() {}
+        session
     }
 
     proptest::proptest! {

@@ -33,10 +33,9 @@ pub(crate) struct WorkflowRuntime {
     pub arrived: bool,
     /// Full-ahead plan (task index → node id), present only for HEFT / SMF.
     pub plan: Option<Vec<NodeId>>,
-    /// RPM under the true averages, used by the full-ahead baselines' ready-set metadata.
+    /// RPM under the true averages, used with `eft_secs` as the full-ahead baselines'
+    /// ready-set metadata.
     pub static_rpm: Vec<f64>,
-    /// Expected makespan under the true averages, ditto.
-    pub static_ms_secs: f64,
 }
 
 impl WorkflowRuntime {

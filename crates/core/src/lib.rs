@@ -68,8 +68,7 @@
 //! | [`config`]    | experiment configuration (Table I defaults, [`config::ResourceModel`] slots, [`config::FaultModel`] faults, [`config::RecoveryPolicy`] recovery, load factor, CCR) |
 //! | [`error`]     | the typed [`ConfigError`] returned by validation and [`Scenario::build`] |
 //! | [`scenario`]  | the reusable pre-sampled world ([`Scenario`]) |
-//! | [`engine`]    | the grid engine: per-node / per-workflow runtime, transfer model, the event loop that executes one virtual instant per step |
-//! | [`simulation`]| [`Simulation`] sessions |
+//! | [`engine`]    | the grid engine: per-node / per-workflow runtime, transfer model, and the [`Simulation`] session, the event loop that executes one virtual instant per step |
 //! | [`observer`]  | the [`Observer`] seam, [`TimeSeriesProbe`] and [`TraceRecorder`] |
 //! | [`worked_example`] | the two-workflow scenario of Fig. 3 used by tests and `repro --fig 3` |
 
@@ -86,7 +85,6 @@ pub mod observer;
 pub mod policy;
 pub mod report;
 pub mod scenario;
-pub mod simulation;
 pub mod worked_example;
 
 pub use algorithm::{Algorithm, AlgorithmConfig, SecondPhase};
@@ -95,12 +93,12 @@ pub use config::{
     RecoveryPolicy, ResourceModel, SlotClass, SlotModel, StochasticFaults, StreamKind,
     WorkloadSource,
 };
+pub use engine::Simulation;
 pub use error::ConfigError;
 pub use estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
 pub use observer::{GridSample, Observer, TimeSeriesProbe, TraceEvent, TraceRecorder};
 pub use report::SimulationReport;
 pub use scenario::Scenario;
-pub use simulation::Simulation;
 
 /// Identifier of a peer node (shared dense index with `p2pgrid-topology` and `p2pgrid-gossip`).
 pub type NodeId = usize;

@@ -1,11 +1,11 @@
 //! The observer seam: tap the engine's event stream without touching engine state.
 //!
-//! An [`Observer`] registers on a [`Simulation`](crate::simulation::Simulation) session before
+//! An [`Observer`] registers on a [`Simulation`](crate::Simulation) session before
 //! the first step and receives a callback for every externally meaningful engine event — task
 //! dispatch / start / finish / displacement, workflow submit / complete / fail, node join /
 //! leave, gossip cycles and the periodic metrics sample.  Observers borrow into the session
 //! (`&mut`), so their recorded data stays owned by the caller and is available after
-//! [`Simulation::run`](crate::simulation::Simulation::run) consumes the session:
+//! [`Simulation::run`](crate::Simulation::run) consumes the session:
 //!
 //! ```
 //! use p2pgrid_core::observer::TimeSeriesProbe;

@@ -46,8 +46,8 @@ use crate::engine::gossip_trace::{GossipTrace, TraceCell, TraceInputs};
 use crate::engine::node::{NodeRuntime, ReadySet};
 use crate::engine::transfer::TransferModel;
 use crate::engine::workflow::WorkflowRuntime;
+use crate::engine::Simulation;
 use crate::error::ConfigError;
-use crate::simulation::Simulation;
 use crate::NodeId;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
 use p2pgrid_topology::{LandmarkEstimator, PairwiseMetrics, WaxmanGenerator};
@@ -387,7 +387,6 @@ impl Scenario {
                         submitted_at,
                         arrived: submitted_at == SimTime::ZERO,
                         plan: None,
-                        static_ms_secs: eft_secs,
                         static_rpm,
                         workflow: Arc::new(workflow),
                     };
