@@ -51,7 +51,7 @@ fn allocations() -> u64 {
 }
 
 #[test]
-fn stepping_a_session_allocates_less_than_once_every_two_steps() {
+fn stepping_a_session_allocates_less_than_once_every_four_steps() {
     let scenario = Scenario::build(GridConfig::small(24).with_seed(1212)).unwrap();
     for algorithm in [
         Algorithm::Dsmf,
@@ -72,7 +72,7 @@ fn stepping_a_session_allocates_less_than_once_every_two_steps() {
         assert!(report.completed > 0, "{algorithm}: no workflow completed");
         println!("{algorithm}: {made} allocations over {steps} steps");
         assert!(
-            2 * made < steps,
+            4 * made < steps,
             "{algorithm}: {made} allocations over {steps} steps"
         );
     }
