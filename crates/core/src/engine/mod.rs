@@ -334,7 +334,7 @@ pub struct Simulation<'obs> {
     first_phase: FirstPhaseBuffers,
     /// The registered observers, in registration order.
     observers: Vec<&'obs mut dyn Observer>,
-    /// True once the time-zero submissions were announced, at the first step.
+    /// True once the time-zero submissions were announced; no observer may register after.
     started: bool,
 }
 
